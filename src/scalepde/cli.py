@@ -160,8 +160,6 @@ def parse_config(text: str, overrides: list[str] | None = None) -> tuple[RunConf
         fields["psi_initial"] = psi["initial_condition"]
     if "forcing" in psi:
         fields["psi_forcing"] = psi["forcing"]
-    if "nodes" in fields:
-        fields["nodes"] = tuple(fields["nodes"])
     try:
         config = RunConfig(**fields)
     except TypeError as err:
@@ -169,9 +167,12 @@ def parse_config(text: str, overrides: list[str] | None = None) -> tuple[RunConf
     return config, raw
 
 
-def config_hash(config: RunConfig) -> str:
-    payload = json.dumps(asdict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def config_hash(config: RunConfig, core_text: str | None = None) -> str:
+    """sha256 prefix of the resolved config, plus the core text when set."""
+    payload = asdict(config)
+    if core_text is not None:
+        payload["core_text"] = core_text
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _write_json(path: Path, payload: dict):
@@ -361,7 +362,7 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
             spec.out_dir / "defect_convergence.csv",
             ("K", "delta_eta", "max_e", "order"),
             rows,
-            config_hash(config),
+            config_hash(config, spec.core_text),
         )
     return (0 if passed else 1), report
 
@@ -467,7 +468,7 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict]:
             spec.out_dir / "closure_bound.csv",
             ("case", "eta", "lhs", "rhs", "ratio"),
             manu_rows + burgers_rows,
-            config_hash(config),
+            config_hash(config, spec.core_text),
         )
     return (0 if passed else 1), report
 
@@ -528,14 +529,14 @@ def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict]:
             spec.out_dir / "duhamel_convergence.csv",
             ("K", "delta_eta", "max_error", "order"),
             rows,
-            config_hash(config),
+            config_hash(config, spec.core_text),
         )
     return (0 if passed else 1), report
 
 
 def cmd_evolve(spec: ExperimentSpec) -> tuple[int, dict]:
     config = spec.config
-    chash = config_hash(config)
+    chash = config_hash(config, spec.core_text)
 
     def _dump(records):
         if spec.out_dir is not None:
@@ -598,7 +599,7 @@ def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict]:
             spec.out_dir / "reference_norms.csv",
             ("t", "l2", "max", "max_ut"),
             rows,
-            config_hash(config),
+            config_hash(config, spec.core_text),
         )
         u, u_t = ref.coarse_slice(len(ref.times) - 1)
         write_checkpoint(spec.out_dir / "u_final.ckpt", u, {"kind": "burgers_u"})
@@ -633,7 +634,7 @@ def run_command(spec: ExperimentSpec) -> int:
     code, report = _DISPATCH[spec.command](spec)
     if spec.out_dir is not None:
         report = dict(report)
-        report["config_hash"] = config_hash(spec.config)
+        report["config_hash"] = config_hash(spec.config, spec.core_text)
         _write_json(spec.out_dir / "report.json", report)
     return code
 

@@ -15,21 +15,31 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from . import families
-from .fluid import advect, fluid_source, leray_project
+from .fluid import (
+    _advection,
+    _gradient_values,
+    _leray_hat,
+    _source_hat,
+    _stress,
+    leray_project,
+)
 from .grid import (
     TWO_PI,
     Field,
     Grid,
     NonFiniteFieldError,
     _dealias_values,
+    _dealiased_hat,
+    _irfft,
+    _rfft,
+    _with_gradients,
     dealiased,
-    divergence,
     field_norms,
     make_grid,
     restrict_to_grid,
     spectral_derivative,
 )
-from .residual import solve_residual_closure
+from .residual import _closure_hat
 
 
 class ConfigError(ValueError):
@@ -66,20 +76,72 @@ def cfl_limit(v: Field) -> float:
     return 0.5 * v.grid.spacing / vmax
 
 
-def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
-    """Projected right-hand side P(-(v . grad) v + r_closure)."""
+def _check_closure(closure: str, eta: float):
     if closure not in ("none", "helmholtz"):
         raise ValueError(f"unknown closure {closure!r}")
-    w = -advect(v, v)
+    if closure == "helmholtz" and not eta > 0.0:
+        raise ValueError("the helmholtz closure needs eta > 0")
+
+
+def _transform_state(v: Field, psi_v: Field | None, e_v: Field | None):
+    """Half-spectrum (v, psi) stack and psi forcing from one batched transform.
+
+    The forcing only enters with psi; without psi the stack is v alone.
+    """
+    if psi_v is None:
+        return _rfft(v.grid, v.values), None
+    parts = [v.values, psi_v.values] + ([] if e_v is None else [e_v.values])
+    coeffs = _rfft(v.grid, np.concatenate(parts))
+    m = 2 * v.grid.n
+    return coeffs[:m], (coeffs[m:] if e_v is not None else None)
+
+
+def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: float) -> Field:
+    try:
+        return Field(grid, values, t=t, eta=eta)
+    except NonFiniteFieldError as err:
+        raise SimulationDiverged(
+            f"non-finite values in {name} at step {step}, t={t:.6g}"
+        ) from err
+
+
+def _rhs_hat(
+    grid: Grid, u_hat: np.ndarray, closure: str, eta: float, e_hat: np.ndarray | None
+) -> np.ndarray:
+    """Projected right-hand side of the stacked (v, psi) coefficients.
+
+    One batched inverse transform gives v, psi and their gradients; one
+    batched forward transform gives every dealiased product: the
+    advection sums, sigma for the closure and the linearized psi
+    transport, which reuses the velocity gradients.
+    """
+    n, m = grid.n, u_hat.shape[0]
+    phys = _irfft(grid, _with_gradients(grid, u_hat))
+    u, du = phys[:m], phys[m:].reshape((m, n) + grid.shape)
+    products = [_advection(u[:n], du[:n])]
+    if m > n:
+        products.append(_advection(u[:n], du[n:]) + _advection(u[n:], du[:n]))
     if closure == "helmholtz":
-        if eta is None:
-            eta = v.eta
-        if not eta > 0.0:
-            raise ValueError("the helmholtz closure needs eta > 0")
-        s = fluid_source(v)
-        s_v = s.with_values(s.values[: v.grid.n])
-        w = w + solve_residual_closure(s_v, eta)
-    return leray_project(w)[0]
+        products.append(_stress(du[:n]))
+    # free the stage's physical arrays before the forward transform
+    del phys, u, du
+    coeffs = _dealiased_hat(grid, np.concatenate(products))
+    del products
+    out = -coeffs[:m]
+    if closure == "helmholtz":
+        out[:n] += _closure_hat(grid, _source_hat(grid, coeffs[m:]), eta)
+    if e_hat is not None:
+        out[n:] += e_hat
+    return _leray_hat(grid, out)
+
+
+def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
+    """Projected right-hand side P(-(v . grad) v + r_closure)."""
+    if eta is None:
+        eta = v.eta
+    _check_closure(closure, eta)
+    u_hat, _ = _transform_state(v, None, None)
+    return v.with_values(_irfft(v.grid, _rhs_hat(v.grid, u_hat, closure, eta, None)))
 
 
 def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
@@ -88,14 +150,9 @@ def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
     The pressure-defect gradient is realized by Leray projection, which
     removes exactly the gradient part the transport terms generate.
     """
-    rhs = -advect(v, psi_v) - advect(psi_v, v)
-    if e_v is not None:
-        rhs = rhs + e_v
-    return leray_project(rhs)[0]
-
-
-def _stage(f: Field, k: Field, h: float) -> Field:
-    return f.with_values(f.values + h * k.values)
+    u_hat, e_hat = _transform_state(v, psi_v, e_v)
+    k = _rhs_hat(v.grid, u_hat, "none", v.eta, e_hat)
+    return psi_v.with_values(_irfft(v.grid, k[v.grid.n :]))
 
 
 def step_rk4(
@@ -106,42 +163,33 @@ def step_rk4(
 ) -> EvolutionState:
     """One classical RK4 step of the coupled (v, psi) system.
 
-    The combined update is re-projected so divergence-free velocity and
-    defect are preserved exactly.
+    The stages run on the half-spectrum coefficients of the stacked
+    (v, psi) state, with psi on the same stages as v.  The combined
+    update is re-projected so divergence-free velocity and defect are
+    preserved exactly.  Finite values are checked once, on the result.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     v, psi = state.v, state.psi_v
-    try:
-        kv1 = macroscopic_rhs(v, closure)
-        kv2 = macroscopic_rhs(_stage(v, kv1, dt / 2), closure)
-        kv3 = macroscopic_rhs(_stage(v, kv2, dt / 2), closure)
-        kv4 = macroscopic_rhs(_stage(v, kv3, dt), closure)
-        combo = v.values + (dt / 6.0) * (
-            kv1.values + 2 * kv2.values + 2 * kv3.values + kv4.values
-        )
-        v_new = leray_project(v.with_values(combo))[0]
-        psi_new = None
-        if psi is not None:
-            kp1 = psi_rhs(psi, v, e_v)
-            kp2 = psi_rhs(_stage(psi, kp1, dt / 2), _stage(v, kv1, dt / 2), e_v)
-            kp3 = psi_rhs(_stage(psi, kp2, dt / 2), _stage(v, kv2, dt / 2), e_v)
-            kp4 = psi_rhs(_stage(psi, kp3, dt), _stage(v, kv3, dt), e_v)
-            pcombo = psi.values + (dt / 6.0) * (
-                kp1.values + 2 * kp2.values + 2 * kp3.values + kp4.values
-            )
-            psi_new = leray_project(psi.with_values(pcombo))[0]
-    except NonFiniteFieldError as err:
-        raise SimulationDiverged(
-            f"non-finite values at t={state.t:.6g}, step {state.step_count}: {err}"
-        ) from err
+    grid, eta = v.grid, v.eta
+    _check_closure(closure, eta)
+    u0, e_hat = _transform_state(v, psi, e_v)
+    total = u0.copy()
+    stage = u0
+    for weight, h in ((1.0, dt / 2), (2.0, dt / 2), (2.0, dt), (1.0, None)):
+        k = _rhs_hat(grid, stage, closure, eta, e_hat)
+        total += (weight * dt / 6.0) * k
+        if h is not None:
+            stage = u0 + h * k
+    del stage, k
+    values = _irfft(grid, _leray_hat(grid, total))
     t_new = state.t + dt
-    return EvolutionState(
-        t=t_new,
-        v=v_new.with_values(t=t_new),
-        psi_v=None if psi_new is None else psi_new.with_values(t=t_new),
-        step_count=state.step_count + 1,
-    )
+    step = state.step_count + 1
+    v_new = _checked_field(grid, values[: grid.n], "v", step, t_new, eta)
+    psi_new = None
+    if psi is not None:
+        psi_new = _checked_field(grid, values[grid.n :], "psi", step, t_new, psi.eta)
+    return EvolutionState(t=t_new, v=v_new, psi_v=psi_new, step_count=step)
 
 
 _IC_DEFAULTS = {
@@ -216,8 +264,8 @@ class RunConfig:
             raise ConfigError(f"eta must lie in (0, 1], got {self.eta}")
         if self.dt is not None and not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0.0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.closure not in ("none", "helmholtz"):
             raise ConfigError(
                 f"closure must be 'none' or 'helmholtz', got {self.closure!r}"
@@ -227,7 +275,14 @@ class RunConfig:
                 f"need 0 < epsilon < eta0 <= 1, got epsilon={self.epsilon}, "
                 f"eta0={self.eta0}"
             )
-        nodes = tuple(int(k) for k in self.nodes)
+        try:
+            if not isinstance(self.nodes, (list, tuple)):
+                raise TypeError("not a list")
+            nodes = tuple(int(k) for k in self.nodes)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(
+                f"nodes must be a list of integers, got {self.nodes!r}"
+            ) from err
         object.__setattr__(self, "nodes", nodes)
         if any(k < 5 for k in nodes) or not nodes:
             raise ConfigError(f"nodes must all be >= 5, got {nodes}")
@@ -337,11 +392,12 @@ def kinetic_energy(v: Field) -> float:
 
 def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> DiagnosticsRecord:
     v = state.v
-    div_max = field_norms(divergence(v))[1]
+    grid = v.grid
+    dv = _gradient_values(v)
+    div_max = float(np.max(np.abs(np.trace(dv))))
     if closure == "helmholtz":
-        s = fluid_source(v)
-        r_v = solve_residual_closure(s.with_values(s.values[: v.grid.n]), v.eta)
-        r_l2, r_max = field_norms(r_v)
+        s_hat = _source_hat(grid, _dealiased_hat(grid, _stress(dv)))
+        r_l2, r_max = field_norms(Field(grid, _irfft(grid, _closure_hat(grid, s_hat, v.eta))))
     else:
         r_l2, r_max = 0.0, 0.0
     if state.psi_v is not None:
@@ -412,9 +468,9 @@ def _burgers_rhs(u: Field) -> Field:
 
 def _rk4_field(u: Field, dt: float, rhs) -> Field:
     k1 = rhs(u)
-    k2 = rhs(_stage(u, k1, dt / 2))
-    k3 = rhs(_stage(u, k2, dt / 2))
-    k4 = rhs(_stage(u, k3, dt))
+    k2 = rhs(u.with_values(u.values + dt / 2 * k1.values))
+    k3 = rhs(u.with_values(u.values + dt / 2 * k2.values))
+    k4 = rhs(u.with_values(u.values + dt * k3.values))
     return u.with_values(
         u.values + (dt / 6.0) * (k1.values + 2 * k2.values + 2 * k3.values + k4.values),
         t=u.t + dt,
@@ -510,14 +566,36 @@ def write_checkpoint(path, f: Field, extra: dict | None = None):
 
 
 def read_checkpoint(path) -> tuple[Field, dict]:
-    """Read a checkpoint back into a Field plus its header dict."""
+    """Read a checkpoint back into a Field plus its header dict.
+
+    A file without the magic is not a checkpoint (ValueError); a
+    checkpoint with an unreadable or unsupported header, too few data
+    bytes or non-finite values raises OSError naming the path.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        header = json.loads(fh.readline().decode())
-        grid = make_grid(header["n"], header["size"])
-        count = header["components"] * grid.num_points
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8").copy()
-    values = data.reshape((header["components"],) + grid.shape)
-    return Field(grid, values, t=header["t"], eta=header["eta"]), header
+        try:
+            header = json.loads(fh.readline().decode())
+            version = header.get("version")
+            grid = make_grid(header["n"], header["size"])
+            ncomp, t, eta = int(header["components"]), header["t"], header["eta"]
+        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            raise OSError(f"{path}: unreadable checkpoint header ({err!r})") from err
+        if version != CHECKPOINT_VERSION:
+            raise OSError(
+                f"{path}: checkpoint version {version!r} is not supported "
+                f"(expected {CHECKPOINT_VERSION})"
+            )
+        nbytes = ncomp * grid.num_points * 8
+        raw = fh.read(nbytes)
+    if len(raw) != nbytes:
+        raise OSError(
+            f"{path}: truncated checkpoint, {len(raw)} of {nbytes} data bytes"
+        )
+    values = np.frombuffer(raw, dtype="<f8").reshape((ncomp,) + grid.shape)
+    try:
+        return Field(grid, values, t=t, eta=eta), header
+    except NonFiniteFieldError as err:
+        raise OSError(f"{path}: checkpoint holds non-finite values") from err

@@ -20,8 +20,11 @@ from .grid import (
     Grid,
     TensorField,
     _dealias_values,
-    _spatial_axes,
+    _dealiased_hat,
+    _irfft,
+    _rfft,
     _tensor_pairs,
+    _with_gradients,
     divergence,
     field_norms,
     gradient,
@@ -70,27 +73,53 @@ class FluidState:
         return Field.from_components([self.v, self.p])
 
 
-def _component(f: Field, c: int) -> Field:
-    return f.with_values(f.values[c : c + 1])
+def _advection(v: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """sum_b v_b d_b w_a from values v and the gradient stack dw[a, b]."""
+    return sum(v[b] * dw[:, b] for b in range(len(v)))
+
+
+def _stress(dv: np.ndarray) -> np.ndarray:
+    """sigma^{ab} = sum_c d_c v^a d_c v^b for the pairs a <= b."""
+    return np.stack([np.sum(dv[a] * dv[b], axis=0) for a, b in _tensor_pairs(len(dv))])
+
+
+def _source_hat(grid: Grid, sigma_hat: np.ndarray) -> np.ndarray:
+    """Half-spectrum s = -2 div sigma from the pair-stored stress."""
+    out = np.zeros((grid.n,) + grid.rshape, dtype=complex)
+    d = grid.rderivatives
+    for i, (a, b) in enumerate(_tensor_pairs(grid.n)):
+        out[a] += d[b] * sigma_hat[i]
+        if a != b:
+            out[b] += d[a] * sigma_hat[i]
+    return -2.0 * out
+
+
+def _leray_hat(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
+    """Leray projection of stacked n-component vector fields' coefficients."""
+    w = w_hat.reshape((-1, grid.n) + grid.rshape)
+    out = np.empty_like(w)
+    for a in range(grid.n):
+        out[:, a] = sum(grid.rleray[a, b] * w[:, b] for b in range(grid.n))
+    return out.reshape(w_hat.shape)
+
+
+def _gradient_values(f: Field) -> np.ndarray:
+    """Physical d_b f_a as an array of shape (ncomp, n) + grid.shape."""
+    grid = f.grid
+    stack = _irfft(grid, _with_gradients(grid, _rfft(grid, f.values)))
+    return stack[f.ncomp :].reshape((f.ncomp, grid.n) + grid.shape)
+
+
+def _check_velocity(v: Field):
+    if v.ncomp != v.grid.n:
+        raise ValueError(f"expected {v.grid.n} velocity components, got {v.ncomp}")
 
 
 def sigma(v: Field) -> TensorField:
     """Filter stress sigma^{ab} = sum_c d_c v^a d_c v^b, products dealiased."""
-    grid = v.grid
-    if v.ncomp != grid.n:
-        raise ValueError(f"expected {grid.n} velocity components, got {v.ncomp}")
-    grads = [
-        [spectral_derivative(_component(v, a), c).component(0) for c in range(grid.n)]
-        for a in range(grid.n)
-    ]
-    pairs = _tensor_pairs(grid.n)
-    vals = np.zeros((len(pairs),) + grid.shape)
-    for i, (a, b) in enumerate(pairs):
-        total = np.zeros(grid.shape)
-        for c in range(grid.n):
-            total += _dealias_values(grid, grads[a][c] * grads[b][c])
-        vals[i] = total
-    return TensorField(grid, vals, t=v.t, eta=v.eta)
+    _check_velocity(v)
+    vals = _irfft(v.grid, _dealiased_hat(v.grid, _stress(_gradient_values(v))))
+    return TensorField(v.grid, vals, t=v.t, eta=v.eta)
 
 
 def fluid_source(v: Field) -> Field:
@@ -99,38 +128,27 @@ def fluid_source(v: Field) -> Field:
     Warns when the input is visibly compressible, since the divergence
     form of the source assumes div v = 0.
     """
+    _check_velocity(v)
     grid = v.grid
-    div_max = field_norms(divergence(v))[1]
+    dv = _gradient_values(v)
+    div_max = float(np.max(np.abs(np.trace(dv))))
     if div_max > DIVERGENCE_WARN_TOL:
         warnings.warn(
             f"fluid_source called with max |div v| = {div_max:.3e}; "
             "the divergence form assumes a solenoidal field",
             stacklevel=2,
         )
-    stress = sigma(v)
     out = np.zeros((grid.n + 1,) + grid.shape)
-    for a in range(grid.n):
-        total = np.zeros(grid.shape)
-        for b in range(grid.n):
-            comp = Field(grid, stress.component(a, b)[np.newaxis], t=v.t, eta=v.eta)
-            total += spectral_derivative(comp, b).component(0)
-        out[a] = -2.0 * total
+    out[: grid.n] = _irfft(grid, _source_hat(grid, _dealiased_hat(grid, _stress(dv))))
     return Field(grid, out, t=v.t, eta=v.eta)
 
 
 def advect(v: Field, w: Field) -> Field:
     """(v . grad) w with dealiased products."""
-    grid = v.grid
-    if v.ncomp != grid.n:
-        raise ValueError(f"advecting field needs {grid.n} components")
-    out = np.zeros((w.ncomp,) + grid.shape)
-    for a in range(w.ncomp):
-        total = np.zeros(grid.shape)
-        for b in range(grid.n):
-            dwa = spectral_derivative(_component(w, a), b).component(0)
-            total += _dealias_values(grid, v.component(b) * dwa)
-        out[a] = total
-    return w.with_values(out)
+    if v.ncomp != v.grid.n:
+        raise ValueError(f"advecting field needs {v.grid.n} components")
+    products = _advection(v.values, _gradient_values(w))
+    return w.with_values(_irfft(v.grid, _dealiased_hat(v.grid, products)))
 
 
 def acceleration(v: Field, v_t: Field) -> Field:
@@ -149,22 +167,16 @@ def leray_project(w: Field) -> tuple[Field, Field]:
     grid = w.grid
     if w.ncomp != grid.n:
         raise ValueError(f"expected {grid.n} components, got {w.ncomp}")
-    coeffs = np.fft.fftn(w.values, axes=_spatial_axes(grid))
-    ksq = grid.ksq.copy()
+    w_hat = _rfft(grid, w.values)
+    out = np.empty((grid.n + 1,) + grid.rshape, dtype=complex)
+    out[: grid.n] = _leray_hat(grid, w_hat)
+    ksq = grid.rksq.copy()
     zero = (0,) * grid.n
     ksq[zero] = 1.0
-    dot = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.n):
-        dot += grid.wavenumbers[a] * coeffs[a]
-    for a in range(grid.n):
-        grad_part = grid.wavenumbers[a] * dot / ksq
-        grad_part[zero] = 0.0
-        coeffs[a] -= grad_part
-    phi = -1j * dot / ksq
-    phi[zero] = 0.0
-    sol = np.fft.ifftn(coeffs, axes=_spatial_axes(grid)).real
-    pot = np.fft.ifftn(phi[np.newaxis], axes=_spatial_axes(grid)).real
-    return w.with_values(sol), Field(grid, pot, t=w.t, eta=w.eta)
+    out[grid.n] = -sum(d * w_hat[b] for b, d in enumerate(grid.rderivatives)) / ksq
+    out[(grid.n,) + zero] = 0.0
+    vals = _irfft(grid, out)
+    return w.with_values(vals[: grid.n]), Field(grid, vals[grid.n :], t=w.t, eta=w.eta)
 
 
 @dataclass(frozen=True)

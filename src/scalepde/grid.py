@@ -60,8 +60,53 @@ class Grid:
             ("wavenumbers", tuple(wavenumbers)),
             ("ksq", ksq),
             ("dealias_mask", mask),
+            *self._half_spectrum(k1d, cutoff),
         ):
             object.__setattr__(self, name, value)
+
+    def _half_spectrum(self, k1d: np.ndarray, cutoff: float):
+        """Multipliers on the ``rfftn`` layout, whose last axis keeps k >= 0.
+
+        Each multiplier is the mean of its values at a mode and at its
+        conjugate partner, as the real part of a complex transform would
+        give; on a Nyquist plane the partner has the same stored
+        wavenumber.  So the derivative multipliers i*k_a (``rderivatives``)
+        vanish on the Nyquist plane of axis a, and the Leray projector
+        ``rleray[a, b]`` = delta_ab - k_a k_b / |k|^2 (identity on the
+        mean) keeps its even terms there; in 1-D it keeps only the mean.
+        """
+        n, half = self.n, self.size // 2 + 1
+        rshape = (self.size,) * (n - 1) + (half,)
+        k_last = np.arange(half, dtype=float)
+        rwavenumbers, rderivatives = [], []
+        for axis in range(n):
+            view = [1] * n
+            view[axis] = rshape[axis]
+            k = (k1d if axis < n - 1 else k_last).reshape(view)
+            odd = 1j * k
+            odd[(slice(None),) * axis + (self.size // 2,)] = 0.0
+            rwavenumbers.append(k)
+            rderivatives.append(odd)
+        rksq = np.zeros(rshape)
+        mask = np.ones(rshape, dtype=bool)
+        for k in rwavenumbers:
+            rksq = rksq + k**2
+            mask &= np.abs(k) <= cutoff
+        partner = [np.where(np.abs(k) == self.size // 2, k, -k) for k in rwavenumbers]
+        safe_ksq = np.where(rksq > 0.0, rksq, 1.0)
+        leray = np.zeros((n, n) + rshape)
+        for a in range(n):
+            for b in range(n):
+                kk = 0.5 * (rwavenumbers[a] * rwavenumbers[b] + partner[a] * partner[b])
+                leray[a, b] = float(a == b) - kk / safe_ksq
+            leray[(a, a) + (0,) * n] = 1.0
+        return (
+            ("rshape", rshape),
+            ("rderivatives", tuple(rderivatives)),
+            ("rksq", rksq),
+            ("rdealias_mask", mask),
+            ("rleray", leray),
+        )
 
     @property
     def num_points(self) -> int:
@@ -209,6 +254,38 @@ def from_spectral(sf: SpectralField, *, t: float = 0.0, eta: float = 0.0) -> Fie
 def dealias(sf: SpectralField) -> SpectralField:
     """Zero every mode with any |k_axis| > size/3 (2/3 rule)."""
     return SpectralField(sf.grid, sf.coeffs * sf.grid.dealias_mask)
+
+
+def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Batched real forward transform over the trailing spatial axes."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)))
+
+
+def _irfft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``_rfft`` onto the grid shape."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.n, 0)))
+
+
+def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of products, 2/3-rule masked."""
+    coeffs = _rfft(grid, products)
+    coeffs *= grid.rdealias_mask
+    return coeffs
+
+
+def _with_gradients(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Half-spectrum stack of m components followed by their gradients.
+
+    Entry m + a*n + b holds d_b of component a, so after ``_irfft`` the
+    tail reshapes to ``(m, n) + grid.shape``.
+    """
+    m = coeffs.shape[0]
+    out = np.empty((m * (grid.n + 1),) + grid.rshape, dtype=complex)
+    out[:m] = coeffs
+    grads = out[m:].reshape((m, grid.n) + grid.rshape)
+    for b, d in enumerate(grid.rderivatives):
+        np.multiply(coeffs, d, out=grads[:, b])
+    return out
 
 
 def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:

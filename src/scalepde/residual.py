@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, _dealias_values, _spatial_axes, laplacian, spectral_derivative
+from .grid import (
+    Field,
+    Grid,
+    _dealias_values,
+    _irfft,
+    _rfft,
+    laplacian,
+    spectral_derivative,
+)
 from .heat import ScaleStack, eta_derivative
 from .jets import jet_evaluate, jet_frechet, jet_values
 from .fluid import CoreFunction
@@ -41,14 +49,17 @@ def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:
     return dr - laplacian(r_stack.fields[node]) - s
 
 
+def _closure_hat(grid: Grid, s_hat: np.ndarray, eta: float) -> np.ndarray:
+    """Half-spectrum solution of laplacian(r) - r/eta + s = 0."""
+    return s_hat / (grid.rksq + 1.0 / eta)
+
+
 def solve_residual_closure(s: Field, eta: float) -> Field:
     """Solve laplacian(r) - r/eta + s = 0 exactly per Fourier mode."""
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     grid = s.grid
-    coeffs = np.fft.fftn(s.values, axes=_spatial_axes(grid))
-    coeffs /= grid.ksq + 1.0 / eta
-    vals = np.fft.ifftn(coeffs, axes=_spatial_axes(grid)).real
+    vals = _irfft(grid, _closure_hat(grid, _rfft(grid, s.values), eta))
     return s.with_values(vals, eta=eta)
 
 

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's spectral machinery:
 derivatives come from 4th-order centered finite differences on the
-periodic grid and the Burgers reference truth comes from the method of
-characteristics solved pointwise by Newton iteration.
+periodic grid, the Burgers reference truth comes from the method of
+characteristics solved pointwise by Newton iteration, and the evolution
+right-hand sides are rebuilt from plain numpy complex transforms, one
+round trip per operator.
 """
 
 import numpy as np
@@ -68,3 +70,54 @@ def burgers_characteristics(x: np.ndarray, t: float, tol: float = 1e-13) -> np.n
         if np.max(np.abs(step)) < tol:
             break
     return u
+
+
+def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
+    """Projected right-hand sides of the (v, psi) system, per operator.
+
+    Every derivative, dealiased product, closure solve and Leray
+    projection is its own fftn/ifftn round trip on physical arrays of
+    shape (n, size, ..., size).  Returns the v right-hand side, or the
+    pair (v, psi) when psi is given.
+    """
+    n, size = v.shape[0], v.shape[1]
+    k1 = np.fft.fftfreq(size, 1.0 / size)
+    k1[size // 2] = size // 2
+    ks = np.meshgrid(*([k1] * n), indexing="ij")
+    ksq = sum(k**2 for k in ks)
+    mask = np.all([np.abs(k) <= size / 3.0 for k in ks], axis=0)
+
+    def deriv(f, b):
+        c = np.fft.fftn(f) * 1j * ks[b]
+        c[(slice(None),) * b + (size // 2,)] = 0.0
+        return np.fft.ifftn(c).real
+
+    def dealias(f):
+        return np.fft.ifftn(np.fft.fftn(f) * mask).real
+
+    def advect(a, w):
+        return np.stack([sum(dealias(a[b] * deriv(wc, b)) for b in range(n)) for wc in w])
+
+    def leray(w):
+        c = [np.fft.fftn(x) for x in w]
+        dot = sum(k * x for k, x in zip(ks, c))
+        safe = np.where(ksq > 0, ksq, 1.0)
+        return np.stack([np.fft.ifftn(x - k * dot / safe).real for k, x in zip(ks, c)])
+
+    rhs_v = -advect(v, v)
+    if closure == "helmholtz":
+        dv = [[deriv(v[a], c) for c in range(n)] for a in range(n)]
+        sig = [
+            [sum(dealias(dv[a][c] * dv[b][c]) for c in range(n)) for b in range(n)]
+            for a in range(n)
+        ]
+        s = [-2.0 * sum(deriv(sig[a][b], b) for b in range(n)) for a in range(n)]
+        rhs_v = rhs_v + np.stack(
+            [np.fft.ifftn(np.fft.fftn(x) / (ksq + 1.0 / eta)).real for x in s]
+        )
+    if psi is None:
+        return leray(rhs_v)
+    rhs_psi = -advect(v, psi) - advect(psi, v)
+    if e is not None:
+        rhs_psi = rhs_psi + e
+    return leray(rhs_v), leray(rhs_psi)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from scalepde import ConfigError, parse_config, read_checkpoint
+from scalepde import ConfigError, Field, make_grid, parse_config, read_checkpoint, write_checkpoint
 from scalepde.cli import config_hash, main
 
 
@@ -80,6 +80,25 @@ class TestParseConfig:
         a, _ = parse_config('{"t_end": 0.1, "seed": 3}')
         b, _ = parse_config('{"seed": 3, "t_end": 0.1}')
         assert config_hash(a) == config_hash(b)
+
+    def test_hash_covers_core_text(self):
+        config, _ = parse_config("")
+        plain = config_hash(config)
+        assert config_hash(config, None) == plain
+        one = config_hash(config, "u1_t + u1*u1_x1")
+        two = config_hash(config, "u1_t + 3*u1_x1")
+        assert len({plain, one, two}) == 3
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [("nodes=5", "nodes"), ('nodes="999"', "nodes"), ("t_end=Infinity", "t_end")],
+    )
+    def test_bad_value_exits_2_naming_key(self, capsys, override, key):
+        code = main(["evolve", "--set", "grid_size=16", "--set", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
 
 
 class TestDeriveSource:
@@ -197,6 +216,18 @@ class TestEvolveCommand:
         assert "diverged" in err
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert len(lines) >= 3  # hash, header, at least the initial record
+
+    def test_truncated_forcing_exit_4(self, tmp_path, capsys):
+        ckpt = tmp_path / "forcing.ckpt"
+        write_checkpoint(ckpt, Field(make_grid(2, 32), np.zeros((2, 32, 32))))
+        ckpt.write_bytes(ckpt.read_bytes()[:-13])
+        forcing = json.dumps({"name": "checkpoint", "path": str(ckpt)})
+        code = main(
+            ["evolve"] + self.BASE
+            + ["--set", "psi.enabled=true", "--set", f"psi.forcing={forcing}"]
+        )
+        assert code == 4
+        assert "forcing.ckpt: truncated checkpoint" in capsys.readouterr().err
 
     def test_unwritable_out_exit_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

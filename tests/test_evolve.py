@@ -1,6 +1,7 @@
 """Slice evolution: right-hand sides, RK4 stepping, runs and references."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from scalepde import (
     step_rk4,
     write_checkpoint,
 )
+from scalepde.cli import main
 from scalepde.families import random_solenoidal, single_mode_solenoidal, taylor_green
-from oracles import burgers_characteristics
+from oracles import burgers_characteristics, complex_fft_rhs
 
 
 class TestRhs:
@@ -102,8 +104,102 @@ class TestStepRK4:
     def test_overflow_raises_diverged(self, grid2d):
         v = taylor_green(grid2d, amplitude=1e200)
         state = EvolutionState(t=0.0, v=v)
-        with pytest.raises(SimulationDiverged, match="non-finite"):
+        with pytest.raises(SimulationDiverged, match="non-finite values in v at step 1, t="):
             step_rk4(state, 1e-210)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_psi_names_psi(self, grid2d):
+        # psi stays finite, but its transform coefficients overflow
+        psi = taylor_green(grid2d, amplitude=1e306)
+        state = EvolutionState(t=0.0, v=taylor_green(grid2d), psi_v=psi, step_count=4)
+        with pytest.raises(SimulationDiverged, match="in psi at step 5"):
+            step_rk4(state, 1e-3)
+
+
+class TestAgainstComplexTransforms:
+    """The half-spectrum kernel against per-operator complex round trips."""
+
+    def test_macroscopic_rhs(self, grid2d, rng):
+        v = random_solenoidal(grid2d, rng, kmax=8).with_values(eta=0.05)
+        for closure in ("none", "helmholtz"):
+            got = macroscopic_rhs(v, closure=closure).values
+            want = complex_fft_rhs(v.values, closure, eta=0.05)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_psi_rhs(self, grid2d, rng):
+        v = random_solenoidal(grid2d, rng, kmax=8)
+        psi = random_solenoidal(grid2d, rng, kmax=6)
+        e_v = Field(grid2d, rng.standard_normal((2,) + grid2d.shape))
+        got = psi_rhs(psi, v, e_v).values
+        _, want = complex_fft_rhs(v.values, psi=psi.values, e=e_v.values)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_coupled_step(self, grid2d, rng):
+        v = random_solenoidal(grid2d, rng, kmax=6).with_values(eta=0.05)
+        psi = random_solenoidal(grid2d, rng, kmax=4).with_values(eta=0.05)
+        e_v = random_solenoidal(grid2d, rng, kmax=3)
+        dt = 0.01
+        got = step_rk4(EvolutionState(0.0, v, psi), dt, closure="helmholtz", e_v=e_v)
+
+        def rhs(u):
+            kv = complex_fft_rhs(u[0], "helmholtz", 0.05)
+            _, kp = complex_fft_rhs(u[0], psi=u[1], e=e_v.values)
+            return np.stack([kv, kp])
+
+        u0 = np.stack([v.values, psi.values])
+        k1 = rhs(u0)
+        k2 = rhs(u0 + dt / 2 * k1)
+        k3 = rhs(u0 + dt / 2 * k2)
+        k4 = rhs(u0 + dt * k3)
+        want = u0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.max(np.abs(got.v.values - want[0])) <= 1e-12
+        assert np.max(np.abs(got.psi_v.values - want[1])) <= 1e-12
+
+
+_FFT_ENTRY_POINTS = (
+    "fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
+    "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2",
+)
+
+
+class TestTransformBudget:
+    """Machine-independent cost of one step: transform calls and Fields."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"calls": 0, "complex": 0, "fields": 0}
+        for name in _FFT_ENTRY_POINTS:
+
+            def counted(*args, _orig=getattr(np.fft, name), _real="rfft" in name, **kwargs):
+                counts["calls"] += 1
+                counts["complex"] += not _real
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        post_init = Field.__post_init__
+
+        def counted_post_init(field):
+            counts["fields"] += 1
+            post_init(field)
+
+        monkeypatch.setattr(Field, "__post_init__", counted_post_init)
+        return counts
+
+    @pytest.mark.parametrize(
+        "closure, with_psi, budget",
+        [("helmholtz", False, 12), ("none", True, 20), ("helmholtz", True, 20)],
+    )
+    def test_one_step(self, counts, rng, closure, with_psi, budget):
+        grid = make_grid(2, 32)
+        v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
+        psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
+        e_v = random_solenoidal(grid, rng, kmax=2) if with_psi else None
+        state = EvolutionState(t=0.0, v=v, psi_v=psi)
+        counts.update(calls=0, complex=0, fields=0)
+        step_rk4(state, 1e-3, closure=closure, e_v=e_v)
+        assert counts["calls"] <= budget
+        assert counts["complex"] == 0
+        assert counts["fields"] <= 2
 
 
 class TestRunConfig:
@@ -206,6 +302,41 @@ class TestRunSimulation:
         assert excinfo.value.records[0].step == 0
 
 
+class TestOneDimensional:
+    """1-D fluid evolve, pinned to the values of the complex-transform code.
+
+    In 1-D a solenoidal field is a constant.  ``random_solenoidal`` keeps
+    the rounding residue of the removed mean and scales it to peak 1, so
+    that run evolves a unit constant.
+    """
+
+    @pytest.mark.parametrize(
+        "ic, energy, l2, vmax",
+        [
+            ("zero", 0.0, 0.0, 0.0),
+            ("random_solenoidal", 3.141592653589792, 6.2831853071795845, 0.9999999999999998),
+        ],
+    )
+    def test_final_energy_and_checkpoint(self, tmp_path, capsys, ic, energy, l2, vmax):
+        out = tmp_path / ic
+        code = main(
+            [
+                "evolve", "--out", str(out),
+                "--set", "n=1", "--set", "grid_size=32",
+                "--set", f"initial_condition.name={ic}",
+                "--set", "t_end=0.05", "--set", "closure=helmholtz",
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["energy_final"] == pytest.approx(energy, rel=1e-9, abs=1e-12)
+        v, _ = read_checkpoint(out / "final_v.ckpt")
+        got_l2, got_max = field_norms(v)
+        assert got_l2 == pytest.approx(l2, rel=1e-9, abs=1e-12)
+        assert got_max == pytest.approx(vmax, rel=1e-9, abs=1e-12)
+
+
 class TestBurgersReference:
     def test_initial_condition(self):
         coarse = make_grid(1, 64)
@@ -272,3 +403,25 @@ class TestCheckpoint:
         write_checkpoint(p1, f)
         write_checkpoint(p2, f)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_names_path(self, tmp_path, grid2d, rng):
+        path = tmp_path / "short.ckpt"
+        write_checkpoint(path, random_solenoidal(grid2d, rng))
+        path.write_bytes(path.read_bytes()[:-13])
+        with pytest.raises(OSError, match="short.ckpt: truncated checkpoint"):
+            read_checkpoint(path)
+
+    def test_non_finite_values_name_path(self, tmp_path, grid1d):
+        path = tmp_path / "nan.ckpt"
+        write_checkpoint(path, Field(grid1d, np.zeros(grid1d.shape)))
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(OSError, match="nan.ckpt: checkpoint holds non-finite"):
+            read_checkpoint(path)
+
+    def test_wrong_version_names_path(self, tmp_path, grid1d):
+        path = tmp_path / "future.ckpt"
+        write_checkpoint(path, Field(grid1d, np.zeros(grid1d.shape)), extra={"version": 99})
+        with pytest.raises(OSError, match="future.ckpt: checkpoint version 99"):
+            read_checkpoint(path)

@@ -38,7 +38,14 @@ from .grid import (
     spectral_derivative,
     to_spectral,
 )
-from .heat import ScaleStack, build_scale_stack, duhamel_integral, filter_defect, heat_propagate
+from .heat import (
+    ScaleStack,
+    build_scale_stack,
+    duhamel_integral,
+    filter_defect,
+    heat_propagate,
+    heat_propagate_many,
+)
 from .jets import (
     CoreSyntaxError,
     derive_source,
@@ -296,15 +303,16 @@ def _fluid_generator(config: RunConfig):
     return families.filtered_taylor_green(grid, t=0.0, eta=0.0)
 
 
-def _residual_stack(core, u_gen: Field, ut_gen: Field, epsilon: float, eta0: float, K: int):
-    """Scale stacks of (u, u_t, r) anchored at epsilon."""
-    u_stack = build_scale_stack(u_gen, epsilon, eta0, K)
-    ut_stack = build_scale_stack(ut_gen, epsilon, eta0, K)
-    r_fields = []
-    for u, u_t in zip(u_stack.fields, ut_stack.fields):
-        r_fields.append(
-            exact_residual(core, u, u_t.with_values(eta=u.eta)).with_values(eta=u.eta)
-        )
+def _residual_stack(
+    core, u_gen: Field, ut_gen: Field, epsilon: float, eta0: float, K: int,
+    start: int = 0, stop: int | None = None,
+):
+    """Scale stacks of (u, u_t, r) on nodes start..stop-1 of the K-node ladder."""
+    u_stack = build_scale_stack(u_gen, epsilon, eta0, K, start, stop)
+    ut_stack = build_scale_stack(ut_gen, epsilon, eta0, K, start, stop)
+    r_fields = [
+        exact_residual(core, u, u_t) for u, u_t in zip(u_stack.fields, ut_stack.fields)
+    ]
     return u_stack, ut_stack, ScaleStack(u_stack.eta_nodes, tuple(r_fields))
 
 
@@ -321,19 +329,22 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
         u_gen, ut_gen = _fluid_generator(config)
     source = core.source()
 
+    # r at epsilon, the first node of every ladder
+    u_eps, ut_eps = (
+        heat_propagate(g.with_values(eta=config.epsilon), 0.0) for g in (u_gen, ut_gen)
+    )
+    r_eps_norms = field_norms(exact_residual(core, u_eps, ut_eps))
     rows = []
     errors = []
-    r_eps_norms = None
     for K in config.nodes:
-        u_stack, ut_stack, r_stack = _residual_stack(
-            core, u_gen, ut_gen, config.epsilon, config.eta0, K
-        )
-        if r_eps_norms is None:
-            r_eps_norms = field_norms(r_stack.fields[0])
+        # the defect reads nodes mid-1..mid+1; a stack needs five nodes
         mid = K // 2
-        jets = jet_values(source, u_stack.fields[mid], ut_stack.fields[mid])
+        u_stack, ut_stack, r_stack = _residual_stack(
+            core, u_gen, ut_gen, config.epsilon, config.eta0, K, mid - 2, mid + 3
+        )
+        jets = jet_values(source, u_stack.fields[2], ut_stack.fields[2])
         s_mid = jet_evaluate(source, jets)
-        e = residual_defect(r_stack, s_mid, mid)
+        e = residual_defect(r_stack, s_mid, 2)
         errors.append(field_norms(e)[1])
         rows.append((K, r_stack.delta_eta, errors[-1]))
     orders = _measured_orders(errors)
@@ -479,21 +490,21 @@ def _deviation_errors(grid, epsilon: float, eta0: float, K: int):
     if epsilon - h <= 0.0:
         raise ConfigError("epsilon too small for the extended ladder")
     big_nodes = [epsilon + (j - 1) * h for j in range(K + 2)]
-    big = ScaleStack.from_fields(
-        [families.manufactured_scalar_2d(grid, e)[0] for e in big_nodes]
-    )
+    big = ScaleStack.from_fields(families.manufactured_scalar_2d_ladder(grid, big_nodes))
     psi_fields = [filter_defect(big, j) for j in range(1, K + 1)]
     psi_stack = ScaleStack.from_fields(psi_fields)
     anchor = big.fields[1]
-    target = big.fields[K]
-    direct = target - heat_propagate(anchor, target.eta - anchor.eta)
+    ladder = big.fields[1 : K + 1]
+    matched = heat_propagate_many(anchor, [f.eta - anchor.eta for f in ladder])
+    deviations = [f - m for f, m in zip(ladder, matched)]
+    # the deviation at the last node is the direct one the quadrature targets
+    direct = deviations[-1]
     quad = duhamel_integral(psi_stack, K - 1)
     err = field_norms(direct - quad.with_values(t=direct.t))[1]
     sup_psi = max(field_norms(p)[1] for p in psi_fields)
     margins = []
-    for j in range(1, K + 1):
-        dev = big.fields[j] - heat_propagate(anchor, big.fields[j].eta - anchor.eta)
-        bound = (big_nodes[j]) * sup_psi
+    for eta, dev in zip(big_nodes[1:], deviations):
+        bound = eta * sup_psi
         margins.append(field_norms(dev)[1] / bound if bound > 0 else 0.0)
     return err, max(margins)
 

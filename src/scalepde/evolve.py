@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -28,7 +29,6 @@ from .grid import (
     Field,
     Grid,
     NonFiniteFieldError,
-    _dealias_values,
     _dealiased_hat,
     _irfft,
     _rfft,
@@ -37,7 +37,6 @@ from .grid import (
     field_norms,
     make_grid,
     restrict_to_grid,
-    spectral_derivative,
 )
 from .residual import _closure_hat
 
@@ -155,6 +154,22 @@ def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
     return psi_v.with_values(_irfft(v.grid, k[v.grid.n :]))
 
 
+def _rk4(u0: np.ndarray, dt: float, rhs) -> np.ndarray:
+    """One classical RK4 step of du/dt = rhs(u) on a coefficient array.
+
+    The stage and its slope are dropped on return, before the caller's
+    inverse transform.
+    """
+    total = u0.copy()
+    stage = u0
+    for weight, h in ((1.0, dt / 2), (2.0, dt / 2), (2.0, dt), (1.0, None)):
+        k = rhs(stage)
+        total += (weight * dt / 6.0) * k
+        if h is not None:
+            stage = u0 + h * k
+    return total
+
+
 def step_rk4(
     state: EvolutionState,
     dt: float,
@@ -174,14 +189,7 @@ def step_rk4(
     grid, eta = v.grid, v.eta
     _check_closure(closure, eta)
     u0, e_hat = _transform_state(v, psi, e_v)
-    total = u0.copy()
-    stage = u0
-    for weight, h in ((1.0, dt / 2), (2.0, dt / 2), (2.0, dt), (1.0, None)):
-        k = _rhs_hat(grid, stage, closure, eta, e_hat)
-        total += (weight * dt / 6.0) * k
-        if h is not None:
-            stage = u0 + h * k
-    del stage, k
+    total = _rk4(u0, dt, lambda stage: _rhs_hat(grid, stage, closure, eta, e_hat))
     values = _irfft(grid, _leray_hat(grid, total))
     t_new = state.t + dt
     step = state.step_count + 1
@@ -215,9 +223,11 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str) -> Fi
     if name == "taylor_green":
         return families.taylor_green(grid, amplitude=params["amplitude"])
     if name == "random_solenoidal":
-        return families.random_solenoidal(
-            grid, rng, kmax=int(params["kmax"]), amplitude=params["amplitude"]
-        )
+        kmax, amplitude = int(params["kmax"]), params["amplitude"]
+        try:
+            return families.random_solenoidal(grid, rng, kmax=kmax, amplitude=amplitude)
+        except ValueError as err:
+            raise ConfigError(f"{what}.name={name!r} does not fit this grid: {err}") from err
     if name == "single_mode":
         return families.single_mode_solenoidal(
             grid, k=tuple(params["k"]), amplitude=params["amplitude"]
@@ -286,10 +296,18 @@ class RunConfig:
         object.__setattr__(self, "nodes", nodes)
         if any(k < 5 for k in nodes) or not nodes:
             raise ConfigError(f"nodes must all be >= 5, got {nodes}")
-        if self.output_interval < 1:
-            raise ConfigError(
-                f"output_interval must be >= 1, got {self.output_interval}"
-            )
+        interval = self.output_interval
+        if isinstance(interval, bool) or not isinstance(interval, numbers.Integral):
+            raise ConfigError(f"output_interval must be an integer, got {interval!r}")
+        if interval < 1:
+            raise ConfigError(f"output_interval must be >= 1, got {interval}")
+        for key, spec in (
+            ("initial_condition", self.initial_condition),
+            ("psi.initial_condition", self.psi_initial),
+            ("psi.forcing", self.psi_forcing),
+        ):
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{key} must be an object, got {spec!r}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -322,7 +340,7 @@ def build_initial_state(config: RunConfig) -> EvolutionState:
     v0 = leray_project(v0)[0].with_values(t=0.0, eta=config.eta)
     psi0 = None
     if config.psi_enabled:
-        psi0 = _build_ic(config.psi_initial, grid, rng, "psi_initial")
+        psi0 = _build_ic(config.psi_initial, grid, rng, "psi.initial_condition")
         psi0 = leray_project(psi0)[0].with_values(t=0.0, eta=config.eta)
     return EvolutionState(t=0.0, v=v0, psi_v=psi0)
 
@@ -461,20 +479,19 @@ def run_simulation(
     return SimulationResult(config=config, records=records, final=state)
 
 
+def _burgers_hat(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
+    """Half-spectrum -(u u_x) of one component, the product 2/3-rule masked.
+
+    One inverse transform gives u and u_x, one forward transform the
+    product.
+    """
+    u, u_x = _irfft(grid, _with_gradients(grid, u_hat))
+    return -_dealiased_hat(grid, (u * u_x)[np.newaxis])
+
+
 def _burgers_rhs(u: Field) -> Field:
-    du = spectral_derivative(u, 0)
-    return u.with_values(-_dealias_values(u.grid, u.values * du.values))
-
-
-def _rk4_field(u: Field, dt: float, rhs) -> Field:
-    k1 = rhs(u)
-    k2 = rhs(u.with_values(u.values + dt / 2 * k1.values))
-    k3 = rhs(u.with_values(u.values + dt / 2 * k2.values))
-    k4 = rhs(u.with_values(u.values + dt * k3.values))
-    return u.with_values(
-        u.values + (dt / 6.0) * (k1.values + 2 * k2.values + 2 * k3.values + k4.values),
-        t=u.t + dt,
-    )
+    grid = u.grid
+    return u.with_values(_irfft(grid, _burgers_hat(grid, _rfft(grid, u.values))))
 
 
 @dataclass
@@ -530,16 +547,24 @@ def reference_burgers(
         times.append(0.0)
         snapshots.append(u)
         wanted = wanted[1:]
+    u_hat = _rfft(fine, u.values)
+
+    def rhs(stage):
+        return _burgers_hat(fine, stage)
+
     t = 0.0
     for target in wanted:
         n_steps = max(1, round((target - t) / dt))
         h = (target - t) / n_steps
-        for _ in range(n_steps):
-            u = _rk4_field(u, h, _burgers_rhs)
+        for step in range(1, n_steps + 1):
+            u_hat = _rk4(u_hat, h, rhs)
+            if not np.all(np.isfinite(u_hat)):
+                raise SimulationDiverged(
+                    f"non-finite values in the Burgers reference at t={t + step * h:.6g}"
+                )
         t = target
-        u = u.with_values(t=target)
         times.append(target)
-        snapshots.append(u)
+        snapshots.append(Field(fine, _irfft(fine, u_hat), t=target))
     return BurgersReference(coarse=coarse, fine=fine, times=times, snapshots=snapshots)
 
 

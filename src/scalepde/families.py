@@ -78,14 +78,21 @@ def random_band_limited(
 def random_solenoidal(
     grid: Grid, rng: np.random.Generator, kmax: int = 4, amplitude: float = 1.0
 ) -> Field:
-    """Random divergence-free velocity with zero mean, peak |v| = amplitude."""
+    """Random divergence-free velocity with zero mean, peak |v| = amplitude.
+
+    In 1-D a divergence-free field is a constant, so nothing is left once
+    the mean is removed; that raises ValueError rather than scaling the
+    rounding residue up to the amplitude.
+    """
     raw = random_band_limited(grid, rng, ncomp=grid.n, kmax=kmax, amplitude=1.0)
     vals = raw.values - raw.values.mean(axis=tuple(range(1, grid.n + 1)), keepdims=True)
     sol = leray_project(Field(grid, vals))[0]
     peak = np.max(np.abs(sol.values))
-    if peak > 0.0:
-        sol = sol.with_values(sol.values * (amplitude / peak))
-    return sol
+    if not peak > 1e-12:
+        raise ValueError(
+            f"no divergence-free part with zero mean exists on a {grid.n}-D grid"
+        )
+    return sol.with_values(sol.values * (amplitude / peak))
 
 
 @dataclass(frozen=True)
@@ -167,25 +174,47 @@ def manufactured_fluid(grid: Grid, t: float, eta: float) -> ManufacturedSlice:
     return ManufacturedSlice(u=u, u_t=u_t, psi=psi, psi_t=psi_t)
 
 
+def _scalar_2d_modes(grid: Grid) -> tuple[np.ndarray, ...]:
+    if grid.n != 2:
+        raise ValueError("needs a two dimensional grid")
+    x, y = grid.coords()
+    return np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)
+
+
+def _scalar_2d_slice(grid: Grid, modes, weights, t: float, eta: float) -> Field:
+    (m1, m2, m3), (w1, w2, w3) = modes, weights
+    return Field(grid, (w1 * m1 + w2 * m2 + w3 * m3)[np.newaxis], t=t, eta=eta)
+
+
+def _scalar_2d_weights(eta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Mode weights of u and of psi at scale eta."""
+    a, da = 1.0 + eta, 1.0
+    b, db = math.exp(-eta), -math.exp(-eta)
+    c, dc = math.cos(eta), -math.sin(eta)
+    return (a, b, c), (da + 2.0 * a, db + b, dc + 5.0 * c)
+
+
 def manufactured_scalar_2d(grid: Grid, eta: float, t: float = 0.0) -> tuple[Field, Field]:
     """Scalar 2d family (u, psi) for deviation experiments.
 
     u = a(eta) sin x cos y + b(eta) cos x + c(eta) sin 2x cos y with
     coefficients that do not follow the heat flow.
     """
-    if grid.n != 2:
-        raise ValueError("needs a two dimensional grid")
-    x, y = grid.coords()
-    m1, m2, m3 = np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)
-    a, da = 1.0 + eta, 1.0
-    b, db = math.exp(-eta), -math.exp(-eta)
-    c, dc = math.cos(eta), -math.sin(eta)
-    u = a * m1 + b * m2 + c * m3
-    psi = (da + 2.0 * a) * m1 + (db + b) * m2 + (dc + 5.0 * c) * m3
+    modes = _scalar_2d_modes(grid)
+    u_weights, psi_weights = _scalar_2d_weights(eta)
     return (
-        Field(grid, u[np.newaxis], t=t, eta=eta),
-        Field(grid, psi[np.newaxis], t=t, eta=eta),
+        _scalar_2d_slice(grid, modes, u_weights, t, eta),
+        _scalar_2d_slice(grid, modes, psi_weights, t, eta),
     )
+
+
+def manufactured_scalar_2d_ladder(grid: Grid, etas, t: float = 0.0) -> list[Field]:
+    """The u part of manufactured_scalar_2d at each eta; modes formed once."""
+    modes = _scalar_2d_modes(grid)
+    return [
+        _scalar_2d_slice(grid, modes, _scalar_2d_weights(eta)[0], t, eta)
+        for eta in etas
+    ]
 
 
 def filtered_taylor_green(

@@ -10,6 +10,7 @@ Duhamel reconstruction of deviations between families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,23 @@ class HeatPropagator:
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
     """Advance a field by delta_eta along the filter scale."""
-    return HeatPropagator(f.grid, delta_eta)(f)
+    return heat_propagate_many(f, (delta_eta,))[0]
+
+
+def heat_propagate_many(f: Field, deltas) -> list[Field]:
+    """heat_propagate(f, d) for each d, sharing one forward transform of f.
+
+    Each result is the same to the last bit as a propagation on its own.
+    """
+    axes = _spatial_axes(f.grid)
+    coeffs = np.fft.fftn(f.values, axes=axes)
+    out = []
+    for d in deltas:
+        if d < 0.0:
+            raise ValueError(f"delta_eta must be >= 0, got {d}")
+        vals = np.fft.ifftn(coeffs * np.exp(-d * f.grid.ksq), axes=axes).real
+        out.append(f.with_values(vals, eta=f.eta + d))
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,13 @@ class ScaleStack:
     def grid(self) -> Grid:
         return self.fields[0].grid
 
+    @cached_property
+    def peak_curvature(self) -> float:
+        """max |d2f/d(eta)2| over the interior nodes, by centered differences."""
+        vals = np.stack([f.values for f in self.fields])
+        d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / self.delta_eta**2
+        return float(np.max(np.abs(d2)))
+
     @classmethod
     def from_fields(cls, fields) -> "ScaleStack":
         """Assemble a stack from fields that already carry their eta."""
@@ -105,9 +129,20 @@ class ScaleStack:
 
 
 def build_scale_stack(
-    generator: Field, epsilon: float, eta0: float, K: int
+    generator: Field,
+    epsilon: float,
+    eta0: float,
+    K: int,
+    start: int = 0,
+    stop: int | None = None,
 ) -> ScaleStack:
-    """Propagate a generator slice at scale epsilon up to eta0 on K nodes."""
+    """Propagate a generator slice at scale epsilon up to eta0 on K nodes.
+
+    ``start`` and ``stop`` select the window of nodes start..stop-1 of the
+    ladder ``np.linspace(epsilon, eta0, K)``, at least five of them; the
+    default is the whole ladder.  Node j is heat_propagate(generator,
+    eta_j - epsilon) whatever the window.
+    """
     if not 0.0 < epsilon < eta0:
         raise ValueError(
             f"need 0 < epsilon < eta0, got epsilon={epsilon}, eta0={eta0}"
@@ -116,9 +151,15 @@ def build_scale_stack(
         raise ValueError(f"eta0 must be <= 1, got {eta0}")
     if K < 5:
         raise ValueError(f"need at least 5 nodes, got K={K}")
-    nodes = np.linspace(epsilon, eta0, K)
+    stop = K if stop is None else stop
+    if not (0 <= start and stop <= K and stop - start >= 5):
+        raise ValueError(
+            f"window of nodes {start}..{stop - 1} must hold at least 5 of the "
+            f"K={K} nodes"
+        )
+    nodes = np.linspace(epsilon, eta0, K)[start:stop]
     base = generator.with_values(eta=epsilon)
-    fields = [heat_propagate(base, eta - epsilon) for eta in nodes]
+    fields = heat_propagate_many(base, [eta - epsilon for eta in nodes])
     return ScaleStack(nodes, tuple(fields))
 
 

@@ -67,7 +67,8 @@ def closure_error_bound(r_stack: ScaleStack, node: int) -> tuple[float, float]:
     """Taylor bound behind the closure at an interior node.
 
     Returns (lhs, rhs) with lhs = max |d(r)/d(eta) - r/eta| at the node
-    and rhs = (eta/2) * max over interior nodes of |d2(r)/d(eta)2|.
+    and rhs = (eta/2) * max over interior nodes of |d2(r)/d(eta)2|.  The
+    curvature is formed once per stack and shared by all its nodes.
     """
     if not 1 <= node <= r_stack.K - 2:
         raise ValueError(
@@ -76,11 +77,7 @@ def closure_error_bound(r_stack: ScaleStack, node: int) -> tuple[float, float]:
     eta = float(r_stack.eta_nodes[node])
     dr = eta_derivative(r_stack, node, order=1)
     lhs = float(np.max(np.abs(dr.values - r_stack.fields[node].values / eta)))
-    curvature = 0.0
-    for j in range(1, r_stack.K - 1):
-        d2 = eta_derivative(r_stack, j, order=2)
-        curvature = max(curvature, float(np.max(np.abs(d2.values))))
-    return lhs, 0.5 * eta * curvature
+    return lhs, 0.5 * eta * r_stack.peak_curvature
 
 
 def frechet_contraction(

@@ -1,6 +1,10 @@
 """CLI parsing, command behaviour, artifacts and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +95,13 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "override, key",
-        [("nodes=5", "nodes"), ('nodes="999"', "nodes"), ("t_end=Infinity", "t_end")],
+        [
+            ("nodes=5", "nodes"),
+            ('nodes="999"', "nodes"),
+            ("t_end=Infinity", "t_end"),
+            ("initial_condition=3", "initial_condition"),
+            ("output_interval=1.5", "output_interval"),
+        ],
     )
     def test_bad_value_exits_2_naming_key(self, capsys, override, key):
         code = main(["evolve", "--set", "grid_size=16", "--set", override])
@@ -276,3 +286,16 @@ class TestBurgersReferenceCommand:
         code = main(["burgers-reference", "--set", "core=burgers"])
         assert code == 2
         assert "n = 1" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warning():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scalepde", "derive-source"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("core: ")
+    assert "Warning" not in proc.stderr

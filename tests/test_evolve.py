@@ -156,40 +156,15 @@ class TestAgainstComplexTransforms:
         assert np.max(np.abs(got.psi_v.values - want[1])) <= 1e-12
 
 
-_FFT_ENTRY_POINTS = (
-    "fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
-    "rfft", "irfft", "rfftn", "irfftn", "rfft2", "irfft2",
-)
-
-
 class TestTransformBudget:
     """Machine-independent cost of one step: transform calls and Fields."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"calls": 0, "complex": 0, "fields": 0}
-        for name in _FFT_ENTRY_POINTS:
-
-            def counted(*args, _orig=getattr(np.fft, name), _real="rfft" in name, **kwargs):
-                counts["calls"] += 1
-                counts["complex"] += not _real
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        post_init = Field.__post_init__
-
-        def counted_post_init(field):
-            counts["fields"] += 1
-            post_init(field)
-
-        monkeypatch.setattr(Field, "__post_init__", counted_post_init)
-        return counts
 
     @pytest.mark.parametrize(
         "closure, with_psi, budget",
         [("helmholtz", False, 12), ("none", True, 20), ("helmholtz", True, 20)],
     )
-    def test_one_step(self, counts, rng, closure, with_psi, budget):
+    def test_one_step(self, transform_counts, rng, closure, with_psi, budget):
+        counts = transform_counts
         grid = make_grid(2, 32)
         v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
         psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
@@ -305,21 +280,13 @@ class TestRunSimulation:
 class TestOneDimensional:
     """1-D fluid evolve, pinned to the values of the complex-transform code.
 
-    In 1-D a solenoidal field is a constant.  ``random_solenoidal`` keeps
-    the rounding residue of the removed mean and scales it to peak 1, so
-    that run evolves a unit constant.
+    In 1-D a solenoidal field is a constant, so ``random_solenoidal`` has
+    nothing left after the mean is removed and the run is refused.
     """
 
-    @pytest.mark.parametrize(
-        "ic, energy, l2, vmax",
-        [
-            ("zero", 0.0, 0.0, 0.0),
-            ("random_solenoidal", 3.141592653589792, 6.2831853071795845, 0.9999999999999998),
-        ],
-    )
-    def test_final_energy_and_checkpoint(self, tmp_path, capsys, ic, energy, l2, vmax):
-        out = tmp_path / ic
-        code = main(
+    @staticmethod
+    def _run(out, ic):
+        return main(
             [
                 "evolve", "--out", str(out),
                 "--set", "n=1", "--set", "grid_size=32",
@@ -327,6 +294,11 @@ class TestOneDimensional:
                 "--set", "t_end=0.05", "--set", "closure=helmholtz",
             ]
         )
+
+    @pytest.mark.parametrize("ic, energy, l2, vmax", [("zero", 0.0, 0.0, 0.0)])
+    def test_final_energy_and_checkpoint(self, tmp_path, capsys, ic, energy, l2, vmax):
+        out = tmp_path / ic
+        code = self._run(out, ic)
         capsys.readouterr()
         assert code == 0
         report = json.loads((out / "report.json").read_text())
@@ -335,6 +307,13 @@ class TestOneDimensional:
         got_l2, got_max = field_norms(v)
         assert got_l2 == pytest.approx(l2, rel=1e-9, abs=1e-12)
         assert got_max == pytest.approx(vmax, rel=1e-9, abs=1e-12)
+
+    def test_random_solenoidal_exits_2_naming_key(self, tmp_path, capsys):
+        code = self._run(tmp_path / "random_solenoidal", "random_solenoidal")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "initial_condition.name" in err
+        assert "Traceback" not in err
 
 
 class TestBurgersReference:

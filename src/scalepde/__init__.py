@@ -9,22 +9,16 @@ from .grid import (
     Field,
     Grid,
     NonFiniteFieldError,
-    SpectralField,
     TensorField,
-    dealias,
     dealiased,
     divergence,
     field_norms,
-    from_spectral,
-    gradient,
     laplacian,
     make_grid,
     restrict_to_grid,
     spectral_derivative,
-    to_spectral,
 )
 from .heat import (
-    HeatPropagator,
     ScaleStack,
     build_scale_stack,
     duhamel_integral,
@@ -49,20 +43,15 @@ from .jets import (
     parse_core,
 )
 from .fluid import (
-    CoreFunction,
-    FluidState,
-    acceleration,
     advect,
     burgers_core,
     core_by_name,
     fluid_core,
-    fluid_core_eval,
     fluid_source,
     leray_project,
     sigma,
 )
 from .residual import (
-    ResidualSet,
     closure_error_bound,
     exact_residual,
     frechet_contraction,

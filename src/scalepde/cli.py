@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from .evolve import (
     ConfigError,
     RunConfig,
     SimulationDiverged,
-    build_initial_state,
+    _require,
     reference_burgers,
     run_simulation,
     write_checkpoint,
@@ -31,12 +32,12 @@ from .evolve import (
 from .fluid import core_by_name
 from .grid import (
     Field,
+    _spatial_axes,
     divergence,
     field_norms,
     laplacian,
     make_grid,
     spectral_derivative,
-    to_spectral,
 )
 from .heat import (
     ScaleStack,
@@ -48,6 +49,7 @@ from .heat import (
 )
 from .jets import (
     CoreSyntaxError,
+    JetExpr,
     derive_source,
     format_expr,
     jet_evaluate,
@@ -149,10 +151,18 @@ def parse_config(text: str, overrides: list[str] | None = None) -> tuple[RunConf
             raise ConfigError("give either eta or (beta, delta), not both")
         if "beta" not in raw or "delta" not in raw:
             raise ConfigError("beta and delta must be given together")
-        beta, delta = float(raw["beta"]), float(raw["delta"])
-        if beta <= 0.0 or delta <= 0.0:
-            raise ConfigError("beta and delta must be positive")
-        fields["eta"] = beta * delta**2
+        for key in ("beta", "delta"):
+            _require(key, raw[key], float)
+            if not raw[key] > 0.0:
+                raise ConfigError(f"{key} must be positive, got {raw[key]!r}")
+        try:
+            fields["eta"] = float(raw["beta"]) * float(raw["delta"]) ** 2
+        except OverflowError:
+            fields["eta"] = math.inf
+        if not 0.0 < fields["eta"] <= 1.0:
+            raise ConfigError(f"eta = beta * delta^2 must lie in (0, 1], got {fields['eta']}")
+    if "core_text" in raw:
+        _require("core_text", raw["core_text"], str)
     psi = raw.get("psi", {})
     if not isinstance(psi, dict):
         raise ConfigError("psi must be an object")
@@ -203,7 +213,7 @@ def _check(name: str, measured: float, tolerance: float) -> dict:
 
 
 def _mode_amplitude(f: Field, mode: tuple[int, ...]) -> complex:
-    coeffs = to_spectral(f).coeffs
+    coeffs = np.fft.fftn(f.values, axes=_spatial_axes(f.grid))
     return complex(coeffs[(0,) + mode]) / f.grid.num_points
 
 
@@ -253,18 +263,17 @@ def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict]:
     return (0 if passed else 1), report
 
 
-def _resolve_core(spec: ExperimentSpec):
+def _resolve_core(spec: ExperimentSpec) -> JetExpr:
     if spec.core_text is not None:
-        return None, parse_core(spec.core_text)
-    core = core_by_name(spec.config.core, spec.config.n)
-    return core, core.symbolic
+        return parse_core(spec.core_text)
+    return core_by_name(spec.config.core, spec.config.n)
 
 
 def cmd_derive_source(spec: ExperimentSpec) -> tuple[int, dict]:
-    _, symbolic = _resolve_core(spec)
-    source = derive_source(symbolic)
-    table = jet_frechet(symbolic)
-    lines = [f"core: {format_expr(symbolic)}", f"s = {format_expr(source)}"]
+    core = _resolve_core(spec)
+    source = derive_source(core)
+    table = jet_frechet(core)
+    lines = [f"core: {format_expr(core)}", f"s = {format_expr(source)}"]
     frechet_lines = []
     for (alpha, beta), expr in sorted(table.zero_order.items()):
         frechet_lines.append(f"dF{alpha}/du{beta} = {format_expr(expr)}")
@@ -275,7 +284,7 @@ def cmd_derive_source(spec: ExperimentSpec) -> tuple[int, dict]:
     print("\n".join(lines))
     report = {
         "command": "derive-source",
-        "core": format_expr(symbolic),
+        "core": format_expr(core),
         "source": format_expr(source),
         "frechet": frechet_lines,
     }
@@ -327,7 +336,7 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
         u_gen, ut_gen = _burgers_generator(config)
     else:
         u_gen, ut_gen = _fluid_generator(config)
-    source = core.source()
+    source = derive_source(core)
 
     # r at epsilon, the first node of every ladder
     u_eps, ut_eps = (
@@ -638,6 +647,8 @@ _DISPATCH = {
 
 def run_command(spec: ExperimentSpec) -> int:
     """Execute one resolved experiment and write its artifacts."""
+    if spec.core_text is not None and spec.command != "derive-source":
+        raise ConfigError(f"core_text is read by derive-source only, not by {spec.command}")
     if spec.out_dir is not None:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
     if spec.used_beta_delta:

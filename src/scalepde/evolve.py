@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field as _dc_field
+import sys
+from dataclasses import dataclass, field as _dc_field, fields
 
 import numpy as np
 
@@ -208,10 +209,44 @@ _IC_DEFAULTS = {
 }
 
 
-def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str) -> Field:
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "a boolean", dict: "an object"}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """isinstance for config values: a bool is no number, a float is finite."""
+    if kind not in (int, float):
+        return isinstance(value, kind)
+    number = numbers.Integral if kind is int else numbers.Real
+    return (
+        isinstance(value, number)
+        and not isinstance(value, bool)
+        and (kind is int or abs(value) <= sys.float_info.max)
+    )
+
+
+_KINDS = {kind.__name__: kind for kind in _KIND_NAMES}
+# RunConfig fields that the config file spells differently
+_CONFIG_KEYS = {
+    "psi_enabled": "psi.enabled",
+    "psi_initial": "psi.initial_condition",
+    "psi_forcing": "psi.forcing",
+}
+
+
+def _require(key: str, value, kind: type):
+    if not _is_kind(value, kind):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: float) -> Field:
+    """The Leray-projected initial field of one spec, at t = 0 and scale eta.
+
+    Each parameter must have the type of its default; errors name the key.
+    """
     spec = dict(spec)
     name = spec.pop("name", None)
-    if name not in _IC_DEFAULTS:
+    if not isinstance(name, str) or name not in _IC_DEFAULTS:
         raise ConfigError(
             f"{what}.name must be one of {sorted(_IC_DEFAULTS)}, got {name!r}"
         )
@@ -219,20 +254,39 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str) -> Fi
     for key, value in spec.items():
         if key not in params:
             raise ConfigError(f"unknown key {what}.{key}")
+        if key != "k":
+            _require(f"{what}.{key}", value, type(params[key]))
+        elif not (
+            isinstance(value, (list, tuple))
+            and len(value) == 2
+            and any(value)
+            and all(_is_kind(c, int) and abs(c) <= grid.size // 2 for c in value)
+        ):
+            raise ConfigError(
+                f"{what}.k must be a nonzero pair of integers in "
+                f"[-{grid.size // 2}, {grid.size // 2}], got {value!r}"
+            )
         params[key] = value
-    if name == "taylor_green":
-        return families.taylor_green(grid, amplitude=params["amplitude"])
-    if name == "random_solenoidal":
-        kmax, amplitude = int(params["kmax"]), params["amplitude"]
-        try:
-            return families.random_solenoidal(grid, rng, kmax=kmax, amplitude=amplitude)
-        except ValueError as err:
-            raise ConfigError(f"{what}.name={name!r} does not fit this grid: {err}") from err
-    if name == "single_mode":
-        return families.single_mode_solenoidal(
-            grid, k=tuple(params["k"]), amplitude=params["amplitude"]
-        )
-    return Field(grid, np.zeros((grid.n,) + grid.shape))
+    if params.get("kmax", 1) < 1:
+        raise ConfigError(f"{what}.kmax must be >= 1, got {params['kmax']}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if name == "taylor_green":
+                f = families.taylor_green(grid, **params)
+            elif name == "random_solenoidal":
+                f = families.random_solenoidal(grid, rng, **params)
+            elif name == "single_mode":
+                f = families.single_mode_solenoidal(grid, **params)
+            else:
+                f = Field(grid, np.zeros((grid.n,) + grid.shape))
+            f = leray_project(f)[0]
+    except (FloatingPointError, NonFiniteFieldError) as err:
+        raise ConfigError(
+            f"{what}.amplitude={params['amplitude']!r} makes the field non-finite"
+        ) from err
+    except ValueError as err:
+        raise ConfigError(f"{what}.name={name!r} does not fit this grid: {err}") from err
+    return f.with_values(t=0.0, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -264,6 +318,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each scalar field's annotation (text, by the __future__ import) is its type
+        for f in fields(self):
+            kind, value = _KINDS.get(f.type.removesuffix(" | None")), getattr(self, f.name)
+            if kind is not None and not (value is None and f.type.endswith("| None")):
+                _require(_CONFIG_KEYS.get(f.name, f.name), value, kind)
         if self.n not in (1, 2):
             raise ConfigError(f"n must be 1 or 2, got {self.n}")
         if self.grid_size < 4 or self.grid_size % 2:
@@ -274,8 +333,8 @@ class RunConfig:
             raise ConfigError(f"eta must lie in (0, 1], got {self.eta}")
         if self.dt is not None and not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.t_end < math.inf:
-            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
+        if not self.t_end > 0.0:
+            raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.closure not in ("none", "helmholtz"):
             raise ConfigError(
                 f"closure must be 'none' or 'helmholtz', got {self.closure!r}"
@@ -285,29 +344,18 @@ class RunConfig:
                 f"need 0 < epsilon < eta0 <= 1, got epsilon={self.epsilon}, "
                 f"eta0={self.eta0}"
             )
-        try:
-            if not isinstance(self.nodes, (list, tuple)):
-                raise TypeError("not a list")
-            nodes = tuple(int(k) for k in self.nodes)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(
-                f"nodes must be a list of integers, got {self.nodes!r}"
-            ) from err
+        if not isinstance(self.nodes, (list, tuple)) or not all(
+            _is_kind(k, int) for k in self.nodes
+        ):
+            raise ConfigError(f"nodes must be a list of integers, got {self.nodes!r}")
+        nodes = tuple(int(k) for k in self.nodes)
         object.__setattr__(self, "nodes", nodes)
         if any(k < 5 for k in nodes) or not nodes:
             raise ConfigError(f"nodes must all be >= 5, got {nodes}")
-        interval = self.output_interval
-        if isinstance(interval, bool) or not isinstance(interval, numbers.Integral):
-            raise ConfigError(f"output_interval must be an integer, got {interval!r}")
-        if interval < 1:
-            raise ConfigError(f"output_interval must be >= 1, got {interval}")
-        for key, spec in (
-            ("initial_condition", self.initial_condition),
-            ("psi.initial_condition", self.psi_initial),
-            ("psi.forcing", self.psi_forcing),
-        ):
-            if not isinstance(spec, dict):
-                raise ConfigError(f"{key} must be an object, got {spec!r}")
+        if self.output_interval < 1:
+            raise ConfigError(f"output_interval must be >= 1, got {self.output_interval}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -336,12 +384,10 @@ def build_initial_state(config: RunConfig) -> EvolutionState:
         raise ConfigError("slice evolution supports the fluid core only")
     grid = config.grid()
     rng = config.rng()
-    v0 = _build_ic(config.initial_condition, grid, rng, "initial_condition")
-    v0 = leray_project(v0)[0].with_values(t=0.0, eta=config.eta)
+    v0 = _build_ic(config.initial_condition, grid, rng, "initial_condition", config.eta)
     psi0 = None
     if config.psi_enabled:
-        psi0 = _build_ic(config.psi_initial, grid, rng, "psi.initial_condition")
-        psi0 = leray_project(psi0)[0].with_values(t=0.0, eta=config.eta)
+        psi0 = _build_ic(config.psi_initial, grid, rng, "psi.initial_condition", config.eta)
     return EvolutionState(t=0.0, v=v0, psi_v=psi0)
 
 
@@ -351,22 +397,24 @@ def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
     name = spec.pop("name", None)
     if name == "zero":
         if spec:
-            raise ConfigError(f"unknown keys in psi_forcing: {sorted(spec)}")
+            raise ConfigError(f"unknown keys in psi.forcing: {sorted(spec)}")
         return None
     if name == "checkpoint":
         path = spec.pop("path", None)
         if spec:
-            raise ConfigError(f"unknown keys in psi_forcing: {sorted(spec)}")
-        if not path:
-            raise ConfigError("psi_forcing.path is required for checkpoint forcing")
+            raise ConfigError(f"unknown keys in psi.forcing: {sorted(spec)}")
+        if not path or not isinstance(path, str):
+            raise ConfigError(
+                f"psi.forcing.path must name the checkpoint file, got {path!r}"
+            )
         f, _ = read_checkpoint(path)
         if f.grid != grid or f.ncomp != grid.n:
             raise ConfigError(
-                "psi_forcing checkpoint does not match the run grid"
+                "psi.forcing checkpoint does not match the run grid"
             )
         return f
     raise ConfigError(
-        f"psi_forcing.name must be 'zero' or 'checkpoint', got {name!r}"
+        f"psi.forcing.name must be 'zero' or 'checkpoint', got {name!r}"
     )
 
 

@@ -8,7 +8,7 @@ space with a leading component axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,20 +172,6 @@ class Field:
             eta=self.eta if eta is None else eta,
         )
 
-    @classmethod
-    def from_components(cls, components, *, t=None, eta=None) -> "Field":
-        parts = list(components)
-        if not parts:
-            raise ValueError("need at least one component")
-        grid = parts[0].grid
-        stacked = np.concatenate([p.values for p in parts], axis=0)
-        return cls(
-            grid=grid,
-            values=stacked,
-            t=parts[0].t if t is None else t,
-            eta=parts[0].eta if eta is None else eta,
-        )
-
     def _check_compatible(self, other: "Field"):
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
@@ -209,51 +195,8 @@ class Field:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a real field, unnormalized numpy layout."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=complex, order="C")
-        if arr.shape == self.grid.shape:
-            arr = arr[np.newaxis]
-        if arr.ndim != self.grid.n + 1 or arr.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"coefficients of shape {arr.shape} do not fit grid shape "
-                f"{self.grid.shape}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
-
-
 def _spatial_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(1, grid.n + 1))
-
-
-def to_spectral(f: Field) -> SpectralField:
-    """Forward FFT over the spatial axes."""
-    return SpectralField(f.grid, np.fft.fftn(f.values, axes=_spatial_axes(f.grid)))
-
-
-def from_spectral(sf: SpectralField, *, t: float = 0.0, eta: float = 0.0) -> Field:
-    """Inverse FFT; rejects coefficient arrays without Hermitian symmetry."""
-    vals = np.fft.ifftn(sf.coeffs, axes=_spatial_axes(sf.grid))
-    scale = 1.0 + np.max(np.abs(vals.real))
-    if np.max(np.abs(vals.imag)) > 1e-10 * scale:
-        raise ValueError("coefficients are not Hermitian symmetric")
-    return Field(sf.grid, vals.real, t=t, eta=eta)
-
-
-def dealias(sf: SpectralField) -> SpectralField:
-    """Zero every mode with any |k_axis| > size/3 (2/3 rule)."""
-    return SpectralField(sf.grid, sf.coeffs * sf.grid.dealias_mask)
 
 
 def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -327,15 +270,6 @@ def laplacian(f: Field) -> Field:
     coeffs = np.fft.fftn(f.values, axes=_spatial_axes(f.grid))
     coeffs *= -f.grid.ksq
     return f.with_values(np.fft.ifftn(coeffs, axes=_spatial_axes(f.grid)).real)
-
-
-def gradient(f: Field) -> Field:
-    """Gradient of a scalar field as an n-component field."""
-    if f.ncomp != 1:
-        raise ValueError("gradient expects a single-component field")
-    return Field.from_components(
-        [spectral_derivative(f, axis) for axis in range(f.grid.n)]
-    )
 
 
 def divergence(f: Field) -> Field:

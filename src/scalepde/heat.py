@@ -17,29 +17,6 @@ import numpy as np
 from .grid import Field, Grid, _spatial_axes, laplacian
 
 
-@dataclass(frozen=True)
-class HeatPropagator:
-    """Reusable multiplier table exp(-delta_eta * |k|^2) for one grid."""
-
-    grid: Grid
-    delta_eta: float
-
-    def __post_init__(self):
-        if self.delta_eta < 0.0:
-            raise ValueError(f"delta_eta must be >= 0, got {self.delta_eta}")
-        object.__setattr__(
-            self, "multipliers", np.exp(-self.delta_eta * self.grid.ksq)
-        )
-
-    def __call__(self, f: Field) -> Field:
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match propagator grid")
-        coeffs = np.fft.fftn(f.values, axes=_spatial_axes(self.grid))
-        coeffs *= self.multipliers
-        vals = np.fft.ifftn(coeffs, axes=_spatial_axes(self.grid)).real
-        return f.with_values(vals, eta=f.eta + self.delta_eta)
-
-
 def heat_propagate(f: Field, delta_eta: float) -> Field:
     """Advance a field by delta_eta along the filter scale."""
     return heat_propagate_many(f, (delta_eta,))[0]

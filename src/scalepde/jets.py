@@ -17,7 +17,6 @@ source s = (W - L)F.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -671,30 +670,3 @@ def jet_evaluate(
         out[a] = acc
     return Field(grid, out, t=t, eta=eta)
 
-
-def random_expr(
-    rng: random.Random,
-    n: int,
-    N: int,
-    max_outputs: int = 2,
-    max_terms: int = 4,
-    max_factors: int = 3,
-    max_order: int = 2,
-    allow_eta: bool = True,
-) -> JetExpr:
-    """Random canonical expression, for round-trip and identity tests."""
-    coords = list(spatial_labels(n)) + ["t"] + (["eta"] if allow_eta else [])
-    outputs = []
-    for _ in range(rng.randint(1, max_outputs)):
-        monos = []
-        for _ in range(rng.randint(0, max_terms)):
-            coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            factors = []
-            for _ in range(rng.randint(0, max_factors)):
-                comp = rng.randint(1, N)
-                order = rng.randint(0, max_order)
-                derivs = tuple(rng.choice(coords) for _ in range(order))
-                factors.append(JetIndex(comp, derivs))
-            monos.append(JetMonomial(coeff, tuple(factors)))
-        outputs.append(tuple(monos))
-    return JetExpr(n, N, tuple(outputs))

@@ -11,8 +11,6 @@ laplacian(r) - r/eta + s = 0, solved exactly per mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import (
@@ -25,22 +23,12 @@ from .grid import (
     spectral_derivative,
 )
 from .heat import ScaleStack, eta_derivative
-from .jets import jet_evaluate, jet_frechet, jet_values
-from .fluid import CoreFunction
+from .jets import JetExpr, jet_evaluate, jet_frechet, jet_values
 
 
-@dataclass(frozen=True)
-class ResidualSet:
-    """Residual, source and defect sampled at one node of a stack."""
-
-    r: Field
-    s: Field
-    e: Field
-
-
-def exact_residual(core: CoreFunction, u: Field, u_t: Field) -> Field:
-    """r = F(u, u_t) through the symbolic jet form of the core."""
-    return core.evaluate_symbolic(u, u_t)
+def exact_residual(core: JetExpr, u: Field, u_t: Field) -> Field:
+    """r = F(u, u_t), the core's jet polynomial evaluated on the slice."""
+    return jet_evaluate(core, jet_values(core, u, u_t))
 
 
 def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:
@@ -81,7 +69,7 @@ def closure_error_bound(r_stack: ScaleStack, node: int) -> tuple[float, float]:
 
 
 def frechet_contraction(
-    core: CoreFunction,
+    core: JetExpr,
     u: Field,
     psi: Field,
     u_t: Field | None = None,
@@ -93,7 +81,7 @@ def frechet_contraction(
     slice; spatial psi derivatives are spectral and the t entry reads
     from psi_t.
     """
-    table = jet_frechet(core.symbolic)
+    table = jet_frechet(core)
     exprs = list(table.zero_order.values()) + list(table.first_order.values())
     jets = jet_values(exprs, u, u_t) if exprs else {}
     grid = u.grid
@@ -117,7 +105,7 @@ def frechet_contraction(
         else:
             out[alpha - 1] += coeff * target
 
-    out = np.zeros((core.symbolic.num_outputs,) + grid.shape)
+    out = np.zeros((core.num_outputs,) + grid.shape)
     for (alpha, beta), expr in table.zero_order.items():
         _accumulate(alpha, expr, _psi_comp(beta, None))
     for (alpha, beta, coord), expr in table.first_order.items():

@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's spectral machinery:
 derivatives come from 4th-order centered finite differences on the
 periodic grid, the Burgers reference truth comes from the method of
 characteristics solved pointwise by Newton iteration, and the evolution
-right-hand sides are rebuilt from plain numpy complex transforms, one
-round trip per operator.
+right-hand sides and the hand-written core residuals are rebuilt from
+plain numpy complex transforms, one round trip per operator.
 """
 
 import numpy as np
@@ -72,15 +72,12 @@ def burgers_characteristics(x: np.ndarray, t: float, tol: float = 1e-13) -> np.n
     return u
 
 
-def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
-    """Projected right-hand sides of the (v, psi) system, per operator.
+def _complex_ops(n, size):
+    """Wavenumbers, |k|^2, first derivative and 2/3-rule dealiasing.
 
-    Every derivative, dealiased product, closure solve and Leray
-    projection is its own fftn/ifftn round trip on physical arrays of
-    shape (n, size, ..., size).  Returns the v right-hand side, or the
-    pair (v, psi) when psi is given.
+    The two operators act on one physical component of the n-D periodic
+    grid with ``size`` points per axis.
     """
-    n, size = v.shape[0], v.shape[1]
     k1 = np.fft.fftfreq(size, 1.0 / size)
     k1[size // 2] = size // 2
     ks = np.meshgrid(*([k1] * n), indexing="ij")
@@ -94,6 +91,42 @@ def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
 
     def dealias(f):
         return np.fft.ifftn(np.fft.fftn(f) * mask).real
+
+    return ks, ksq, deriv, dealias
+
+
+def burgers_residual(u, u_t):
+    """Hand-written Burgers core u_t + u u_x on arrays of shape (1, size)."""
+    _, _, deriv, dealias = _complex_ops(1, u.shape[1])
+    return u_t + dealias(u[0] * deriv(u[0], 0))[np.newaxis]
+
+
+def fluid_residual(u, u_t):
+    """Hand-written fluid core on the stacked (v, p) slice and its u_t.
+
+    Momentum v_t + (v . grad) v + grad p, then the continuity value
+    div v; arrays have shape (n + 1, size, ..., size).
+    """
+    n = u.shape[0] - 1
+    _, _, deriv, dealias = _complex_ops(n, u.shape[1])
+    v, p = u[:n], u[n]
+    momentum = [
+        u_t[a] + dealias(sum(v[b] * deriv(v[a], b) for b in range(n))) + deriv(p, a)
+        for a in range(n)
+    ]
+    return np.stack(momentum + [sum(deriv(v[a], a) for a in range(n))])
+
+
+def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
+    """Projected right-hand sides of the (v, psi) system, per operator.
+
+    Every derivative, dealiased product, closure solve and Leray
+    projection is its own fftn/ifftn round trip on physical arrays of
+    shape (n, size, ..., size).  Returns the v right-hand side, or the
+    pair (v, psi) when psi is given.
+    """
+    n = v.shape[0]
+    ks, ksq, deriv, dealias = _complex_ops(n, v.shape[1])
 
     def advect(a, w):
         return np.stack([sum(dealias(a[b] * deriv(wc, b)) for b in range(n)) for wc in w])

@@ -98,17 +98,55 @@ class TestParseConfig:
         [
             ("nodes=5", "nodes"),
             ('nodes="999"', "nodes"),
+            ("nodes=[9,true]", "nodes"),
             ("t_end=Infinity", "t_end"),
             ("initial_condition=3", "initial_condition"),
             ("output_interval=1.5", "output_interval"),
+            ("seed=abc", "seed"),
+            ("seed=-1", "seed"),
+            ("n=true", "n must be an integer"),
+            ("grid_size=abc", "grid_size"),
+            ("dt=Infinity", "dt"),
+            ("initial_condition.name=taylor_green initial_condition.amplitude=abc",
+             "initial_condition.amplitude"),
+            ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
+             "initial_condition.amplitude"),
+            ("initial_condition.name=single_mode initial_condition.k=5", "initial_condition.k"),
+            ("initial_condition.name=single_mode initial_condition.k=[0,0]", "initial_condition.k"),
+            ("initial_condition.name=single_mode initial_condition.k=[1,99]", "initial_condition.k"),
+            ("initial_condition.name=random_solenoidal initial_condition.kmax=abc",
+             "initial_condition.kmax"),
+            ("initial_condition.name=random_solenoidal initial_condition.kmax=0",
+             "initial_condition.kmax"),
+            ("n=1 initial_condition.name=single_mode", "initial_condition.name"),
+            ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
+            ("beta=[1] delta=0.1", "beta"),
+            ("beta=1 delta=1e200", "beta * delta^2"),
+            ("psi.enabled=true psi.forcing.name=checkpoint psi.forcing.path=5",
+             "psi.forcing.path"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, capsys, override, key):
-        code = main(["evolve", "--set", "grid_size=16", "--set", override])
+        sets = [arg for item in override.split(" ") for arg in ("--set", item)]
+        code = main(["evolve", "--set", "grid_size=16"] + sets)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["residual-check", "evolve", "filter-check"])
+    def test_core_text_read_by_derive_source_only(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        code = main([command, "--out", str(out), "--set", "core_text=u1_t + u1*u1_x1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "core_text" in err
+        assert not out.exists()
+
+    def test_core_text_must_be_text(self):
+        with pytest.raises(ConfigError, match="core_text must be a string"):
+            parse_config('{"core_text": 5}')
 
 
 class TestDeriveSource:
@@ -129,6 +167,16 @@ class TestDeriveSource:
         assert "2*u1_x1*u1_x1x1" in source_line
         assert source_line.count(";") == 2
         assert source_line.endswith("; 0")
+
+    def test_fluid_core_text_matches_named_core(self, capsys):
+        from scalepde import fluid_core, format_expr
+
+        assert main(["derive-source", "--set", "core=fluid"]) == 0
+        named = capsys.readouterr().out
+        text = format_expr(fluid_core(2))
+        assert main(["derive-source", "--set", f"core_text={text}"]) == 0
+        assert capsys.readouterr().out == named
+        assert "s = " in named and "dF1/du1_x1 = u1" in named
 
     def test_linear_core_text(self, capsys):
         code = main(["derive-source", "--set", "core_text=u1_t + 3*u1_x1"])

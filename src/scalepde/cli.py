@@ -13,13 +13,14 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import families
 from .evolve import (
+    _CONFIG_KEYS,
     DIAGNOSTIC_COLUMNS,
     ConfigError,
     RunConfig,
@@ -59,37 +60,16 @@ from .jets import (
 )
 from .residual import closure_error_bound, exact_residual, residual_defect, solve_residual_closure
 
-COMMANDS = (
-    "filter-check",
-    "derive-source",
-    "residual-check",
-    "closure-check",
-    "duhamel-check",
-    "evolve",
-    "burgers-reference",
-)
-
-_TOP_LEVEL_KEYS = {
-    "n",
-    "grid_size",
-    "core",
-    "core_text",
-    "eta",
-    "beta",
-    "delta",
-    "dt",
-    "t_end",
-    "closure",
-    "initial_condition",
-    "psi",
-    "epsilon",
-    "eta0",
-    "nodes",
-    "output_interval",
-    "seed",
+# config key -> RunConfig field; a dotted key lives in the object its prefix names
+_FIELD_OF = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(RunConfig)}
+_BLOCKS = {
+    block: {k.split(".")[1] for k in _FIELD_OF if k.startswith(block + ".")}
+    for block in {k.split(".")[0] for k in _FIELD_OF if "." in k}
 }
-
-_PSI_KEYS = {"enabled", "initial_condition", "forcing"}
+# keys read beside the RunConfig fields: the (beta, delta) form of eta, and core_text
+_TOP_LEVEL_KEYS = {k for k in _FIELD_OF if "." not in k} | set(_BLOCKS) | {
+    "beta", "delta", "core_text",
+}
 
 
 @dataclass(frozen=True)
@@ -111,14 +91,20 @@ def _coerce_override(text: str):
 
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
+    """Set each dotted key=value; an object the config does not give starts
+    from its RunConfig default."""
+    defaults = asdict(RunConfig())
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         path, value = item.split("=", 1)
         keys = path.split(".")
         target = raw
-        for key in keys[:-1]:
-            target = target.setdefault(key, {})
+        for depth, key in enumerate(keys[:-1]):
+            if key not in target:
+                default = defaults.get(_FIELD_OF.get(".".join(keys[: depth + 1])))
+                target[key] = default if isinstance(default, dict) else {}
+            target = target[key]
             if not isinstance(target, dict):
                 raise ConfigError(f"--set path {path!r} crosses a non-object value")
         target[keys[-1]] = _coerce_override(value)
@@ -144,9 +130,16 @@ def parse_config(text: str, overrides: list[str] | None = None) -> tuple[RunConf
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    fields = {k: raw[k] for k in raw if k in _TOP_LEVEL_KEYS - {"beta", "delta", "psi", "core_text"}}
-    has_beta = "beta" in raw or "delta" in raw
-    if has_beta:
+    values = {_FIELD_OF[k]: raw[k] for k in raw if k in _FIELD_OF}
+    for block, subkeys in _BLOCKS.items():
+        given = raw.get(block, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"{block} must be an object")
+        unknown = set(given) - subkeys
+        if unknown:
+            raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+        values.update({_FIELD_OF[f"{block}.{k}"]: v for k, v in given.items()})
+    if "beta" in raw or "delta" in raw:
         if "eta" in raw:
             raise ConfigError("give either eta or (beta, delta), not both")
         if "beta" not in raw or "delta" not in raw:
@@ -156,32 +149,14 @@ def parse_config(text: str, overrides: list[str] | None = None) -> tuple[RunConf
             if not raw[key] > 0.0:
                 raise ConfigError(f"{key} must be positive, got {raw[key]!r}")
         try:
-            fields["eta"] = float(raw["beta"]) * float(raw["delta"]) ** 2
+            values["eta"] = float(raw["beta"]) * float(raw["delta"]) ** 2
         except OverflowError:
-            fields["eta"] = math.inf
-        if not 0.0 < fields["eta"] <= 1.0:
-            raise ConfigError(f"eta = beta * delta^2 must lie in (0, 1], got {fields['eta']}")
+            values["eta"] = math.inf
+        if not 0.0 < values["eta"] <= 1.0:
+            raise ConfigError(f"eta = beta * delta^2 must lie in (0, 1], got {values['eta']}")
     if "core_text" in raw:
         _require("core_text", raw["core_text"], str)
-    psi = raw.get("psi", {})
-    if not isinstance(psi, dict):
-        raise ConfigError("psi must be an object")
-    unknown = set(psi) - _PSI_KEYS
-    if unknown:
-        raise ConfigError(f"unknown psi keys: {sorted(unknown)}")
-    if "enabled" in psi:
-        if not isinstance(psi["enabled"], bool):
-            raise ConfigError("psi.enabled must be a boolean")
-        fields["psi_enabled"] = psi["enabled"]
-    if "initial_condition" in psi:
-        fields["psi_initial"] = psi["initial_condition"]
-    if "forcing" in psi:
-        fields["psi_forcing"] = psi["forcing"]
-    try:
-        config = RunConfig(**fields)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
-    return config, raw
+    return RunConfig(**values), raw
 
 
 def config_hash(config: RunConfig, core_text: str | None = None) -> str:
@@ -291,18 +266,24 @@ def cmd_derive_source(spec: ExperimentSpec) -> tuple[int, dict]:
     return 0, report
 
 
-def _measured_orders(errors: list[float]) -> list[float]:
+def _measured_orders(errors: list[float], nodes) -> list[float]:
+    """Observed order between successive ladders of K_c and K_f nodes.
+
+    log2(e_c / e_f) / log2((K_f - 1) / (K_c - 1)): the ladder spacing is
+    proportional to 1 / (K - 1), so a doubling ladder divides by one.
+    """
     orders = []
-    for coarse, fine in zip(errors, errors[1:]):
+    ladders = list(zip(errors, nodes))
+    for (coarse, k_c), (fine, k_f) in zip(ladders, ladders[1:]):
         if fine <= 0.0 or coarse <= 0.0:
             orders.append(float("nan"))
         else:
-            orders.append(float(np.log2(coarse / fine)))
+            orders.append(float(np.log2(coarse / fine) / np.log2((k_f - 1) / (k_c - 1))))
     return orders
 
 
-def _burgers_generator(config: RunConfig):
-    grid = make_grid(1, config.grid_size)
+def _burgers_generator(grid_size: int):
+    grid = make_grid(1, grid_size)
     ref = reference_burgers(grid, t_end=0.5)
     return ref.coarse_slice(len(ref.times) - 1)
 
@@ -333,7 +314,7 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
         raise ConfigError("the residual check runs the fluid core with n = 2")
     core = core_by_name(config.core, config.n)
     if config.core == "burgers":
-        u_gen, ut_gen = _burgers_generator(config)
+        u_gen, ut_gen = _burgers_generator(config.grid_size)
     else:
         u_gen, ut_gen = _fluid_generator(config)
     source = derive_source(core)
@@ -356,12 +337,12 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
         e = residual_defect(r_stack, s_mid, 2)
         errors.append(field_norms(e)[1])
         rows.append((K, r_stack.delta_eta, errors[-1]))
-    orders = _measured_orders(errors)
+    orders = _measured_orders(errors, config.nodes)
     rows = [
         row + ((float("nan"),) if i == 0 else (orders[i - 1],))
         for i, row in enumerate(rows)
     ]
-    final_order = orders[-1] if orders else float("nan")
+    final_order = orders[-1]
     passed = bool(final_order >= 1.9)
     report = {
         "command": "residual-check",
@@ -454,15 +435,9 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict]:
     checks.append(_check("taylor_bound_manufactured", manu_worst, 1.10))
 
     # same bound on exact residuals of the filtered reference problem
-    bcoarse = make_grid(1, max(64, config.grid_size if config.n == 1 else 128))
-    burgers_cfg = RunConfig(
-        n=1, grid_size=bcoarse.size, core="burgers",
-        epsilon=config.epsilon, eta0=config.eta0, nodes=(K,),
-    )
-    core = core_by_name("burgers", 1)
-    u_gen, ut_gen = _burgers_generator(burgers_cfg)
+    u_gen, ut_gen = _burgers_generator(max(64, config.grid_size if config.n == 1 else 128))
     _, _, r_stack = _residual_stack(
-        core, u_gen, ut_gen, burgers_cfg.epsilon, burgers_cfg.eta0, K
+        core_by_name("burgers", 1), u_gen, ut_gen, config.epsilon, config.eta0, K
     )
     burgers_rows, burgers_worst = _closure_bound_rows(r_stack, "burgers")
     checks.append(_check("taylor_bound_burgers", burgers_worst, 1.10))
@@ -473,7 +448,7 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict]:
         "command": "closure-check",
         "eta": eta,
         "checks": checks,
-        "burgers_epsilon": burgers_cfg.epsilon,
+        "burgers_epsilon": config.epsilon,
         "burgers_r_epsilon_max": r_eps_max,
         "passed": passed,
     }
@@ -482,7 +457,7 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict]:
             f"{c['name']}: measured {c['measured']:.3e} tolerance {c['tolerance']:.2e} "
             f"{'PASS' if c['passed'] else 'FAIL'}"
         )
-    print(f"burgers residual stack: epsilon={burgers_cfg.epsilon}, max|r(eps)|={r_eps_max:.6e}")
+    print(f"burgers residual stack: epsilon={config.epsilon}, max|r(eps)|={r_eps_max:.6e}")
     if spec.out_dir is not None:
         _write_csv(
             spec.out_dir / "closure_bound.csv",
@@ -527,12 +502,12 @@ def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict]:
         errors.append(err)
         worst_margin = max(worst_margin, margin)
         rows.append((K, (config.eta0 - config.epsilon) / (K - 1), err))
-    orders = _measured_orders(errors)
+    orders = _measured_orders(errors, config.nodes)
     rows = [
         row + ((float("nan"),) if i == 0 else (orders[i - 1],))
         for i, row in enumerate(rows)
     ]
-    final_order = orders[-1] if orders else float("nan")
+    final_order = orders[-1]
     passed = bool(final_order >= 1.5 and worst_margin <= 1.05)
     report = {
         "command": "duhamel-check",
@@ -643,6 +618,7 @@ _DISPATCH = {
     "evolve": cmd_evolve,
     "burgers-reference": cmd_burgers_reference,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(spec: ExperimentSpec) -> int:

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field as _dc_field, fields
+from dataclasses import astuple, dataclass, field as _dc_field, fields
 
 import numpy as np
 
@@ -279,7 +279,7 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: 
                 f = families.single_mode_solenoidal(grid, **params)
             else:
                 f = Field(grid, np.zeros((grid.n,) + grid.shape))
-            f = leray_project(f)[0]
+            f = leray_project(f)
     except (FloatingPointError, NonFiniteFieldError) as err:
         raise ConfigError(
             f"{what}.amplitude={params['amplitude']!r} makes the field non-finite"
@@ -350,8 +350,13 @@ class RunConfig:
             raise ConfigError(f"nodes must be a list of integers, got {self.nodes!r}")
         nodes = tuple(int(k) for k in self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        if any(k < 5 for k in nodes) or not nodes:
+        if any(k < 5 for k in nodes):
             raise ConfigError(f"nodes must all be >= 5, got {nodes}")
+        # a convergence order compares each ladder with the next, finer one
+        if len(nodes) < 2 or any(fine <= coarse for coarse, fine in zip(nodes, nodes[1:])):
+            raise ConfigError(
+                f"nodes must hold at least two strictly increasing counts, got {nodes}"
+            )
         if self.output_interval < 1:
             raise ConfigError(f"output_interval must be >= 1, got {self.output_interval}")
         if self.seed < 0:
@@ -391,45 +396,34 @@ def build_initial_state(config: RunConfig) -> EvolutionState:
     return EvolutionState(t=0.0, v=v0, psi_v=psi0)
 
 
+# the keys each psi forcing takes besides its name
+_FORCING_KEYS = {"zero": set(), "checkpoint": {"path"}}
+
+
 def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
     """Materialize the psi forcing field e_v, if any."""
     spec = dict(config.psi_forcing)
     name = spec.pop("name", None)
+    if not isinstance(name, str) or name not in _FORCING_KEYS:
+        raise ConfigError(
+            f"psi.forcing.name must be {' or '.join(map(repr, _FORCING_KEYS))}, got {name!r}"
+        )
+    unknown = set(spec) - _FORCING_KEYS[name]
+    if unknown:
+        raise ConfigError(f"unknown keys in psi.forcing: {sorted(unknown)}")
     if name == "zero":
-        if spec:
-            raise ConfigError(f"unknown keys in psi.forcing: {sorted(spec)}")
         return None
-    if name == "checkpoint":
-        path = spec.pop("path", None)
-        if spec:
-            raise ConfigError(f"unknown keys in psi.forcing: {sorted(spec)}")
-        if not path or not isinstance(path, str):
-            raise ConfigError(
-                f"psi.forcing.path must name the checkpoint file, got {path!r}"
-            )
-        f, _ = read_checkpoint(path)
-        if f.grid != grid or f.ncomp != grid.n:
-            raise ConfigError(
-                "psi.forcing checkpoint does not match the run grid"
-            )
-        return f
-    raise ConfigError(
-        f"psi.forcing.name must be 'zero' or 'checkpoint', got {name!r}"
-    )
-
-
-DIAGNOSTIC_COLUMNS = (
-    "step",
-    "t",
-    "energy",
-    "max_div_v",
-    "r_l2",
-    "r_max",
-    "psi_l2",
-    "psi_max",
-    "psi_sup",
-    "deviation_bound",
-)
+    path = spec.get("path")
+    if not path or not isinstance(path, str):
+        raise ConfigError(
+            f"psi.forcing.path must name the checkpoint file, got {path!r}"
+        )
+    f, _ = read_checkpoint(path)
+    if f.grid != grid or f.ncomp != grid.n:
+        raise ConfigError(
+            "psi.forcing checkpoint does not match the run grid"
+        )
+    return f
 
 
 @dataclass(frozen=True)
@@ -448,7 +442,10 @@ class DiagnosticsRecord:
     deviation_bound: float
 
     def row(self) -> tuple:
-        return tuple(getattr(self, c) for c in DIAGNOSTIC_COLUMNS)
+        return astuple(self)
+
+
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def kinetic_energy(v: Field) -> float:
@@ -564,15 +561,12 @@ class BurgersReference:
 
 
 def reference_burgers(
-    coarse: Grid,
-    t_end: float,
-    fine_factor: int = 4,
-    dt: float | None = None,
-    snapshot_times: list[float] | None = None,
+    coarse: Grid, t_end: float, snapshot_times: list[float] | None = None
 ) -> BurgersReference:
-    """Solve inviscid Burgers from u0 = sin x on a refined grid.
+    """Solve inviscid Burgers from u0 = sin x on a 4x refined grid.
 
-    Valid strictly before shock formation at t = 1.
+    RK4 steps of a quarter of the fine spacing.  Valid strictly before
+    shock formation at t = 1.
     """
     if coarse.n != 1:
         raise ValueError("the reference problem is one dimensional")
@@ -580,11 +574,8 @@ def reference_burgers(
         raise ValueError(
             f"t_end must lie in [0, 1) before the first shock, got {t_end}"
         )
-    if fine_factor < 1:
-        raise ValueError("fine_factor must be >= 1")
-    fine = make_grid(1, coarse.size * fine_factor)
-    if dt is None:
-        dt = 0.25 * fine.spacing
+    fine = make_grid(1, 4 * coarse.size)
+    dt = 0.25 * fine.spacing
     wanted = sorted(set(snapshot_times or []) | {t_end})
     for tw in wanted:
         if not 0.0 <= tw <= t_end:

@@ -86,7 +86,7 @@ def random_solenoidal(
     """
     raw = random_band_limited(grid, rng, ncomp=grid.n, kmax=kmax, amplitude=1.0)
     vals = raw.values - raw.values.mean(axis=tuple(range(1, grid.n + 1)), keepdims=True)
-    sol = leray_project(Field(grid, vals))[0]
+    sol = leray_project(Field(grid, vals))
     peak = np.max(np.abs(sol.values))
     if not peak > 1e-12:
         raise ValueError(
@@ -217,10 +217,8 @@ def manufactured_scalar_2d_ladder(grid: Grid, etas, t: float = 0.0) -> list[Fiel
     ]
 
 
-def filtered_taylor_green(
-    grid: Grid, t: float, eta: float, rate: float = 0.5
-) -> tuple[Field, Field]:
-    """Heat-filtered cellular family (u, u_t) with g(t) = 1 + rate * t.
+def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[Field, Field]:
+    """Heat-filtered cellular family (u, u_t) with g(t) = 1 + t / 2.
 
     u stacks (v, p) with v = g e^{-2 eta} (sin x cos y, -cos x sin y)
     and the matching quadratic pressure; u_t is its exact time
@@ -229,8 +227,8 @@ def filtered_taylor_green(
     if grid.n != 2:
         raise ValueError("needs a two dimensional grid")
     x, y = grid.coords()
-    g = 1.0 + rate * t
-    dg = rate
+    dg = 0.5
+    g = 1.0 + dg * t
     damp = math.exp(-2.0 * eta)
     damp4 = math.exp(-4.0 * eta)
     v1, v2 = np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)

@@ -106,25 +106,12 @@ def advect(v: Field, w: Field) -> Field:
     return w.with_values(_irfft(v.grid, _dealiased_hat(v.grid, products)))
 
 
-def leray_project(w: Field) -> tuple[Field, Field]:
-    """Split w into a divergence-free part and a zero-mean potential.
-
-    Returns (solenoidal, potential) with w = solenoidal + grad(potential)
-    up to the mean mode, which stays entirely in the solenoidal part.
-    """
+def leray_project(w: Field) -> Field:
+    """The divergence-free part of w; the mean mode stays in it."""
     grid = w.grid
     if w.ncomp != grid.n:
         raise ValueError(f"expected {grid.n} components, got {w.ncomp}")
-    w_hat = _rfft(grid, w.values)
-    out = np.empty((grid.n + 1,) + grid.rshape, dtype=complex)
-    out[: grid.n] = _leray_hat(grid, w_hat)
-    ksq = grid.rksq.copy()
-    zero = (0,) * grid.n
-    ksq[zero] = 1.0
-    out[grid.n] = -sum(d * w_hat[b] for b, d in enumerate(grid.rderivatives)) / ksq
-    out[(grid.n,) + zero] = 0.0
-    vals = _irfft(grid, out)
-    return w.with_values(vals[: grid.n]), Field(grid, vals[grid.n :], t=w.t, eta=w.eta)
+    return w.with_values(_irfft(grid, _leray_hat(grid, _rfft(grid, w.values))))
 
 
 def burgers_core() -> JetExpr:

@@ -244,23 +244,19 @@ def dealiased(f: Field) -> Field:
     return f.with_values(_dealias_values(f.grid, f.values))
 
 
-def spectral_derivative(f: Field, axis: int, order: int = 1) -> Field:
+def spectral_derivative(f: Field, axis: int) -> Field:
     """Exact Fourier derivative along a spatial axis.
 
-    Odd-order derivatives zero the Nyquist mode of that axis so the
-    result stays real.
+    The Nyquist mode of that axis is zeroed so the result stays real.
     """
     grid = f.grid
     if not 0 <= axis < grid.n:
         raise ValueError(f"axis {axis} out of range for {grid.n}-dimensional grid")
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
     coeffs = np.fft.fftn(f.values, axes=_spatial_axes(grid))
-    coeffs *= (1j * grid.wavenumbers[axis]) ** order
-    if order % 2 == 1:
-        idx = [slice(None)] * (grid.n + 1)
-        idx[axis + 1] = grid.size // 2
-        coeffs[tuple(idx)] = 0.0
+    coeffs *= 1j * grid.wavenumbers[axis]
+    idx = [slice(None)] * (grid.n + 1)
+    idx[axis + 1] = grid.size // 2
+    coeffs[tuple(idx)] = 0.0
     vals = np.fft.ifftn(coeffs, axes=_spatial_axes(grid)).real
     return f.with_values(vals)
 

@@ -80,14 +80,6 @@ class ScaleStack:
         return float(self.eta_nodes[1] - self.eta_nodes[0])
 
     @property
-    def epsilon(self) -> float:
-        return float(self.eta_nodes[0])
-
-    @property
-    def eta0(self) -> float:
-        return float(self.eta_nodes[-1])
-
-    @property
     def grid(self) -> Grid:
         return self.fields[0].grid
 
@@ -147,23 +139,16 @@ def _require_interior(stack: ScaleStack, node: int):
         )
 
 
-def eta_derivative(stack: ScaleStack, node: int, order: int = 1) -> Field:
-    """Centered second-order difference in eta at an interior node."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+def eta_derivative(stack: ScaleStack, node: int) -> Field:
+    """Centered second-order difference d/d(eta) at an interior node."""
     _require_interior(stack, node)
     lo, mid, hi = stack.fields[node - 1], stack.fields[node], stack.fields[node + 1]
-    h = stack.delta_eta
-    if order == 1:
-        vals = (hi.values - lo.values) / (2.0 * h)
-    else:
-        vals = (hi.values - 2.0 * mid.values + lo.values) / h**2
-    return mid.with_values(vals)
+    return mid.with_values((hi.values - lo.values) / (2.0 * stack.delta_eta))
 
 
 def filter_defect(stack: ScaleStack, node: int) -> Field:
     """psi = d(u)/d(eta) - laplacian(u) measured at an interior node."""
-    return eta_derivative(stack, node, order=1) - laplacian(stack.fields[node])
+    return eta_derivative(stack, node) - laplacian(stack.fields[node])
 
 
 def duhamel_integral(psi_stack: ScaleStack, target_node: int) -> Field:

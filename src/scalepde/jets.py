@@ -98,16 +98,6 @@ class JetMonomial:
     def key(self):
         return tuple(f.sort_key() for f in self.factors)
 
-    def __str__(self) -> str:
-        if not self.factors:
-            return str(self.coeff)
-        body = "*".join(str(f) for f in self.factors)
-        if self.coeff == 1:
-            return body
-        if self.coeff == -1:
-            return "-" + body
-        return f"{self.coeff}*{body}"
-
 
 def _canonical(monomials) -> tuple[JetMonomial, ...]:
     merged: dict[tuple, JetMonomial] = {}
@@ -362,12 +352,17 @@ def _parse_jet_ident(tok: _Token, allow_eta: bool) -> JetIndex:
     return JetIndex(component, derivs)
 
 
+# deep enough for any core, shallow enough for Python's recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], allow_eta: bool):
         self.tokens = tokens
         self.pos = 0
         self.allow_eta = allow_eta
         self.indices: list[tuple[JetIndex, _Token]] = []
+        self.depth = 0  # open parentheses; each level costs three Python frames
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -395,13 +390,7 @@ class _Parser:
         return comps
 
     def parse_expr(self) -> list[JetMonomial]:
-        sign = 1
-        while self.peek().text in ("+", "-"):
-            if self.advance().text == "-":
-                sign = -sign
-        terms = [
-            JetMonomial(sign * m.coeff, m.factors) for m in self.parse_term()
-        ]
+        terms = self.parse_term()
         while self.peek().text in ("+", "-"):
             sign = 1 if self.advance().text == "+" else -1
             terms.extend(
@@ -422,30 +411,42 @@ class _Parser:
         return result
 
     def parse_factor(self) -> list[JetMonomial]:
+        # a run of signs is read in a loop, so its length costs no recursion
+        sign = 1
+        while self.peek().text in ("+", "-"):
+            if self.advance().text == "-":
+                sign = -sign
         tok = self.peek()
-        if tok.text in ("+", "-"):
-            self.advance()
-            inner = self.parse_factor()
-            if tok.text == "-":
-                return [JetMonomial(-m.coeff, m.factors) for m in inner]
-            return inner
         if tok.kind == "num":
             self.advance()
-            return [JetMonomial(Fraction(tok.text))]
-        if tok.kind == "ident":
+            try:
+                result = [JetMonomial(Fraction(tok.text))]
+            except ZeroDivisionError:
+                raise CoreSyntaxError(
+                    f"line {tok.line}, column {tok.col}: division by zero in {tok.text!r}"
+                ) from None
+        elif tok.kind == "ident":
             self.advance()
             idx = _parse_jet_ident(tok, self.allow_eta)
             self.indices.append((idx, tok))
-            return [JetMonomial(Fraction(1), (idx,))]
-        if tok.text == "(":
+            result = [JetMonomial(Fraction(1), (idx,))]
+        elif tok.text == "(":
+            if self.depth == _MAX_NESTING:
+                raise CoreSyntaxError(
+                    f"line {tok.line}, column {tok.col}: parentheses nest deeper "
+                    f"than {_MAX_NESTING} levels"
+                )
             self.advance()
-            inner = self.parse_expr()
+            self.depth += 1
+            result = self.parse_expr()
+            self.depth -= 1
             closing = self.peek()
             if closing.text != ")":
                 self.fail(closing, "')'")
             self.advance()
-            return inner
-        self.fail(tok, "a number, jet variable or '('")
+        else:
+            self.fail(tok, "a number, jet variable or '('")
+        return result if sign == 1 else [JetMonomial(-m.coeff, m.factors) for m in result]
 
 
 def parse_core(
@@ -489,20 +490,24 @@ def parse_core(
     return JetExpr(n, N, tuple(tuple(c) for c in comps))
 
 
+def _product_rule(expr: JetExpr, derive) -> JetExpr:
+    """Replace one factor at a time by each jet variable derive(factor) yields."""
+    return JetExpr(expr.n, expr.N, tuple(
+        tuple(
+            JetMonomial(m.coeff, m.factors[:pos] + (new,) + m.factors[pos + 1 :])
+            for m in part
+            for pos, factor in enumerate(m.factors)
+            for new in derive(factor)
+        )
+        for part in expr.terms
+    ))
+
+
 def jet_total_derivative(expr: JetExpr, coord: str) -> JetExpr:
     """Total derivative V_coord, acting by the product rule."""
     if not _valid_coord(coord, expr.n):
         raise ValueError(f"coordinate {coord!r} is not valid for n={expr.n}")
-    out = []
-    for part in expr.terms:
-        derived = []
-        for m in part:
-            for pos in range(len(m.factors)):
-                factors = list(m.factors)
-                factors[pos] = factors[pos].with_deriv(coord)
-                derived.append(JetMonomial(m.coeff, tuple(factors)))
-        out.append(tuple(derived))
-    return JetExpr(expr.n, expr.N, tuple(out))
+    return _product_rule(expr, lambda f: (f.with_deriv(coord),))
 
 
 def jet_L(expr: JetExpr) -> JetExpr:
@@ -522,17 +527,8 @@ def jet_W(expr: JetExpr) -> JetExpr:
     Equivalently d/d(eta) along filtered families, where every jet
     variable evolves by the heat flow.
     """
-    out = []
-    for part in expr.terms:
-        derived = []
-        for m in part:
-            for pos in range(len(m.factors)):
-                for b in spatial_labels(expr.n):
-                    factors = list(m.factors)
-                    factors[pos] = factors[pos].with_deriv(b).with_deriv(b)
-                    derived.append(JetMonomial(m.coeff, tuple(factors)))
-        out.append(tuple(derived))
-    return JetExpr(expr.n, expr.N, tuple(out))
+    labels = spatial_labels(expr.n)
+    return _product_rule(expr, lambda f: [f.with_deriv(b).with_deriv(b) for b in labels])
 
 
 def derive_source(core: JetExpr) -> JetExpr:
@@ -571,24 +567,25 @@ class FrechetTable:
 
 
 def jet_frechet(core: JetExpr) -> FrechetTable:
-    """Tabulate the nonzero Frechet coefficients of a first-order core."""
+    """Tabulate the nonzero Frechet coefficients of a first-order core.
+
+    Each output visits only the jet variables it contains, in
+    ``JetIndex.sort_key`` order: u^beta before its first derivatives.
+    """
     if core.max_order > 1:
         raise ValueError(
             f"core must be first order, found order {core.max_order}"
         )
-    coords = spatial_labels(core.n) + ("t",)
     zero = {}
     first = {}
-    for alpha in range(1, core.num_outputs + 1):
-        part = core.terms[alpha - 1]
-        for beta in range(1, core.N + 1):
-            d = _formal_partial(part, JetIndex(beta))
-            if d:
-                zero[(alpha, beta)] = JetExpr(core.n, core.N, (d,))
-            for coord in coords:
-                d = _formal_partial(part, JetIndex(beta, (coord,)))
-                if d:
-                    first[(alpha, beta, coord)] = JetExpr(core.n, core.N, (d,))
+    for alpha, part in enumerate(core.terms, start=1):
+        variables = {f for m in part for f in m.factors}
+        for var in sorted(variables, key=JetIndex.sort_key):
+            d = JetExpr(core.n, core.N, (_formal_partial(part, var),))
+            if var.derivs:
+                first[(alpha, var.component) + var.derivs] = d
+            else:
+                zero[(alpha, var.component)] = d
     return FrechetTable(core=core, zero_order=zero, first_order=first)
 
 

@@ -33,7 +33,7 @@ def exact_residual(core: JetExpr, u: Field, u_t: Field) -> Field:
 
 def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:
     """e = d(r)/d(eta) - laplacian(r) - s at an interior node."""
-    dr = eta_derivative(r_stack, node, order=1)
+    dr = eta_derivative(r_stack, node)
     return dr - laplacian(r_stack.fields[node]) - s
 
 
@@ -63,7 +63,7 @@ def closure_error_bound(r_stack: ScaleStack, node: int) -> tuple[float, float]:
             f"node {node} has no centered stencil in a stack of {r_stack.K} nodes"
         )
     eta = float(r_stack.eta_nodes[node])
-    dr = eta_derivative(r_stack, node, order=1)
+    dr = eta_derivative(r_stack, node)
     lhs = float(np.max(np.abs(dr.values - r_stack.fields[node].values / eta)))
     return lhs, 0.5 * eta * r_stack.peak_curvature
 

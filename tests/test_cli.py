@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scalepde import ConfigError, Field, make_grid, parse_config, read_checkpoint, write_checkpoint
-from scalepde.cli import config_hash, main
+from scalepde.cli import _measured_orders, config_hash, main
 
 
 class TestParseConfig:
@@ -68,6 +69,16 @@ class TestParseConfig:
         assert config.initial_condition == {"name": "zero"}
         assert config.grid_size == 32
 
+    def test_dotted_override_extends_default(self):
+        config, _ = parse_config("", ["initial_condition.amplitude=2", "psi.forcing.path=f"])
+        assert config.initial_condition == {"name": "taylor_green", "amplitude": 2}
+        assert config.psi_forcing == {"name": "zero", "path": "f"}
+        # an object the config gives is extended as given
+        config, _ = parse_config(
+            '{"initial_condition": {"name": "zero"}}', ["initial_condition.amplitude=2"]
+        )
+        assert config.initial_condition == {"name": "zero", "amplitude": 2}
+
     def test_override_needs_equals(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config("{}", ["t_end"])
@@ -99,6 +110,10 @@ class TestParseConfig:
             ("nodes=5", "nodes"),
             ('nodes="999"', "nodes"),
             ("nodes=[9,true]", "nodes"),
+            ("nodes=[5]", "nodes"),
+            ("nodes=[]", "nodes"),
+            ("nodes=[17,9]", "nodes"),
+            ("nodes=[9,9]", "nodes"),
             ("t_end=Infinity", "t_end"),
             ("initial_condition=3", "initial_condition"),
             ("output_interval=1.5", "output_interval"),
@@ -107,6 +122,7 @@ class TestParseConfig:
             ("n=true", "n must be an integer"),
             ("grid_size=abc", "grid_size"),
             ("dt=Infinity", "dt"),
+            ("initial_condition.amplitude=abc", "initial_condition.amplitude"),
             ("initial_condition.name=taylor_green initial_condition.amplitude=abc",
              "initial_condition.amplitude"),
             ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
@@ -188,6 +204,22 @@ class TestDeriveSource:
         code = main(["derive-source", "--set", "core_text=u1_zz"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["2/0*u1", "u1 + 3/0", "(" * 400 + "u1" + ")" * 400]
+    )
+    def test_malformed_core_text_exits_2_naming_position(self, capsys, text):
+        code = main(["derive-source", "--set", f"core_text={text}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line 1, column ") and "Traceback" not in err
+
+    def test_huge_component_number(self, capsys):
+        start = time.perf_counter()
+        code = main(["derive-source", "--set", "core_text=u100000000000000000000_x1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "  dF1/du100000000000000000000_x1 = 1" in capsys.readouterr().out
 
 
 class TestFilterCheck:
@@ -294,6 +326,15 @@ class TestEvolveCommand:
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_amplitude_override_scales_default_energy(self, tmp_path, capsys):
+        energies = []
+        for extra in ([], ["--set", "initial_condition.amplitude=2"]):
+            out = tmp_path / f"run{len(energies)}"
+            assert main(["evolve", "--out", str(out)] + self.BASE + extra) == 0
+            energies.append(json.loads((out / "report.json").read_text())["energy_initial"])
+        capsys.readouterr()
+        assert energies[1] == pytest.approx(4.0 * energies[0], rel=1e-12)
+
     def test_config_file_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"grid_size": 32, "t_end": 0.02, "closure": "none"}))
@@ -310,6 +351,23 @@ class TestEvolveCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "eta = 0.05000000000000001 (from beta * delta^2)" in out
+
+
+class TestConvergenceOrders:
+    def test_order_divides_by_the_ladder_ratio(self):
+        assert _measured_orders([4.0, 1.0], (9, 17)) == [2.0]
+        assert _measured_orders([16.0, 1.0], (9, 33)) == [2.0]
+        orders = _measured_orders([8.0, 2.0, 0.0], (5, 9, 17))
+        assert orders[0] == 2.0 and np.isnan(orders[1])
+
+    @pytest.mark.parametrize("command", ["residual-check", "duhamel-check"])
+    def test_quadrupled_ladder_reads_second_order(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        code = main([command, "--out", str(out), "--set", "grid_size=32",
+                     "--set", "nodes=[9,33]"])
+        capsys.readouterr()
+        assert code == 0
+        assert abs(json.loads((out / "report.json").read_text())["final_order"] - 2.0) <= 0.05
 
 
 class TestBurgersReferenceCommand:

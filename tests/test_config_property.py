@@ -39,7 +39,7 @@ KEYS = {
     "psi.initial_condition": ["psi.enabled=true"],
     "psi.forcing": [],
     "initial_condition.name": [],
-    "initial_condition.amplitude": ["initial_condition.name=taylor_green"],
+    "initial_condition.amplitude": [],
     "initial_condition.kmax": ["initial_condition.name=random_solenoidal"],
     "initial_condition.k": ["initial_condition.name=single_mode"],
     "psi.initial_condition.name": ["psi.enabled=true"],

@@ -94,7 +94,7 @@ class TestSpectralDerivative:
 
     def test_second_order(self, grid1d):
         x = grid1d.coords()[0]
-        d2 = spectral_derivative(Field(grid1d, np.sin(x)), 0, order=2)
+        d2 = spectral_derivative(spectral_derivative(Field(grid1d, np.sin(x)), 0), 0)
         assert np.max(np.abs(d2.component(0) + np.sin(x))) <= 1e-12
 
     def test_constant_derivative_zero(self, grid2d):
@@ -121,10 +121,6 @@ class TestSpectralDerivative:
         with pytest.raises(ValueError, match="axis"):
             spectral_derivative(Field(grid1d, np.zeros(grid1d.shape)), 1)
 
-    def test_bad_order(self, grid1d):
-        with pytest.raises(ValueError, match="order"):
-            spectral_derivative(Field(grid1d, np.zeros(grid1d.shape)), 0, order=0)
-
 
 class TestLaplacian:
     def test_sin_eigenfunction(self, grid1d):
@@ -133,9 +129,10 @@ class TestLaplacian:
         assert np.max(np.abs(lap.component(0) + 4.0 * np.sin(2 * x))) <= 1e-11
 
     def test_matches_sum_of_second_derivatives(self, grid2d, rng):
-        f = Field(grid2d, rng.standard_normal(grid2d.shape))
-        explicit = spectral_derivative(f, 0, order=2) + spectral_derivative(f, 1, order=2)
-        assert np.allclose(laplacian(f).values, explicit.values, atol=1e-9)
+        # first derivatives zero the Nyquist modes, so keep none
+        f = dealiased(Field(grid2d, rng.standard_normal(grid2d.shape)))
+        dxx, dyy = (spectral_derivative(spectral_derivative(f, a), a) for a in (0, 1))
+        assert np.allclose(laplacian(f).values, (dxx + dyy).values, atol=1e-9)
 
 
 class TestDealias:

@@ -86,8 +86,8 @@ class TestScaleStack:
         v = taylor_green(grid2d)
         stack = build_scale_stack(v, 0.02, 0.1, 9)
         assert stack.K == 9
-        assert stack.epsilon == pytest.approx(0.02)
-        assert stack.eta0 == pytest.approx(0.1)
+        assert stack.eta_nodes[0] == pytest.approx(0.02)
+        assert stack.eta_nodes[-1] == pytest.approx(0.1)
         for j, eta in enumerate(stack.eta_nodes):
             expected = np.exp(-2.0 * (eta - 0.02)) * v.values
             assert np.max(np.abs(stack.fields[j].values - expected)) <= 1e-12
@@ -124,24 +124,18 @@ class TestEtaDerivative:
         with pytest.raises(ValueError, match="stencil"):
             eta_derivative(stack, 8)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_convergence_second_order(self, grid2d, order):
+    def test_convergence_second_order(self, grid2d):
         # d/d(eta) of the filtered cellular family is exactly -2 u
         v = taylor_green(grid2d)
         errors = []
         for K in (9, 17):
             stack = build_scale_stack(v, 0.02, 0.1, K)
             mid = K // 2
-            d = eta_derivative(stack, mid, order=order)
-            exact = ((-2.0) ** order) * stack.fields[mid].values
+            d = eta_derivative(stack, mid)
+            exact = -2.0 * stack.fields[mid].values
             errors.append(np.max(np.abs(d.values - exact)))
         rate = np.log2(errors[0] / errors[1])
         assert rate >= 1.9
-
-    def test_invalid_order(self, grid2d):
-        stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, 9)
-        with pytest.raises(ValueError, match="order"):
-            eta_derivative(stack, 3, order=3)
 
 
 class TestFilterDefect:

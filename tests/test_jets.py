@@ -149,6 +149,25 @@ class TestParse:
         with pytest.raises(CoreSyntaxError, match="line 1"):
             parse_core("u1 +")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("2/0*u1", "line 1, column 1: division by zero"),
+            ("u1 + 3/0", "line 1, column 6: division by zero"),
+            ("(" * 400 + "u1" + ")" * 400, "line 1, column 101: parentheses nest"),
+        ],
+    )
+    def test_malformed_text_names_position(self, text, where):
+        with pytest.raises(CoreSyntaxError, match=where):
+            parse_core(text)
+
+    def test_sign_runs_and_long_sums_parse(self):
+        # a run of signs is as valid after '*' as at the start of a term
+        assert parse_core("u1*" + "-" * 2000 + "u1") == u(1) * u(1)
+        assert parse_core("u1*" + "-" * 2001 + "u1") == -(u(1) * u(1))
+        assert parse_core("(" * 100 + "u1" + ")" * 100) == u(1)
+        assert parse_core(" + ".join(["u1"] * 20000)) == 20000 * u(1)
+
     def test_round_trip_random(self):
         rng = random.Random(2024)
         for _ in range(100):
@@ -249,6 +268,22 @@ class TestFrechet:
     def test_second_order_rejected(self):
         with pytest.raises(ValueError, match="first order"):
             jet_frechet(u(1, "x1", "x1"))
+
+    def test_visits_only_the_variables_of_each_output(self):
+        big = 10**20
+        table = jet_frechet(parse_core(f"u{big}_x1"))
+        assert table.zero_order == {}
+        assert table.first_order == {(1, big, "x1"): JetExpr.constant(1, big, 1)}
+
+    def test_entries_in_component_then_coordinate_order(self):
+        # frechet_contraction sums in this order, so its rounding depends on it
+        table = jet_frechet(fluid_core(2))
+        assert list(table.zero_order) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert list(table.first_order) == [
+            (1, 1, "x1"), (1, 1, "x2"), (1, 1, "t"), (1, 3, "x1"),
+            (2, 2, "x1"), (2, 2, "x2"), (2, 2, "t"), (2, 3, "x2"),
+            (3, 1, "x1"), (3, 2, "x2"),
+        ]
 
 
 class TestNumericEvaluation:

@@ -21,6 +21,8 @@ from .fluid import (
     _advection,
     _gradient_values,
     _leray_hat,
+    _pair_divergence_hat,
+    _pair_products,
     _source_hat,
     _stress,
     leray_project,
@@ -33,6 +35,7 @@ from .grid import (
     _dealiased_hat,
     _irfft,
     _rfft,
+    _tensor_pairs,
     _with_gradients,
     dealiased,
     field_norms,
@@ -87,13 +90,22 @@ def _transform_state(v: Field, psi_v: Field | None, e_v: Field | None):
     """Half-spectrum (v, psi) stack and psi forcing from one batched transform.
 
     The forcing only enters with psi; without psi the stack is v alone.
+    The (v, psi) stack is cut to the 2/3 band and Leray-projected, so the
+    kernel's flux form holds whatever the input (see ``_rhs_hat``); the
+    forcing, which enters linearly, is left whole.
     """
+    grid = v.grid
     if psi_v is None:
-        return _rfft(v.grid, v.values), None
-    parts = [v.values, psi_v.values] + ([] if e_v is None else [e_v.values])
-    coeffs = _rfft(v.grid, np.concatenate(parts))
-    m = 2 * v.grid.n
-    return coeffs[:m], (coeffs[m:] if e_v is not None else None)
+        parts, m = v.values, grid.n
+    else:
+        parts = np.concatenate([v.values, psi_v.values] + ([] if e_v is None else [e_v.values]))
+        m = 2 * grid.n
+    coeffs = _rfft(grid, parts)
+    u_hat = coeffs[:m]
+    u_hat *= grid.rdealias_mask
+    # in place: a projected copy would live beside the forcing's rows all step
+    u_hat[:] = _leray_hat(grid, u_hat)
+    return u_hat, (coeffs[m:] if e_v is not None else None)
 
 
 def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: float) -> Field:
@@ -110,33 +122,57 @@ def _rhs_hat(
 ) -> np.ndarray:
     """Projected right-hand side of the stacked (v, psi) coefficients.
 
-    One batched inverse transform gives v, psi and their gradients; one
-    batched forward transform gives every dealiased product: the
-    advection sums, sigma for the closure and the linearized psi
-    transport, which reuses the velocity gradients.
+    Quadratic transport is taken in flux form on the half spectrum:
+    -P div(v v) for the velocity and -P div(v psi + psi v) for psi, the
+    fluxes stored by symmetric pair.  So one batched inverse transform of
+    (v, psi) and one batched forward transform of the 2/3-masked products
+    make a stage.  The helmholtz closure needs grad v in physical space
+    for sigma; the velocity term then stays -(v . grad) v on those
+    gradients.  psi is never differentiated in physical space.
+
+    The flux form equals the advective form -(v . grad) v and
+    -(v . grad) psi - (psi . grad) v when v and psi are solenoidal and
+    band-limited to the 2/3 cutoff: the product rule then holds on every
+    kept mode and the terms carrying div v and div psi vanish.
+    ``_transform_state`` projects and band-limits the state,
+    ``step_rk4`` cuts the forcing to the band, and every slope is
+    projected and masked, so every stage meets both conditions.
     """
     n, m = grid.n, u_hat.shape[0]
-    phys = _irfft(grid, _with_gradients(grid, u_hat))
-    u, du = phys[:m], phys[m:].reshape((m, n) + grid.shape)
-    products = [_advection(u[:n], du[:n])]
+    helmholtz = closure == "helmholtz"
+    phys = _irfft(grid, _with_gradients(grid, u_hat) if helmholtz else u_hat)
+    v, psi = phys[:n], phys[n:m]
+    if helmholtz:
+        dv = phys[m:].reshape((n, n) + grid.shape)
+        products = [_advection(v, dv)]
+    else:
+        products = [_pair_products(v, v)]
     if m > n:
-        products.append(_advection(u[:n], du[n:]) + _advection(u[n:], du[:n]))
-    if closure == "helmholtz":
-        products.append(_stress(du[:n]))
+        products.append(_pair_products(v, psi) + _pair_products(psi, v))
+    if helmholtz:
+        products.append(_stress(dv))
+        del dv
     # free the stage's physical arrays before the forward transform
-    del phys, u, du
+    del phys, v, psi
     coeffs = _dealiased_hat(grid, np.concatenate(products))
     del products
-    out = -coeffs[:m]
-    if closure == "helmholtz":
-        out[:n] += _closure_hat(grid, _source_hat(grid, coeffs[m:]), eta)
+    # rows of u_hat below ``split`` take the advective form, the rest a flux
+    split = n if helmholtz else 0
+    fluxes = (m - split) // n * len(_tensor_pairs(n))
+    out = np.empty_like(u_hat)
+    np.negative(coeffs[:split], out=out[:split])
+    if m > split:
+        np.negative(_pair_divergence_hat(grid, coeffs[split : split + fluxes]), out=out[split:])
+    if helmholtz:
+        out[:n] += _closure_hat(grid, _source_hat(grid, coeffs[split + fluxes :]), eta)
     if e_hat is not None:
         out[n:] += e_hat
     return _leray_hat(grid, out)
 
 
 def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
-    """Projected right-hand side P(-(v . grad) v + r_closure)."""
+    """Projected right-hand side P(-(v . grad) v + r_closure) of the
+    solenoidal part of v within the 2/3 band."""
     if eta is None:
         eta = v.eta
     _check_closure(closure, eta)
@@ -147,8 +183,11 @@ def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -
 def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
     """Defect transport: -(v . grad) psi - (psi . grad) v - grad(psi_p) + e.
 
-    The pressure-defect gradient is realized by Leray projection, which
-    removes exactly the gradient part the transport terms generate.
+    The transport is computed as -div(v psi + psi v) of the solenoidal
+    parts of v and psi within the 2/3 band, where it equals the advective
+    form (see ``_rhs_hat``).  The pressure-defect gradient is realized by
+    Leray projection, which removes exactly the gradient part the
+    transport terms generate.
     """
     u_hat, e_hat = _transform_state(v, psi_v, e_v)
     k = _rhs_hat(v.grid, u_hat, "none", v.eta, e_hat)
@@ -180,9 +219,11 @@ def step_rk4(
     """One classical RK4 step of the coupled (v, psi) system.
 
     The stages run on the half-spectrum coefficients of the stacked
-    (v, psi) state, with psi on the same stages as v.  The combined
-    update is re-projected so divergence-free velocity and defect are
-    preserved exactly.  Finite values are checked once, on the result.
+    (v, psi) state, with psi on the same stages as v.  The state enters
+    Leray-projected and cut to the 2/3 band, the forcing is cut to the
+    band and every slope is projected and masked, so the update keeps
+    velocity and defect divergence-free and band-limited.  Finite values
+    are checked once, on the result.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -190,8 +231,10 @@ def step_rk4(
     grid, eta = v.grid, v.eta
     _check_closure(closure, eta)
     u0, e_hat = _transform_state(v, psi, e_v)
+    if e_hat is not None:
+        e_hat *= grid.rdealias_mask
     total = _rk4(u0, dt, lambda stage: _rhs_hat(grid, stage, closure, eta, e_hat))
-    values = _irfft(grid, _leray_hat(grid, total))
+    values = _irfft(grid, total)
     t_new = state.t + dt
     step = state.step_count + 1
     v_new = _checked_field(grid, values[: grid.n], "v", step, t_new, eta)
@@ -400,8 +443,8 @@ def build_initial_state(config: RunConfig) -> EvolutionState:
 _FORCING_KEYS = {"zero": set(), "checkpoint": {"path"}}
 
 
-def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
-    """Materialize the psi forcing field e_v, if any."""
+def _forcing_path(config: RunConfig) -> str | None:
+    """The checkpoint path of the checked psi.forcing spec; None for zero."""
     spec = dict(config.psi_forcing)
     name = spec.pop("name", None)
     if not isinstance(name, str) or name not in _FORCING_KEYS:
@@ -418,6 +461,14 @@ def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
         raise ConfigError(
             f"psi.forcing.path must name the checkpoint file, got {path!r}"
         )
+    return path
+
+
+def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
+    """Materialize the psi forcing field e_v, if any."""
+    path = _forcing_path(config)
+    if path is None:
+        return None
     f, _ = read_checkpoint(path)
     if f.grid != grid or f.ncomp != grid.n:
         raise ConfigError(
@@ -454,15 +505,23 @@ def kinetic_energy(v: Field) -> float:
 
 
 def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> DiagnosticsRecord:
+    """One diagnostics row; v is transformed once.
+
+    Without the closure div v is one inverse transform of sum_a ik_a v_a;
+    with it the velocity gradients, which sigma needs, give div v too.
+    """
     v = state.v
     grid = v.grid
-    dv = _gradient_values(v)
-    div_max = float(np.max(np.abs(np.trace(dv))))
     if closure == "helmholtz":
+        dv = _gradient_values(v)
+        div = np.trace(dv)
         s_hat = _source_hat(grid, _dealiased_hat(grid, _stress(dv)))
         r_l2, r_max = field_norms(Field(grid, _irfft(grid, _closure_hat(grid, s_hat, v.eta))))
     else:
+        v_hat = _rfft(grid, v.values)
+        div = _irfft(grid, sum(d * c for d, c in zip(grid.rderivatives, v_hat)))
         r_l2, r_max = 0.0, 0.0
+    div_max = float(np.max(np.abs(div)))
     if state.psi_v is not None:
         psi_l2, psi_max = field_norms(state.psi_v)
     else:
@@ -507,9 +566,12 @@ def run_simulation(
             f"dt={dt:.6g} violates the CFL limit {limit:.6g} for this initial state"
         )
     n_steps = max(1, round(config.t_end / dt))
-    e_v = resolve_forcing(config, state.v.grid)
-    psi_sup = 0.0
+    # the spec is always checked, but the forcing only enters with psi,
+    # so without psi its checkpoint is not read
+    _forcing_path(config)
+    e_v, psi_sup = None, 0.0
     if state.psi_v is not None:
+        e_v = resolve_forcing(config, state.v.grid)
         psi_sup = field_norms(state.psi_v)[1]
     records = [_diagnose(state, config.closure, psi_sup)]
     try:

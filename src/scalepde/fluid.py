@@ -21,7 +21,6 @@ from .grid import (
     _irfft,
     _rfft,
     _tensor_pairs,
-    _with_gradients,
 )
 from .jets import JetExpr, spatial_labels
 
@@ -38,15 +37,31 @@ def _stress(dv: np.ndarray) -> np.ndarray:
     return np.stack([np.sum(dv[a] * dv[b], axis=0) for a, b in _tensor_pairs(len(dv))])
 
 
+def _pair_products(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v^a w^b for the pairs a <= b."""
+    return np.stack([v[a] * w[b] for a, b in _tensor_pairs(len(v))])
+
+
+def _pair_divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
+    """Half-spectrum sum_b d_b T^{ab} of symmetric tensors stored by pair.
+
+    ``t_hat`` stacks whole tensors, one row per pair; the result stacks
+    their n-component divergences in the same order.
+    """
+    pairs = _tensor_pairs(grid.n)
+    t = t_hat.reshape((-1, len(pairs)) + grid.rshape)
+    out = np.zeros((len(t), grid.n) + grid.rshape, dtype=complex)
+    d = grid.rderivatives
+    for i, (a, b) in enumerate(pairs):
+        out[:, a] += d[b] * t[:, i]
+        if a != b:
+            out[:, b] += d[a] * t[:, i]
+    return out.reshape((-1,) + grid.rshape)
+
+
 def _source_hat(grid: Grid, sigma_hat: np.ndarray) -> np.ndarray:
     """Half-spectrum s = -2 div sigma from the pair-stored stress."""
-    out = np.zeros((grid.n,) + grid.rshape, dtype=complex)
-    d = grid.rderivatives
-    for i, (a, b) in enumerate(_tensor_pairs(grid.n)):
-        out[a] += d[b] * sigma_hat[i]
-        if a != b:
-            out[b] += d[a] * sigma_hat[i]
-    return -2.0 * out
+    return -2.0 * _pair_divergence_hat(grid, sigma_hat)
 
 
 def _leray_hat(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
@@ -61,8 +76,8 @@ def _leray_hat(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
 def _gradient_values(f: Field) -> np.ndarray:
     """Physical d_b f_a as an array of shape (ncomp, n) + grid.shape."""
     grid = f.grid
-    stack = _irfft(grid, _with_gradients(grid, _rfft(grid, f.values)))
-    return stack[f.ncomp :].reshape((f.ncomp, grid.n) + grid.shape)
+    coeffs = _rfft(grid, f.values)
+    return _irfft(grid, np.stack([coeffs * d for d in grid.rderivatives], axis=1))
 
 
 def _check_velocity(v: Field):

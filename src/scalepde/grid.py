@@ -50,10 +50,13 @@ class Grid:
         ksq = np.zeros(shape)
         for k in wavenumbers:
             ksq = ksq + k**2
+        # 2/3 rule: with every kept |k| < size/3 a product of kept modes
+        # aliases onto dropped ones only; the bound is strict, so a size
+        # divisible by 3 drops its |k| = size/3 modes too
         cutoff = self.size / 3.0
         mask = np.ones(shape, dtype=bool)
         for k in wavenumbers:
-            mask &= np.abs(k) <= cutoff
+            mask &= np.abs(k) < cutoff
         for name, value in (
             ("shape", shape),
             ("spacing", TWO_PI / self.size),
@@ -91,7 +94,7 @@ class Grid:
         mask = np.ones(rshape, dtype=bool)
         for k in rwavenumbers:
             rksq = rksq + k**2
-            mask &= np.abs(k) <= cutoff
+            mask &= np.abs(k) < cutoff
         partner = [np.where(np.abs(k) == self.size // 2, k, -k) for k in rwavenumbers]
         safe_ksq = np.where(rksq > 0.0, rksq, 1.0)
         leray = np.zeros((n, n) + rshape)
@@ -217,17 +220,18 @@ def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:
 
 
 def _with_gradients(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Half-spectrum stack of m components followed by their gradients.
+    """Half-spectrum stack of m >= n components followed by the gradients
+    of the velocity, the first n of them.
 
     Entry m + a*n + b holds d_b of component a, so after ``_irfft`` the
-    tail reshapes to ``(m, n) + grid.shape``.
+    tail reshapes to ``(n, n) + grid.shape``.
     """
-    m = coeffs.shape[0]
-    out = np.empty((m * (grid.n + 1),) + grid.rshape, dtype=complex)
+    m, n = coeffs.shape[0], grid.n
+    out = np.empty((m + n * n,) + grid.rshape, dtype=complex)
     out[:m] = coeffs
-    grads = out[m:].reshape((m, grid.n) + grid.rshape)
+    grads = out[m:].reshape((n, n) + grid.rshape)
     for b, d in enumerate(grid.rderivatives):
-        np.multiply(coeffs, d, out=grads[:, b])
+        np.multiply(coeffs[:n], d, out=grads[:, b])
     return out
 
 

@@ -18,6 +18,7 @@ source s = (W - L)F.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -283,6 +284,8 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
+    # int() refuses longer digit strings; 0 means no limit
+    max_digits = sys.get_int_max_str_digits()
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         piece = m.group()
@@ -296,6 +299,13 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "bad":
             raise CoreSyntaxError(
                 f"line {line}, column {col}: unexpected character {piece!r}"
+            )
+        if max_digits and len(piece) > max_digits and any(
+            len(run) > max_digits for run in re.findall("[0-9]+", piece)
+        ):
+            raise CoreSyntaxError(
+                f"line {line}, column {col}: a number in {piece[:12]!r}... has "
+                f"more than {max_digits} digits"
             )
         tokens.append(_Token(kind, piece, line, col))
         col += len(piece)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,16 +26,29 @@ def rng():
     return np.random.default_rng(42)
 
 
+def _batch_size(a, axes) -> int:
+    """How many fields one numpy.fft call transforms: its size over the
+    axes it leaves alone.  Every call in src passes ``axes=``; a call
+    without it counts as one field."""
+    if axes is None:
+        return 1
+    shape = np.shape(a)
+    done = {axis % len(shape) for axis in axes}
+    return math.prod(size for axis, size in enumerate(shape) if axis not in done)
+
+
 @pytest.fixture
 def transform_counts(monkeypatch):
-    """Live counts of numpy.fft calls (all, complex) and Field constructions."""
-    counts = {"calls": 0, "complex": 0, "fields": 0}
+    """Live counts of numpy.fft calls (all, complex), the transforms they
+    do (one per transformed field) and Field constructions."""
+    counts = {"calls": 0, "complex": 0, "transforms": 0, "fields": 0}
     for name in _FFT_ENTRY_POINTS:
 
-        def counted(*args, _orig=getattr(np.fft, name), _real="rfft" in name, **kwargs):
+        def counted(a, *args, _orig=getattr(np.fft, name), _real="rfft" in name, **kwargs):
             counts["calls"] += 1
             counts["complex"] += not _real
-            return _orig(*args, **kwargs)
+            counts["transforms"] += _batch_size(a, kwargs.get("axes"))
+            return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     post_init = Field.__post_init__

@@ -82,7 +82,7 @@ def _complex_ops(n, size):
     k1[size // 2] = size // 2
     ks = np.meshgrid(*([k1] * n), indexing="ij")
     ksq = sum(k**2 for k in ks)
-    mask = np.all([np.abs(k) <= size / 3.0 for k in ks], axis=0)
+    mask = np.all([np.abs(k) < size / 3.0 for k in ks], axis=0)
 
     def deriv(f, b):
         c = np.fft.fftn(f) * 1j * ks[b]
@@ -165,7 +165,7 @@ def burgers_physical_rk4(size: int, t_end: float, dt: float) -> np.ndarray:
     x = np.arange(size) * (2.0 * np.pi / size)
     k = np.fft.fftfreq(size, 1.0 / size)
     k[size // 2] = size // 2
-    mask = np.abs(k) <= size / 3.0
+    mask = np.abs(k) < size / 3.0
 
     def rhs(u):
         c = np.fft.fft(u) * 1j * k

@@ -140,6 +140,8 @@ class TestParseConfig:
             ("beta=1 delta=1e200", "beta * delta^2"),
             ("psi.enabled=true psi.forcing.name=checkpoint psi.forcing.path=5",
              "psi.forcing.path"),
+            ("psi.forcing.name=bogus", "psi.forcing.name"),
+            ("psi.forcing.name=checkpoint", "psi.forcing.path"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, capsys, override, key):
@@ -213,6 +215,18 @@ class TestDeriveSource:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: line 1, column ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("u" + "1" * 5000, 1), ("u1*" + "1" * 5000, 4)],
+        ids=["component", "coefficient"],
+    )
+    def test_over_long_number_exits_2_naming_position(self, capsys, text, column):
+        code = main(["derive-source", "--set", f"core_text={text}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: line 1, column {column}: ")
+        assert "4300" in err and "Traceback" not in err
 
     def test_huge_component_number(self, capsys):
         start = time.perf_counter()
@@ -318,6 +332,15 @@ class TestEvolveCommand:
         )
         assert code == 4
         assert "forcing.ckpt: truncated checkpoint" in capsys.readouterr().err
+
+    def test_forcing_not_read_with_psi_off(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.ckpt"
+        forcing = json.dumps({"name": "checkpoint", "path": str(missing)})
+        argv = ["evolve", "--out", str(tmp_path / "run"), "--set", f"psi.forcing={forcing}"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--set", "psi.enabled=true"]) == 4
+        assert str(missing) in capsys.readouterr().err
 
     def test_unwritable_out_exit_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

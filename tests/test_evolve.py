@@ -14,9 +14,11 @@ from scalepde import (
     SimulationDiverged,
     build_initial_state,
     cfl_limit,
+    dealiased,
     divergence,
     field_norms,
     kinetic_energy,
+    leray_project,
     macroscopic_rhs,
     make_grid,
     psi_rhs,
@@ -27,7 +29,13 @@ from scalepde import (
     write_checkpoint,
 )
 from scalepde.cli import main
-from scalepde.families import random_solenoidal, single_mode_solenoidal, taylor_green
+from scalepde.evolve import _diagnose
+from scalepde.families import (
+    random_band_limited,
+    random_solenoidal,
+    single_mode_solenoidal,
+    taylor_green,
+)
 from oracles import burgers_characteristics, complex_fft_rhs
 
 
@@ -155,6 +163,35 @@ class TestAgainstComplexTransforms:
         assert np.max(np.abs(got.v.values - want[0])) <= 1e-12
         assert np.max(np.abs(got.psi_v.values - want[1])) <= 1e-12
 
+    @pytest.mark.parametrize("size, kmax", [(32, 14), (48, 16)], ids=["past_cutoff", "size_48"])
+    def test_band_limited_inputs(self, rng, size, kmax):
+        """The flux form is taken of the solenoidal part within the band, so
+        the kernel matches the advective oracle on those parts of
+        compressible fields past size/3; at size 48 the |k| = 16 modes
+        must go too."""
+        grid = make_grid(2, size)
+        v = random_band_limited(grid, rng, ncomp=2, kmax=kmax).with_values(eta=0.05)
+        psi = random_band_limited(grid, rng, ncomp=2, kmax=kmax)
+        e_v = Field(grid, rng.standard_normal((2,) + grid.shape))
+        v_cut, psi_cut = (leray_project(dealiased(f)).values for f in (v, psi))
+        for closure in ("none", "helmholtz"):
+            got = macroscopic_rhs(v, closure=closure).values
+            want = complex_fft_rhs(v_cut, closure, eta=0.05)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got = psi_rhs(psi, v, e_v).values
+        _, want = complex_fft_rhs(v_cut, psi=psi_cut, e=e_v.values)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_step_stays_in_band(self, rng):
+        """A step from fields and a forcing past the cutoff lands inside it."""
+        grid = make_grid(2, 32)
+        v = random_solenoidal(grid, rng, kmax=14).with_values(eta=0.05)
+        psi = random_solenoidal(grid, rng, kmax=14).with_values(eta=0.05)
+        e_v = Field(grid, rng.standard_normal((2,) + grid.shape))
+        got = step_rk4(EvolutionState(0.0, v, psi), 0.01, closure="helmholtz", e_v=e_v)
+        for f in (got.v, got.psi_v):
+            assert np.max(np.abs(f.values - dealiased(f).values)) <= 1e-12
+
 
 class TestTransformBudget:
     """Machine-independent cost of one step: transform calls and Fields."""
@@ -175,6 +212,73 @@ class TestTransformBudget:
         assert counts["calls"] <= budget
         assert counts["complex"] == 0
         assert counts["fields"] <= 2
+
+    @pytest.mark.parametrize(
+        "closure, with_psi, transforms",
+        [
+            ("none", False, 24),
+            ("none", True, 50),
+            ("helmholtz", False, 48),
+            ("helmholtz", True, 74),
+        ],
+    )
+    def test_transforms_per_step(self, transform_counts, rng, closure, with_psi, transforms):
+        """A closure=none stage transforms (v, psi) and their fluxes only;
+        helmholtz adds grad v for sigma, never grad psi."""
+        grid = make_grid(2, 32)
+        v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
+        psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
+        e_v = random_solenoidal(grid, rng, kmax=2) if with_psi else None
+        transform_counts.update(calls=0, transforms=0)
+        step_rk4(EvolutionState(t=0.0, v=v, psi_v=psi), 1e-3, closure=closure, e_v=e_v)
+        assert transform_counts["transforms"] == transforms
+        assert transform_counts["calls"] == 10
+
+    @pytest.mark.parametrize("closure, transforms", [("none", 3), ("helmholtz", 11)])
+    def test_transforms_per_record(self, transform_counts, rng, closure, transforms):
+        grid = make_grid(2, 32)
+        v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
+        transform_counts.update(transforms=0)
+        record = _diagnose(EvolutionState(t=0.0, v=v), closure, 0.0)
+        assert transform_counts["transforms"] == transforms
+        assert record.max_div_v <= 1e-12
+
+
+class TestPinnedRun:
+    """A 32^2 closure=none run with psi and a checkpoint forcing, pinned to
+    the values of the advective-form kernel (v and grad v, psi and grad psi
+    transformed), so a rewrite of the kernel is caught without a benchmark."""
+
+    PINNED = {
+        "energy_initial": 1.8847332784292024,
+        "energy_final": 1.8847332784156772,
+        "final_v": (12.198875967737665, 0.9870803528416503),
+        "final_psi": (19.587390437237325, 1.0397996968759182),
+    }
+
+    def test_matches_pinned_values(self, tmp_path, capsys):
+        grid = make_grid(2, 32)
+        forcing = tmp_path / "forcing.ckpt"
+        e_v = random_solenoidal(grid, np.random.default_rng(7), kmax=3, amplitude=0.5)
+        write_checkpoint(forcing, e_v)
+        spec = json.dumps({"name": "checkpoint", "path": str(forcing)})
+        sets = [
+            "grid_size=32", "closure=none", "eta=0.05", "dt=0.02", "t_end=0.2",
+            "output_interval=5", "initial_condition.name=random_solenoidal",
+            "psi.enabled=true", "psi.initial_condition.name=random_solenoidal",
+            f"psi.forcing={spec}",
+        ]
+        out = tmp_path / "run"
+        argv = ["evolve", "--out", str(out), "--seed", "3"]
+        code = main(argv + [arg for item in sets for arg in ("--set", item)])
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        for key in ("energy_initial", "energy_final"):
+            assert report[key] == pytest.approx(self.PINNED[key], rel=1e-9)
+        for name in ("final_v", "final_psi"):
+            f, _ = read_checkpoint(out / f"{name}.ckpt")
+            assert field_norms(f) == pytest.approx(self.PINNED[name], rel=1e-9)
 
 
 class TestRunConfig:

@@ -8,6 +8,7 @@ same RK4 stages through its linearized transport equation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -17,16 +18,7 @@ from dataclasses import astuple, dataclass, field as _dc_field, fields
 import numpy as np
 
 from . import families
-from .fluid import (
-    _advection,
-    _gradient_values,
-    _leray_hat,
-    _pair_divergence_hat,
-    _pair_products,
-    _source_hat,
-    _stress,
-    leray_project,
-)
+from .fluid import _leray_hat
 from .grid import (
     TWO_PI,
     Field,
@@ -36,13 +28,12 @@ from .grid import (
     _irfft,
     _rfft,
     _tensor_pairs,
-    _with_gradients,
+    _value_norms,
     dealiased,
     field_norms,
     make_grid,
     restrict_to_grid,
 )
-from .residual import _closure_hat
 
 
 class ConfigError(ValueError):
@@ -86,26 +77,109 @@ def _check_closure(closure: str, eta: float):
         raise ValueError("the helmholtz closure needs eta > 0")
 
 
-def _transform_state(v: Field, psi_v: Field | None, e_v: Field | None):
-    """Half-spectrum (v, psi) stack and psi forcing from one batched transform.
+class _Stages:
+    """Buffers and multipliers of the RK4 stages of one (grid, v or (v, psi),
+    closure, eta), shared by every stage, step and diagnostics record.
 
-    The forcing only enters with psi; without psi the stack is v alone.
-    The (v, psi) stack is cut to the 2/3 band and Leray-projected, so the
-    kernel's flux form holds whatever the input (see ``_rhs_hat``); the
-    forcing, which enters linearly, is left whole.
+    Transport is -P div T for symmetric tensors T: v v, v psi + psi v and,
+    through the closure, 2 sigma / (|k|^2 + 1/eta).  P removes div(T^{nn} I),
+    a gradient, so only T - T^{nn} I is transformed, without its (n, n) row:
+    in 2-D A = T^{00} - T^{11} and B = T^{01}, and -P div T = c (-d_1, d_0)
+    with c = (k_0 k_1 A + (k_1^2 - k_0^2) B) / |k|^2.  In 1-D no divergence
+    survives P, so nothing is transformed.  sigma needs d_0 v_0, d_1 v_0 and
+    d_0 v_1 only, since d_1 v_1 = -d_0 v_0 on a solenoidal stage.
     """
-    grid = v.grid
-    if psi_v is None:
-        parts, m = v.values, grid.n
-    else:
-        parts = np.concatenate([v.values, psi_v.values] + ([] if e_v is None else [e_v.values]))
-        m = 2 * grid.n
-    coeffs = _rfft(grid, parts)
-    u_hat = coeffs[:m]
-    u_hat *= grid.rdealias_mask
-    # in place: a projected copy would live beside the forcing's rows all step
-    u_hat[:] = _leray_hat(grid, u_hat)
-    return u_hat, (coeffs[m:] if e_v is not None else None)
+
+    def __init__(self, grid: Grid, psi: bool, closure: str, eta: float):
+        n, helmholtz = grid.n, closure == "helmholtz"
+        m = self.m = n * (1 + psi)
+        self.grid, self.grads = grid, (n * n - 1) * helmholtz
+        tensors = (m // n + helmholtz) * (n == 2)
+        rows = m + self.grads
+        self.u0, self.total = (np.empty((m,) + grid.rshape, complex) for _ in range(2))
+        # the product coefficients reuse the stage rows, the slope the physical rows
+        self.spec = np.empty((rows,) + grid.rshape, complex)
+        k_size = 2 * m * math.prod(grid.rshape)
+        shared = np.empty(max(rows * grid.num_points, k_size))
+        self.phys = shared[: rows * grid.num_points].reshape((rows,) + grid.shape)
+        self.k = shared[:k_size].view(complex).reshape((m,) + grid.rshape)
+        # a helmholtz record forms sigma in 1-D too, which has one pair
+        self.prod = np.empty((max(2 * tensors, int(helmholtz)),) + grid.shape)
+        self.weights = np.empty((tensors, 2) + grid.rshape)
+        if helmholtz:  # twice the closure multiplier, within the band
+            self.q2 = 2.0 * grid.rdealias_mask / (grid.rksq + 1.0 / eta)
+        if tensors:
+            k0, k1 = (np.imag(d) for d in grid.rderivatives)
+            scale = grid.rdealias_mask / np.where(grid.rksq > 0.0, grid.rksq, 1.0)
+            self.weights[:] = (k0 * k1 * scale, (k1**2 - k0**2) * scale)
+            if m > n:  # psi's row A holds (T^{00} - T^{11}) / 2
+                self.weights[1, 0] *= 2.0
+            if helmholtz:
+                self.weights[-1] *= self.q2
+        self._forcing = None
+
+    def load(self, v: Field, psi_v: Field | None):
+        """u0: the (v, psi) coefficients cut to the 2/3 band and projected."""
+        grid, m, n, leray = self.grid, self.m, self.grid.n, self.grid.rleray
+        values = v.values if psi_v is None else np.concatenate(
+            [v.values, psi_v.values], out=self.phys[:m]
+        )
+        w = _rfft(grid, values, out=self.total)
+        w *= grid.rdealias_mask
+        for j, a in np.ndindex(m // n, n):
+            out = np.multiply(w[j * n], leray[a, 0], out=self.u0[j * n + a])
+            for b in range(1, n):
+                out += np.multiply(w[j * n + b], leray[a, b], out=self.spec[0])
+
+    def forcing(self, e_v: Field) -> np.ndarray:
+        """The projected psi forcing in the 2/3 band, transformed once per Field."""
+        if e_v is not self._forcing:
+            self._forcing = e_v
+            self._e_hat = _leray_hat(self.grid, _dealiased_hat(self.grid, e_v.values))
+        return self._e_hat
+
+    def slope(self, e_hat: np.ndarray | None) -> np.ndarray:
+        """The projected right-hand side at the stage in ``spec[:m]``; the
+        other buffers are overwritten."""
+        grid, m, n, tensors = self.grid, self.m, self.grid.n, len(self.weights)
+        spec, phys, prod, k = self.spec, self.phys, self.prod, self.k
+        if not tensors:
+            k.fill(0.0)
+        else:
+            d0, d1 = grid.rderivatives
+            if self.grads:  # d_0 v_0, d_1 v_0, d_0 v_1
+                np.multiply(spec[:2], d0, out=spec[m : m + 3 : 2])
+                np.multiply(spec[0], d1, out=spec[m + 1])
+            _irfft(grid, spec, out=phys)
+            v0, v1 = phys[0], phys[1]
+            a, b = prod[0], prod[1]
+            np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
+            np.multiply(v0, v1, out=b)
+            if m > n:
+                p0, p1, a, b = phys[2], phys[3], prod[2], prod[3]
+                np.subtract(np.multiply(v0, p0, out=a), np.multiply(v1, p1, out=b), out=a)
+                np.add(np.multiply(v0, p1, out=b), np.multiply(p0, v1, out=p0), out=b)
+            if self.grads:
+                g00, g01, g10 = phys[m:]
+                a, b = prod[-2], prod[-1]
+                np.multiply(np.add(g01, g10, out=a), np.subtract(g01, g10, out=b), out=a)
+                np.multiply(np.subtract(g10, g01, out=b), g00, out=b)
+            t = _rfft(grid, prod, out=spec[: len(prod)]).reshape(self.weights.shape)
+            t *= self.weights
+            c = np.add(t[:, 0], t[:, 1], out=t[:, 0])
+            if self.grads:
+                c[0] += c[-1]
+            fields = k.reshape((m // n, n) + grid.rshape)
+            np.negative(np.multiply(c[: m // n], d1, out=fields[:, 0]), out=fields[:, 0])
+            np.multiply(c[: m // n], d0, out=fields[:, 1])
+        if e_hat is not None:
+            k[n:] += e_hat
+        return k
+
+
+# reused across the steps and runs of one stack, closure and eta; each use
+# writes a buffer before reading it, and the forcing is keyed by its Field
+_stages = functools.lru_cache(maxsize=4)(_Stages)
 
 
 def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: float) -> Field:
@@ -117,57 +191,12 @@ def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: floa
         ) from err
 
 
-def _rhs_hat(
-    grid: Grid, u_hat: np.ndarray, closure: str, eta: float, e_hat: np.ndarray | None
-) -> np.ndarray:
-    """Projected right-hand side of the stacked (v, psi) coefficients.
-
-    Quadratic transport is taken in flux form on the half spectrum:
-    -P div(v v) for the velocity and -P div(v psi + psi v) for psi, the
-    fluxes stored by symmetric pair.  So one batched inverse transform of
-    (v, psi) and one batched forward transform of the 2/3-masked products
-    make a stage.  The helmholtz closure needs grad v in physical space
-    for sigma; the velocity term then stays -(v . grad) v on those
-    gradients.  psi is never differentiated in physical space.
-
-    The flux form equals the advective form -(v . grad) v and
-    -(v . grad) psi - (psi . grad) v when v and psi are solenoidal and
-    band-limited to the 2/3 cutoff: the product rule then holds on every
-    kept mode and the terms carrying div v and div psi vanish.
-    ``_transform_state`` projects and band-limits the state,
-    ``step_rk4`` cuts the forcing to the band, and every slope is
-    projected and masked, so every stage meets both conditions.
-    """
-    n, m = grid.n, u_hat.shape[0]
-    helmholtz = closure == "helmholtz"
-    phys = _irfft(grid, _with_gradients(grid, u_hat) if helmholtz else u_hat)
-    v, psi = phys[:n], phys[n:m]
-    if helmholtz:
-        dv = phys[m:].reshape((n, n) + grid.shape)
-        products = [_advection(v, dv)]
-    else:
-        products = [_pair_products(v, v)]
-    if m > n:
-        products.append(_pair_products(v, psi) + _pair_products(psi, v))
-    if helmholtz:
-        products.append(_stress(dv))
-        del dv
-    # free the stage's physical arrays before the forward transform
-    del phys, v, psi
-    coeffs = _dealiased_hat(grid, np.concatenate(products))
-    del products
-    # rows of u_hat below ``split`` take the advective form, the rest a flux
-    split = n if helmholtz else 0
-    fluxes = (m - split) // n * len(_tensor_pairs(n))
-    out = np.empty_like(u_hat)
-    np.negative(coeffs[:split], out=out[:split])
-    if m > split:
-        np.negative(_pair_divergence_hat(grid, coeffs[split : split + fluxes]), out=out[split:])
-    if helmholtz:
-        out[:n] += _closure_hat(grid, _source_hat(grid, coeffs[split + fluxes :]), eta)
-    if e_hat is not None:
-        out[n:] += e_hat
-    return _leray_hat(grid, out)
+def _rhs(v: Field, psi_v: Field | None, closure: str, eta: float) -> np.ndarray:
+    """The projected, unforced slope of the (v, psi) stack."""
+    ws = _stages(v.grid, psi_v is not None, closure, eta)
+    ws.load(v, psi_v)
+    np.copyto(ws.spec[: ws.m], ws.u0)
+    return ws.slope(None)
 
 
 def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
@@ -176,38 +205,41 @@ def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -
     if eta is None:
         eta = v.eta
     _check_closure(closure, eta)
-    u_hat, _ = _transform_state(v, None, None)
-    return v.with_values(_irfft(v.grid, _rhs_hat(v.grid, u_hat, closure, eta, None)))
+    return v.with_values(_irfft(v.grid, _rhs(v, None, closure, eta)))
 
 
 def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
     """Defect transport: -(v . grad) psi - (psi . grad) v - grad(psi_p) + e.
 
-    The transport is computed as -div(v psi + psi v) of the solenoidal
+    The transport is computed as -P div(v psi + psi v) of the solenoidal
     parts of v and psi within the 2/3 band, where it equals the advective
-    form (see ``_rhs_hat``).  The pressure-defect gradient is realized by
+    form (see ``step_rk4``).  The pressure-defect gradient is realized by
     Leray projection, which removes exactly the gradient part the
-    transport terms generate.
+    transport terms generate.  The forcing is projected but not cut to
+    the band.
     """
-    u_hat, e_hat = _transform_state(v, psi_v, e_v)
-    k = _rhs_hat(v.grid, u_hat, "none", v.eta, e_hat)
-    return psi_v.with_values(_irfft(v.grid, k[v.grid.n :]))
+    grid = v.grid
+    k = _rhs(v, psi_v, "none", v.eta)[grid.n :]
+    if e_v is not None:
+        k += _leray_hat(grid, _rfft(grid, e_v.values))
+    return psi_v.with_values(_irfft(grid, k))
 
 
-def _rk4(u0: np.ndarray, dt: float, rhs) -> np.ndarray:
-    """One classical RK4 step of du/dt = rhs(u) on a coefficient array.
+def _rk4(u0: np.ndarray, total: np.ndarray, stage: np.ndarray, dt: float, slope) -> None:
+    """One classical RK4 step of du/dt = f(u) in place: ``total`` gets u(t + dt).
 
-    The stage and its slope are dropped on return, before the caller's
-    inverse transform.
+    ``slope()`` returns f at the values in ``stage`` in a buffer of its
+    own, which is scaled in place.
     """
-    total = u0.copy()
-    stage = u0
+    np.copyto(total, u0)
+    np.copyto(stage, u0)
     for weight, h in ((1.0, dt / 2), (2.0, dt / 2), (2.0, dt), (1.0, None)):
-        k = rhs(stage)
-        total += (weight * dt / 6.0) * k
+        k = slope()
         if h is not None:
-            stage = u0 + h * k
-    return total
+            np.multiply(k, h, out=stage)
+            stage += u0
+        k *= weight * dt / 6.0
+        total += k
 
 
 def step_rk4(
@@ -219,10 +251,12 @@ def step_rk4(
     """One classical RK4 step of the coupled (v, psi) system.
 
     The stages run on the half-spectrum coefficients of the stacked
-    (v, psi) state, with psi on the same stages as v.  The state enters
-    Leray-projected and cut to the 2/3 band, the forcing is cut to the
-    band and every slope is projected and masked, so the update keeps
-    velocity and defect divergence-free and band-limited.  Finite values
+    (v, psi) state, with psi on the same stages as v.  Transport is taken
+    in flux form, -P div(v v) and -P div(v psi + psi v), which equals the
+    advective form -(v . grad) v and -(v . grad) psi - (psi . grad) v when
+    v and psi are solenoidal and band-limited to the 2/3 cutoff.  So the
+    state enters Leray-projected and cut to the band, the forcing is cut
+    to the band, and every slope is projected and masked.  Finite values
     are checked once, on the result.
     """
     if dt <= 0.0:
@@ -230,11 +264,11 @@ def step_rk4(
     v, psi = state.v, state.psi_v
     grid, eta = v.grid, v.eta
     _check_closure(closure, eta)
-    u0, e_hat = _transform_state(v, psi, e_v)
-    if e_hat is not None:
-        e_hat *= grid.rdealias_mask
-    total = _rk4(u0, dt, lambda stage: _rhs_hat(grid, stage, closure, eta, e_hat))
-    values = _irfft(grid, total)
+    ws = _stages(grid, psi is not None, closure, eta)
+    ws.load(v, psi)
+    e_hat = ws.forcing(e_v) if psi is not None and e_v is not None else None
+    _rk4(ws.u0, ws.total, ws.spec[: ws.m], dt, lambda: ws.slope(e_hat))
+    values = _irfft(grid, ws.total, out=ws.phys[: ws.m])
     t_new = state.t + dt
     step = state.step_count + 1
     v_new = _checked_field(grid, values[: grid.n], "v", step, t_new, eta)
@@ -283,9 +317,12 @@ def _require(key: str, value, kind: type):
 
 
 def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: float) -> Field:
-    """The Leray-projected initial field of one spec, at t = 0 and scale eta.
+    """The initial field of one spec cut to the 2/3 band, at t = 0 and scale eta.
 
-    Each parameter must have the type of its default; errors name the key.
+    Every family is solenoidal (``random_solenoidal`` is projected where
+    it is built), so the cut field is the state a step starts from and the
+    first diagnostics record reports it.  Each parameter must have the
+    type of its default; errors name the key.
     """
     spec = dict(spec)
     name = spec.pop("name", None)
@@ -322,14 +359,14 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: 
                 f = families.single_mode_solenoidal(grid, **params)
             else:
                 f = Field(grid, np.zeros((grid.n,) + grid.shape))
-            f = leray_project(f)
+            f = Field(grid, _irfft(grid, _dealiased_hat(grid, f.values)), t=0.0, eta=eta)
     except (FloatingPointError, NonFiniteFieldError) as err:
         raise ConfigError(
             f"{what}.amplitude={params['amplitude']!r} makes the field non-finite"
         ) from err
     except ValueError as err:
         raise ConfigError(f"{what}.name={name!r} does not fit this grid: {err}") from err
-    return f.with_values(t=0.0, eta=eta)
+    return f
 
 
 @dataclass(frozen=True)
@@ -501,27 +538,42 @@ DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 def kinetic_energy(v: Field) -> float:
     measure = TWO_PI ** v.grid.n
-    return 0.5 * float(np.mean(np.sum(v.values**2, axis=0))) * measure
+    return 0.5 * float(np.vdot(v.values, v.values)) / v.grid.num_points * measure
 
 
 def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> DiagnosticsRecord:
-    """One diagnostics row; v is transformed once.
+    """One diagnostics row, formed in the run's stage buffers; v is
+    transformed once.
 
     Without the closure div v is one inverse transform of sum_a ik_a v_a;
-    with it the velocity gradients, which sigma needs, give div v too.
+    with it the n^2 velocity gradients, which sigma needs, give div v too,
+    and r is the closure of the whole source -2 div sigma.
     """
     v = state.v
-    grid = v.grid
+    grid, n, d = v.grid, v.grid.n, v.grid.rderivatives
+    ws = _stages(grid, state.psi_v is not None, closure, v.eta)
+    v_hat = _rfft(grid, v.values, out=ws.u0[:n])
+    r_l2, r_max = 0.0, 0.0
     if closure == "helmholtz":
-        dv = _gradient_values(v)
-        div = np.trace(dv)
-        s_hat = _source_hat(grid, _dealiased_hat(grid, _stress(dv)))
-        r_l2, r_max = field_norms(Field(grid, _irfft(grid, _closure_hat(grid, s_hat, v.eta))))
+        for b in range(n):  # row a * n + b holds d_b v_a
+            np.multiply(v_hat, d[b], out=ws.spec[b : n * n : n])
+        dv = _irfft(grid, ws.spec[: n * n], out=ws.phys[: n * n]).reshape((n, n) + grid.shape)
+        sigma = ws.prod[: len(_tensor_pairs(n))]
+        for row, (a, b) in zip(sigma, _tensor_pairs(n)):
+            np.einsum("c...,c...->...", dv[a], dv[b], out=row)
+        div = np.add(dv[0, 0], dv[-1, -1], out=dv[0, 0]) if n == 2 else dv[0, 0]
+        div_max = max(div.max(), -div.min())  # before the slope rows reuse dv
+        s_hat = _rfft(grid, sigma, out=ws.spec[: len(sigma)])
+        r_hat = ws.k[:n]  # -2 q div sigma; the pair (a, b) is row a + b for n <= 2
+        for a in range(n):
+            np.multiply(s_hat[a], d[0], out=r_hat[a])
+            if n == 2:
+                r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[len(sigma)])
+        np.negative(np.multiply(r_hat, ws.q2, out=r_hat), out=r_hat)
+        r_l2, r_max = _value_norms(grid, _irfft(grid, r_hat, out=ws.prod[:n]))
     else:
-        v_hat = _rfft(grid, v.values)
-        div = _irfft(grid, sum(d * c for d, c in zip(grid.rderivatives, v_hat)))
-        r_l2, r_max = 0.0, 0.0
-    div_max = float(np.max(np.abs(div)))
+        div = _irfft(grid, sum(dk * c for dk, c in zip(d, v_hat)))
+        div_max = max(div.max(), -div.min())
     if state.psi_v is not None:
         psi_l2, psi_max = field_norms(state.psi_v)
     else:
@@ -530,7 +582,7 @@ def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> Diagnostic
         step=state.step_count,
         t=state.t,
         energy=kinetic_energy(v),
-        max_div_v=div_max,
+        max_div_v=float(div_max),
         r_l2=r_l2,
         r_max=r_max,
         psi_l2=psi_l2,
@@ -571,7 +623,10 @@ def run_simulation(
     _forcing_path(config)
     e_v, psi_sup = None, 0.0
     if state.psi_v is not None:
-        e_v = resolve_forcing(config, state.v.grid)
+        grid = state.v.grid
+        e_v = resolve_forcing(config, grid)
+        if e_v is not None:  # transformed here, once per run, not in every step
+            _stages(grid, True, config.closure, state.eta).forcing(e_v)
         psi_sup = field_norms(state.psi_v)[1]
     records = [_diagnose(state, config.closure, psi_sup)]
     try:
@@ -586,19 +641,30 @@ def run_simulation(
     return SimulationResult(config=config, records=records, final=state)
 
 
-def _burgers_hat(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
-    """Half-spectrum -(u u_x) of one component, the product 2/3-rule masked.
+def _burgers_slope(grid: Grid, spec: np.ndarray):
+    """The slope -(u u_x) of the coefficients in ``spec[0]``, the product
+    2/3-rule masked, as a function that reuses its buffers.
 
-    One inverse transform gives u and u_x, one forward transform the
-    product.
+    One inverse transform gives u and u_x (into ``spec[1]``), one forward
+    transform the product.
     """
-    u, u_x = _irfft(grid, _with_gradients(grid, u_hat))
-    return -_dealiased_hat(grid, (u * u_x)[np.newaxis])
+    phys, k = np.empty((2,) + grid.shape), np.empty((1,) + grid.rshape, complex)
+
+    def slope():
+        np.multiply(spec[0], grid.rderivatives[0], out=spec[1])
+        u, u_x = _irfft(grid, spec, out=phys)
+        u *= u_x
+        k_hat = _rfft(grid, phys[:1], out=k)
+        k_hat *= grid.rdealias_mask
+        return np.negative(k_hat, out=k_hat)
+
+    return slope
 
 
 def _burgers_rhs(u: Field) -> Field:
-    grid = u.grid
-    return u.with_values(_irfft(grid, _burgers_hat(grid, _rfft(grid, u.values))))
+    spec = np.empty((2,) + u.grid.rshape, complex)
+    _rfft(u.grid, u.values, out=spec[:1])
+    return u.with_values(_irfft(u.grid, _burgers_slope(u.grid, spec)()))
 
 
 @dataclass
@@ -649,16 +715,15 @@ def reference_burgers(
         snapshots.append(u)
         wanted = wanted[1:]
     u_hat = _rfft(fine, u.values)
-
-    def rhs(stage):
-        return _burgers_hat(fine, stage)
-
+    total, spec = np.empty_like(u_hat), np.empty((2,) + fine.rshape, complex)
+    slope = _burgers_slope(fine, spec)
     t = 0.0
     for target in wanted:
         n_steps = max(1, round((target - t) / dt))
         h = (target - t) / n_steps
         for step in range(1, n_steps + 1):
-            u_hat = _rk4(u_hat, h, rhs)
+            _rk4(u_hat, total, spec[:1], h, slope)
+            u_hat, total = total, u_hat
             if not np.all(np.isfinite(u_hat)):
                 raise SimulationDiverged(
                     f"non-finite values in the Burgers reference at t={t + step * h:.6g}"

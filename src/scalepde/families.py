@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluid import leray_project
-from .grid import Field, Grid
+from .fluid import _leray_hat
+from .grid import Field, Grid, _irfft, _rfft
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0, t: float = 0.0, eta: float = 0.0) -> Field:
@@ -56,20 +56,29 @@ def single_mode_solenoidal(
     return Field(grid, vals)
 
 
+def _random_values(
+    grid: Grid, rng: np.random.Generator, ncomp: int, kmax: int, solenoidal: bool
+) -> np.ndarray:
+    """Standard normal noise confined to |k_axis| <= kmax; a solenoidal one
+    also loses its mean and is Leray-projected."""
+    noise = rng.standard_normal((ncomp,) + grid.shape)
+    coeffs = _rfft(grid, noise, out=np.empty((ncomp,) + grid.rshape, complex))
+    k = np.abs(np.fft.fftfreq(grid.size, 1.0 / grid.size))
+    for axis, size in enumerate(grid.rshape):
+        coeffs *= (k[:size] <= kmax).reshape((size,) + (1,) * (grid.n - 1 - axis))
+    if solenoidal:
+        coeffs[(slice(None),) + (0,) * grid.n] = 0.0
+        coeffs = _leray_hat(grid, coeffs)
+    return _irfft(grid, coeffs)
+
+
 def random_band_limited(
     grid: Grid, rng: np.random.Generator, ncomp: int = 1,
     kmax: int = 4, amplitude: float = 1.0,
 ) -> Field:
     """Smooth random field with modes confined to |k_axis| <= kmax."""
-    coeffs = np.fft.fftn(
-        rng.standard_normal((ncomp,) + grid.shape), axes=tuple(range(1, grid.n + 1))
-    )
-    keep = np.ones(grid.shape, dtype=bool)
-    for k in grid.wavenumbers:
-        keep &= np.abs(k) <= kmax
-    coeffs *= keep
-    vals = np.fft.ifftn(coeffs, axes=tuple(range(1, grid.n + 1))).real
-    peak = np.max(np.abs(vals))
+    vals = _random_values(grid, rng, ncomp, kmax, solenoidal=False)
+    peak = max(vals.max(), -vals.min())
     if peak > 0.0:
         vals *= amplitude / peak
     return Field(grid, vals)
@@ -81,18 +90,16 @@ def random_solenoidal(
     """Random divergence-free velocity with zero mean, peak |v| = amplitude.
 
     In 1-D a divergence-free field is a constant, so nothing is left once
-    the mean is removed; that raises ValueError rather than scaling the
-    rounding residue up to the amplitude.
+    the mean is removed; that raises ValueError.
     """
-    raw = random_band_limited(grid, rng, ncomp=grid.n, kmax=kmax, amplitude=1.0)
-    vals = raw.values - raw.values.mean(axis=tuple(range(1, grid.n + 1)), keepdims=True)
-    sol = leray_project(Field(grid, vals))
-    peak = np.max(np.abs(sol.values))
+    vals = _random_values(grid, rng, grid.n, kmax, solenoidal=True)
+    peak = max(vals.max(), -vals.min())
     if not peak > 1e-12:
         raise ValueError(
             f"no divergence-free part with zero mean exists on a {grid.n}-D grid"
         )
-    return sol.with_values(sol.values * (amplitude / peak))
+    vals *= amplitude / peak
+    return Field(grid, vals)
 
 
 @dataclass(frozen=True)

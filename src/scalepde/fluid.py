@@ -37,11 +37,6 @@ def _stress(dv: np.ndarray) -> np.ndarray:
     return np.stack([np.sum(dv[a] * dv[b], axis=0) for a, b in _tensor_pairs(len(dv))])
 
 
-def _pair_products(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v^a w^b for the pairs a <= b."""
-    return np.stack([v[a] * w[b] for a, b in _tensor_pairs(len(v))])
-
-
 def _pair_divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
     """Half-spectrum sum_b d_b T^{ab} of symmetric tensors stored by pair.
 

@@ -8,6 +8,7 @@ space with a leading component axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,9 @@ class Grid:
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def make_grid(n: int, size: int) -> Grid:
-    """Build a validated periodic grid."""
+    """A validated periodic grid; recent ones are kept, with their tables."""
     return Grid(n=n, size=size)
 
 
@@ -202,14 +204,14 @@ def _spatial_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(1, grid.n + 1))
 
 
-def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
+def _rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Batched real forward transform over the trailing spatial axes."""
-    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)))
+    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)), out=out)
 
 
-def _irfft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def _irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of ``_rfft`` onto the grid shape."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.n, 0)))
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.n, 0)), out=out)
 
 
 def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:
@@ -217,22 +219,6 @@ def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:
     coeffs = _rfft(grid, products)
     coeffs *= grid.rdealias_mask
     return coeffs
-
-
-def _with_gradients(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Half-spectrum stack of m >= n components followed by the gradients
-    of the velocity, the first n of them.
-
-    Entry m + a*n + b holds d_b of component a, so after ``_irfft`` the
-    tail reshapes to ``(n, n) + grid.shape``.
-    """
-    m, n = coeffs.shape[0], grid.n
-    out = np.empty((m + n * n,) + grid.rshape, dtype=complex)
-    out[:m] = coeffs
-    grads = out[m:].reshape((n, n) + grid.rshape)
-    for b, d in enumerate(grid.rderivatives):
-        np.multiply(coeffs[:n], d, out=grads[:, b])
-    return out
 
 
 def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -285,14 +271,16 @@ def divergence(f: Field) -> Field:
     return f.with_values(vals[np.newaxis])
 
 
+def _value_norms(grid: Grid, values: np.ndarray) -> tuple[float, float]:
+    """``field_norms`` of a stack of component values, with no temporaries."""
+    mean_sq = float(np.vdot(values, values)) / grid.num_points
+    return float(np.sqrt(mean_sq) * TWO_PI**grid.n), float(max(values.max(), -values.min()))
+
+
 def field_norms(f: Field) -> tuple[float, float]:
     """(l2, max): root-mean-square over points times the domain measure,
     and the max absolute value over all components and points."""
-    measure = TWO_PI ** f.grid.n
-    mean_sq = float(np.mean(np.sum(f.values**2, axis=0)))
-    l2 = float(np.sqrt(mean_sq) * measure)
-    vmax = float(np.max(np.abs(f.values)))
-    return l2, vmax
+    return _value_norms(f.grid, f.values)
 
 
 def restrict_to_grid(f: Field, coarse: Grid) -> Field:

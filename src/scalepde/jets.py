@@ -31,6 +31,11 @@ class CoreSyntaxError(ValueError):
     """Raised for malformed core-function text, with line/column info."""
 
 
+def _shown(text: str, width: int = 24) -> str:
+    """repr of a piece of core text, cut short for an error message."""
+    return repr(text) if len(text) <= width else repr(text[:width]) + "..."
+
+
 def _coord_rank(label: str) -> tuple[int, int]:
     if label == "t":
         return (1, 0)
@@ -328,14 +333,14 @@ def _split_suffix(suffix: str, tok: _Token) -> tuple[str, ...]:
             if not m:
                 raise CoreSyntaxError(
                     f"line {tok.line}, column {tok.col}: bad derivative "
-                    f"suffix {suffix!r} in {tok.text!r}"
+                    f"suffix {_shown(suffix)} in {_shown(tok.text)}"
                 )
             labels.append(m.group())
             pos += len(m.group())
         else:
             raise CoreSyntaxError(
                 f"line {tok.line}, column {tok.col}: bad derivative "
-                f"suffix {suffix!r} in {tok.text!r}"
+                f"suffix {_shown(suffix)} in {_shown(tok.text)}"
             )
     return tuple(labels)
 
@@ -345,19 +350,19 @@ def _parse_jet_ident(tok: _Token, allow_eta: bool) -> JetIndex:
     if not m:
         raise CoreSyntaxError(
             f"line {tok.line}, column {tok.col}: unknown identifier "
-            f"{tok.text!r} (jet variables look like u1, u2_x1t)"
+            f"{_shown(tok.text)} (jet variables look like u1, u2_x1t)"
         )
     component = int(m.group(1))
     if component < 1:
         raise CoreSyntaxError(
             f"line {tok.line}, column {tok.col}: components are numbered "
-            f"from 1, got {tok.text!r}"
+            f"from 1, got {_shown(tok.text)}"
         )
     derivs = _split_suffix(m.group(2), tok) if m.group(2) else ()
     if not allow_eta and "eta" in derivs:
         raise CoreSyntaxError(
             f"line {tok.line}, column {tok.col}: eta derivatives are not "
-            f"allowed in core functions ({tok.text!r})"
+            f"allowed in core functions ({_shown(tok.text)})"
         )
     return JetIndex(component, derivs)
 
@@ -383,7 +388,7 @@ class _Parser:
         return tok
 
     def fail(self, tok: _Token, expected: str):
-        got = repr(tok.text) if tok.kind != "end" else "end of input"
+        got = _shown(tok.text) if tok.kind != "end" else "end of input"
         raise CoreSyntaxError(
             f"line {tok.line}, column {tok.col}: expected {expected}, got {got}"
         )
@@ -433,7 +438,7 @@ class _Parser:
                 result = [JetMonomial(Fraction(tok.text))]
             except ZeroDivisionError:
                 raise CoreSyntaxError(
-                    f"line {tok.line}, column {tok.col}: division by zero in {tok.text!r}"
+                    f"line {tok.line}, column {tok.col}: division by zero in {_shown(tok.text)}"
                 ) from None
         elif tok.kind == "ident":
             self.advance()
@@ -488,14 +493,14 @@ def parse_core(
     for idx, tok in parser.indices:
         if idx.component > N:
             raise CoreSyntaxError(
-                f"line {tok.line}, column {tok.col}: {tok.text!r} exceeds "
+                f"line {tok.line}, column {tok.col}: {_shown(tok.text)} exceeds "
                 f"component count N={N}"
             )
         for d in idx.derivs:
-            if d.startswith("x") and int(d[1:]) > n:
+            if d.startswith("x") and int(d[1:]) > min(n, 2):
                 raise CoreSyntaxError(
-                    f"line {tok.line}, column {tok.col}: {tok.text!r} uses "
-                    f"spatial axis beyond n={n}"
+                    f"line {tok.line}, column {tok.col}: {_shown(tok.text)} uses "
+                    f"spatial axis beyond n={min(n, 2)}"
                 )
     return JetExpr(n, N, tuple(tuple(c) for c in comps))
 

@@ -228,6 +228,17 @@ class TestDeriveSource:
         assert err.startswith(f"error: line 1, column {column}: ")
         assert "4300" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, column", [("u1_x" + "1" * 4000, 1), ("u1 +\n  u1_x3", 3)], ids=["huge", "x3"]
+    )
+    def test_spatial_index_past_2_exits_2_naming_position(self, capsys, text, column):
+        code = main(["derive-source", "--set", f"core_text={text}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        line = text.count("\n") + 1
+        assert err.startswith(f"error: line {line}, column {column}: ")
+        assert "spatial axis beyond n=2" in err and len(err) < 200
+
     def test_huge_component_number(self, capsys):
         start = time.perf_counter()
         code = main(["derive-source", "--set", "core_text=u100000000000000000000_x1"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,23 +217,27 @@ class TestTransformBudget:
     @pytest.mark.parametrize(
         "closure, with_psi, transforms",
         [
-            ("none", False, 24),
-            ("none", True, 50),
-            ("helmholtz", False, 48),
-            ("helmholtz", True, 74),
+            ("none", False, 20),
+            ("none", True, 40),
+            ("helmholtz", False, 40),
+            ("helmholtz", True, 60),
         ],
+        ids=["none", "none-psi", "helmholtz", "helmholtz-psi"],
     )
     def test_transforms_per_step(self, transform_counts, rng, closure, with_psi, transforms):
-        """A closure=none stage transforms (v, psi) and their fluxes only;
-        helmholtz adds grad v for sigma, never grad psi."""
+        """A stage transforms (v, psi), helmholtz's n^2 - 1 velocity
+        gradients and the two trace-free rows of each tensor; the forcing
+        is transformed once, by the first step that uses it."""
         grid = make_grid(2, 32)
         v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
         psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
         e_v = random_solenoidal(grid, rng, kmax=2) if with_psi else None
-        transform_counts.update(calls=0, transforms=0)
-        step_rk4(EvolutionState(t=0.0, v=v, psi_v=psi), 1e-3, closure=closure, e_v=e_v)
-        assert transform_counts["transforms"] == transforms
-        assert transform_counts["calls"] == 10
+        state = EvolutionState(t=0.0, v=v, psi_v=psi)
+        for forcing in (2 * with_psi, 0):
+            transform_counts.update(calls=0, transforms=0)
+            state = step_rk4(state, 1e-3, closure=closure, e_v=e_v)
+            assert transform_counts["transforms"] == transforms + forcing
+            assert transform_counts["calls"] == 10 + (forcing > 0)
 
     @pytest.mark.parametrize("closure, transforms", [("none", 3), ("helmholtz", 11)])
     def test_transforms_per_record(self, transform_counts, rng, closure, transforms):
@@ -242,6 +247,32 @@ class TestTransformBudget:
         record = _diagnose(EvolutionState(t=0.0, v=v), closure, 0.0)
         assert transform_counts["transforms"] == transforms
         assert record.max_div_v <= 1e-12
+
+
+class TestStepMemory:
+    """A warm step works in stage buffers kept from earlier steps."""
+
+    @pytest.mark.parametrize("closure, with_psi", [("helmholtz", False), ("none", True)])
+    def test_warm_step_allocates_about_one_state(self, rng, closure, with_psi):
+        """Beyond the complex intermediate numpy's irfftn makes of a stage's
+        rows (v, psi and helmholtz's three gradients), a warm 64^2 step
+        allocates about the new state's values."""
+        grid = make_grid(2, 64)
+        v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
+        psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
+        e_v = random_solenoidal(grid, rng, kmax=2) if with_psi else None
+        state = step_rk4(EvolutionState(0.0, v, psi), 1e-3, closure=closure, e_v=e_v)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step_rk4(state, 1e-3, closure=closure, e_v=e_v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        state_bytes = v.values.nbytes * (1 + with_psi)
+        rows = 2 * (1 + with_psi) + 3 * (closure == "helmholtz")
+        intermediate = rows * grid.size * (grid.size // 2 + 1) * 16
+        assert peak <= intermediate + 1.1 * state_bytes
 
 
 class TestPinnedRun:
@@ -363,6 +394,20 @@ class TestRunSimulation:
         for rec in result.records:
             assert rec.deviation_bound == pytest.approx(config.eta * rec.psi_sup)
         assert result.records[-1].psi_max > 0
+
+    def test_first_record_reports_the_band_limited_state(self):
+        """The default kmax = 4 is past the 2/3 cutoff of grid_size 8; the
+        initial condition is cut when it is built, so step 0 reports the
+        state that the steps evolve."""
+        config = RunConfig(
+            grid_size=8, closure="none", output_interval=1,
+            initial_condition={"name": "random_solenoidal"},
+        )
+        v0 = build_initial_state(config).v
+        assert np.max(np.abs(v0.values - dealiased(v0).values)) <= 1e-14
+        first, second = run_simulation(config).records[:2]
+        assert first.max_div_v <= 1e-12
+        assert first.energy == pytest.approx(second.energy, rel=1e-9)
 
     def test_trivial_psi_columns(self):
         config = RunConfig(grid_size=32, t_end=0.02, psi_enabled=True)

@@ -9,13 +9,10 @@ from .grid import (
     Field,
     Grid,
     NonFiniteFieldError,
-    TensorField,
-    dealiased,
     divergence,
     field_norms,
     laplacian,
     make_grid,
-    restrict_to_grid,
     spectral_derivative,
 )
 from .heat import (
@@ -38,6 +35,7 @@ from .jets import (
     jet_W,
     jet_evaluate,
     jet_frechet,
+    jet_linearize,
     jet_total_derivative,
     jet_values,
     parse_core,

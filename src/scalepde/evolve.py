@@ -12,13 +12,14 @@ import functools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import astuple, dataclass, field as _dc_field, fields
 
 import numpy as np
 
 from . import families
-from .fluid import _leray_hat
+from .fluid import _leray_hat, _tensor_pairs
 from .grid import (
     TWO_PI,
     Field,
@@ -27,12 +28,10 @@ from .grid import (
     _dealiased_hat,
     _irfft,
     _rfft,
-    _tensor_pairs,
     _value_norms,
-    dealiased,
+    divergence,
     field_norms,
     make_grid,
-    restrict_to_grid,
 )
 
 
@@ -551,10 +550,10 @@ def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> Diagnostic
     """
     v = state.v
     grid, n, d = v.grid, v.grid.n, v.grid.rderivatives
-    ws = _stages(grid, state.psi_v is not None, closure, v.eta)
-    v_hat = _rfft(grid, v.values, out=ws.u0[:n])
     r_l2, r_max = 0.0, 0.0
     if closure == "helmholtz":
+        ws = _stages(grid, state.psi_v is not None, closure, v.eta)
+        v_hat = _rfft(grid, v.values, out=ws.u0[:n])
         for b in range(n):  # row a * n + b holds d_b v_a
             np.multiply(v_hat, d[b], out=ws.spec[b : n * n : n])
         dv = _irfft(grid, ws.spec[: n * n], out=ws.phys[: n * n]).reshape((n, n) + grid.shape)
@@ -572,7 +571,7 @@ def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> Diagnostic
         np.negative(np.multiply(r_hat, ws.q2, out=r_hat), out=r_hat)
         r_l2, r_max = _value_norms(grid, _irfft(grid, r_hat, out=ws.prod[:n]))
     else:
-        div = _irfft(grid, sum(dk * c for dk, c in zip(d, v_hat)))
+        div = divergence(v).values
         div_max = max(div.max(), -div.min())
     if state.psi_v is not None:
         psi_l2, psi_max = field_norms(state.psi_v)
@@ -599,18 +598,14 @@ class SimulationResult:
     final: EvolutionState
 
 
-def run_simulation(
-    config: RunConfig, initial: EvolutionState | None = None
-) -> SimulationResult:
+def run_simulation(config: RunConfig) -> SimulationResult:
     """Integrate a configured run and collect diagnostics.
 
     The running sup of |psi| feeds the deviation bound column
     eta * sup |psi|.  Raises SimulationDiverged (with partial records
     attached) when values stop being finite.
     """
-    if initial is None:
-        initial = build_initial_state(config)
-    state = initial
+    state = build_initial_state(config)
     dt = config.resolved_dt(state.v)
     limit = cfl_limit(state.v)
     if dt > limit * (1.0 + 1e-12):
@@ -661,12 +656,6 @@ def _burgers_slope(grid: Grid, spec: np.ndarray):
     return slope
 
 
-def _burgers_rhs(u: Field) -> Field:
-    spec = np.empty((2,) + u.grid.rshape, complex)
-    _rfft(u.grid, u.values, out=spec[:1])
-    return u.with_values(_irfft(u.grid, _burgers_slope(u.grid, spec)()))
-
-
 @dataclass
 class BurgersReference:
     """Fine-grid inviscid Burgers trajectory with coarse slice access."""
@@ -677,15 +666,20 @@ class BurgersReference:
     snapshots: list[Field]
 
     def coarse_slice(self, i: int) -> tuple[Field, Field]:
-        """(u, u_t) restricted to the coarse grid and dealiased there.
+        """(u, u_t) restricted to the coarse grid and cut to its 2/3 band.
 
         u_t restricts the fine-grid right-hand side, which is the exact
-        time derivative of the restricted trajectory.
+        time derivative of the restricted trajectory.  Both keep the
+        fine half spectrum's first coarse.size // 2 + 1 modes.
         """
-        snap = self.snapshots[i]
-        u = dealiased(restrict_to_grid(snap, self.coarse))
-        u_t = dealiased(restrict_to_grid(_burgers_rhs(snap), self.coarse))
-        return u, u_t.with_values(t=u.t)
+        snap, fine, coarse = self.snapshots[i], self.fine, self.coarse
+        spec = np.empty((2,) + fine.rshape, complex)
+        u_hat = _rfft(fine, snap.values, out=spec[:1])
+        keep = coarse.size // 2 + 1
+        coeffs = np.concatenate([u_hat[:, :keep], _burgers_slope(fine, spec)()[:, :keep]])
+        coeffs *= coarse.rdealias_mask * (coarse.size / fine.size)
+        u, u_t = _irfft(coarse, coeffs)
+        return Field(coarse, u, t=snap.t), Field(coarse, u_t, t=snap.t)
 
 
 def reference_burgers(
@@ -770,16 +764,24 @@ def read_checkpoint(path) -> tuple[Field, dict]:
         try:
             header = json.loads(fh.readline().decode())
             version = header.get("version")
-            grid = make_grid(header["n"], header["size"])
+            if version != CHECKPOINT_VERSION:
+                raise OSError(
+                    f"{path}: checkpoint version {version!r} is not supported "
+                    f"(expected {CHECKPOINT_VERSION})"
+                )
+            n, size = header["n"], header["size"]
             ncomp, t, eta = int(header["components"]), header["t"], header["eta"]
-        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            if n not in (1, 2) or not isinstance(size, int):
+                raise ValueError(f"n={n!r} and size={size!r} give no grid")
+            # counted in Python ints and checked against the file before the
+            # grid is built: a huge size would fill memory with its tables
+            nbytes = ncomp * size**n * 8
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if nbytes > left:
+                raise OSError(f"{path}: truncated checkpoint, {left} of {nbytes} data bytes")
+            grid = make_grid(n, size)
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as err:
             raise OSError(f"{path}: unreadable checkpoint header ({err!r})") from err
-        if version != CHECKPOINT_VERSION:
-            raise OSError(
-                f"{path}: checkpoint version {version!r} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        nbytes = ncomp * grid.num_points * 8
         raw = fh.read(nbytes)
     if len(raw) != nbytes:
         raise OSError(

@@ -13,18 +13,15 @@ import warnings
 
 import numpy as np
 
-from .grid import (
-    Field,
-    Grid,
-    TensorField,
-    _dealiased_hat,
-    _irfft,
-    _rfft,
-    _tensor_pairs,
-)
+from .grid import Field, Grid, _dealiased_hat, _irfft, _rfft
 from .jets import JetExpr, spatial_labels
 
 DIVERGENCE_WARN_TOL = 1e-8
+
+
+def _tensor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The index pairs a <= b by which a symmetric tensor is stored."""
+    return tuple((a, b) for a in range(n) for b in range(a, n))
 
 
 def _advection(v: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -80,11 +77,11 @@ def _check_velocity(v: Field):
         raise ValueError(f"expected {v.grid.n} velocity components, got {v.ncomp}")
 
 
-def sigma(v: Field) -> TensorField:
-    """Filter stress sigma^{ab} = sum_c d_c v^a d_c v^b, products dealiased."""
+def sigma(v: Field) -> Field:
+    """Filter stress sigma^{ab} = sum_c d_c v^a d_c v^b, products dealiased,
+    one row per pair a <= b in ``_tensor_pairs`` order."""
     _check_velocity(v)
-    vals = _irfft(v.grid, _dealiased_hat(v.grid, _stress(_gradient_values(v))))
-    return TensorField(v.grid, vals, t=v.t, eta=v.eta)
+    return v.with_values(_irfft(v.grid, _dealiased_hat(v.grid, _stress(_gradient_values(v)))))
 
 
 def fluid_source(v: Field) -> Field:

@@ -8,6 +8,7 @@ space with a leading component axis.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -144,6 +145,12 @@ def _as_field_values(grid: Grid, values) -> np.ndarray:
     return arr
 
 
+def _check_eta(eta):
+    if not eta >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    return eta
+
+
 @dataclass(frozen=True)
 class Field:
     """Physical-space field with shape (components, *grid.shape).
@@ -159,8 +166,7 @@ class Field:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_field_values(self.grid, self.values))
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        _check_eta(self.eta)
 
     @property
     def ncomp(self) -> int:
@@ -170,12 +176,16 @@ class Field:
         return self.values[c]
 
     def with_values(self, values=None, *, t=None, eta=None) -> "Field":
-        return Field(
-            grid=self.grid,
-            values=self.values if values is None else values,
-            t=self.t if t is None else t,
-            eta=self.eta if eta is None else eta,
-        )
+        """This field with new values, t or eta.  Without new values the
+        read-only, already checked array is shared, not copied."""
+        t = self.t if t is None else t
+        eta = self.eta if eta is None else eta
+        if values is not None:
+            return Field(self.grid, values, t=t, eta=eta)
+        shared = copy.copy(self)
+        object.__setattr__(shared, "t", t)
+        object.__setattr__(shared, "eta", _check_eta(eta))
+        return shared
 
     def _check_compatible(self, other: "Field"):
         if self.grid != other.grid:
@@ -229,11 +239,6 @@ def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(coeffs, axes=axes).real
 
 
-def dealiased(f: Field) -> Field:
-    """Physical-space round trip through the 2/3-rule mask."""
-    return f.with_values(_dealias_values(f.grid, f.values))
-
-
 def spectral_derivative(f: Field, axis: int) -> Field:
     """Exact Fourier derivative along a spatial axis.
 
@@ -259,16 +264,14 @@ def laplacian(f: Field) -> Field:
 
 
 def divergence(f: Field) -> Field:
-    """Divergence of an n-component field."""
-    if f.ncomp != f.grid.n:
+    """Divergence of an n-component field, one transform each way."""
+    grid = f.grid
+    if f.ncomp != grid.n:
         raise ValueError(
-            f"divergence expects {f.grid.n} components, got {f.ncomp}"
+            f"divergence expects {grid.n} components, got {f.ncomp}"
         )
-    vals = np.zeros(f.grid.shape)
-    for axis in range(f.grid.n):
-        comp = f.with_values(f.values[axis : axis + 1])
-        vals = vals + spectral_derivative(comp, axis).component(0)
-    return f.with_values(vals[np.newaxis])
+    coeffs = _rfft(grid, f.values)
+    return f.with_values(_irfft(grid, sum(d * c for d, c in zip(grid.rderivatives, coeffs))))
 
 
 def _value_norms(grid: Grid, values: np.ndarray) -> tuple[float, float]:
@@ -281,63 +284,3 @@ def field_norms(f: Field) -> tuple[float, float]:
     """(l2, max): root-mean-square over points times the domain measure,
     and the max absolute value over all components and points."""
     return _value_norms(f.grid, f.values)
-
-
-def restrict_to_grid(f: Field, coarse: Grid) -> Field:
-    """Spectral restriction onto a coarser grid of the same dimension.
-
-    Modes representable on the coarse grid are copied; the coarse
-    Nyquist mode is left at zero.
-    """
-    fine = f.grid
-    if coarse.n != fine.n:
-        raise ValueError("grids have different dimensions")
-    if coarse.size > fine.size:
-        raise ValueError("target grid must not be finer than the source")
-    if coarse.size == fine.size:
-        return Field(coarse, f.values, t=f.t, eta=f.eta)
-    half = coarse.size // 2
-    src = list(range(half)) + list(range(fine.size - half + 1, fine.size))
-    dst = list(range(half)) + list(range(half + 1, coarse.size))
-    coeffs = np.fft.fftn(f.values, axes=_spatial_axes(fine))
-    out = np.zeros((f.ncomp,) + coarse.shape, dtype=complex)
-    comp = range(f.ncomp)
-    if fine.n == 1:
-        out[np.ix_(comp, dst)] = coeffs[np.ix_(comp, src)]
-    else:
-        out[np.ix_(comp, dst, dst)] = coeffs[np.ix_(comp, src, src)]
-    out *= (coarse.size / fine.size) ** fine.n
-    vals = np.fft.ifftn(out, axes=_spatial_axes(coarse)).real
-    return Field(coarse, vals, t=f.t, eta=f.eta)
-
-
-def _tensor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((a, b) for a in range(n) for b in range(a, n))
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Symmetric rank-2 tensor field stored by unordered index pair."""
-
-    grid: Grid
-    values: np.ndarray
-    t: float = 0.0
-    eta: float = 0.0
-
-    def __post_init__(self):
-        arr = _as_field_values(self.grid, self.values)
-        npairs = len(_tensor_pairs(self.grid.n))
-        if arr.shape[0] != npairs:
-            raise ValueError(
-                f"expected {npairs} tensor components for n={self.grid.n}, "
-                f"got {arr.shape[0]}"
-            )
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return _tensor_pairs(self.grid.n)
-
-    def component(self, a: int, b: int) -> np.ndarray:
-        lo, hi = min(a, b), max(a, b)
-        return self.values[self.pairs.index((lo, hi))]

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, Grid, _dealias_values, spectral_derivative
+from .grid import Field, _dealias_values, spectral_derivative
 
 
 class CoreSyntaxError(ValueError):
@@ -604,22 +604,29 @@ def jet_frechet(core: JetExpr) -> FrechetTable:
     return FrechetTable(core=core, zero_order=zero, first_order=first)
 
 
+def jet_linearize(core: JetExpr) -> JetExpr:
+    """Frechet derivative of a core applied to a second field, as a core.
+
+    Over 2N components, u^{N+beta} stands for the second field psi^beta:
+    by the product rule each factor u^beta_I is replaced in turn by
+    u^{N+beta}_I, which sums the ``jet_frechet`` table contracted with
+    the jets of psi.
+    """
+    lifted = JetExpr(core.n, 2 * core.N, core.terms)
+    return _product_rule(lifted, lambda f: (JetIndex(core.N + f.component, f.derivs),))
+
+
 def jet_values(
-    exprs, u: Field, u_t: Field | None = None
+    expr: JetExpr, u: Field, u_t: Field | None = None
 ) -> dict[JetIndex, Field]:
-    """Numeric values for every jet variable an expression needs.
+    """Numeric values for every jet variable the expression needs.
 
     Component alpha maps to u.component(alpha - 1); spatial derivatives
     are spectral.  A single t-derivative reads from u_t; higher time or
     any eta derivatives cannot be formed from slice data.
     """
-    if isinstance(exprs, JetExpr):
-        exprs = [exprs]
-    needed = set()
-    for e in exprs:
-        needed |= e.jet_indices()
     values: dict[JetIndex, Field] = {}
-    for idx in sorted(needed, key=JetIndex.sort_key):
+    for idx in sorted(expr.jet_indices(), key=JetIndex.sort_key):
         t_count = idx.derivs.count("t")
         if "eta" in idx.derivs:
             raise ValueError(f"cannot evaluate eta derivative {idx} from a slice")
@@ -647,21 +654,18 @@ def jet_values(
     return values
 
 
-def jet_evaluate(
-    expr: JetExpr, jets: dict[JetIndex, Field], grid: Grid | None = None
-) -> Field:
+def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, Field]) -> Field:
     """Evaluate a jet polynomial on numeric jet values.
 
     Every product of two factors is dealiased before the next factor is
     applied, matching the pseudo-spectral treatment of nonlinear terms.
+    The grid, t and eta come from the jet values, so a constant
+    expression, which needs none, cannot be evaluated.
     """
-    if jets:
-        sample = next(iter(jets.values()))
-        grid, t, eta = sample.grid, sample.t, sample.eta
-    elif grid is None:
-        raise ValueError("grid is required to evaluate a constant expression")
-    else:
-        t, eta = 0.0, 0.0
+    if not jets:
+        raise ValueError("no jet values to take the grid from")
+    sample = next(iter(jets.values()))
+    grid, t, eta = sample.grid, sample.t, sample.eta
     out = np.zeros((expr.num_outputs,) + grid.shape)
     for a, part in enumerate(expr.terms):
         acc = np.zeros(grid.shape)

@@ -13,17 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import (
-    Field,
-    Grid,
-    _dealias_values,
-    _irfft,
-    _rfft,
-    laplacian,
-    spectral_derivative,
-)
+from .grid import Field, Grid, _irfft, _rfft, laplacian
 from .heat import ScaleStack, eta_derivative
-from .jets import JetExpr, jet_evaluate, jet_frechet, jet_values
+from .jets import JetExpr, jet_evaluate, jet_linearize, jet_values
 
 
 def exact_residual(core: JetExpr, u: Field, u_t: Field) -> Field:
@@ -77,37 +69,22 @@ def frechet_contraction(
 ) -> Field:
     """Predicted defect sum_beta (C^a_b psi^b + C^{a,i}_b d_i psi^b).
 
-    Coefficients are the Frechet partials of the core evaluated on the
-    slice; spatial psi derivatives are spectral and the t entry reads
-    from psi_t.
+    The contraction is the linearized core ``jet_linearize(core)``
+    evaluated like any core on the stacked slice (u, psi) and its t
+    entries (u_t, psi_t); a t entry it needs must be given.
     """
-    table = jet_frechet(core)
-    exprs = list(table.zero_order.values()) + list(table.first_order.values())
-    jets = jet_values(exprs, u, u_t) if exprs else {}
-    grid = u.grid
+    N, grid = core.N, u.grid
+    lin = jet_linearize(core)
+    needed = {"psi_t" if f.component > N else "u_t" for f in lin.jet_indices() if "t" in f.derivs}
+    for name, given in (("u_t", u_t), ("psi_t", psi_t)):
+        if name in needed and given is None:
+            raise ValueError(f"the linearized core has a t entry; {name} is required")
 
-    def _psi_comp(beta: int, coord: str | None) -> np.ndarray:
-        comp = Field(grid, psi.component(beta - 1)[np.newaxis], t=u.t, eta=u.eta)
-        if coord is None:
-            return comp.component(0)
-        if coord == "t":
-            if psi_t is None:
-                raise ValueError("core has a t entry; psi_t is required")
-            return psi_t.component(beta - 1)
-        return spectral_derivative(comp, int(coord[1:]) - 1).component(0)
+    def stacked(first: Field | None, second: Field | None) -> Field:
+        # a t entry the core does not read stands in as zeros
+        parts = [np.zeros((N,) + grid.shape) if f is None else f.values[:N] for f in (first, second)]
+        if any(len(part) < N for part in parts):
+            raise ValueError(f"the core needs {N} components in u and psi and their t entries")
+        return Field(grid, np.concatenate(parts), t=u.t, eta=u.eta)
 
-    def _accumulate(alpha: int, expr, target: np.ndarray):
-        coeff = jet_evaluate(expr, jets, grid=grid).component(0)
-        if expr.jet_indices():
-            # non-constant coefficient: same dealiased product rule as
-            # the pseudo-spectral evaluation of the core itself
-            out[alpha - 1] += _dealias_values(grid, coeff * target)
-        else:
-            out[alpha - 1] += coeff * target
-
-    out = np.zeros((core.num_outputs,) + grid.shape)
-    for (alpha, beta), expr in table.zero_order.items():
-        _accumulate(alpha, expr, _psi_comp(beta, None))
-    for (alpha, beta, coord), expr in table.first_order.items():
-        _accumulate(alpha, expr, _psi_comp(beta, coord))
-    return Field(grid, out, t=u.t, eta=u.eta)
+    return exact_residual(lin, stacked(u, psi), stacked(u_t, psi_t) if needed else None)

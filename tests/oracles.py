@@ -95,6 +95,31 @@ def _complex_ops(n, size):
     return ks, ksq, deriv, dealias
 
 
+def complex_dealias(values: np.ndarray) -> np.ndarray:
+    """2/3-rule cut of each component of an array (ncomp, size, ..., size)."""
+    _, _, _, dealias = _complex_ops(values.ndim - 1, values.shape[1])
+    return np.stack([dealias(v) for v in values])
+
+
+def complex_restrict(values: np.ndarray, coarse_size: int) -> np.ndarray:
+    """Spectral restriction of (ncomp, size, ..., size) values onto a coarser grid.
+
+    Modes representable on the coarse grid are copied with the complex
+    layout's index lists; the coarse Nyquist mode is left at zero.
+    """
+    n, size = values.ndim - 1, values.shape[1]
+    half = coarse_size // 2
+    src = list(range(half)) + list(range(size - half + 1, size))
+    dst = list(range(half)) + list(range(half + 1, coarse_size))
+    axes = tuple(range(1, n + 1))
+    coeffs = np.fft.fftn(values, axes=axes)
+    out = np.zeros((len(values),) + (coarse_size,) * n, dtype=complex)
+    comp = range(len(values))
+    out[np.ix_(comp, *[dst] * n)] = coeffs[np.ix_(comp, *[src] * n)]
+    out *= (coarse_size / size) ** n
+    return np.fft.ifftn(out, axes=axes).real
+
+
 def burgers_residual(u, u_t):
     """Hand-written Burgers core u_t + u u_x on arrays of shape (1, size)."""
     _, _, deriv, dealias = _complex_ops(1, u.shape[1])

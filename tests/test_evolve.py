@@ -15,7 +15,6 @@ from scalepde import (
     SimulationDiverged,
     build_initial_state,
     cfl_limit,
-    dealiased,
     divergence,
     field_norms,
     kinetic_energy,
@@ -37,7 +36,13 @@ from scalepde.families import (
     single_mode_solenoidal,
     taylor_green,
 )
-from oracles import burgers_characteristics, complex_fft_rhs
+from oracles import (
+    _complex_ops,
+    burgers_characteristics,
+    complex_dealias,
+    complex_fft_rhs,
+    complex_restrict,
+)
 
 
 class TestRhs:
@@ -174,7 +179,9 @@ class TestAgainstComplexTransforms:
         v = random_band_limited(grid, rng, ncomp=2, kmax=kmax).with_values(eta=0.05)
         psi = random_band_limited(grid, rng, ncomp=2, kmax=kmax)
         e_v = Field(grid, rng.standard_normal((2,) + grid.shape))
-        v_cut, psi_cut = (leray_project(dealiased(f)).values for f in (v, psi))
+        v_cut, psi_cut = (
+            leray_project(f.with_values(complex_dealias(f.values))).values for f in (v, psi)
+        )
         for closure in ("none", "helmholtz"):
             got = macroscopic_rhs(v, closure=closure).values
             want = complex_fft_rhs(v_cut, closure, eta=0.05)
@@ -191,7 +198,7 @@ class TestAgainstComplexTransforms:
         e_v = Field(grid, rng.standard_normal((2,) + grid.shape))
         got = step_rk4(EvolutionState(0.0, v, psi), 0.01, closure="helmholtz", e_v=e_v)
         for f in (got.v, got.psi_v):
-            assert np.max(np.abs(f.values - dealiased(f).values)) <= 1e-12
+            assert np.max(np.abs(f.values - complex_dealias(f.values))) <= 1e-12
 
 
 class TestTransformBudget:
@@ -404,7 +411,7 @@ class TestRunSimulation:
             initial_condition={"name": "random_solenoidal"},
         )
         v0 = build_initial_state(config).v
-        assert np.max(np.abs(v0.values - dealiased(v0).values)) <= 1e-14
+        assert np.max(np.abs(v0.values - complex_dealias(v0.values))) <= 1e-14
         first, second = run_simulation(config).records[:2]
         assert first.max_div_v <= 1e-12
         assert first.energy == pytest.approx(second.energy, rel=1e-9)
@@ -416,12 +423,15 @@ class TestRunSimulation:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_attaches_partial_records(self):
-        grid = make_grid(2, 32)
-        v = taylor_green(grid, amplitude=1e200).with_values(eta=0.05)
-        state = EvolutionState(t=0.0, v=v)
-        config = RunConfig(grid_size=32, t_end=1e-210, dt=1e-210, closure="none")
+        config = RunConfig(
+            grid_size=32,
+            t_end=1e-210,
+            dt=1e-210,
+            closure="none",
+            initial_condition={"name": "taylor_green", "amplitude": 1e200},
+        )
         with pytest.raises(SimulationDiverged) as excinfo:
-            run_simulation(config, initial=state)
+            run_simulation(config)
         assert excinfo.value.records
         assert excinfo.value.records[0].step == 0
 
@@ -486,11 +496,25 @@ class TestBurgersReference:
         coarse = make_grid(1, 128)
         ref = reference_burgers(coarse, 0.3)
         u, u_t = ref.coarse_slice(-1)
-        from scalepde import dealiased, spectral_derivative
+        from scalepde import spectral_derivative
 
         du = spectral_derivative(u, 0)
-        approx = dealiased(u.with_values(-u.values * du.values))
-        assert np.max(np.abs(u_t.values - approx.values)) <= 1e-6
+        approx = complex_dealias(-u.values * du.values)
+        assert np.max(np.abs(u_t.values - approx)) <= 1e-6
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_coarse_slice_matches_complex_restriction(self, size):
+        """u and u_t are the complex restriction and 2/3 cut of the fine
+        snapshot and of its fine-grid right-hand side."""
+        ref = reference_burgers(make_grid(1, size), 0.3)
+        u, u_t = ref.coarse_slice(-1)
+        snap = ref.snapshots[-1].values
+        _, _, deriv, _ = _complex_ops(1, ref.fine.size)
+        rhs = -complex_dealias(snap * deriv(snap[0], 0))
+        for got, fine in ((u, snap), (u_t, rhs)):
+            want = complex_dealias(complex_restrict(fine, size))
+            assert np.max(np.abs(got.values - want)) <= 1e-13
+            assert (got.grid, got.t, got.eta) == (ref.coarse, 0.3, 0.0)
 
     def test_snapshot_times(self):
         coarse = make_grid(1, 64)
@@ -537,6 +561,27 @@ class TestCheckpoint:
         write_checkpoint(path, random_solenoidal(grid2d, rng))
         path.write_bytes(path.read_bytes()[:-13])
         with pytest.raises(OSError, match="short.ckpt: truncated checkpoint"):
+            read_checkpoint(path)
+
+    def test_huge_size_is_truncated_before_the_grid_is_built(self, tmp_path, monkeypatch):
+        """The data length a header implies is checked before make_grid
+        builds tables of size^n entries."""
+
+        def refuse(*args):
+            raise AssertionError("make_grid called before the data length check")
+
+        monkeypatch.setattr("scalepde.evolve.make_grid", refuse)
+        header = {"components": 2, "eta": 0.0, "n": 2, "size": 2**20, "t": 0.0, "version": 1}
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"SCALEPDE" + json.dumps(header).encode() + b"\n" + bytes(16))
+        with pytest.raises(OSError, match="huge.ckpt: truncated checkpoint"):
+            read_checkpoint(path)
+
+    def test_infinite_component_count_is_unreadable(self, tmp_path):
+        header = b'{"components": Infinity, "eta": 0.0, "n": 1, "size": 8, "t": 0.0, "version": 1}'
+        path = tmp_path / "inf.ckpt"
+        path.write_bytes(b"SCALEPDE" + header + b"\n" + bytes(64))
+        with pytest.raises(OSError, match="inf.ckpt: unreadable checkpoint header"):
             read_checkpoint(path)
 
     def test_non_finite_values_name_path(self, tmp_path, grid1d):

@@ -35,6 +35,10 @@ def _gradient(f):
     return _stack([spectral_derivative(f, a) for a in range(f.grid.n)])
 
 
+# sigma stores one row per pair a <= b: (0, 0), (0, 1), (1, 1)
+_ROW = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+
+
 class TestSigma:
     def test_cellular_closed_form(self, grid2d):
         # for v = (sin x cos y, -cos x sin y) both diagonal entries equal
@@ -44,13 +48,19 @@ class TestSigma:
         stress = sigma(v)
         c2 = np.cos(2 * x) * np.cos(2 * y)
         s2 = np.sin(2 * x) * np.sin(2 * y)
-        assert np.max(np.abs(stress.component(0, 0) - 0.5 * (1 + c2))) <= 1e-12
-        assert np.max(np.abs(stress.component(1, 1) - 0.5 * (1 + c2))) <= 1e-12
-        assert np.max(np.abs(stress.component(0, 1) - 0.5 * s2)) <= 1e-12
+        assert np.max(np.abs(stress.component(_ROW[0, 0]) - 0.5 * (1 + c2))) <= 1e-12
+        assert np.max(np.abs(stress.component(_ROW[1, 1]) - 0.5 * (1 + c2))) <= 1e-12
+        assert np.max(np.abs(stress.component(_ROW[0, 1]) - 0.5 * s2)) <= 1e-12
 
     def test_symmetry(self, grid2d, rng):
-        stress = sigma(random_band_limited(grid2d, rng, ncomp=2, kmax=6))
-        assert np.array_equal(stress.component(0, 1), stress.component(1, 0))
+        # swapping the velocity components swaps the diagonal rows and
+        # keeps sigma^{01} = sigma^{10}
+        v = random_band_limited(grid2d, rng, ncomp=2, kmax=6)
+        stress = sigma(v)
+        assert stress.values.shape == (3,) + grid2d.shape
+        assert (stress.t, stress.eta) == (v.t, v.eta)
+        swapped = sigma(v.with_values(v.values[::-1]))
+        assert np.array_equal(swapped.values, stress.values[::-1])
 
     def test_against_fd_oracle(self, grid2d, rng):
         # agreement is limited by the oracle's own 4th-order truncation,
@@ -61,15 +71,15 @@ class TestSigma:
         scale = max(np.max(np.abs(oracle[(a, b)])) for a in range(2) for b in range(2))
         for a in range(2):
             for b in range(2):
-                err = np.max(np.abs(stress.component(a, b) - oracle[(a, b)]))
+                err = np.max(np.abs(stress.component(_ROW[a, b]) - oracle[(a, b)]))
                 assert err <= 1e-2 * scale
 
     def test_positive_semidefinite(self, grid2d, rng):
         # sigma = G G^T pointwise, so eigenvalues are nonnegative
         stress = sigma(random_solenoidal(grid2d, rng, kmax=5))
-        s11 = stress.component(0, 0)
-        s22 = stress.component(1, 1)
-        s12 = stress.component(0, 1)
+        s11 = stress.component(_ROW[0, 0])
+        s22 = stress.component(_ROW[1, 1])
+        s12 = stress.component(_ROW[0, 1])
         trace = s11 + s22
         det = s11 * s22 - s12 * s12
         min_eig = 0.5 * (trace - np.sqrt(np.maximum(trace * trace - 4 * det, 0.0)))

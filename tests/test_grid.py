@@ -1,23 +1,27 @@
 """Grid, field and spectral-operator behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scalepde import (
     Field,
     NonFiniteFieldError,
-    TensorField,
-    dealiased,
     divergence,
     field_norms,
     laplacian,
     make_grid,
-    restrict_to_grid,
     spectral_derivative,
 )
-from scalepde.grid import TWO_PI, _irfft, _rfft
+from scalepde.grid import TWO_PI, _dealiased_hat, _irfft, _rfft
 
-from oracles import fd_derivative
+from oracles import _complex_ops, complex_dealias, fd_derivative
+
+
+def dealiased(f: Field) -> Field:
+    """The half-spectrum 2/3 cut of a field, back in physical space."""
+    return f.with_values(_irfft(f.grid, _dealiased_hat(f.grid, f.values)))
 
 
 class TestGridValidation:
@@ -67,6 +71,21 @@ class TestFieldValidation:
         f = Field(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+    def test_with_values_shares_checked_values(self, rng):
+        grid = make_grid(2, 256)
+        f = Field(grid, rng.standard_normal((2,) + grid.shape))
+        tracemalloc.start()
+        try:
+            g = f.with_values(t=0.5, eta=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(f.values, g.values)
+        assert peak < 0.1 * f.values.nbytes
+        assert (g.t, g.eta, f.t, f.eta) == (0.5, 0.05, 0.0, 0.0)
+        with pytest.raises(ValueError, match="eta"):
+            f.with_values(eta=-0.1)
 
     def test_arithmetic(self, grid1d):
         x = grid1d.coords()[0]
@@ -148,6 +167,7 @@ class TestDealias:
         once = dealiased(f)
         twice = dealiased(once)
         assert np.max(np.abs(once.values - twice.values)) <= 1e-13
+        assert np.max(np.abs(once.values - complex_dealias(f.values))) <= 1e-13
 
 
 class TestNorms:
@@ -190,44 +210,15 @@ class TestVectorCalculus:
         lap = laplacian(p)
         assert np.allclose(div.values, lap.values, atol=1e-11)
 
-
-class TestRestrict:
-    def test_low_modes_preserved(self):
-        fine = make_grid(1, 256)
-        coarse = make_grid(1, 64)
-        xf = fine.coords()[0]
-        xc = coarse.coords()[0]
-        f = Field(fine, np.sin(xf) + 0.5 * np.cos(7 * xf), t=0.1, eta=0.2)
-        r = restrict_to_grid(f, coarse)
-        assert np.max(np.abs(r.component(0) - (np.sin(xc) + 0.5 * np.cos(7 * xc)))) <= 1e-12
-        assert r.t == 0.1 and r.eta == 0.2
-
-    def test_high_modes_dropped(self):
-        fine = make_grid(1, 256)
-        coarse = make_grid(1, 64)
-        xf = fine.coords()[0]
-        r = restrict_to_grid(Field(fine, np.sin(40 * xf)), coarse)
-        assert np.max(np.abs(r.values)) <= 1e-13
-
-    def test_2d(self):
-        fine = make_grid(2, 128)
-        coarse = make_grid(2, 32)
-        xf, yf = fine.coords()
-        xc, yc = coarse.coords()
-        f = Field(fine, np.sin(xf) * np.cos(2 * yf))
-        r = restrict_to_grid(f, coarse)
-        assert np.max(np.abs(r.component(0) - np.sin(xc) * np.cos(2 * yc))) <= 1e-12
-
-
-class TestTensorField:
-    def test_symmetric_storage(self, grid2d):
-        vals = np.stack(
-            [np.ones(grid2d.shape), 2 * np.ones(grid2d.shape), 3 * np.ones(grid2d.shape)]
-        )
-        tf = TensorField(grid2d, vals)
-        assert tf.pairs == ((0, 0), (0, 1), (1, 1))
-        assert np.array_equal(tf.component(1, 0), tf.component(0, 1))
-
-    def test_component_count_checked(self, grid2d):
-        with pytest.raises(ValueError, match="tensor components"):
-            TensorField(grid2d, np.zeros((2,) + grid2d.shape))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_divergence_matches_complex_derivatives(self, n, rng):
+        """One half-spectrum round trip equals the per-axis complex
+        derivatives, Nyquist content included."""
+        grid = make_grid(n, 16)
+        values = rng.standard_normal((n,) + grid.shape)
+        assert np.max(np.abs(_rfft(grid, values)[(slice(None),) * n + (grid.size // 2,)])) > 0.1
+        _, _, deriv, _ = _complex_ops(n, grid.size)
+        want = sum(deriv(values[a], a) for a in range(n))
+        div = divergence(Field(grid, values, t=0.3, eta=0.1))
+        assert div.values.shape == (1,) + grid.shape and (div.t, div.eta) == (0.3, 0.1)
+        assert np.max(np.abs(div.component(0) - want)) <= 1e-13

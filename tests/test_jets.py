@@ -18,6 +18,7 @@ from scalepde import (
     jet_W,
     jet_evaluate,
     jet_frechet,
+    jet_linearize,
     jet_total_derivative,
     jet_values,
     make_grid,
@@ -276,7 +277,7 @@ class TestFrechet:
         assert table.first_order == {(1, big, "x1"): JetExpr.constant(1, big, 1)}
 
     def test_entries_in_component_then_coordinate_order(self):
-        # frechet_contraction sums in this order, so its rounding depends on it
+        # derive-source prints the table in this order
         table = jet_frechet(fluid_core(2))
         assert list(table.zero_order) == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert list(table.first_order) == [
@@ -284,6 +285,25 @@ class TestFrechet:
             (2, 2, "x1"), (2, 2, "x2"), (2, 2, "t"), (2, 3, "x2"),
             (3, 1, "x1"), (3, 2, "x2"),
         ]
+
+    def test_linearize_burgers(self):
+        assert jet_linearize(burgers_core()) == parse_core("u2_t + u1_x1*u2 + u1*u2_x1")
+
+    @pytest.mark.parametrize(
+        "core",
+        [fluid_core(1), fluid_core(2), parse_core("u1*u1*u2_x2 + 3*u2_t*u1; u1_x1*u2_x1 - u2")],
+        ids=["fluid_1d", "fluid_2d", "cubic"],
+    )
+    def test_linearize_contracts_the_frechet_table(self, core):
+        # sum over the table of (partial of F^alpha) * (psi^beta jet), psi^beta = u^{N + beta}
+        n, N = core.n, core.N
+        table = jet_frechet(core)
+        rows = [JetExpr.zero(n, 2 * N)] * core.num_outputs
+        for key, partial in (*table.zero_order.items(), *table.first_order.items()):
+            alpha, beta, derivs = key[0], key[1], key[2:]
+            psi_jet = JetExpr.variable(n, 2 * N, N + beta, derivs)
+            rows[alpha - 1] = rows[alpha - 1] + JetExpr(n, 2 * N, partial.terms) * psi_jet
+        assert jet_linearize(core) == JetExpr.vector(rows)
 
 
 class TestNumericEvaluation:
@@ -325,10 +345,9 @@ class TestNumericEvaluation:
         e = JetExpr.constant(1, 1, Fraction(5, 2))
         with pytest.raises(ValueError, match="grid"):
             jet_evaluate(e, {})
-        out = jet_evaluate(e, {}, grid=grid1d)
-        assert np.all(out.values == 2.5)
 
     def test_missing_jet_value(self, grid1d):
         e = u(1, "x1")
+        other = {JetIndex(1): Field(grid1d, np.zeros(grid1d.shape))}
         with pytest.raises(ValueError, match="missing"):
-            jet_evaluate(e, {}, grid=grid1d)
+            jet_evaluate(e, other)

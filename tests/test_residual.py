@@ -17,6 +17,7 @@ from scalepde import (
     jet_values,
     laplacian,
     make_grid,
+    parse_core,
     residual_defect,
     solve_residual_closure,
 )
@@ -168,6 +169,14 @@ class TestFrechetContraction:
         psi = Field(grid1d, np.cos(x))
         with pytest.raises(ValueError, match="psi_t"):
             frechet_contraction(burgers_core(), u, psi, u.with_values(np.zeros_like(u.values)))
+
+    def test_t_entry_in_a_coefficient_requires_u_t(self, grid1d):
+        # the linearization of u u_t has the coefficient u_t of psi
+        x = grid1d.coords()[0]
+        u = Field(grid1d, np.sin(x))
+        psi = Field(grid1d, np.cos(x))
+        with pytest.raises(ValueError, match="u_t"):
+            frechet_contraction(parse_core("u1*u1_t"), u, psi, psi_t=psi)
 
     @pytest.mark.parametrize("which", ["burgers", "fluid"])
     def test_predicts_measured_defect(self, which):

@@ -59,13 +59,15 @@ def single_mode_solenoidal(
 def _random_values(
     grid: Grid, rng: np.random.Generator, ncomp: int, kmax: int, solenoidal: bool
 ) -> np.ndarray:
-    """Standard normal noise confined to |k_axis| <= kmax; a solenoidal one
-    also loses its mean and is Leray-projected."""
+    """Standard normal noise confined to |k_axis| <= kmax.  A solenoidal
+    draw also drops the Nyquist planes (the half-spectrum Leray projector
+    leaves a divergence there) and the mean, and is Leray-projected."""
     noise = rng.standard_normal((ncomp,) + grid.shape)
     coeffs = _rfft(grid, noise, out=np.empty((ncomp,) + grid.rshape, complex))
     k = np.abs(np.fft.fftfreq(grid.size, 1.0 / grid.size))
+    kept = (k <= kmax) & (k < grid.size // 2) if solenoidal else k <= kmax
     for axis, size in enumerate(grid.rshape):
-        coeffs *= (k[:size] <= kmax).reshape((size,) + (1,) * (grid.n - 1 - axis))
+        coeffs *= kept[:size].reshape((size,) + (1,) * (grid.n - 1 - axis))
     if solenoidal:
         coeffs[(slice(None),) + (0,) * grid.n] = 0.0
         coeffs = _leray_hat(grid, coeffs)

@@ -30,6 +30,14 @@ def _axis_wavenumbers(size: int) -> np.ndarray:
     return k
 
 
+def _derivative(k: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """The multiplier i*k of d/dx_axis, zero on that axis's Nyquist plane
+    so that the derivative of a real field stays real."""
+    odd = 1j * k
+    odd[(slice(None),) * axis + (size // 2,)] = 0.0
+    return odd
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, 2*pi)^n with cached wavenumber arrays."""
@@ -56,15 +64,12 @@ class Grid:
         # aliases onto dropped ones only; the bound is strict, so a size
         # divisible by 3 drops its |k| = size/3 modes too
         cutoff = self.size / 3.0
-        mask = np.ones(shape, dtype=bool)
-        for k in wavenumbers:
-            mask &= np.abs(k) < cutoff
         for name, value in (
             ("shape", shape),
             ("spacing", TWO_PI / self.size),
             ("wavenumbers", tuple(wavenumbers)),
+            ("derivatives", tuple(_derivative(k, a, self.size) for a, k in enumerate(wavenumbers))),
             ("ksq", ksq),
-            ("dealias_mask", mask),
             *self._half_spectrum(k1d, cutoff),
         ):
             object.__setattr__(self, name, value)
@@ -88,10 +93,8 @@ class Grid:
             view = [1] * n
             view[axis] = rshape[axis]
             k = (k1d if axis < n - 1 else k_last).reshape(view)
-            odd = 1j * k
-            odd[(slice(None),) * axis + (self.size // 2,)] = 0.0
             rwavenumbers.append(k)
-            rderivatives.append(odd)
+            rderivatives.append(_derivative(k, axis, self.size))
         rksq = np.zeros(rshape)
         mask = np.ones(rshape, dtype=bool)
         for k in rwavenumbers:
@@ -233,10 +236,7 @@ def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:
 
 def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     # trailing axes are spatial; a leading component axis is optional
-    axes = tuple(range(values.ndim - grid.n, values.ndim))
-    coeffs = np.fft.fftn(values, axes=axes)
-    coeffs *= grid.dealias_mask
-    return np.fft.ifftn(coeffs, axes=axes).real
+    return _irfft(grid, _dealiased_hat(grid, values))
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
@@ -248,19 +248,15 @@ def spectral_derivative(f: Field, axis: int) -> Field:
     if not 0 <= axis < grid.n:
         raise ValueError(f"axis {axis} out of range for {grid.n}-dimensional grid")
     coeffs = np.fft.fftn(f.values, axes=_spatial_axes(grid))
-    coeffs *= 1j * grid.wavenumbers[axis]
-    idx = [slice(None)] * (grid.n + 1)
-    idx[axis + 1] = grid.size // 2
-    coeffs[tuple(idx)] = 0.0
-    vals = np.fft.ifftn(coeffs, axes=_spatial_axes(grid)).real
-    return f.with_values(vals)
+    coeffs *= grid.derivatives[axis]
+    return f.with_values(np.fft.ifftn(coeffs, axes=_spatial_axes(grid)).real)
 
 
 def laplacian(f: Field) -> Field:
     """Sum of second derivatives over the spatial axes."""
-    coeffs = np.fft.fftn(f.values, axes=_spatial_axes(f.grid))
-    coeffs *= -f.grid.ksq
-    return f.with_values(np.fft.ifftn(coeffs, axes=_spatial_axes(f.grid)).real)
+    coeffs = _rfft(f.grid, f.values)
+    coeffs *= -f.grid.rksq
+    return f.with_values(_irfft(f.grid, coeffs))
 
 
 def divergence(f: Field) -> Field:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _spatial_axes, laplacian
+from .grid import Field, Grid, _irfft, _rfft, _spatial_axes, laplacian
 
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
@@ -64,6 +64,8 @@ class ScaleStack:
         for j, f in enumerate(self.fields):
             if f.grid != grid:
                 raise ValueError("stack fields live on different grids")
+            if f.ncomp != self.fields[0].ncomp:
+                raise ValueError("stack fields have different component counts")
             if abs(f.t - t) > 1e-12:
                 raise ValueError("stack fields have different slice times")
             if abs(f.eta - nodes[j]) > 1e-12:
@@ -161,14 +163,14 @@ def duhamel_integral(psi_stack: ScaleStack, target_node: int) -> Field:
         raise ValueError(
             f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}"
         )
+    grid, first = psi_stack.grid, psi_stack.fields[0]
     eta_target = float(psi_stack.eta_nodes[target_node])
     h = psi_stack.delta_eta
-    total = None
+    # summed on the half spectrum and transformed back once; one node at a
+    # time, since a batched transform of the ladder holds all K spectra
+    total = np.zeros((first.ncomp,) + grid.rshape, dtype=complex)
     for j in range(target_node + 1):
         weight = 0.5 * h if j in (0, target_node) else h
-        term = heat_propagate(
-            psi_stack.fields[j], eta_target - float(psi_stack.eta_nodes[j])
-        )
-        contrib = weight * term
-        total = contrib if total is None else total + contrib
-    return total.with_values(eta=eta_target)
+        damping = np.exp(-(eta_target - float(psi_stack.eta_nodes[j])) * grid.rksq)
+        total += (weight * damping) * _rfft(grid, psi_stack.fields[j].values)
+    return first.with_values(_irfft(grid, total), eta=eta_target)

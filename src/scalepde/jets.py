@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, _dealias_values, spectral_derivative
+from .grid import Field, _dealias_values, _spatial_axes
 
 
 class CoreSyntaxError(ValueError):
@@ -622,11 +622,15 @@ def jet_values(
     """Numeric values for every jet variable the expression needs.
 
     Component alpha maps to u.component(alpha - 1); spatial derivatives
-    are spectral.  A single t-derivative reads from u_t; higher time or
-    any eta derivatives cannot be formed from slice data.
+    are spectral, one inverse transform per jet of one forward transform
+    per differentiated component.  A single t-derivative reads from u_t;
+    higher time or any eta derivatives cannot be formed from slice data.
     """
     values: dict[JetIndex, Field] = {}
-    for idx in sorted(expr.jet_indices(), key=JetIndex.sort_key):
+    # jets of one field and component in a row, so one spectrum is live
+    order = sorted(expr.jet_indices(), key=lambda i: (i.derivs.count("t"), i.sort_key()))
+    spectrum_of, spectrum = None, None
+    for idx in order:
         t_count = idx.derivs.count("t")
         if "eta" in idx.derivs:
             raise ValueError(f"cannot evaluate eta derivative {idx} from a slice")
@@ -641,25 +645,28 @@ def jet_values(
             raise ValueError(
                 f"jet variable {idx} exceeds field component count {base.ncomp}"
             )
-        f = Field(
-            base.grid,
-            base.component(idx.component - 1)[np.newaxis],
-            t=u.t,
-            eta=u.eta,
-        )
-        for d in idx.derivs:
-            if d.startswith("x"):
-                f = spectral_derivative(f, int(d[1:]) - 1)
-        values[idx] = f
+        grid, axes = base.grid, _spatial_axes(base.grid)
+        vals = base.component(idx.component - 1)[np.newaxis]
+        spatial = [int(d[1:]) - 1 for d in idx.derivs if d.startswith("x")]
+        if spatial:
+            if spectrum_of != (t_count, idx.component):
+                spectrum_of = (t_count, idx.component)
+                spectrum = np.fft.fftn(vals, axes=axes)
+            coeffs = spectrum * grid.derivatives[spatial[0]]
+            for axis in spatial[1:]:
+                coeffs *= grid.derivatives[axis]
+            vals = np.fft.ifftn(coeffs, axes=axes, out=coeffs).real
+        values[idx] = Field(grid, vals, t=u.t, eta=u.eta)
     return values
 
 
 def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, Field]) -> Field:
     """Evaluate a jet polynomial on numeric jet values.
 
-    Every product of two factors is dealiased before the next factor is
-    applied, matching the pseudo-spectral treatment of nonlinear terms.
-    The grid, t and eta come from the jet values, so a constant
+    Nonlinear terms are dealiased pseudo-spectrally: the quadratic
+    monomials of each output are summed and the sum dealiased once, and
+    a monomial of three or more factors is dealiased after each product
+    of two.  The grid, t and eta come from the jet values, so a constant
     expression, which needs none, cannot be evaluated.
     """
     if not jets:
@@ -668,21 +675,20 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, Field]) -> Field:
     grid, t, eta = sample.grid, sample.t, sample.eta
     out = np.zeros((expr.num_outputs,) + grid.shape)
     for a, part in enumerate(expr.terms):
-        acc = np.zeros(grid.shape)
+        quadratic = None
         for m in part:
-            if not m.factors:
-                acc += float(m.coeff)
-                continue
-            prod = None
             for f in m.factors:
                 if f not in jets:
                     raise ValueError(f"missing jet value for {f}")
-                vals = jets[f].component(0)
-                if prod is None:
-                    prod = vals.copy()
-                else:
-                    prod = _dealias_values(grid, prod * vals)
-            acc += float(m.coeff) * prod
-        out[a] = acc
+            vals = [jets[f].component(0) for f in m.factors]
+            if len(vals) == 2:
+                term = float(m.coeff) * (vals[0] * vals[1])
+                quadratic = term if quadratic is None else quadratic + term
+                continue
+            prod = vals[0] if vals else 1.0
+            for v in vals[1:]:
+                prod = _dealias_values(grid, prod * v)
+            out[a] += float(m.coeff) * prod
+        if quadratic is not None:
+            out[a] += _dealias_values(grid, quadratic)
     return Field(grid, out, t=t, eta=eta)
-

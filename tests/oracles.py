@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's spectral machinery:
 derivatives come from 4th-order centered finite differences on the
 periodic grid, the Burgers reference truth comes from the method of
 characteristics solved pointwise by Newton iteration, and the evolution
-right-hand sides and the hand-written core residuals are rebuilt from
-plain numpy complex transforms, one round trip per operator.
+right-hand sides, the hand-written core residuals, jet values, jet
+polynomials and the Duhamel sum are rebuilt from plain numpy complex
+transforms, one round trip per operator.
 """
 
 import numpy as np
@@ -118,6 +119,57 @@ def complex_restrict(values: np.ndarray, coarse_size: int) -> np.ndarray:
     out[np.ix_(comp, *[dst] * n)] = coeffs[np.ix_(comp, *[src] * n)]
     out *= (coarse_size / size) ** n
     return np.fft.ifftn(out, axes=axes).real
+
+
+def chained_jet_values(jets, u, u_t=None) -> dict:
+    """Values of jet variables from arrays (ncomp, size, ..., size).
+
+    A jet (``component``, ``derivs``) reads u, or u_t when it carries a t,
+    and takes one complex derivative round trip per spatial label.
+    """
+    _, _, deriv, _ = _complex_ops(u.ndim - 1, u.shape[1])
+    out = {}
+    for idx in jets:
+        vals = (u_t if "t" in idx.derivs else u)[idx.component - 1]
+        for d in idx.derivs:
+            if d.startswith("x"):
+                vals = deriv(vals, int(d[1:]) - 1)
+        out[idx] = vals
+    return out
+
+
+def pairwise_jet_evaluate(terms, jets: dict) -> np.ndarray:
+    """Each output of a jet polynomial (monomials with ``coeff`` and
+    ``factors``) on jet arrays, monomial by monomial, every product of two
+    factors dealiased before the next factor is applied."""
+    sample = next(iter(jets.values()))
+    _, _, _, dealias = _complex_ops(sample.ndim, sample.shape[0])
+    out = []
+    for part in terms:
+        acc = np.zeros(sample.shape)
+        for m in part:
+            vals = [jets[f] for f in m.factors]
+            prod = vals[0] if vals else 1.0
+            for v in vals[1:]:
+                prod = dealias(prod * v)
+            acc = acc + float(m.coeff) * prod
+        out.append(acc)
+    return np.stack(out)
+
+
+def per_node_duhamel(psi: np.ndarray, etas, target: int) -> np.ndarray:
+    """Trapezoid sum over nodes 0..target of defects psi (K, ncomp, size,
+    ..., size), each heat-propagated to eta_target by its own round trip."""
+    n = psi.ndim - 2
+    _, ksq, _, _ = _complex_ops(n, psi.shape[2])
+    axes = tuple(range(1, n + 1))
+    h = etas[1] - etas[0]
+    total = np.zeros(psi.shape[1:])
+    for j in range(target + 1):
+        weight = 0.5 * h if j in (0, target) else h
+        damping = np.exp(-(etas[target] - etas[j]) * ksq)
+        total += weight * np.fft.ifftn(np.fft.fftn(psi[j], axes=axes) * damping, axes=axes).real
+    return total
 
 
 def burgers_residual(u, u_t):

@@ -260,6 +260,14 @@ class TestFilterCheck:
         assert report["passed"] is True
         assert report["config_hash"]
 
+    def test_smallest_grid_keeps_divergence_free(self, tmp_path, capsys):
+        # at size 4 the random velocity's kmax = 2 is the Nyquist wavenumber
+        code = main(["filter-check", "--out", str(tmp_path), "--set", "grid_size=4"])
+        capsys.readouterr()
+        report = json.loads((tmp_path / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert code == 0 and checks["divergence_preservation"]["passed"]
+
 
 class TestEvolveCommand:
     BASE = [

@@ -62,6 +62,16 @@ class TestBasicFields:
         assert abs(v.values.mean()) <= 1e-13
         assert np.max(np.abs(v.values)) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    def test_random_solenoidal_up_to_nyquist(self, size):
+        # kmax = size/2 reaches the Nyquist planes, which the draw leaves out
+        grid = make_grid(2, size)
+        v = random_solenoidal(grid, np.random.default_rng(size), kmax=size // 2)
+        assert field_norms(divergence(v))[1] <= 1e-13
+        coeffs = np.fft.fftn(v.values, axes=(1, 2))
+        assert np.max(np.abs(coeffs[:, size // 2, :])) <= 1e-12
+        assert np.max(np.abs(coeffs[:, :, size // 2])) <= 1e-12
+
 
 class TestManufacturedBurgers:
     def test_psi_matches_fd_oracle(self, grid1d):

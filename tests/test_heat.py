@@ -22,6 +22,7 @@ from scalepde.families import (
     random_solenoidal,
     taylor_green,
 )
+from oracles import per_node_duhamel
 
 
 class TestHeatPropagate:
@@ -115,6 +116,16 @@ class TestScaleStack:
         with pytest.raises(ValueError, match="eta"):
             ScaleStack(nodes, fields)
 
+    def test_component_count_mismatch_rejected(self, grid1d):
+        # the Duhamel sum would broadcast one component into two
+        nodes = np.linspace(0.01, 0.05, 5)
+        fields = tuple(
+            Field(grid1d, np.zeros((1 if j else 2,) + grid1d.shape), eta=float(e))
+            for j, e in enumerate(nodes)
+        )
+        with pytest.raises(ValueError, match="component counts"):
+            ScaleStack(nodes, fields)
+
 
 class TestEtaDerivative:
     def test_boundary_rejected(self, grid2d):
@@ -199,6 +210,21 @@ class TestDuhamel:
             duhamel_integral(stack, 0)
         with pytest.raises(ValueError, match="target"):
             duhamel_integral(stack, 9)
+
+    @pytest.mark.parametrize("n, size", [(1, 64), (2, 32)])
+    def test_matches_per_node_propagation(self, n, size):
+        # white noise defects, Nyquist planes included
+        grid = make_grid(n, size)
+        nodes = np.linspace(0.02, 0.1, 9)
+        psi = np.random.default_rng(size).standard_normal((9, 2) + grid.shape)
+        stack = ScaleStack(
+            nodes, tuple(Field(grid, p, eta=float(e)) for p, e in zip(psi, nodes))
+        )
+        for target in (1, 4, 8):
+            got = duhamel_integral(stack, target)
+            want = per_node_duhamel(psi, nodes, target)
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+            assert got.eta == nodes[target]
 
     def test_reconstructs_deviation(self, grid2d):
         # extended ladder so anchor and target stay at fixed scales

@@ -28,6 +28,7 @@ from scalepde import (
 from scalepde.families import random_band_limited, taylor_green, taylor_green_pressure
 from scalepde.fluid import burgers_core, fluid_core
 from scalepde.jets import spatial_labels
+from oracles import chained_jet_values, pairwise_jet_evaluate
 
 
 def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2) -> JetExpr:
@@ -351,3 +352,56 @@ class TestNumericEvaluation:
         other = {JetIndex(1): Field(grid1d, np.zeros(grid1d.shape))}
         with pytest.raises(ValueError, match="missing"):
             jet_evaluate(e, other)
+
+
+class TestAgainstChainedTransforms:
+    """jet_values and jet_evaluate against one complex round trip per
+    derivative and per dealiased product, on white noise, which fills
+    the Nyquist planes."""
+
+    CORES = {
+        1: "u1_t + u1*u1_x1 - 3*u1_x1x1*u1_x1 + 2/3*u1*u1_x1*u1_x1x1 + u1_x1t + 5",
+        2: (
+            "u1_t + u1*u1_x1 + u2*u1_x2 - 3*u1_x1x1*u2 + u1*u2*u1_x2x2 + 2*u2_x1x2"
+            " + u1_x2t; u2_t*u1 + u1_x2*u2_x1 - 1/2*u2_x2x2*u1_x1*u2 + 5"
+        ),
+    }
+
+    @pytest.fixture(params=[1, 2], ids=["1d_64", "2d_32"])
+    def case(self, request):
+        n = request.param
+        grid = make_grid(n, 64 if n == 1 else 32)
+        rng = np.random.default_rng(20 + n)
+        u, u_t = (Field(grid, rng.standard_normal((n,) + grid.shape)) for _ in range(2))
+        expr = parse_core(self.CORES[n], n=n, N=n)
+        return expr, u, u_t, jet_values(expr, u, u_t)
+
+    @staticmethod
+    def _spatial_order(idx):
+        return sum(d.startswith("x") for d in idx.derivs)
+
+    def test_first_order_jets_bit_for_bit(self, case):
+        expr, u, u_t, values = case
+        oracle = chained_jet_values(values, u.values, u_t.values)
+        first = [idx for idx in values if self._spatial_order(idx) <= 1]
+        assert any(self._spatial_order(idx) == 1 for idx in first)
+        for idx in first:
+            np.testing.assert_array_equal(values[idx].component(0), oracle[idx])
+
+    def test_second_order_jets(self, case):
+        expr, u, u_t, values = case
+        oracle = chained_jet_values(values, u.values, u_t.values)
+        second = [idx for idx in values if self._spatial_order(idx) == 2]
+        assert second
+        for idx in second:
+            want = oracle[idx]
+            err = np.max(np.abs(values[idx].component(0) - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), idx
+
+    def test_evaluate_matches_pairwise_dealiasing(self, case):
+        expr, u, u_t, values = case
+        want = pairwise_jet_evaluate(
+            expr.terms, {idx: f.component(0) for idx, f in values.items()}
+        )
+        got = jet_evaluate(expr, values).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -6,7 +6,9 @@ node, a physical-space Burgers RK4).  Numbers that sit at rounding level
 are compared absolutely.
 """
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,23 @@ def test_report_matches_pinned_values(tmp_path, capsys, case):
         assert measured[key] == pytest.approx(want, rel=RTOL), key
 
 
+def test_benchmark_values(tmp_path, capsys, monkeypatch):
+    """The unseeded scale_checks commands of perfbench/, at its grid sizes,
+    pass its output checks and match its recorded values."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    reference = workloads.load_reference()
+    workload = workloads.build("scale_checks", tmp_path, workloads.DEFAULT_SEED)
+    unseeded = [cmd for cmd in workload.cycle if not cmd.seeded]
+    assert len(unseeded) == 4
+    for cmd in unseeded:
+        code = main(list(cmd.argv))
+        capsys.readouterr()
+        problems, seen = workloads.check(cmd, code)
+        problems += workloads.compare("scale_checks", cmd, seen, reference)
+        assert not problems, (cmd.label, problems)
+
+
 class TestWorkBudget:
     """Transform and Field counts, which do not depend on the grid size."""
 
@@ -93,6 +112,21 @@ class TestWorkBudget:
         capsys.readouterr()
         assert code == 0
         assert transform_counts["calls"] <= 650
+
+    @pytest.mark.parametrize(
+        "case, complex_calls, real_calls", [("residual_fluid", 220, 82), ("duhamel", 62, 180)]
+    )
+    def test_calls_by_kind(
+        self, tmp_path, capsys, transform_counts, case, complex_calls, real_calls
+    ):
+        # complex: heat propagation of the generators and one forward
+        # transform per differentiated component plus one inverse per jet;
+        # real: laplacians, one dealiasing per output, the Duhamel sums
+        code, _ = _run(tmp_path, case)
+        capsys.readouterr()
+        assert code == 0
+        assert transform_counts["complex"] == complex_calls
+        assert transform_counts["calls"] - transform_counts["complex"] == real_calls
 
     def test_closure_check_fields(self, tmp_path, capsys, transform_counts):
         code, _ = _run(tmp_path, "closure")

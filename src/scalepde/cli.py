@@ -48,16 +48,7 @@ from .heat import (
     heat_propagate,
     heat_propagate_many,
 )
-from .jets import (
-    CoreSyntaxError,
-    JetExpr,
-    derive_source,
-    format_expr,
-    jet_evaluate,
-    jet_frechet,
-    jet_values,
-    parse_core,
-)
+from .jets import CoreSyntaxError, JetExpr, derive_source, format_expr, jet_frechet, parse_core
 from .residual import closure_error_bound, exact_residual, residual_defect, solve_residual_closure
 
 # config key -> RunConfig field; a dotted key lives in the object its prefix names
@@ -187,12 +178,20 @@ def _check(name: str, measured: float, tolerance: float) -> dict:
     }
 
 
+def _print_checks(checks: list[dict]):
+    for c in checks:
+        print(
+            f"{c['name']}: measured {c['measured']:.3e} tolerance {c['tolerance']:.2e} "
+            f"{'PASS' if c['passed'] else 'FAIL'}"
+        )
+
+
 def _mode_amplitude(f: Field, mode: tuple[int, ...]) -> complex:
     coeffs = np.fft.fftn(f.values, axes=_spatial_axes(f.grid))
     return complex(coeffs[(0,) + mode]) / f.grid.num_points
 
 
-def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict]:
+def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
     grid = config.grid()
     rng = config.rng()
@@ -230,12 +229,8 @@ def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict]:
         "checks": checks,
         "passed": passed,
     }
-    for c in checks:
-        print(
-            f"{c['name']}: measured {c['measured']:.3e} tolerance {c['tolerance']:.1e} "
-            f"{'PASS' if c['passed'] else 'FAIL'}"
-        )
-    return (0 if passed else 1), report
+    _print_checks(checks)
+    return (0 if passed else 1), report, {}
 
 
 def _resolve_core(spec: ExperimentSpec) -> JetExpr:
@@ -244,7 +239,7 @@ def _resolve_core(spec: ExperimentSpec) -> JetExpr:
     return core_by_name(spec.config.core, spec.config.n)
 
 
-def cmd_derive_source(spec: ExperimentSpec) -> tuple[int, dict]:
+def cmd_derive_source(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     core = _resolve_core(spec)
     source = derive_source(core)
     table = jet_frechet(core)
@@ -263,7 +258,7 @@ def cmd_derive_source(spec: ExperimentSpec) -> tuple[int, dict]:
         "source": format_expr(source),
         "frechet": frechet_lines,
     }
-    return 0, report
+    return 0, report, {}
 
 
 def _measured_orders(errors: list[float], nodes) -> list[float]:
@@ -280,6 +275,13 @@ def _measured_orders(errors: list[float], nodes) -> list[float]:
         else:
             orders.append(float(np.log2(coarse / fine) / np.log2((k_f - 1) / (k_c - 1))))
     return orders
+
+
+def _convergence_table(nodes, spacings, errors) -> tuple[list[float], list[tuple]]:
+    """The measured orders and the rows (K, delta_eta, error, order); the
+    coarsest ladder has no order."""
+    orders = _measured_orders(errors, nodes)
+    return orders, list(zip(nodes, spacings, errors, [float("nan")] + orders))
 
 
 def _burgers_generator(grid_size: int):
@@ -306,7 +308,7 @@ def _residual_stack(
     return u_stack, ut_stack, ScaleStack(u_stack.eta_nodes, tuple(r_fields))
 
 
-def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
+def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
     if config.core == "burgers" and config.n != 1:
         raise ConfigError("the burgers core needs n = 1")
@@ -320,28 +322,19 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
     source = derive_source(core)
 
     # r at epsilon, the first node of every ladder
-    u_eps, ut_eps = (
-        heat_propagate(g.with_values(eta=config.epsilon), 0.0) for g in (u_gen, ut_gen)
-    )
+    u_eps, ut_eps = (g.with_values(eta=config.epsilon) for g in (u_gen, ut_gen))
     r_eps_norms = field_norms(exact_residual(core, u_eps, ut_eps))
-    rows = []
-    errors = []
+    spacings, errors = [], []
     for K in config.nodes:
         # the defect reads nodes mid-1..mid+1; a stack needs five nodes
         mid = K // 2
         u_stack, ut_stack, r_stack = _residual_stack(
             core, u_gen, ut_gen, config.epsilon, config.eta0, K, mid - 2, mid + 3
         )
-        jets = jet_values(source, u_stack.fields[2], ut_stack.fields[2])
-        s_mid = jet_evaluate(source, jets)
-        e = residual_defect(r_stack, s_mid, 2)
-        errors.append(field_norms(e)[1])
-        rows.append((K, r_stack.delta_eta, errors[-1]))
-    orders = _measured_orders(errors, config.nodes)
-    rows = [
-        row + ((float("nan"),) if i == 0 else (orders[i - 1],))
-        for i, row in enumerate(rows)
-    ]
+        s_mid = exact_residual(source, u_stack.fields[2], ut_stack.fields[2])
+        errors.append(field_norms(residual_defect(r_stack, s_mid, 2))[1])
+        spacings.append(r_stack.delta_eta)
+    orders, rows = _convergence_table(config.nodes, spacings, errors)
     final_order = orders[-1]
     passed = bool(final_order >= 1.9)
     report = {
@@ -358,14 +351,8 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict]:
     }
     print(f"defect orders: {['%.3f' % o for o in orders]} (expect >= 1.9)")
     print(f"max |r| at epsilon={config.epsilon}: {r_eps_norms[1]:.6e}")
-    if spec.out_dir is not None:
-        _write_csv(
-            spec.out_dir / "defect_convergence.csv",
-            ("K", "delta_eta", "max_e", "order"),
-            rows,
-            config_hash(config, spec.core_text),
-        )
-    return (0 if passed else 1), report
+    table = (("K", "delta_eta", "max_e", "order"), rows)
+    return (0 if passed else 1), report, {"defect_convergence.csv": table}
 
 
 def _closure_bound_rows(r_stack: ScaleStack, case: str):
@@ -379,7 +366,7 @@ def _closure_bound_rows(r_stack: ScaleStack, case: str):
     return rows, worst
 
 
-def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict]:
+def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
     grid = make_grid(config.n, config.grid_size)
     rng = config.rng()
@@ -452,20 +439,10 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict]:
         "burgers_r_epsilon_max": r_eps_max,
         "passed": passed,
     }
-    for c in checks:
-        print(
-            f"{c['name']}: measured {c['measured']:.3e} tolerance {c['tolerance']:.2e} "
-            f"{'PASS' if c['passed'] else 'FAIL'}"
-        )
+    _print_checks(checks)
     print(f"burgers residual stack: epsilon={config.epsilon}, max|r(eps)|={r_eps_max:.6e}")
-    if spec.out_dir is not None:
-        _write_csv(
-            spec.out_dir / "closure_bound.csv",
-            ("case", "eta", "lhs", "rhs", "ratio"),
-            manu_rows + burgers_rows,
-            config_hash(config, spec.core_text),
-        )
-    return (0 if passed else 1), report
+    table = (("case", "eta", "lhs", "rhs", "ratio"), manu_rows + burgers_rows)
+    return (0 if passed else 1), report, {"closure_bound.csv": table}
 
 
 def _deviation_errors(grid, epsilon: float, eta0: float, K: int):
@@ -493,20 +470,16 @@ def _deviation_errors(grid, epsilon: float, eta0: float, K: int):
     return err, max(margins)
 
 
-def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict]:
+def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
     grid = make_grid(2, config.grid_size)
-    errors, worst_margin, rows = [], 0.0, []
+    errors, worst_margin = [], 0.0
     for K in config.nodes:
         err, margin = _deviation_errors(grid, config.epsilon, config.eta0, K)
         errors.append(err)
         worst_margin = max(worst_margin, margin)
-        rows.append((K, (config.eta0 - config.epsilon) / (K - 1), err))
-    orders = _measured_orders(errors, config.nodes)
-    rows = [
-        row + ((float("nan"),) if i == 0 else (orders[i - 1],))
-        for i, row in enumerate(rows)
-    ]
+    spacings = [(config.eta0 - config.epsilon) / (K - 1) for K in config.nodes]
+    orders, rows = _convergence_table(config.nodes, spacings, errors)
     final_order = orders[-1]
     passed = bool(final_order >= 1.5 and worst_margin <= 1.05)
     report = {
@@ -519,47 +492,30 @@ def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict]:
     }
     print(f"duhamel orders: {['%.3f' % o for o in orders]} (expect >= 1.5)")
     print(f"worst deviation/bound ratio: {worst_margin:.4f} (expect <= 1.05)")
-    if spec.out_dir is not None:
-        _write_csv(
-            spec.out_dir / "duhamel_convergence.csv",
-            ("K", "delta_eta", "max_error", "order"),
-            rows,
-            config_hash(config, spec.core_text),
-        )
-    return (0 if passed else 1), report
+    table = (("K", "delta_eta", "max_error", "order"), rows)
+    return (0 if passed else 1), report, {"duhamel_convergence.csv": table}
 
 
-def cmd_evolve(spec: ExperimentSpec) -> tuple[int, dict]:
+def _diagnostics(records) -> dict:
+    return {"diagnostics.csv": (DIAGNOSTIC_COLUMNS, [r.row() for r in records])}
+
+
+def cmd_evolve(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
-    chash = config_hash(config, spec.core_text)
-
-    def _dump(records):
-        if spec.out_dir is not None:
-            _write_csv(
-                spec.out_dir / "diagnostics.csv",
-                DIAGNOSTIC_COLUMNS,
-                [r.row() for r in records],
-                chash,
-            )
-
     try:
         result = run_simulation(config)
     except SimulationDiverged as err:
-        _dump(err.records)
         print(f"diverged: {err}", file=sys.stderr)
-        return 3, {"command": "evolve", "diverged": True, "error": str(err)}
-    _dump(result.records)
-    if spec.out_dir is not None:
-        write_checkpoint(spec.out_dir / "final_v.ckpt", result.final.v, {"kind": "velocity"})
-        if result.final.psi_v is not None:
-            write_checkpoint(
-                spec.out_dir / "final_psi.ckpt", result.final.psi_v, {"kind": "psi"}
-            )
+        report = {"command": "evolve", "diverged": True, "error": str(err)}
+        return 3, report, _diagnostics(err.records)
+    artifacts = _diagnostics(result.records)
+    artifacts["final_v.ckpt"] = (result.final.v, {"kind": "velocity"})
+    if result.final.psi_v is not None:
+        artifacts["final_psi.ckpt"] = (result.final.psi_v, {"kind": "psi"})
     last = result.records[-1]
     report = {
         "command": "evolve",
         "config": asdict(config),
-        "config_hash": chash,
         "steps": last.step,
         "t_final": last.t,
         "energy_initial": result.records[0].energy,
@@ -572,10 +528,10 @@ def cmd_evolve(spec: ExperimentSpec) -> tuple[int, dict]:
         f"evolved {last.step} steps to t={last.t:.6g}; energy {last.energy:.9e}; "
         f"max div {report['max_div_v']:.3e}"
     )
-    return 0, report
+    return 0, report, artifacts
 
 
-def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict]:
+def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
     if config.n != 1:
         raise ConfigError("burgers-reference needs n = 1")
@@ -589,16 +545,12 @@ def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict]:
         u, u_t = ref.coarse_slice(i)
         l2, vmax = field_norms(u)
         rows.append((t, l2, vmax, field_norms(u_t)[1]))
-    if spec.out_dir is not None:
-        _write_csv(
-            spec.out_dir / "reference_norms.csv",
-            ("t", "l2", "max", "max_ut"),
-            rows,
-            config_hash(config, spec.core_text),
-        )
-        u, u_t = ref.coarse_slice(len(ref.times) - 1)
-        write_checkpoint(spec.out_dir / "u_final.ckpt", u, {"kind": "burgers_u"})
-        write_checkpoint(spec.out_dir / "u_t_final.ckpt", u_t, {"kind": "burgers_u_t"})
+    # (u, u_t) is the loop's last, the final snapshot
+    artifacts = {
+        "reference_norms.csv": (("t", "l2", "max", "max_ut"), rows),
+        "u_final.ckpt": (u, {"kind": "burgers_u"}),
+        "u_t_final.ckpt": (u_t, {"kind": "burgers_u_t"}),
+    }
     report = {
         "command": "burgers-reference",
         "fine_size": ref.fine.size,
@@ -606,7 +558,7 @@ def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict]:
         "final_max": rows[-1][2],
     }
     print(f"reference solved to t={config.t_end} on {ref.fine.size} fine points")
-    return 0, report
+    return 0, report, artifacts
 
 
 _DISPATCH = {
@@ -622,18 +574,28 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(spec: ExperimentSpec) -> int:
-    """Execute one resolved experiment and write its artifacts."""
+    """Execute one resolved experiment and write its artifacts.
+
+    A command returns its exit code, report and artifacts, which map a
+    file name to a CSV table (columns, rows) or a checkpoint (field,
+    header extra).  Here alone they and report.json are written, with
+    one config hash.
+    """
     if spec.core_text is not None and spec.command != "derive-source":
         raise ConfigError(f"core_text is read by derive-source only, not by {spec.command}")
     if spec.out_dir is not None:
         spec.out_dir.mkdir(parents=True, exist_ok=True)
     if spec.used_beta_delta:
         print(f"eta = {spec.config.eta!r} (from beta * delta^2)")
-    code, report = _DISPATCH[spec.command](spec)
+    code, report, artifacts = _DISPATCH[spec.command](spec)
     if spec.out_dir is not None:
-        report = dict(report)
-        report["config_hash"] = config_hash(spec.config, spec.core_text)
-        _write_json(spec.out_dir / "report.json", report)
+        chash = config_hash(spec.config, spec.core_text)
+        for name, artifact in artifacts.items():
+            if isinstance(artifact[0], Field):
+                write_checkpoint(spec.out_dir / name, *artifact)
+            else:
+                _write_csv(spec.out_dir / name, *artifact, chash)
+        _write_json(spec.out_dir / "report.json", dict(report, config_hash=chash))
     return code
 
 

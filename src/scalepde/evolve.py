@@ -33,6 +33,10 @@ from .grid import (
     field_norms,
     make_grid,
 )
+from .residual import _CLOSURES, _closure_multiplier
+
+# the longest run a config may ask for
+_MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -70,7 +74,7 @@ def cfl_limit(v: Field) -> float:
 
 
 def _check_closure(closure: str, eta: float):
-    if closure not in ("none", "helmholtz"):
+    if closure not in _CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
     if closure == "helmholtz" and not eta > 0.0:
         raise ValueError("the helmholtz closure needs eta > 0")
@@ -106,7 +110,7 @@ class _Stages:
         self.prod = np.empty((max(2 * tensors, int(helmholtz)),) + grid.shape)
         self.weights = np.empty((tensors, 2) + grid.rshape)
         if helmholtz:  # twice the closure multiplier, within the band
-            self.q2 = 2.0 * grid.rdealias_mask / (grid.rksq + 1.0 / eta)
+            self.q2 = 2.0 * grid.rdealias_mask * _closure_multiplier(grid, eta)
         if tensors:
             k0, k1 = (np.imag(d) for d in grid.rderivatives)
             scale = grid.rdealias_mask / np.where(grid.rksq > 0.0, grid.rksq, 1.0)
@@ -414,9 +418,9 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0.0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.closure not in ("none", "helmholtz"):
+        if self.closure not in _CLOSURES:
             raise ConfigError(
-                f"closure must be 'none' or 'helmholtz', got {self.closure!r}"
+                f"closure must be {' or '.join(map(repr, _CLOSURES))}, got {self.closure!r}"
             )
         if not 0.0 < self.epsilon < self.eta0 <= 1.0:
             raise ConfigError(
@@ -448,16 +452,33 @@ class RunConfig:
         return make_grid(self.n, self.grid_size)
 
     def resolved_dt(self, v0: Field) -> float:
+        """The step of a run from v0: dt, which must divide t_end and keep
+        within the CFL limit, or else the largest step within 0.8 of that
+        limit (0.01 for a still field) that divides t_end.  A run of more
+        than _MAX_STEPS steps is refused."""
         limit = cfl_limit(v0)
+        cfl = self.dt is None and math.isfinite(limit)
+        if self.dt is not None:
+            dt = self.dt
+        else:
+            dt = 0.8 * limit if cfl else 0.01
+        steps = self.t_end / dt
+        if not steps <= _MAX_STEPS:
+            source = ", from the CFL limit of initial_condition," if cfl else ""
+            raise ConfigError(
+                f"dt={dt:.3g}{source} takes {steps:.3g} steps to t_end={self.t_end}; "
+                f"at most {_MAX_STEPS} are allowed"
+            )
         if self.dt is None:
-            if not math.isfinite(limit):
-                return self.t_end / max(1, round(self.t_end / 0.01))
-            n_steps = max(1, math.ceil(self.t_end / (0.8 * limit) - 1e-12))
-            return self.t_end / n_steps
-        n_steps = round(self.t_end / self.dt)
+            return self.t_end / max(1, math.ceil(steps - 1e-12) if cfl else round(steps))
+        n_steps = round(steps)
         if n_steps < 1 or abs(n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ConfigError(
                 f"t_end={self.t_end} is not an integer number of dt={self.dt} steps"
+            )
+        if self.dt > limit * (1.0 + 1e-12):
+            raise ConfigError(
+                f"dt={self.dt:.6g} violates the CFL limit {limit:.6g} for this initial state"
             )
         return self.dt
 
@@ -607,11 +628,6 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     """
     state = build_initial_state(config)
     dt = config.resolved_dt(state.v)
-    limit = cfl_limit(state.v)
-    if dt > limit * (1.0 + 1e-12):
-        raise ConfigError(
-            f"dt={dt:.6g} violates the CFL limit {limit:.6g} for this initial state"
-        )
     n_steps = max(1, round(config.t_end / dt))
     # the spec is always checked, but the forcing only enters with psi,
     # so without psi its checkpoint is not read
@@ -623,16 +639,19 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         if e_v is not None:  # transformed here, once per run, not in every step
             _stages(grid, True, config.closure, state.eta).forcing(e_v)
         psi_sup = field_norms(state.psi_v)[1]
-    records = [_diagnose(state, config.closure, psi_sup)]
-    try:
-        for _ in range(n_steps):
-            state = step_rk4(state, dt, closure=config.closure, e_v=e_v)
-            if state.psi_v is not None:
-                psi_sup = max(psi_sup, field_norms(state.psi_v)[1])
-            if state.step_count % config.output_interval == 0 or state.step_count == n_steps:
-                records.append(_diagnose(state, config.closure, psi_sup))
-    except SimulationDiverged as err:
-        raise SimulationDiverged(str(err), records=records) from err
+    records = []
+    # an overflow ends in the non-finite field that _checked_field reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            records.append(_diagnose(state, config.closure, psi_sup))
+            for _ in range(n_steps):
+                state = step_rk4(state, dt, closure=config.closure, e_v=e_v)
+                if state.psi_v is not None:
+                    psi_sup = max(psi_sup, field_norms(state.psi_v)[1])
+                if state.step_count % config.output_interval == 0 or state.step_count == n_steps:
+                    records.append(_diagnose(state, config.closure, psi_sup))
+        except SimulationDiverged as err:
+            raise SimulationDiverged(str(err), records=records) from err
     return SimulationResult(config=config, records=records, final=state)
 
 

@@ -14,8 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Field, Grid, _irfft, _rfft, laplacian
-from .heat import ScaleStack, eta_derivative
+from .heat import ScaleStack, _require_interior, eta_derivative
 from .jets import JetExpr, jet_evaluate, jet_linearize, jet_values
+
+# the residual closures a run can take: none, or the Helmholtz balance below
+_CLOSURES = ("none", "helmholtz")
 
 
 def exact_residual(core: JetExpr, u: Field, u_t: Field) -> Field:
@@ -29,9 +32,10 @@ def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:
     return dr - laplacian(r_stack.fields[node]) - s
 
 
-def _closure_hat(grid: Grid, s_hat: np.ndarray, eta: float) -> np.ndarray:
-    """Half-spectrum solution of laplacian(r) - r/eta + s = 0."""
-    return s_hat / (grid.rksq + 1.0 / eta)
+def _closure_multiplier(grid: Grid, eta: float) -> np.ndarray:
+    """M = 1 / (|k|^2 + 1/eta) on the half spectrum: r_hat = M s_hat solves
+    laplacian(r) - r/eta + s = 0."""
+    return 1.0 / (grid.rksq + 1.0 / eta)
 
 
 def solve_residual_closure(s: Field, eta: float) -> Field:
@@ -39,7 +43,7 @@ def solve_residual_closure(s: Field, eta: float) -> Field:
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     grid = s.grid
-    vals = _irfft(grid, _closure_hat(grid, _rfft(grid, s.values), eta))
+    vals = _irfft(grid, _rfft(grid, s.values) * _closure_multiplier(grid, eta))
     return s.with_values(vals, eta=eta)
 
 
@@ -50,10 +54,7 @@ def closure_error_bound(r_stack: ScaleStack, node: int) -> tuple[float, float]:
     and rhs = (eta/2) * max over interior nodes of |d2(r)/d(eta)2|.  The
     curvature is formed once per stack and shared by all its nodes.
     """
-    if not 1 <= node <= r_stack.K - 2:
-        raise ValueError(
-            f"node {node} has no centered stencil in a stack of {r_stack.K} nodes"
-        )
+    _require_interior(r_stack, node)
     eta = float(r_stack.eta_nodes[node])
     dr = eta_derivative(r_stack, node)
     lhs = float(np.max(np.abs(dr.values - r_stack.fields[node].values / eta)))

@@ -6,10 +6,17 @@ periodic grid, the Burgers reference truth comes from the method of
 characteristics solved pointwise by Newton iteration, and the evolution
 right-hand sides, the hand-written core residuals, jet values, jet
 polynomials and the Duhamel sum are rebuilt from plain numpy complex
-transforms, one round trip per operator.
+transforms, one round trip per operator.  The manufactured families are
+closed-form fields whose time derivatives and filter defects are written
+out by hand.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from scalepde import Field, Grid
 
 
 def fd_derivative(values: np.ndarray, axis: int, spacing: float, order: int = 1) -> np.ndarray:
@@ -260,3 +267,111 @@ def burgers_physical_rk4(size: int, t_end: float, dt: float) -> np.ndarray:
         k4 = rhs(u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
+
+
+def taylor_green_pressure(grid: Grid, amplitude: float = 1.0, t: float = 0.0, eta: float = 0.0) -> Field:
+    """Pressure A^2/4 (cos 2x + cos 2y) balancing the cellular advection."""
+    x, y = grid.coords()
+    vals = 0.25 * amplitude**2 * (np.cos(2 * x) + np.cos(2 * y))
+    return Field(grid, vals[np.newaxis], t=t, eta=eta)
+
+
+@dataclass(frozen=True)
+class ManufacturedSlice:
+    """One (t, eta) sample of a manufactured family with exact derivatives."""
+
+    u: Field
+    u_t: Field
+    psi: Field
+    psi_t: Field
+
+
+def manufactured_burgers(grid: Grid, t: float, eta: float) -> ManufacturedSlice:
+    """Scalar family g(t, eta) sin x that is not heat filtered.
+
+    g = (1 + eta/2 + eta^3)(1 + t/3), so psi = (g_eta + g) sin x.
+    """
+    x = grid.coords()[0]
+    base = np.sin(x)[np.newaxis]
+    g_eta_part = 1.0 + 0.5 * eta + eta**3
+    dg_eta_part = 0.5 + 3.0 * eta**2
+    g_t_part = 1.0 + t / 3.0
+    u = Field(grid, g_eta_part * g_t_part * base, t=t, eta=eta)
+    u_t = Field(grid, g_eta_part * (1.0 / 3.0) * base, t=t, eta=eta)
+    psi = Field(grid, (dg_eta_part + g_eta_part) * g_t_part * base, t=t, eta=eta)
+    psi_t = Field(
+        grid, (dg_eta_part + g_eta_part) * (1.0 / 3.0) * base, t=t, eta=eta
+    )
+    return ManufacturedSlice(u=u, u_t=u_t, psi=psi, psi_t=psi_t)
+
+
+def manufactured_fluid(grid: Grid, t: float, eta: float) -> ManufacturedSlice:
+    """Three-component (v, p) family with nonzero filter defect.
+
+    The velocity part is deliberately compressible so every Frechet
+    entry of the advection core is exercised.
+    """
+    if grid.n != 2:
+        raise ValueError("needs a two dimensional grid")
+    x, y = grid.coords()
+    m1 = np.sin(x) * np.cos(y)
+    m2 = np.cos(x) * np.sin(y)
+    m3 = np.cos(x)
+    # coefficient, d/d(eta), d/dt factors for each component
+    a_eta, da_eta = 1.0 + 0.5 * eta + eta**2, 0.5 + 2.0 * eta
+    b_eta, db_eta = 1.0 - eta + eta**3, -1.0 + 3.0 * eta**2
+    c_eta, dc_eta = eta + eta**2, 1.0 + 2.0 * eta
+    a_t, da_t = 1.0 + t / 4.0, 0.25
+    b_t, db_t = 1.0 - t / 5.0, -0.2
+    c_t, dc_t = 1.0 + t / 3.0, 1.0 / 3.0
+    # laplacian eigenvalues of the three spatial shapes
+    lam1, lam2, lam3 = -2.0, -2.0, -1.0
+
+    def stack(f1, f2, f3):
+        return np.stack([f1 * m1, f2 * m2, f3 * m3])
+
+    u = Field(grid, stack(a_eta * a_t, b_eta * b_t, c_eta * c_t), t=t, eta=eta)
+    u_t = Field(grid, stack(a_eta * da_t, b_eta * db_t, c_eta * dc_t), t=t, eta=eta)
+    psi = Field(
+        grid,
+        stack(
+            (da_eta - lam1 * a_eta) * a_t,
+            (db_eta - lam2 * b_eta) * b_t,
+            (dc_eta - lam3 * c_eta) * c_t,
+        ),
+        t=t,
+        eta=eta,
+    )
+    psi_t = Field(
+        grid,
+        stack(
+            (da_eta - lam1 * a_eta) * da_t,
+            (db_eta - lam2 * b_eta) * db_t,
+            (dc_eta - lam3 * c_eta) * dc_t,
+        ),
+        t=t,
+        eta=eta,
+    )
+    return ManufacturedSlice(u=u, u_t=u_t, psi=psi, psi_t=psi_t)
+
+
+def manufactured_scalar_2d(grid: Grid, eta: float, t: float = 0.0) -> tuple[Field, Field]:
+    """Scalar 2d family (u, psi) whose coefficients do not follow the heat flow.
+
+    u = a sin x cos y + b cos x + c sin 2x cos y with a = 1 + eta,
+    b = e^{-eta} and c = cos(eta); psi = du/deta - laplacian(u) weights
+    each mode by its coefficient's eta-derivative plus |k|^2 = 2, 1, 5
+    times the coefficient.
+    """
+    if grid.n != 2:
+        raise ValueError("needs a two dimensional grid")
+    x, y = grid.coords()
+    modes = (np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y))
+    a, b, c = 1.0 + eta, math.exp(-eta), math.cos(eta)
+    psi_weights = (1.0 + 2.0 * a, -b + b, -math.sin(eta) + 5.0 * c)
+
+    def field(weights):
+        (w1, w2, w3), (m1, m2, m3) = weights, modes
+        return Field(grid, (w1 * m1 + w2 * m2 + w3 * m3)[np.newaxis], t=t, eta=eta)
+
+    return field((a, b, c)), field(psi_weights)

@@ -44,14 +44,12 @@ from scalepde import (
 from scalepde.cli import main
 from scalepde.families import (
     filtered_taylor_green,
-    manufactured_burgers,
-    manufactured_fluid,
-    manufactured_scalar_2d,
     random_band_limited,
     random_solenoidal,
     single_mode_solenoidal,
     taylor_green,
 )
+from oracles import manufactured_burgers, manufactured_fluid, manufactured_scalar_2d
 
 
 def _verdict(capsys, name: str, ok: bool, detail: str, elapsed: float, cap: float):

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scalepde import ConfigError, Field, make_grid, parse_config, read_checkpoint, write_checkpoint
-from scalepde.cli import _measured_orders, config_hash, main
+from scalepde.cli import COMMANDS, _measured_orders, config_hash, main
 
 
 class TestParseConfig:
@@ -340,6 +341,31 @@ class TestEvolveCommand:
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert len(lines) >= 3  # hash, header, at least the initial record
 
+    def test_overflow_diverges_without_warnings(self, tmp_path, capsys):
+        out = tmp_path / "blowup"
+        argv = ["evolve", "--out", str(out), "--set", "grid_size=16",
+                "--set", "initial_condition.amplitude=1e200",
+                "--set", "dt=1e-210", "--set", "t_end=1e-210"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 3
+        assert caught == []
+        assert capsys.readouterr().err == "diverged: non-finite values in v at step 1, t=1e-210\n"
+        assert {f.name for f in out.iterdir()} == {"diagnostics.csv", "report.json"}
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [("initial_condition.amplitude=1e150", "initial_condition"), ("dt=1e-320", "dt=1e-320")],
+    )
+    def test_too_many_steps_exit_2(self, capsys, override, named):
+        start = time.perf_counter()
+        code = main(["evolve", "--set", "grid_size=16", "--set", override])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "t_end=0.1" in err and "at most 1000000" in err
+
     def test_truncated_forcing_exit_4(self, tmp_path, capsys):
         ckpt = tmp_path / "forcing.ckpt"
         write_checkpoint(ckpt, Field(make_grid(2, 32), np.zeros((2, 32, 32))))
@@ -393,6 +419,41 @@ class TestEvolveCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "eta = 0.05000000000000001 (from beta * delta^2)" in out
+
+
+# per command: the overrides of a small run and the files it writes
+ARTIFACTS = {
+    "filter-check": ([], {"report.json"}),
+    "derive-source": ([], {"report.json"}),
+    "residual-check": ([], {"report.json", "defect_convergence.csv"}),
+    "closure-check": ([], {"report.json", "closure_bound.csv"}),
+    "duhamel-check": ([], {"report.json", "duhamel_convergence.csv"}),
+    "evolve": (
+        ["t_end=0.05", "psi.enabled=true"],
+        {"report.json", "diagnostics.csv", "final_v.ckpt", "final_psi.ckpt"},
+    ),
+    "burgers-reference": (
+        ["n=1", "core=burgers", "t_end=0.2"],
+        {"report.json", "reference_norms.csv", "u_final.ckpt", "u_t_final.ckpt"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_artifact_set_and_config_hash(tmp_path, capsys, command):
+    overrides, files = ARTIFACTS[command]
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out), "--set", "grid_size=16"]
+    assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 0
+    capsys.readouterr()
+    assert {f.name for f in out.iterdir()} == files
+    chash = json.loads((out / "report.json").read_text())["config_hash"]
+    assert chash == config_hash(parse_config("", ["grid_size=16"] + overrides)[0])
+    for name in files:
+        if name.endswith(".csv"):
+            assert (out / name).read_text().splitlines()[0] == f"# config_hash={chash}"
+        elif name.endswith(".ckpt"):
+            assert read_checkpoint(out / name)[1]["kind"]
 
 
 class TestConvergenceOrders:

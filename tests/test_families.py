@@ -13,13 +13,15 @@ from scalepde import (
 )
 from scalepde.families import (
     filtered_taylor_green,
-    manufactured_burgers,
-    manufactured_fluid,
-    manufactured_scalar_2d,
     random_band_limited,
     random_solenoidal,
     single_mode_solenoidal,
     taylor_green,
+)
+from oracles import (
+    manufactured_burgers,
+    manufactured_fluid,
+    manufactured_scalar_2d,
     taylor_green_pressure,
 )
 

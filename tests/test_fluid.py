@@ -17,13 +17,14 @@ from scalepde import (
     sigma,
     spectral_derivative,
 )
-from scalepde.families import (
-    random_band_limited,
-    random_solenoidal,
-    taylor_green,
+from scalepde.families import random_band_limited, random_solenoidal, taylor_green
+from oracles import (
+    burgers_residual,
+    fd_fluid_source,
+    fd_sigma,
+    fluid_residual,
     taylor_green_pressure,
 )
-from oracles import burgers_residual, fd_fluid_source, fd_sigma, fluid_residual
 
 
 def _stack(fields):

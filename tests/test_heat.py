@@ -16,13 +16,8 @@ from scalepde import (
     laplacian,
     make_grid,
 )
-from scalepde.families import (
-    manufactured_scalar_2d,
-    random_band_limited,
-    random_solenoidal,
-    taylor_green,
-)
-from oracles import per_node_duhamel
+from scalepde.families import random_band_limited, random_solenoidal, taylor_green
+from oracles import manufactured_scalar_2d, per_node_duhamel
 
 
 class TestHeatPropagate:

@@ -25,10 +25,10 @@ from scalepde import (
     parse_core,
     spectral_derivative,
 )
-from scalepde.families import random_band_limited, taylor_green, taylor_green_pressure
+from scalepde.families import random_band_limited, taylor_green
 from scalepde.fluid import burgers_core, fluid_core
 from scalepde.jets import spatial_labels
-from oracles import chained_jet_values, pairwise_jet_evaluate
+from oracles import chained_jet_values, pairwise_jet_evaluate, taylor_green_pressure
 
 
 def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2) -> JetExpr:

@@ -21,13 +21,8 @@ from scalepde import (
     residual_defect,
     solve_residual_closure,
 )
-from scalepde.families import (
-    manufactured_burgers,
-    manufactured_fluid,
-    random_band_limited,
-    taylor_green,
-    taylor_green_pressure,
-)
+from scalepde.families import random_band_limited, taylor_green
+from oracles import manufactured_burgers, manufactured_fluid, taylor_green_pressure
 
 
 def _field_stack(grid, nodes, value_fn):

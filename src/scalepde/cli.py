@@ -33,7 +33,7 @@ from .evolve import (
 from .fluid import core_by_name
 from .grid import (
     Field,
-    _spatial_axes,
+    _rfft,
     divergence,
     field_norms,
     laplacian,
@@ -187,7 +187,7 @@ def _print_checks(checks: list[dict]):
 
 
 def _mode_amplitude(f: Field, mode: tuple[int, ...]) -> complex:
-    coeffs = np.fft.fftn(f.values, axes=_spatial_axes(f.grid))
+    coeffs = _rfft(f.grid, f.values)
     return complex(coeffs[(0,) + mode]) / f.grid.num_points
 
 
@@ -310,8 +310,6 @@ def _residual_stack(
 
 def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
-    if config.core == "burgers" and config.n != 1:
-        raise ConfigError("the burgers core needs n = 1")
     if config.core == "fluid" and config.n != 2:
         raise ConfigError("the residual check runs the fluid core with n = 2")
     core = core_by_name(config.core, config.n)
@@ -535,8 +533,6 @@ def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
     if config.n != 1:
         raise ConfigError("burgers-reference needs n = 1")
-    if not config.t_end < 1.0:
-        raise ConfigError("burgers-reference needs t_end < 1 (pre-shock)")
     grid = make_grid(1, config.grid_size)
     times = [round(j * config.t_end / 4.0, 12) for j in range(5)]
     ref = reference_burgers(grid, config.t_end, snapshot_times=times)

@@ -319,21 +319,14 @@ def _require(key: str, value, kind: type):
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: float) -> Field:
-    """The initial field of one spec cut to the 2/3 band, at t = 0 and scale eta.
-
-    Every family is solenoidal (``random_solenoidal`` is projected where
-    it is built), so the cut field is the state a step starts from and the
-    first diagnostics record reports it.  Each parameter must have the
-    type of its default; errors name the key.
-    """
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    if not isinstance(name, str) or name not in _IC_DEFAULTS:
-        raise ConfigError(
-            f"{what}.name must be one of {sorted(_IC_DEFAULTS)}, got {name!r}"
-        )
-    params = dict(_IC_DEFAULTS[name])
+def _check_spec(spec: dict, table: dict, what: str, grid_size: int):
+    """Check a spec object against its table of names and the parameters
+    each takes, with their defaults: every parameter must have the type of
+    its default.  Errors name the key."""
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{what}.name must be one of {sorted(table)}, got {name!r}")
+    params = {"name": "", **table[name]}
     for key, value in spec.items():
         if key not in params:
             raise ConfigError(f"unknown key {what}.{key}")
@@ -343,15 +336,28 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: 
             isinstance(value, (list, tuple))
             and len(value) == 2
             and any(value)
-            and all(_is_kind(c, int) and abs(c) <= grid.size // 2 for c in value)
+            and all(_is_kind(c, int) and abs(c) <= grid_size // 2 for c in value)
         ):
             raise ConfigError(
                 f"{what}.k must be a nonzero pair of integers in "
-                f"[-{grid.size // 2}, {grid.size // 2}], got {value!r}"
+                f"[-{grid_size // 2}, {grid_size // 2}], got {value!r}"
             )
-        params[key] = value
-    if params.get("kmax", 1) < 1:
-        raise ConfigError(f"{what}.kmax must be >= 1, got {params['kmax']}")
+    if spec.get("kmax", 1) < 1:
+        raise ConfigError(f"{what}.kmax must be >= 1, got {spec['kmax']}")
+    if "path" in params and not spec.get("path"):
+        raise ConfigError(f"{what}.path must name the checkpoint file, got {spec.get('path')!r}")
+
+
+def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: float) -> Field:
+    """The initial field of a checked spec cut to the 2/3 band, at t = 0, scale eta.
+
+    Every family is solenoidal (``random_solenoidal`` is projected where
+    it is built), so the cut field is the state a step starts from and the
+    first diagnostics record reports it.  The errors left need the field:
+    a non-finite amplitude, and a family that does not fit the grid.
+    """
+    params = dict(_IC_DEFAULTS[spec["name"]], **spec)
+    name = params.pop("name")
     try:
         with np.errstate(over="raise", invalid="raise"):
             if name == "taylor_green":
@@ -372,13 +378,22 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: 
     return f
 
 
+# each spec field's table: its names and the parameters each takes, with defaults
+_SPECS = {
+    "initial_condition": _IC_DEFAULTS,
+    "psi_initial": _IC_DEFAULTS,
+    "psi_forcing": {"zero": {}, "checkpoint": {"path": ""}},
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated description of one run or experiment.
 
     ``eta`` can be given directly or through beta * delta^2 at parse
     time.  ``epsilon``/``eta0``/``nodes`` configure the scale windows
-    of the check experiments.
+    of the check experiments.  Every field, spec objects included, is
+    checked here for every command, whether or not a command reads it.
     """
 
     n: int = 2
@@ -412,6 +427,8 @@ class RunConfig:
             raise ConfigError(f"grid_size must be even and >= 4, got {self.grid_size}")
         if self.core not in ("fluid", "burgers"):
             raise ConfigError(f"core must be 'fluid' or 'burgers', got {self.core!r}")
+        if self.core == "burgers" and self.n != 1:
+            raise ConfigError(f"core='burgers' needs n = 1, got n={self.n}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must lie in (0, 1], got {self.eta}")
         if self.dt is not None and not self.dt > 0.0:
@@ -444,6 +461,8 @@ class RunConfig:
             raise ConfigError(f"output_interval must be >= 1, got {self.output_interval}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, table in _SPECS.items():
+            _check_spec(getattr(self, name), table, _CONFIG_KEYS.get(name, name), self.grid_size)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -496,41 +515,13 @@ def build_initial_state(config: RunConfig) -> EvolutionState:
     return EvolutionState(t=0.0, v=v0, psi_v=psi0)
 
 
-# the keys each psi forcing takes besides its name
-_FORCING_KEYS = {"zero": set(), "checkpoint": {"path"}}
-
-
-def _forcing_path(config: RunConfig) -> str | None:
-    """The checkpoint path of the checked psi.forcing spec; None for zero."""
-    spec = dict(config.psi_forcing)
-    name = spec.pop("name", None)
-    if not isinstance(name, str) or name not in _FORCING_KEYS:
-        raise ConfigError(
-            f"psi.forcing.name must be {' or '.join(map(repr, _FORCING_KEYS))}, got {name!r}"
-        )
-    unknown = set(spec) - _FORCING_KEYS[name]
-    if unknown:
-        raise ConfigError(f"unknown keys in psi.forcing: {sorted(unknown)}")
-    if name == "zero":
-        return None
-    path = spec.get("path")
-    if not path or not isinstance(path, str):
-        raise ConfigError(
-            f"psi.forcing.path must name the checkpoint file, got {path!r}"
-        )
-    return path
-
-
 def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
-    """Materialize the psi forcing field e_v, if any."""
-    path = _forcing_path(config)
-    if path is None:
+    """Read the psi forcing field e_v, if any."""
+    if config.psi_forcing["name"] == "zero":
         return None
-    f, _ = read_checkpoint(path)
+    f, _ = read_checkpoint(config.psi_forcing["path"])
     if f.grid != grid or f.ncomp != grid.n:
-        raise ConfigError(
-            "psi.forcing checkpoint does not match the run grid"
-        )
+        raise ConfigError("psi.forcing checkpoint does not match the run grid")
     return f
 
 
@@ -629,9 +620,6 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     state = build_initial_state(config)
     dt = config.resolved_dt(state.v)
     n_steps = max(1, round(config.t_end / dt))
-    # the spec is always checked, but the forcing only enters with psi,
-    # so without psi its checkpoint is not read
-    _forcing_path(config)
     e_v, psi_sup = None, 0.0
     if state.psi_v is not None:
         grid = state.v.grid
@@ -749,6 +737,8 @@ def reference_burgers(
 
 CHECKPOINT_MAGIC = b"SCALEPDE"
 CHECKPOINT_VERSION = 1
+# the kind of each header field the Field is built from
+_HEADER_KINDS = {"n": int, "size": int, "components": int, "t": float, "eta": float}
 
 
 def write_checkpoint(path, f: Field, extra: dict | None = None):
@@ -773,8 +763,10 @@ def read_checkpoint(path) -> tuple[Field, dict]:
     """Read a checkpoint back into a Field plus its header dict.
 
     A file without the magic is not a checkpoint (ValueError); a
-    checkpoint with an unreadable or unsupported header, too few data
-    bytes or non-finite values raises OSError naming the path.
+    checkpoint with an unreadable or unsupported header (each of n, size,
+    components, t and eta of its kind, n of 1 or 2, components >= 1 and
+    eta >= 0), too few data bytes or non-finite values raises OSError
+    naming the path.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -788,10 +780,11 @@ def read_checkpoint(path) -> tuple[Field, dict]:
                     f"{path}: checkpoint version {version!r} is not supported "
                     f"(expected {CHECKPOINT_VERSION})"
                 )
-            n, size = header["n"], header["size"]
-            ncomp, t, eta = int(header["components"]), header["t"], header["eta"]
-            if n not in (1, 2) or not isinstance(size, int):
-                raise ValueError(f"n={n!r} and size={size!r} give no grid")
+            for key, kind in _HEADER_KINDS.items():
+                _require(key, header[key], kind)
+            n, size, ncomp, t, eta = (header[key] for key in _HEADER_KINDS)
+            if n not in (1, 2) or ncomp < 1 or eta < 0.0:
+                raise ValueError(f"n={n}, components={ncomp} or eta={eta} is out of range")
             # counted in Python ints and checked against the file before the
             # grid is built: a huge size would fill memory with its tables
             nbytes = ncomp * size**n * 8

@@ -240,16 +240,16 @@ def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
-    """Exact Fourier derivative along a spatial axis.
+    """Exact Fourier derivative along a spatial axis, one real transform each way.
 
     The Nyquist mode of that axis is zeroed so the result stays real.
     """
     grid = f.grid
     if not 0 <= axis < grid.n:
         raise ValueError(f"axis {axis} out of range for {grid.n}-dimensional grid")
-    coeffs = np.fft.fftn(f.values, axes=_spatial_axes(grid))
-    coeffs *= grid.derivatives[axis]
-    return f.with_values(np.fft.ifftn(coeffs, axes=_spatial_axes(grid)).real)
+    coeffs = _rfft(grid, f.values)
+    coeffs *= grid.rderivatives[axis]
+    return f.with_values(_irfft(grid, coeffs))
 
 
 def laplacian(f: Field) -> Field:

@@ -15,6 +15,75 @@ from scalepde import ConfigError, Field, make_grid, parse_config, read_checkpoin
 from scalepde.cli import COMMANDS, _measured_orders, config_hash, main
 
 
+# bad scalar values
+SCALAR_ROWS = [
+    ("nodes=5", "nodes"),
+    ('nodes="999"', "nodes"),
+    ("nodes=[9,true]", "nodes"),
+    ("nodes=[5]", "nodes"),
+    ("nodes=[]", "nodes"),
+    ("nodes=[17,9]", "nodes"),
+    ("nodes=[9,9]", "nodes"),
+    ("t_end=Infinity", "t_end"),
+    ("output_interval=1.5", "output_interval"),
+    ("seed=abc", "seed"),
+    ("seed=-1", "seed"),
+    ("n=true", "n must be an integer"),
+    ("grid_size=abc", "grid_size"),
+    ("dt=Infinity", "dt"),
+    ("beta=[1] delta=0.1", "beta"),
+    ("beta=1 delta=1e200", "beta * delta^2"),
+]
+# bad spec objects and the core without its dimension: the config shows
+# them, so every command refuses them, whether or not psi is on
+SPEC_ROWS = [
+    ("initial_condition=3", "initial_condition"),
+    ("initial_condition.amplitude=abc", "initial_condition.amplitude"),
+    ("initial_condition.name=taylor_green initial_condition.amplitude=abc",
+     "initial_condition.amplitude"),
+    ("initial_condition.name=single_mode initial_condition.k=5", "initial_condition.k"),
+    ("initial_condition.name=single_mode initial_condition.k=[0,0]", "initial_condition.k"),
+    ("initial_condition.name=single_mode initial_condition.k=[1,99]", "initial_condition.k"),
+    ("initial_condition.name=random_solenoidal initial_condition.kmax=abc",
+     "initial_condition.kmax"),
+    ("initial_condition.name=random_solenoidal initial_condition.kmax=0",
+     "initial_condition.kmax"),
+    ("initial_condition.name=bogus", "initial_condition.name"),
+    ("psi.initial_condition.name=bogus", "psi.initial_condition.name"),
+    ("psi.initial_condition.phase=1", "psi.initial_condition.phase"),
+    ("psi.initial_condition.name=single_mode psi.initial_condition.k=[1,99]",
+     "psi.initial_condition.k"),
+    ("psi.initial_condition.name=random_solenoidal psi.initial_condition.kmax=0",
+     "psi.initial_condition.kmax"),
+    ("psi.initial_condition.name=taylor_green psi.initial_condition.amplitude=abc",
+     "psi.initial_condition.amplitude"),
+    ("psi.enabled=true psi.forcing.name=checkpoint psi.forcing.path=5",
+     "psi.forcing.path"),
+    ("psi.forcing.name=checkpoint psi.forcing.path=5", "psi.forcing.path"),
+    ("psi.forcing.name=bogus", "psi.forcing.name"),
+    ("psi.forcing.name=checkpoint", "psi.forcing.path"),
+    ("psi.forcing.name=checkpoint psi.forcing.path=f psi.forcing.scale=2",
+     "psi.forcing.scale"),
+    ("core=burgers n=2", "core"),
+]
+# bad values that only the built field shows, which evolve alone builds
+FIELD_ROWS = [
+    ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
+     "initial_condition.amplitude"),
+    ("n=1 initial_condition.name=single_mode", "initial_condition.name"),
+    ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
+]
+
+
+def _assert_exits_2_naming(capsys, command, override, key):
+    sets = [arg for item in override.split(" ") for arg in ("--set", item)]
+    code = main([command, "--set", "grid_size=16"] + sets)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
         config, raw = parse_config("")
@@ -71,14 +140,17 @@ class TestParseConfig:
         assert config.grid_size == 32
 
     def test_dotted_override_extends_default(self):
-        config, _ = parse_config("", ["initial_condition.amplitude=2", "psi.forcing.path=f"])
+        config, _ = parse_config(
+            "",
+            ["initial_condition.amplitude=2", "psi.forcing.path=f", "psi.forcing.name=checkpoint"],
+        )
         assert config.initial_condition == {"name": "taylor_green", "amplitude": 2}
-        assert config.psi_forcing == {"name": "zero", "path": "f"}
+        assert config.psi_forcing == {"name": "checkpoint", "path": "f"}
         # an object the config gives is extended as given
         config, _ = parse_config(
-            '{"initial_condition": {"name": "zero"}}', ["initial_condition.amplitude=2"]
+            '{"initial_condition": {"name": "single_mode"}}', ["initial_condition.amplitude=2"]
         )
-        assert config.initial_condition == {"name": "zero", "amplitude": 2}
+        assert config.initial_condition == {"name": "single_mode", "amplitude": 2}
 
     def test_override_needs_equals(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -105,54 +177,14 @@ class TestParseConfig:
         two = config_hash(config, "u1_t + 3*u1_x1")
         assert len({plain, one, two}) == 3
 
-    @pytest.mark.parametrize(
-        "override, key",
-        [
-            ("nodes=5", "nodes"),
-            ('nodes="999"', "nodes"),
-            ("nodes=[9,true]", "nodes"),
-            ("nodes=[5]", "nodes"),
-            ("nodes=[]", "nodes"),
-            ("nodes=[17,9]", "nodes"),
-            ("nodes=[9,9]", "nodes"),
-            ("t_end=Infinity", "t_end"),
-            ("initial_condition=3", "initial_condition"),
-            ("output_interval=1.5", "output_interval"),
-            ("seed=abc", "seed"),
-            ("seed=-1", "seed"),
-            ("n=true", "n must be an integer"),
-            ("grid_size=abc", "grid_size"),
-            ("dt=Infinity", "dt"),
-            ("initial_condition.amplitude=abc", "initial_condition.amplitude"),
-            ("initial_condition.name=taylor_green initial_condition.amplitude=abc",
-             "initial_condition.amplitude"),
-            ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
-             "initial_condition.amplitude"),
-            ("initial_condition.name=single_mode initial_condition.k=5", "initial_condition.k"),
-            ("initial_condition.name=single_mode initial_condition.k=[0,0]", "initial_condition.k"),
-            ("initial_condition.name=single_mode initial_condition.k=[1,99]", "initial_condition.k"),
-            ("initial_condition.name=random_solenoidal initial_condition.kmax=abc",
-             "initial_condition.kmax"),
-            ("initial_condition.name=random_solenoidal initial_condition.kmax=0",
-             "initial_condition.kmax"),
-            ("n=1 initial_condition.name=single_mode", "initial_condition.name"),
-            ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
-            ("beta=[1] delta=0.1", "beta"),
-            ("beta=1 delta=1e200", "beta * delta^2"),
-            ("psi.enabled=true psi.forcing.name=checkpoint psi.forcing.path=5",
-             "psi.forcing.path"),
-            ("psi.forcing.name=bogus", "psi.forcing.name"),
-            ("psi.forcing.name=checkpoint", "psi.forcing.path"),
-        ],
-    )
+    @pytest.mark.parametrize("override, key", SCALAR_ROWS + SPEC_ROWS + FIELD_ROWS)
     def test_bad_value_exits_2_naming_key(self, capsys, override, key):
-        sets = [arg for item in override.split(" ") for arg in ("--set", item)]
-        code = main(["evolve", "--set", "grid_size=16"] + sets)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and key in err
-        assert "Traceback" not in err
+        _assert_exits_2_naming(capsys, "evolve", override, key)
 
+    @pytest.mark.parametrize("override, key", SPEC_ROWS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_spec_exits_2_on_every_command(self, capsys, command, override, key):
+        _assert_exits_2_naming(capsys, command, override, key)
 
     @pytest.mark.parametrize("command", ["residual-check", "evolve", "filter-check"])
     def test_core_text_read_by_derive_source_only(self, tmp_path, capsys, command):

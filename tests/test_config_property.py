@@ -3,7 +3,10 @@
 One fuzzed value per known key goes through parse_config and
 build_initial_state; no simulation runs.  The fixed overrides beside a
 key put its value on the path that reads it (kmax only exists for
-random_solenoidal, a psi initial condition is only built with psi on).
+random_solenoidal, a forcing path for a checkpoint, and a psi initial
+condition is only built with psi on).  The shape of every spec is checked
+whether or not psi is on, so the psi name and k keys are fuzzed with psi
+off.
 """
 
 import json
@@ -42,9 +45,11 @@ KEYS = {
     "initial_condition.amplitude": [],
     "initial_condition.kmax": ["initial_condition.name=random_solenoidal"],
     "initial_condition.k": ["initial_condition.name=single_mode"],
-    "psi.initial_condition.name": ["psi.enabled=true"],
+    "psi.initial_condition.name": [],
     "psi.initial_condition.amplitude": _PSI_IC,
-    "psi.initial_condition.k": _PSI_IC,
+    "psi.initial_condition.k": ["psi.initial_condition.name=single_mode"],
+    "psi.forcing.name": [],
+    "psi.forcing.path": ["psi.forcing.name=checkpoint"],
 }
 
 _WORDS = st.sampled_from(

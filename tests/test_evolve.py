@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -367,9 +368,8 @@ class TestRunConfig:
             build_initial_state(config)
 
     def test_unknown_ic_key(self):
-        config = RunConfig(initial_condition={"name": "taylor_green", "phase": 1.0})
         with pytest.raises(ConfigError, match="phase"):
-            build_initial_state(config)
+            RunConfig(initial_condition={"name": "taylor_green", "phase": 1.0})
 
 
 class TestRunSimulation:
@@ -592,6 +592,26 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(OSError, match="nan.ckpt: checkpoint holds non-finite"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eta", -1), ("eta", math.nan), ("components", -2), ("components", 0),
+         ("t", "abc"), ("components", 2.5)],
+    )
+    def test_bad_header_field_exits_4_naming_file(self, tmp_path, capsys, key, value):
+        header = {"components": 2, "eta": 0.0, "n": 2, "size": 16, "t": 0.0, "version": 1}
+        path = tmp_path / "forcing.ckpt"
+        path.write_bytes(
+            b"SCALEPDE" + json.dumps(dict(header, **{key: value})).encode() + b"\n"
+            + bytes(8 * 2 * 16 * 16)
+        )
+        with pytest.raises(OSError, match="forcing.ckpt: unreadable checkpoint header"):
+            read_checkpoint(path)
+        code = main(["evolve", "--set", "grid_size=16", "--set", "psi.enabled=true",
+                     "--set", "psi.forcing.name=checkpoint", "--set", f"psi.forcing.path={path}"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"i/o error: {path}: ") and key in err
 
     def test_wrong_version_names_path(self, tmp_path, grid1d):
         path = tmp_path / "future.ckpt"

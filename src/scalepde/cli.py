@@ -519,6 +519,7 @@ def cmd_evolve(spec: ExperimentSpec) -> tuple[int, dict, dict]:
         "energy_initial": result.records[0].energy,
         "energy_final": last.energy,
         "max_div_v": max(r.max_div_v for r in result.records),
+        "cfl_peak": result.cfl_peak,
         "psi_sup": last.psi_sup,
         "deviation_bound": last.deviation_bound,
     }

@@ -14,6 +14,7 @@ import math
 import numbers
 import os
 import sys
+import weakref
 from dataclasses import astuple, dataclass, field as _dc_field, fields
 
 import numpy as np
@@ -25,11 +26,12 @@ from .grid import (
     Field,
     Grid,
     NonFiniteFieldError,
+    _band_irfft,
+    _band_rfft,
     _dealiased_hat,
     _irfft,
     _rfft,
     _value_norms,
-    divergence,
     field_norms,
     make_grid,
 )
@@ -73,6 +75,11 @@ def cfl_limit(v: Field) -> float:
     return 0.5 * v.grid.spacing / vmax
 
 
+def _cfl_number(v: Field, dt: float) -> float:
+    """dt max|v| / h: the cells the fastest point crosses in one step."""
+    return float(dt * max(v.values.max(), -v.values.min()) / v.grid.spacing)
+
+
 def _check_closure(closure: str, eta: float):
     if closure not in _CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
@@ -91,6 +98,14 @@ class _Stages:
     with c = (k_0 k_1 A + (k_1^2 - k_0^2) B) / |k|^2.  In 1-D no divergence
     survives P, so nothing is transformed.  sigma needs d_0 v_0, d_1 v_0 and
     d_0 v_1 only, since d_1 v_1 = -d_0 v_0 on a solenoidal stage.
+
+    The state, every slope and the forcing lie in the 2/3 band, so every
+    coefficient buffer and multiplier is band width: the first
+    ``grid.band`` columns of the half spectrum (k_last < N/3), and the
+    transforms are ``_band_rfft``/``_band_irfft``.  ``total`` keeps the
+    coefficients of the last step's result, so a step or record of the
+    Fields that step returned (held by weak references) transforms nothing
+    on entry.
     """
 
     def __init__(self, grid: Grid, psi: bool, closure: str, eta: float):
@@ -99,46 +114,81 @@ class _Stages:
         self.grid, self.grads = grid, (n * n - 1) * helmholtz
         tensors = (m // n + helmholtz) * (n == 2)
         rows = m + self.grads
-        self.u0, self.total = (np.empty((m,) + grid.rshape, complex) for _ in range(2))
+        band = (Ellipsis, slice(grid.band))  # views of the grid's tables
+        self.d = tuple(d[band] for d in grid.rderivatives)
+        self.leray, self.mask = grid.rleray[band], grid.rdealias_mask[band]
+        bshape = grid.rshape[:-1] + (grid.band,)
+        self.u0, self.total = (np.empty((m,) + bshape, complex) for _ in range(2))
         # the product coefficients reuse the stage rows, the slope the physical rows
-        self.spec = np.empty((rows,) + grid.rshape, complex)
-        k_size = 2 * m * math.prod(grid.rshape)
-        shared = np.empty(max(rows * grid.num_points, k_size))
+        self.spec = np.empty((rows,) + bshape, complex)
+        # psi's stacked stage values and a helmholtz record's sigma (one
+        # pair in 1-D) are products too
+        self.prod = np.empty((max(2 * tensors, int(helmholtz), m * psi),) + grid.shape)
+        # the forward transforms' half spectrum reuses the physical rows too
+        half_rows = max(len(self.prod), m)
+        k_size, half_size = 2 * m * math.prod(bshape), 2 * half_rows * math.prod(grid.rshape)
+        shared = np.empty(max(rows * grid.num_points, k_size, half_size))
         self.phys = shared[: rows * grid.num_points].reshape((rows,) + grid.shape)
-        self.k = shared[:k_size].view(complex).reshape((m,) + grid.rshape)
-        # a helmholtz record forms sigma in 1-D too, which has one pair
-        self.prod = np.empty((max(2 * tensors, int(helmholtz)),) + grid.shape)
-        self.weights = np.empty((tensors, 2) + grid.rshape)
+        self.k = shared[:k_size].view(complex).reshape((m,) + bshape)
+        self.half = shared[:half_size].view(complex).reshape((half_rows,) + grid.rshape)
+        self.weights = np.empty((tensors, 2) + bshape)
         if helmholtz:  # twice the closure multiplier, within the band
-            self.q2 = 2.0 * grid.rdealias_mask * _closure_multiplier(grid, eta)
+            self.q2 = 2.0 * self.mask * _closure_multiplier(grid, eta)[band]
         if tensors:
-            k0, k1 = (np.imag(d) for d in grid.rderivatives)
-            scale = grid.rdealias_mask / np.where(grid.rksq > 0.0, grid.rksq, 1.0)
+            k0, k1 = (np.imag(d) for d in self.d)
+            ksq = grid.rksq[band]
+            scale = self.mask / np.where(ksq > 0.0, ksq, 1.0)
             self.weights[:] = (k0 * k1 * scale, (k1**2 - k0**2) * scale)
             if m > n:  # psi's row A holds (T^{00} - T^{11}) / 2
                 self.weights[1, 0] *= 2.0
             if helmholtz:
                 self.weights[-1] *= self.q2
         self._forcing = None
+        self._last = None
+
+    def holds(self, v: Field, psi_v: Field | None) -> bool:
+        """Whether ``total`` holds the coefficients of (v, psi_v): whether
+        they are the Fields the last step returned."""
+        return self._last is not None and all(
+            ref() is f for ref, f in zip(self._last, (v, psi_v))
+        )
+
+    def keep(self, v: Field, psi_v: Field | None):
+        """Mark ``total`` as the coefficients of the step result (v, psi_v);
+        weakly, so the reuse keeps no Field alive."""
+        self._last = tuple(weakref.ref(f) for f in (v, psi_v) if f is not None)
+
+    def _project(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = P w for stacked n-component band coefficients w."""
+        n, leray = self.grid.n, self.leray
+        for j, a in np.ndindex(len(w) // n, n):
+            np.multiply(w[j * n], leray[a, 0], out=out[j * n + a])
+            for b in range(1, n):
+                out[j * n + a] += np.multiply(w[j * n + b], leray[a, b], out=self.spec[0])
+        return out
 
     def load(self, v: Field, psi_v: Field | None):
-        """u0: the (v, psi) coefficients cut to the 2/3 band and projected."""
-        grid, m, n, leray = self.grid, self.m, self.grid.n, self.grid.rleray
-        values = v.values if psi_v is None else np.concatenate(
-            [v.values, psi_v.values], out=self.phys[:m]
-        )
-        w = _rfft(grid, values, out=self.total)
-        w *= grid.rdealias_mask
-        for j, a in np.ndindex(m // n, n):
-            out = np.multiply(w[j * n], leray[a, 0], out=self.u0[j * n + a])
-            for b in range(1, n):
-                out += np.multiply(w[j * n + b], leray[a, b], out=self.spec[0])
+        """u0: the (v, psi) coefficients cut to the 2/3 band and projected.
+        A step result's are ``total`` already, which becomes u0."""
+        if self.holds(v, psi_v):
+            self.u0, self.total = self.total, self.u0
+        else:
+            m = self.m
+            values = v.values if psi_v is None else np.concatenate(
+                [v.values, psi_v.values], out=self.prod[:m]
+            )
+            w = _band_rfft(self.grid, values, out=self.total, scratch=self.half[:m])
+            w *= self.mask
+            self._project(w, self.u0)
+        self._last = None
 
     def forcing(self, e_v: Field) -> np.ndarray:
         """The projected psi forcing in the 2/3 band, transformed once per Field."""
         if e_v is not self._forcing:
             self._forcing = e_v
-            self._e_hat = _leray_hat(self.grid, _dealiased_hat(self.grid, e_v.values))
+            e_hat = _band_rfft(self.grid, e_v.values)
+            e_hat *= self.mask
+            self._e_hat = self._project(e_hat, np.empty_like(e_hat))
         return self._e_hat
 
     def slope(self, e_hat: np.ndarray | None) -> np.ndarray:
@@ -149,11 +199,11 @@ class _Stages:
         if not tensors:
             k.fill(0.0)
         else:
-            d0, d1 = grid.rderivatives
+            d0, d1 = self.d
             if self.grads:  # d_0 v_0, d_1 v_0, d_0 v_1
                 np.multiply(spec[:2], d0, out=spec[m : m + 3 : 2])
                 np.multiply(spec[0], d1, out=spec[m + 1])
-            _irfft(grid, spec, out=phys)
+            _band_irfft(grid, spec, out=phys)
             v0, v1 = phys[0], phys[1]
             a, b = prod[0], prod[1]
             np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
@@ -167,12 +217,14 @@ class _Stages:
                 a, b = prod[-2], prod[-1]
                 np.multiply(np.add(g01, g10, out=a), np.subtract(g01, g10, out=b), out=a)
                 np.multiply(np.subtract(g10, g01, out=b), g00, out=b)
-            t = _rfft(grid, prod, out=spec[: len(prod)]).reshape(self.weights.shape)
+            rows = len(prod)
+            t = _band_rfft(grid, prod, out=spec[:rows], scratch=self.half[:rows])
+            t = t.reshape(self.weights.shape)
             t *= self.weights
             c = np.add(t[:, 0], t[:, 1], out=t[:, 0])
             if self.grads:
                 c[0] += c[-1]
-            fields = k.reshape((m // n, n) + grid.rshape)
+            fields = k.reshape((m // n, n) + k.shape[1:])
             np.negative(np.multiply(c[: m // n], d1, out=fields[:, 0]), out=fields[:, 0])
             np.multiply(c[: m // n], d0, out=fields[:, 1])
         if e_hat is not None:
@@ -195,7 +247,7 @@ def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: floa
 
 
 def _rhs(v: Field, psi_v: Field | None, closure: str, eta: float) -> np.ndarray:
-    """The projected, unforced slope of the (v, psi) stack."""
+    """The projected, unforced band coefficients of the slope of the (v, psi) stack."""
     ws = _stages(v.grid, psi_v is not None, closure, eta)
     ws.load(v, psi_v)
     np.copyto(ws.spec[: ws.m], ws.u0)
@@ -208,7 +260,7 @@ def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -
     if eta is None:
         eta = v.eta
     _check_closure(closure, eta)
-    return v.with_values(_irfft(v.grid, _rhs(v, None, closure, eta)))
+    return v.with_values(_band_irfft(v.grid, _rhs(v, None, closure, eta)))
 
 
 def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
@@ -223,9 +275,12 @@ def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
     """
     grid = v.grid
     k = _rhs(v, psi_v, "none", v.eta)[grid.n :]
-    if e_v is not None:
-        k += _leray_hat(grid, _rfft(grid, e_v.values))
-    return psi_v.with_values(_irfft(grid, k))
+    if e_v is None:
+        coeffs = np.zeros((grid.n,) + grid.rshape, complex)
+    else:
+        coeffs = _leray_hat(grid, _rfft(grid, e_v.values))
+    coeffs[..., : grid.band] += k
+    return psi_v.with_values(_irfft(grid, coeffs))
 
 
 def _rk4(u0: np.ndarray, total: np.ndarray, stage: np.ndarray, dt: float, slope) -> None:
@@ -260,7 +315,8 @@ def step_rk4(
     v and psi are solenoidal and band-limited to the 2/3 cutoff.  So the
     state enters Leray-projected and cut to the band, the forcing is cut
     to the band, and every slope is projected and masked.  Finite values
-    are checked once, on the result.
+    are checked once, on the result.  A step from the Fields the last step
+    returned starts from that step's coefficients, with no transform.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -269,15 +325,19 @@ def step_rk4(
     _check_closure(closure, eta)
     ws = _stages(grid, psi is not None, closure, eta)
     ws.load(v, psi)
+    m = ws.m
     e_hat = ws.forcing(e_v) if psi is not None and e_v is not None else None
-    _rk4(ws.u0, ws.total, ws.spec[: ws.m], dt, lambda: ws.slope(e_hat))
-    values = _irfft(grid, ws.total, out=ws.phys[: ws.m])
+    _rk4(ws.u0, ws.total, ws.spec[:m], dt, lambda: ws.slope(e_hat))
+    coeffs = ws.spec[:m]
+    np.copyto(coeffs, ws.total)  # the inverse overwrites its input; total stays
+    values = _band_irfft(grid, coeffs, out=ws.phys[:m])
     t_new = state.t + dt
     step = state.step_count + 1
     v_new = _checked_field(grid, values[: grid.n], "v", step, t_new, eta)
     psi_new = None
     if psi is not None:
         psi_new = _checked_field(grid, values[grid.n :], "psi", step, t_new, psi.eta)
+    ws.keep(v_new, psi_new)
     return EvolutionState(t=t_new, v=v_new, psi_v=psi_new, step_count=step)
 
 
@@ -553,37 +613,47 @@ def kinetic_energy(v: Field) -> float:
 
 
 def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> DiagnosticsRecord:
-    """One diagnostics row, formed in the run's stage buffers; v is
-    transformed once.
+    """One diagnostics row, formed in the run's stage buffers.
 
-    Without the closure div v is one inverse transform of sum_a ik_a v_a;
-    with it the n^2 velocity gradients, which sigma needs, give div v too,
-    and r is the closure of the whole source -2 div sigma.
+    The state a run records is band-limited (built cut and cut by every
+    step), so v is transformed on the band, and not at all when it is the
+    last step's result.  Without the closure div v is one inverse
+    transform of sum_a ik_a v_a; with it the n^2 velocity gradients, which
+    sigma needs, give div v too, and r is the closure of the whole source
+    -2 div sigma.
     """
     v = state.v
-    grid, n, d = v.grid, v.grid.n, v.grid.rderivatives
+    grid, n = v.grid, v.grid.n
+    ws = _stages(grid, state.psi_v is not None, closure, v.eta)
+    d = ws.d
+    if ws.holds(v, state.psi_v):
+        v_hat = ws.total[:n]
+    else:
+        v_hat = _band_rfft(grid, v.values, out=ws.u0[:n], scratch=ws.half[:n])
     r_l2, r_max = 0.0, 0.0
     if closure == "helmholtz":
-        ws = _stages(grid, state.psi_v is not None, closure, v.eta)
-        v_hat = _rfft(grid, v.values, out=ws.u0[:n])
         for b in range(n):  # row a * n + b holds d_b v_a
             np.multiply(v_hat, d[b], out=ws.spec[b : n * n : n])
-        dv = _irfft(grid, ws.spec[: n * n], out=ws.phys[: n * n]).reshape((n, n) + grid.shape)
+        dv = _band_irfft(grid, ws.spec[: n * n], out=ws.phys[: n * n]).reshape((n, n) + grid.shape)
         sigma = ws.prod[: len(_tensor_pairs(n))]
         for row, (a, b) in zip(sigma, _tensor_pairs(n)):
             np.einsum("c...,c...->...", dv[a], dv[b], out=row)
         div = np.add(dv[0, 0], dv[-1, -1], out=dv[0, 0]) if n == 2 else dv[0, 0]
         div_max = max(div.max(), -div.min())  # before the slope rows reuse dv
-        s_hat = _rfft(grid, sigma, out=ws.spec[: len(sigma)])
+        rows = len(sigma)
+        s_hat = _band_rfft(grid, sigma, out=ws.spec[:rows], scratch=ws.half[:rows])
         r_hat = ws.k[:n]  # -2 q div sigma; the pair (a, b) is row a + b for n <= 2
         for a in range(n):
             np.multiply(s_hat[a], d[0], out=r_hat[a])
             if n == 2:
-                r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[len(sigma)])
+                r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[rows])
         np.negative(np.multiply(r_hat, ws.q2, out=r_hat), out=r_hat)
-        r_l2, r_max = _value_norms(grid, _irfft(grid, r_hat, out=ws.prod[:n]))
+        r_l2, r_max = _value_norms(grid, _band_irfft(grid, r_hat, out=ws.prod[:n]))
     else:
-        div = divergence(v).values
+        div_hat = np.multiply(v_hat[0], d[0], out=ws.spec[:1])
+        for a in range(1, n):
+            div_hat += np.multiply(v_hat[a], d[a], out=ws.spec[1:2])
+        div = _band_irfft(grid, div_hat, out=ws.phys[:1])
         div_max = max(div.max(), -div.min())
     if state.psi_v is not None:
         psi_l2, psi_max = field_norms(state.psi_v)
@@ -608,14 +678,17 @@ class SimulationResult:
     config: RunConfig
     records: list[DiagnosticsRecord]
     final: EvolutionState
+    cfl_peak: float
 
 
 def run_simulation(config: RunConfig) -> SimulationResult:
     """Integrate a configured run and collect diagnostics.
 
     The running sup of |psi| feeds the deviation bound column
-    eta * sup |psi|.  Raises SimulationDiverged (with partial records
-    attached) when values stop being finite.
+    eta * sup |psi|.  Each record also takes the CFL number, whose peak
+    the result keeps.  Raises SimulationDiverged (with partial records
+    attached, naming the last record's CFL number) when values stop
+    being finite.
     """
     state = build_initial_state(config)
     dt = config.resolved_dt(state.v)
@@ -627,20 +700,28 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         if e_v is not None:  # transformed here, once per run, not in every step
             _stages(grid, True, config.closure, state.eta).forcing(e_v)
         psi_sup = field_norms(state.psi_v)[1]
-    records = []
+    records, cfl = [], []
+
+    def record():
+        records.append(_diagnose(state, config.closure, psi_sup))
+        cfl.append(_cfl_number(state.v, dt))
+
     # an overflow ends in the non-finite field that _checked_field reports
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            records.append(_diagnose(state, config.closure, psi_sup))
+            record()
             for _ in range(n_steps):
                 state = step_rk4(state, dt, closure=config.closure, e_v=e_v)
                 if state.psi_v is not None:
                     psi_sup = max(psi_sup, field_norms(state.psi_v)[1])
                 if state.step_count % config.output_interval == 0 or state.step_count == n_steps:
-                    records.append(_diagnose(state, config.closure, psi_sup))
+                    record()
         except SimulationDiverged as err:
-            raise SimulationDiverged(str(err), records=records) from err
-    return SimulationResult(config=config, records=records, final=state)
+            raise SimulationDiverged(
+                f"{err}; CFL number {cfl[-1]:.3g} at the last record, step {records[-1].step}",
+                records=records,
+            ) from err
+    return SimulationResult(config=config, records=records, final=state, cfl_peak=max(cfl))
 
 
 def _burgers_slope(grid: Grid, spec: np.ndarray):

@@ -76,6 +76,7 @@ class Grid:
 
     def _half_spectrum(self, k1d: np.ndarray, cutoff: float):
         """Multipliers on the ``rfftn`` layout, whose last axis keeps k >= 0.
+        Its first ``band`` columns hold the k_last < size/3 of the 2/3 band.
 
         Each multiplier is the mean of its values at a mode and at its
         conjugate partner, as the real part of a complex transform would
@@ -110,6 +111,7 @@ class Grid:
             leray[(a, a) + (0,) * n] = 1.0
         return (
             ("rshape", rshape),
+            ("band", int(np.count_nonzero(k_last < cutoff))),
             ("rderivatives", tuple(rderivatives)),
             ("rksq", rksq),
             ("rdealias_mask", mask),
@@ -225,6 +227,31 @@ def _rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.n
 def _irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of ``_rfft`` onto the grid shape."""
     return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.n, 0)), out=out)
+
+
+def _band_rfft(
+    grid: Grid, values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """``_rfft`` of a stack of fields (rows, *grid.shape) on the band columns
+    only: ``rfft`` along the last axis into ``scratch``, a half spectrum of
+    the stack, then in 2-D the complex pass along axis -2 on the first
+    ``grid.band`` columns.  Rows past the 2/3 cut are kept."""
+    band = np.fft.rfft(values, axis=-1, out=scratch)[..., : grid.band]
+    if grid.n == 2:
+        return np.fft.fft(band, axis=-2, out=out)
+    if out is None:
+        return band.copy()
+    np.copyto(out, band)
+    return out
+
+
+def _band_irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``_band_rfft``, the columns past the band taken as zero.
+    In 2-D the complex pass runs in place, so ``coeffs`` are overwritten;
+    ``irfft`` zero-pads the short rows itself."""
+    if grid.n == 2:
+        np.fft.ifft(coeffs, axis=-2, out=coeffs)
+    return np.fft.irfft(coeffs, n=grid.size, axis=-1, out=out)
 
 
 def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:

@@ -323,6 +323,10 @@ class TestEvolveCommand:
         assert header[1].split(",")[0] == "step"
         report = json.loads((out1 / "report.json").read_text())
         assert header[0] == f"# config_hash={report['config_hash']}"
+        assert header[1] == (
+            "step,t,energy,max_div_v,r_l2,r_max,psi_l2,psi_max,psi_sup,deviation_bound"
+        )
+        assert 0.0 < report["cfl_peak"] <= 0.4 * (1 + 1e-12)
         v, meta = read_checkpoint(out1 / "final_v.ckpt")
         assert meta["kind"] == "velocity"
         assert v.ncomp == 2 and np.isfinite(v.values).all()
@@ -383,7 +387,11 @@ class TestEvolveCommand:
             code = main(argv)
         assert code == 3
         assert caught == []
-        assert capsys.readouterr().err == "diverged: non-finite values in v at step 1, t=1e-210\n"
+        # the last record is the initial one: dt * 1e200 / (2 pi / 16)
+        assert capsys.readouterr().err == (
+            "diverged: non-finite values in v at step 1, t=1e-210; "
+            "CFL number 2.55e-10 at the last record, step 0\n"
+        )
         assert {f.name for f in out.iterdir()} == {"diagnostics.csv", "report.json"}
 
     @pytest.mark.parametrize(

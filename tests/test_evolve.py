@@ -79,6 +79,14 @@ class TestRhs:
         out = psi_rhs(psi, v, e_v)
         assert np.max(np.abs(out.values - e_v.values)) <= 1e-11
 
+    def test_psi_forcing_is_not_cut(self, grid2d, rng):
+        """psi_rhs projects its forcing but keeps the modes past the band."""
+        rest = Field(grid2d, np.zeros((2,) + grid2d.shape))
+        e_v = Field(grid2d, rng.standard_normal((2,) + grid2d.shape))
+        out = psi_rhs(rest, rest, e_v).values
+        assert np.max(np.abs(out - leray_project(e_v).values)) <= 1e-12
+        assert np.max(np.abs(out - complex_dealias(out))) > 0.1
+
     def test_psi_zero_stays_zero(self, grid2d):
         v = taylor_green(grid2d)
         psi = Field(grid2d, np.zeros((2,) + grid2d.shape))
@@ -203,11 +211,14 @@ class TestAgainstComplexTransforms:
 
 
 class TestTransformBudget:
-    """Machine-independent cost of one step: transform calls and Fields."""
+    """Machine-independent cost of one step: transform calls and Fields.
+
+    A transform of the kernel is a band transform: two numpy.fft calls in
+    2-D, counted as one real transform per field."""
 
     @pytest.mark.parametrize(
         "closure, with_psi, budget",
-        [("helmholtz", False, 12), ("none", True, 20), ("helmholtz", True, 20)],
+        [("helmholtz", False, 20), ("none", True, 22), ("helmholtz", True, 22)],
     )
     def test_one_step(self, transform_counts, rng, closure, with_psi, budget):
         counts = transform_counts
@@ -223,38 +234,47 @@ class TestTransformBudget:
         assert counts["fields"] <= 2
 
     @pytest.mark.parametrize(
-        "closure, with_psi, transforms",
+        "closure, with_psi, first, reused",
         [
-            ("none", False, 20),
-            ("none", True, 40),
-            ("helmholtz", False, 40),
-            ("helmholtz", True, 60),
+            ("none", False, 20, 18),
+            ("none", True, 40, 36),
+            ("helmholtz", False, 40, 38),
+            ("helmholtz", True, 60, 56),
         ],
         ids=["none", "none-psi", "helmholtz", "helmholtz-psi"],
     )
-    def test_transforms_per_step(self, transform_counts, rng, closure, with_psi, transforms):
+    def test_transforms_per_step(self, transform_counts, rng, closure, with_psi, first, reused):
         """A stage transforms (v, psi), helmholtz's n^2 - 1 velocity
         gradients and the two trace-free rows of each tensor; the forcing
-        is transformed once, by the first step that uses it."""
+        is transformed once, by the first step that uses it.  A step from
+        the last step's result starts from its coefficients, so it skips
+        the forward transform of the state: 18 calls instead of 20."""
         grid = make_grid(2, 32)
         v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
         psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
         e_v = random_solenoidal(grid, rng, kmax=2) if with_psi else None
         state = EvolutionState(t=0.0, v=v, psi_v=psi)
-        for forcing in (2 * with_psi, 0):
+        for transforms, calls, forcing in ((first, 20, 2 * with_psi), (reused, 18, 0)):
             transform_counts.update(calls=0, transforms=0)
             state = step_rk4(state, 1e-3, closure=closure, e_v=e_v)
             assert transform_counts["transforms"] == transforms + forcing
-            assert transform_counts["calls"] == 10 + (forcing > 0)
+            assert transform_counts["calls"] == calls + forcing
 
-    @pytest.mark.parametrize("closure, transforms", [("none", 3), ("helmholtz", 11)])
-    def test_transforms_per_record(self, transform_counts, rng, closure, transforms):
+    @pytest.mark.parametrize(
+        "closure, fresh, reused", [("none", 3, 1), ("helmholtz", 11, 9)]
+    )
+    def test_transforms_per_record(self, transform_counts, rng, closure, fresh, reused):
+        """A record transforms v on the band, unless v is the last step's
+        result, whose coefficients the step kept."""
         grid = make_grid(2, 32)
         v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
-        transform_counts.update(transforms=0)
-        record = _diagnose(EvolutionState(t=0.0, v=v), closure, 0.0)
-        assert transform_counts["transforms"] == transforms
-        assert record.max_div_v <= 1e-12
+        state = EvolutionState(t=0.0, v=v)
+        for transforms in (fresh, reused):
+            transform_counts.update(transforms=0)
+            record = _diagnose(state, closure, 0.0)
+            assert transform_counts["transforms"] == transforms
+            assert record.max_div_v <= 1e-12
+            state = step_rk4(state, 1e-3, closure=closure)
 
 
 class TestStepMemory:
@@ -262,9 +282,8 @@ class TestStepMemory:
 
     @pytest.mark.parametrize("closure, with_psi", [("helmholtz", False), ("none", True)])
     def test_warm_step_allocates_about_one_state(self, rng, closure, with_psi):
-        """Beyond the complex intermediate numpy's irfftn makes of a stage's
-        rows (v, psi and helmholtz's three gradients), a warm 64^2 step
-        allocates about the new state's values."""
+        """Every transform writes into a stage buffer, so a warm 64^2 step
+        allocates about the new state's values and no numpy intermediate."""
         grid = make_grid(2, 64)
         v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
         psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
@@ -278,9 +297,93 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         state_bytes = v.values.nbytes * (1 + with_psi)
-        rows = 2 * (1 + with_psi) + 3 * (closure == "helmholtz")
-        intermediate = rows * grid.size * (grid.size // 2 + 1) * 16
-        assert peak <= intermediate + 1.1 * state_bytes
+        assert peak <= 1.5 * state_bytes
+
+
+class TestSpectrumReuse:
+    """A step or record of the last step's Fields starts from that step's
+    coefficients; any other state is transformed."""
+
+    @staticmethod
+    def _state(rng, with_psi):
+        grid = make_grid(2, 32)
+        v = random_solenoidal(grid, rng, kmax=6).with_values(eta=0.05)
+        psi = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05) if with_psi else None
+        e_v = random_solenoidal(grid, rng, kmax=3) if with_psi else None
+        return EvolutionState(0.0, v, psi), e_v
+
+    @staticmethod
+    def _copy(state):
+        """The same state in new Field objects."""
+        def copy(f):
+            return None if f is None else Field(f.grid, f.values.copy(), t=f.t, eta=f.eta)
+
+        return dataclasses.replace(state, v=copy(state.v), psi_v=copy(state.psi_v))
+
+    @pytest.mark.parametrize(
+        "closure, with_psi",
+        [("none", False), ("none", True), ("helmholtz", False), ("helmholtz", True)],
+    )
+    def test_reuse_matches_a_copy(self, rng, closure, with_psi):
+        state, e_v = self._state(rng, with_psi)
+        state = step_rk4(state, 0.01, closure=closure, e_v=e_v)
+        copied = self._copy(state)
+        reused = step_rk4(state, 0.01, closure=closure, e_v=e_v)
+        record = _diagnose(reused, closure, 0.0)
+        want = _diagnose(self._copy(reused), closure, 0.0)
+        assert record.max_div_v <= 1e-12
+        assert record.r_l2 == pytest.approx(want.r_l2, rel=1e-13)
+        fresh = step_rk4(copied, 0.01, closure=closure, e_v=e_v)
+        # state is no longer the last result: stepping it again transforms it
+        again = step_rk4(state, 0.01, closure=closure, e_v=e_v)
+        for other in (fresh, again):
+            for got, want in ((reused.v, other.v), (reused.psi_v, other.psi_v)):
+                if want is not None:
+                    scale = np.max(np.abs(want.values))
+                    assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+
+    def test_rhs_takes_the_kept_coefficients_once(self, rng):
+        """macroscopic_rhs of a step result starts from the step's
+        coefficients and uses them up; a step of that result then
+        transforms it again."""
+        state, _ = self._state(rng, False)
+        state = step_rk4(state, 0.01, closure="helmholtz")
+        copied = self._copy(state)
+        rhs = macroscopic_rhs(state.v, closure="helmholtz").values
+        stepped = step_rk4(state, 0.01, closure="helmholtz").v.values
+        for got, want in (
+            (rhs, macroscopic_rhs(copied.v, closure="helmholtz").values),
+            (stepped, step_rk4(copied, 0.01, closure="helmholtz").v.values),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_no_stale_spectrum_after_a_run(self, rng):
+        from scalepde.evolve import _stages
+
+        unrelated, _ = self._state(rng, False)
+        result = run_simulation(RunConfig(grid_size=32, t_end=0.04, output_interval=2))
+        assert result.final.v.grid == unrelated.v.grid
+        after_run = step_rk4(unrelated, 0.01, closure="helmholtz")
+        _stages.cache_clear()
+        fresh = step_rk4(unrelated, 0.01, closure="helmholtz")
+        scale = np.max(np.abs(fresh.v.values))
+        assert np.max(np.abs(after_run.v.values - fresh.v.values)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "last_v, last_psi, transforms", [(True, False, 40), (False, True, 40), (True, True, 36)]
+    )
+    def test_psi_reused_only_with_both(self, transform_counts, rng, last_v, last_psi, transforms):
+        state, e_v = self._state(rng, True)
+        state = step_rk4(state, 0.01, e_v=e_v)
+        copied = self._copy(state)
+        mixed = dataclasses.replace(
+            state,
+            v=state.v if last_v else copied.v,
+            psi_v=state.psi_v if last_psi else copied.psi_v,
+        )
+        transform_counts.update(transforms=0)
+        step_rk4(mixed, 0.01, e_v=e_v)
+        assert transform_counts["transforms"] == transforms
 
 
 class TestPinnedRun:
@@ -415,6 +518,25 @@ class TestRunSimulation:
         first, second = run_simulation(config).records[:2]
         assert first.max_div_v <= 1e-12
         assert first.energy == pytest.approx(second.energy, rel=1e-9)
+
+    def test_cfl_peak_is_the_largest_record(self):
+        """Each record takes dt max|v| / h; the result keeps the largest."""
+        config = RunConfig(
+            grid_size=16, t_end=0.3, closure="none", output_interval=2,
+            initial_condition={"name": "random_solenoidal"},
+        )
+        result = run_simulation(config)
+        state = build_initial_state(config)
+        dt = config.resolved_dt(state.v)
+        n_steps, cfl = round(config.t_end / dt), []
+        for step in range(n_steps + 1):
+            if step % 2 == 0 or step == n_steps:
+                cfl.append(dt * np.max(np.abs(state.v.values)) / state.v.grid.spacing)
+            if step < n_steps:
+                state = step_rk4(state, dt, closure="none")
+        assert len(cfl) == len(result.records)
+        assert max(cfl) != cfl[0]
+        assert result.cfl_peak == pytest.approx(max(cfl), rel=1e-12)
 
     def test_trivial_psi_columns(self):
         config = RunConfig(grid_size=32, t_end=0.02, psi_enabled=True)

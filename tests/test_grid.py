@@ -14,7 +14,7 @@ from scalepde import (
     make_grid,
     spectral_derivative,
 )
-from scalepde.grid import TWO_PI, _dealiased_hat, _irfft, _rfft
+from scalepde.grid import TWO_PI, _band_irfft, _band_rfft, _dealiased_hat, _irfft, _rfft
 
 from oracles import _complex_ops, complex_dealias, fd_derivative
 
@@ -197,6 +197,27 @@ class TestSpectralRoundTrip:
         coeffs = _rfft(grid2d, values)
         assert coeffs.shape == (2,) + grid2d.rshape
         assert np.max(np.abs(_irfft(grid2d, coeffs) - values)) <= 1e-13
+
+
+class TestBandTransforms:
+    """The band transforms are the half-spectrum ones restricted to the
+    columns k_last < size/3 of the 2/3 band."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("size, band", [(4, 2), (6, 2), (30, 10), (32, 11), (48, 16), (64, 22)])
+    def test_match_masked_half_spectrum(self, n, size, band, rng):
+        grid = make_grid(n, size)
+        # a size divisible by 3 drops its |k| = size/3 column
+        assert grid.band == band
+        assert grid.rdealias_mask[..., band - 1].any() and not grid.rdealias_mask[..., band:].any()
+        values = _irfft(grid, _dealiased_hat(grid, rng.standard_normal((3,) + grid.shape)))
+        want = _rfft(grid, values) * grid.rdealias_mask
+        coeffs = _band_rfft(grid, values)
+        assert coeffs.shape == (3,) + grid.rshape[:-1] + (band,)
+        assert np.max(np.abs(coeffs - want[..., :band])) <= 1e-14 * np.max(np.abs(want))
+        back = _band_irfft(grid, coeffs)
+        assert np.max(np.abs(back - _irfft(grid, want))) <= 1e-14 * np.max(np.abs(values))
+        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
 
 
 class TestVectorCalculus:

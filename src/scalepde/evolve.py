@@ -158,15 +158,6 @@ class _Stages:
         weakly, so the reuse keeps no Field alive."""
         self._last = tuple(weakref.ref(f) for f in (v, psi_v) if f is not None)
 
-    def _project(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = P w for stacked n-component band coefficients w."""
-        n, leray = self.grid.n, self.leray
-        for j, a in np.ndindex(len(w) // n, n):
-            np.multiply(w[j * n], leray[a, 0], out=out[j * n + a])
-            for b in range(1, n):
-                out[j * n + a] += np.multiply(w[j * n + b], leray[a, b], out=self.spec[0])
-        return out
-
     def load(self, v: Field, psi_v: Field | None):
         """u0: the (v, psi) coefficients cut to the 2/3 band and projected.
         A step result's are ``total`` already, which becomes u0."""
@@ -179,16 +170,19 @@ class _Stages:
             )
             w = _band_rfft(self.grid, values, out=self.total, scratch=self.half[:m])
             w *= self.mask
-            self._project(w, self.u0)
+            _leray_hat(self.leray, w, out=self.u0, scratch=self.spec[0])
         self._last = None
 
-    def forcing(self, e_v: Field) -> np.ndarray:
-        """The projected psi forcing in the 2/3 band, transformed once per Field."""
+    def forcing(self, e_v: Field | None) -> np.ndarray | None:
+        """The projected psi forcing in the 2/3 band, transformed once per
+        Field; None without a forcing or without psi."""
+        if e_v is None or self.m == self.grid.n:
+            return None
         if e_v is not self._forcing:
             self._forcing = e_v
             e_hat = _band_rfft(self.grid, e_v.values)
             e_hat *= self.mask
-            self._e_hat = self._project(e_hat, np.empty_like(e_hat))
+            self._e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
         return self._e_hat
 
     def slope(self, e_hat: np.ndarray | None) -> np.ndarray:
@@ -246,12 +240,15 @@ def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: floa
         ) from err
 
 
-def _rhs(v: Field, psi_v: Field | None, closure: str, eta: float) -> np.ndarray:
-    """The projected, unforced band coefficients of the slope of the (v, psi) stack."""
+def _rhs(
+    v: Field, psi_v: Field | None, closure: str, eta: float, e_v: Field | None = None
+) -> np.ndarray:
+    """The band coefficients of the slope a step integrates at the (v, psi) stack."""
     ws = _stages(v.grid, psi_v is not None, closure, eta)
     ws.load(v, psi_v)
+    e_hat = ws.forcing(e_v)  # before the stage is written: it projects in spec[0]
     np.copyto(ws.spec[: ws.m], ws.u0)
-    return ws.slope(None)
+    return ws.slope(e_hat)
 
 
 def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
@@ -266,21 +263,15 @@ def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -
 def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
     """Defect transport: -(v . grad) psi - (psi . grad) v - grad(psi_p) + e.
 
-    The transport is computed as -P div(v psi + psi v) of the solenoidal
-    parts of v and psi within the 2/3 band, where it equals the advective
-    form (see ``step_rk4``).  The pressure-defect gradient is realized by
-    Leray projection, which removes exactly the gradient part the
-    transport terms generate.  The forcing is projected but not cut to
-    the band.
+    This is the psi slope ``step_rk4`` integrates: the transport is
+    computed as -P div(v psi + psi v) of the solenoidal parts of v and psi
+    within the 2/3 band, where it equals the advective form.  The
+    pressure-defect gradient is realized by Leray projection, which
+    removes exactly the gradient part the transport terms generate.  The
+    forcing is cut to the band and projected, as in a step.
     """
     grid = v.grid
-    k = _rhs(v, psi_v, "none", v.eta)[grid.n :]
-    if e_v is None:
-        coeffs = np.zeros((grid.n,) + grid.rshape, complex)
-    else:
-        coeffs = _leray_hat(grid, _rfft(grid, e_v.values))
-    coeffs[..., : grid.band] += k
-    return psi_v.with_values(_irfft(grid, coeffs))
+    return psi_v.with_values(_band_irfft(grid, _rhs(v, psi_v, "none", v.eta, e_v)[grid.n :]))
 
 
 def _rk4(u0: np.ndarray, total: np.ndarray, stage: np.ndarray, dt: float, slope) -> None:
@@ -326,7 +317,7 @@ def step_rk4(
     ws = _stages(grid, psi is not None, closure, eta)
     ws.load(v, psi)
     m = ws.m
-    e_hat = ws.forcing(e_v) if psi is not None and e_v is not None else None
+    e_hat = ws.forcing(e_v)
     _rk4(ws.u0, ws.total, ws.spec[:m], dt, lambda: ws.slope(e_hat))
     coeffs = ws.spec[:m]
     np.copyto(coeffs, ws.total)  # the inverse overwrites its input; total stays

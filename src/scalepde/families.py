@@ -62,7 +62,7 @@ def _random_values(
         coeffs *= kept[:size].reshape((size,) + (1,) * (grid.n - 1 - axis))
     if solenoidal:
         coeffs[(slice(None),) + (0,) * grid.n] = 0.0
-        coeffs = _leray_hat(grid, coeffs)
+        coeffs = _leray_hat(grid.rleray, coeffs)
     return _irfft(grid, coeffs)
 
 

@@ -2,9 +2,11 @@
 
 A core is its jet polynomial.  The fluid core maps a velocity/pressure
 slice to the momentum residual v_t + (v . grad) v + grad p together
-with the continuity value div v.  Its filter source contracts the stress
-sigma^{ab} = sum_c d_c v^a d_c v^b as s = -2 div sigma, with the
-pressure component exactly zero.
+with the continuity value div v.  Its filter source is the derived
+s = (W - L)F, which on a solenoidal slice equals -2 div sigma for the
+stress sigma^{ab} = sum_c d_c v^a d_c v^b, with the continuity row
+exactly zero.  The stress, the source and the advection are jet
+polynomials too, evaluated the way every core is.
 """
 
 from __future__ import annotations
@@ -13,8 +15,16 @@ import warnings
 
 import numpy as np
 
-from .grid import Field, Grid, _dealiased_hat, _irfft, _rfft
-from .jets import JetExpr, spatial_labels
+from .grid import Field, _irfft, _rfft, divergence, field_norms
+from .jets import (
+    JetExpr,
+    JetIndex,
+    JetMonomial,
+    derive_source,
+    jet_evaluate,
+    jet_values,
+    spatial_labels,
+)
 
 DIVERGENCE_WARN_TOL = 1e-8
 
@@ -24,52 +34,18 @@ def _tensor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(n) for b in range(a, n))
 
 
-def _advection(v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """sum_b v_b d_b w_a from values v and the gradient stack dw[a, b]."""
-    return sum(v[b] * dw[:, b] for b in range(len(v)))
-
-
-def _stress(dv: np.ndarray) -> np.ndarray:
-    """sigma^{ab} = sum_c d_c v^a d_c v^b for the pairs a <= b."""
-    return np.stack([np.sum(dv[a] * dv[b], axis=0) for a, b in _tensor_pairs(len(dv))])
-
-
-def _pair_divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
-    """Half-spectrum sum_b d_b T^{ab} of symmetric tensors stored by pair.
-
-    ``t_hat`` stacks whole tensors, one row per pair; the result stacks
-    their n-component divergences in the same order.
-    """
-    pairs = _tensor_pairs(grid.n)
-    t = t_hat.reshape((-1, len(pairs)) + grid.rshape)
-    out = np.zeros((len(t), grid.n) + grid.rshape, dtype=complex)
-    d = grid.rderivatives
-    for i, (a, b) in enumerate(pairs):
-        out[:, a] += d[b] * t[:, i]
-        if a != b:
-            out[:, b] += d[a] * t[:, i]
-    return out.reshape((-1,) + grid.rshape)
-
-
-def _source_hat(grid: Grid, sigma_hat: np.ndarray) -> np.ndarray:
-    """Half-spectrum s = -2 div sigma from the pair-stored stress."""
-    return -2.0 * _pair_divergence_hat(grid, sigma_hat)
-
-
-def _leray_hat(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
-    """Leray projection of stacked n-component vector fields' coefficients."""
-    w = w_hat.reshape((-1, grid.n) + grid.rshape)
-    out = np.empty_like(w)
-    for a in range(grid.n):
-        out[:, a] = sum(grid.rleray[a, b] * w[:, b] for b in range(grid.n))
-    return out.reshape(w_hat.shape)
-
-
-def _gradient_values(f: Field) -> np.ndarray:
-    """Physical d_b f_a as an array of shape (ncomp, n) + grid.shape."""
-    grid = f.grid
-    coeffs = _rfft(grid, f.values)
-    return _irfft(grid, np.stack([coeffs * d for d in grid.rderivatives], axis=1))
+def _leray_hat(leray: np.ndarray, w: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """out = P w for stacked n-component vector fields' coefficients w,
+    row j * n + a holding component a of field j, on the layout of the
+    projector table ``leray[a, b]`` (the grid's ``rleray`` or a view of it).
+    ``scratch``, one row's shape, takes the products."""
+    n = len(leray)
+    out = np.empty_like(w) if out is None else out
+    for j, a in np.ndindex(len(w) // n, n):
+        np.multiply(w[j * n], leray[a, 0], out=out[j * n + a])
+        for b in range(1, n):
+            out[j * n + a] += np.multiply(w[j * n + b], leray[a, b], out=scratch)
+    return out
 
 
 def _check_velocity(v: Field):
@@ -77,48 +53,66 @@ def _check_velocity(v: Field):
         raise ValueError(f"expected {v.grid.n} velocity components, got {v.ncomp}")
 
 
+def _evaluate(expr: JetExpr, u: Field) -> Field:
+    """A jet polynomial evaluated the way every core is."""
+    return jet_evaluate(expr, jet_values(expr, u))
+
+
+def _sums_of_products(n: int, N: int, rows) -> JetExpr:
+    """The jet polynomial whose output i sums the products of the pairs of
+    jet variables in rows[i]."""
+    return JetExpr(n, N, tuple(tuple(JetMonomial(1, pair) for pair in row) for row in rows))
+
+
 def sigma(v: Field) -> Field:
     """Filter stress sigma^{ab} = sum_c d_c v^a d_c v^b, products dealiased,
     one row per pair a <= b in ``_tensor_pairs`` order."""
     _check_velocity(v)
-    return v.with_values(_irfft(v.grid, _dealiased_hat(v.grid, _stress(_gradient_values(v)))))
+    n = v.grid.n
+    rows = [
+        [(JetIndex(a + 1, (x,)), JetIndex(b + 1, (x,))) for x in spatial_labels(n)]
+        for a, b in _tensor_pairs(n)
+    ]
+    return _evaluate(_sums_of_products(n, n, rows), v)
 
 
 def fluid_source(v: Field) -> Field:
-    """Filter source s = -2 div sigma plus a zero pressure component.
+    """Filter source s = (W - L)F of the fluid core F on the slice (v, 0),
+    one row per momentum component and the continuity row, exactly zero.
 
-    Warns when the input is visibly compressible, since the divergence
-    form of the source assumes div v = 0.
+    On a solenoidal field s = -2 div sigma.  Warns when the input is
+    visibly compressible, where the two forms differ.
     """
     _check_velocity(v)
     grid = v.grid
-    dv = _gradient_values(v)
-    div_max = float(np.max(np.abs(np.trace(dv))))
+    div_max = field_norms(divergence(v))[1]
     if div_max > DIVERGENCE_WARN_TOL:
         warnings.warn(
             f"fluid_source called with max |div v| = {div_max:.3e}; "
-            "the divergence form assumes a solenoidal field",
+            "the source equals -2 div sigma on a solenoidal field only",
             stacklevel=2,
         )
-    out = np.zeros((grid.n + 1,) + grid.shape)
-    out[: grid.n] = _irfft(grid, _source_hat(grid, _dealiased_hat(grid, _stress(dv))))
-    return Field(grid, out, t=v.t, eta=v.eta)
+    u = Field(grid, np.concatenate([v.values, np.zeros((1,) + grid.shape)]), t=v.t, eta=v.eta)
+    return _evaluate(derive_source(fluid_core(grid.n)), u)
 
 
 def advect(v: Field, w: Field) -> Field:
-    """(v . grad) w with dealiased products."""
-    if v.ncomp != v.grid.n:
-        raise ValueError(f"advecting field needs {v.grid.n} components")
-    products = _advection(v.values, _gradient_values(w))
-    return w.with_values(_irfft(v.grid, _dealiased_hat(v.grid, products)))
+    """(v . grad) w = sum_b v^b d_b w with dealiased products; t and eta are w's."""
+    _check_velocity(v)
+    n = v.grid.n
+    rows = [
+        [(JetIndex(b + 1), JetIndex(n + a + 1, (x,))) for b, x in enumerate(spatial_labels(n))]
+        for a in range(w.ncomp)
+    ]
+    u = Field(v.grid, np.concatenate([v.values, w.values]), t=w.t, eta=w.eta)
+    return _evaluate(_sums_of_products(n, n + w.ncomp, rows), u)
 
 
 def leray_project(w: Field) -> Field:
     """The divergence-free part of w; the mean mode stays in it."""
+    _check_velocity(w)
     grid = w.grid
-    if w.ncomp != grid.n:
-        raise ValueError(f"expected {grid.n} components, got {w.ncomp}")
-    return w.with_values(_irfft(grid, _leray_hat(grid, _rfft(grid, w.values))))
+    return w.with_values(_irfft(grid, _leray_hat(grid.rleray, _rfft(grid, w.values))))
 
 
 def burgers_core() -> JetExpr:

@@ -67,7 +67,6 @@ class Grid:
         for name, value in (
             ("shape", shape),
             ("spacing", TWO_PI / self.size),
-            ("wavenumbers", tuple(wavenumbers)),
             ("derivatives", tuple(_derivative(k, a, self.size) for a, k in enumerate(wavenumbers))),
             ("ksq", ksq),
             *self._half_spectrum(k1d, cutoff),

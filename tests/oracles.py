@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's spectral machinery:
 derivatives come from 4th-order centered finite differences on the
 periodic grid, the Burgers reference truth comes from the method of
 characteristics solved pointwise by Newton iteration, and the evolution
-right-hand sides, the hand-written core residuals, jet values, jet
-polynomials and the Duhamel sum are rebuilt from plain numpy complex
-transforms, one round trip per operator.  The manufactured families are
+right-hand sides, the filter stress, source and advection, the
+hand-written core residuals, jet values, jet polynomials and the Duhamel
+sum are rebuilt from plain numpy complex transforms, one round trip per
+operator.  The manufactured families are
 closed-form fields whose time derivatives and filter defects are written
 out by hand.
 """
@@ -201,6 +202,36 @@ def fluid_residual(u, u_t):
     return np.stack(momentum + [sum(deriv(v[a], a) for a in range(n))])
 
 
+def complex_advect(v, w):
+    """(v . grad) w on arrays (n, size, ..., size) and (m, size, ..., size),
+    each product v^b d_b w^a dealiased on its own."""
+    n = v.shape[0]
+    _, _, deriv, dealias = _complex_ops(n, v.shape[1])
+    return np.stack([sum(dealias(v[b] * deriv(wc, b)) for b in range(n)) for wc in w])
+
+
+def complex_sigma(v):
+    """Filter stress sigma^{ab} = sum_c d_c v^a d_c v^b as an (n, n) array of
+    fields, each product dealiased on its own."""
+    n = v.shape[0]
+    _, _, deriv, dealias = _complex_ops(n, v.shape[1])
+    dv = [[deriv(v[a], c) for c in range(n)] for a in range(n)]
+    return np.array(
+        [
+            [sum(dealias(dv[a][c] * dv[b][c]) for c in range(n)) for b in range(n)]
+            for a in range(n)
+        ]
+    )
+
+
+def complex_source(v):
+    """The divergence-form source -2 div sigma, one row per component."""
+    n = v.shape[0]
+    _, _, deriv, _ = _complex_ops(n, v.shape[1])
+    sig = complex_sigma(v)
+    return np.stack([-2.0 * sum(deriv(sig[a, b], b) for b in range(n)) for a in range(n)])
+
+
 def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
     """Projected right-hand sides of the (v, psi) system, per operator.
 
@@ -210,10 +241,7 @@ def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
     pair (v, psi) when psi is given.
     """
     n = v.shape[0]
-    ks, ksq, deriv, dealias = _complex_ops(n, v.shape[1])
-
-    def advect(a, w):
-        return np.stack([sum(dealias(a[b] * deriv(wc, b)) for b in range(n)) for wc in w])
+    ks, ksq, _, _ = _complex_ops(n, v.shape[1])
 
     def leray(w):
         c = [np.fft.fftn(x) for x in w]
@@ -221,20 +249,14 @@ def complex_fft_rhs(v, closure="none", eta=None, psi=None, e=None):
         safe = np.where(ksq > 0, ksq, 1.0)
         return np.stack([np.fft.ifftn(x - k * dot / safe).real for k, x in zip(ks, c)])
 
-    rhs_v = -advect(v, v)
+    rhs_v = -complex_advect(v, v)
     if closure == "helmholtz":
-        dv = [[deriv(v[a], c) for c in range(n)] for a in range(n)]
-        sig = [
-            [sum(dealias(dv[a][c] * dv[b][c]) for c in range(n)) for b in range(n)]
-            for a in range(n)
-        ]
-        s = [-2.0 * sum(deriv(sig[a][b], b) for b in range(n)) for a in range(n)]
         rhs_v = rhs_v + np.stack(
-            [np.fft.ifftn(np.fft.fftn(x) / (ksq + 1.0 / eta)).real for x in s]
+            [np.fft.ifftn(np.fft.fftn(x) / (ksq + 1.0 / eta)).real for x in complex_source(v)]
         )
     if psi is None:
         return leray(rhs_v)
-    rhs_psi = -advect(v, psi) - advect(psi, v)
+    rhs_psi = -complex_advect(v, psi) - complex_advect(psi, v)
     if e is not None:
         rhs_psi = rhs_psi + e
     return leray(rhs_v), leray(rhs_psi)

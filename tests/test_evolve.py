@@ -18,6 +18,7 @@ from scalepde import (
     cfl_limit,
     divergence,
     field_norms,
+    fluid_source,
     kinetic_energy,
     leray_project,
     macroscopic_rhs,
@@ -26,6 +27,7 @@ from scalepde import (
     read_checkpoint,
     reference_burgers,
     run_simulation,
+    solve_residual_closure,
     step_rk4,
     write_checkpoint,
 )
@@ -79,13 +81,13 @@ class TestRhs:
         out = psi_rhs(psi, v, e_v)
         assert np.max(np.abs(out.values - e_v.values)) <= 1e-11
 
-    def test_psi_forcing_is_not_cut(self, grid2d, rng):
-        """psi_rhs projects its forcing but keeps the modes past the band."""
+    def test_psi_forcing_is_cut(self, grid2d, rng):
+        """psi_rhs cuts its forcing to the 2/3 band and projects it, as a step does."""
         rest = Field(grid2d, np.zeros((2,) + grid2d.shape))
         e_v = Field(grid2d, rng.standard_normal((2,) + grid2d.shape))
         out = psi_rhs(rest, rest, e_v).values
-        assert np.max(np.abs(out - leray_project(e_v).values)) <= 1e-12
-        assert np.max(np.abs(out - complex_dealias(out))) > 0.1
+        want = leray_project(e_v.with_values(complex_dealias(e_v.values))).values
+        assert np.max(np.abs(out - want)) <= 1e-12
 
     def test_psi_zero_stays_zero(self, grid2d):
         v = taylor_green(grid2d)
@@ -154,7 +156,7 @@ class TestAgainstComplexTransforms:
         psi = random_solenoidal(grid2d, rng, kmax=6)
         e_v = Field(grid2d, rng.standard_normal((2,) + grid2d.shape))
         got = psi_rhs(psi, v, e_v).values
-        _, want = complex_fft_rhs(v.values, psi=psi.values, e=e_v.values)
+        _, want = complex_fft_rhs(v.values, psi=psi.values, e=complex_dealias(e_v.values))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_coupled_step(self, grid2d, rng):
@@ -196,7 +198,7 @@ class TestAgainstComplexTransforms:
             want = complex_fft_rhs(v_cut, closure, eta=0.05)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         got = psi_rhs(psi, v, e_v).values
-        _, want = complex_fft_rhs(v_cut, psi=psi_cut, e=e_v.values)
+        _, want = complex_fft_rhs(v_cut, psi=psi_cut, e=complex_dealias(e_v.values))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_step_stays_in_band(self, rng):
@@ -275,6 +277,34 @@ class TestTransformBudget:
             assert transform_counts["transforms"] == transforms
             assert record.max_div_v <= 1e-12
             state = step_rk4(state, 1e-3, closure=closure)
+
+
+class TestClosureColumns:
+    """A record's r columns are the norms of the closure of the derived
+    source: the kernel's specialised -2 div sigma against ``fluid_source``."""
+
+    @staticmethod
+    def _closed_source_norms(v):
+        s = fluid_source(v)
+        return field_norms(solve_residual_closure(s.with_values(s.values[: v.grid.n]), v.eta))
+
+    def test_helmholtz_record(self):
+        grid = make_grid(2, 32)
+        v = random_solenoidal(grid, np.random.default_rng(1), kmax=6).with_values(eta=0.05)
+        state = EvolutionState(0.0, v)
+        fresh = _diagnose(state, "helmholtz", 0.0)
+        pinned = (18.5996610053242, 1.484220037409008)
+        assert (fresh.r_l2, fresh.r_max) == pytest.approx(pinned, rel=1e-9)
+        # a fresh Field, then a step's result, whose kept coefficients the record reads
+        stepped = step_rk4(state, 0.01, closure="helmholtz")
+        for s, record in ((state, fresh), (stepped, _diagnose(stepped, "helmholtz", 0.0))):
+            want = self._closed_source_norms(s.v)
+            assert (record.r_l2, record.r_max) == pytest.approx(want, rel=1e-12)
+
+    def test_no_closure_record(self, rng):
+        v = random_solenoidal(make_grid(2, 32), rng, kmax=6).with_values(eta=0.05)
+        record = _diagnose(EvolutionState(0.0, v), "none", 0.0)
+        assert (record.r_l2, record.r_max) == (0.0, 0.0)
 
 
 class TestStepMemory:

@@ -48,7 +48,7 @@ from .heat import (
     heat_propagate,
     heat_propagate_many,
 )
-from .jets import CoreSyntaxError, JetExpr, derive_source, format_expr, jet_frechet, parse_core
+from .jets import JetExpr, derive_source, format_expr, jet_frechet, parse_core
 from .residual import closure_error_bound, exact_residual, residual_defect, solve_residual_closure
 
 # config key -> RunConfig field; a dotted key lives in the object its prefix names
@@ -632,7 +632,7 @@ def main(argv=None) -> int:
     try:
         spec = build_spec(args)
         return run_command(spec)
-    except (ConfigError, CoreSyntaxError, ValueError) as err:
+    except ValueError as err:  # ConfigError and CoreSyntaxError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SimulationDiverged as err:

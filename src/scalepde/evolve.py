@@ -28,7 +28,7 @@ from .grid import (
     NonFiniteFieldError,
     _band_irfft,
     _band_rfft,
-    _dealiased_hat,
+    _dealias_values,
     _irfft,
     _rfft,
     _value_norms,
@@ -419,7 +419,7 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: 
                 f = families.single_mode_solenoidal(grid, **params)
             else:
                 f = Field(grid, np.zeros((grid.n,) + grid.shape))
-            f = Field(grid, _irfft(grid, _dealiased_hat(grid, f.values)), t=0.0, eta=eta)
+            f = Field(grid, _dealias_values(grid, f.values), t=0.0, eta=eta)
     except (FloatingPointError, NonFiniteFieldError) as err:
         raise ConfigError(
             f"{what}.amplitude={params['amplitude']!r} makes the field non-finite"

@@ -16,15 +16,8 @@ import warnings
 import numpy as np
 
 from .grid import Field, _irfft, _rfft, divergence, field_norms
-from .jets import (
-    JetExpr,
-    JetIndex,
-    JetMonomial,
-    derive_source,
-    jet_evaluate,
-    jet_values,
-    spatial_labels,
-)
+from .jets import JetExpr, JetIndex, JetMonomial, derive_source, spatial_labels
+from .residual import exact_residual
 
 DIVERGENCE_WARN_TOL = 1e-8
 
@@ -53,11 +46,6 @@ def _check_velocity(v: Field):
         raise ValueError(f"expected {v.grid.n} velocity components, got {v.ncomp}")
 
 
-def _evaluate(expr: JetExpr, u: Field) -> Field:
-    """A jet polynomial evaluated the way every core is."""
-    return jet_evaluate(expr, jet_values(expr, u))
-
-
 def _sums_of_products(n: int, N: int, rows) -> JetExpr:
     """The jet polynomial whose output i sums the products of the pairs of
     jet variables in rows[i]."""
@@ -73,7 +61,7 @@ def sigma(v: Field) -> Field:
         [(JetIndex(a + 1, (x,)), JetIndex(b + 1, (x,))) for x in spatial_labels(n)]
         for a, b in _tensor_pairs(n)
     ]
-    return _evaluate(_sums_of_products(n, n, rows), v)
+    return exact_residual(_sums_of_products(n, n, rows), v)
 
 
 def fluid_source(v: Field) -> Field:
@@ -93,7 +81,7 @@ def fluid_source(v: Field) -> Field:
             stacklevel=2,
         )
     u = Field(grid, np.concatenate([v.values, np.zeros((1,) + grid.shape)]), t=v.t, eta=v.eta)
-    return _evaluate(derive_source(fluid_core(grid.n)), u)
+    return exact_residual(derive_source(fluid_core(grid.n)), u)
 
 
 def advect(v: Field, w: Field) -> Field:
@@ -105,7 +93,7 @@ def advect(v: Field, w: Field) -> Field:
         for a in range(w.ncomp)
     ]
     u = Field(v.grid, np.concatenate([v.values, w.values]), t=w.t, eta=w.eta)
-    return _evaluate(_sums_of_products(n, n + w.ncomp, rows), u)
+    return exact_residual(_sums_of_products(n, n + w.ncomp, rows), u)
 
 
 def leray_project(w: Field) -> Field:

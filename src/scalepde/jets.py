@@ -44,11 +44,9 @@ def _coord_rank(label: str) -> tuple[int, int]:
     return (0, int(label[1:]))
 
 
-def _valid_coord(label: str, n: int, allow_eta: bool = True) -> bool:
-    if label == "t":
+def _valid_coord(label: str, n: int) -> bool:
+    if label in ("t", "eta"):
         return True
-    if label == "eta":
-        return allow_eta
     m = re.fullmatch(r"x([0-9]+)", label)
     return bool(m) and 1 <= int(m.group(1)) <= n
 
@@ -91,31 +89,42 @@ class JetIndex:
 
 @dataclass(frozen=True)
 class JetMonomial:
-    """Rational coefficient times a product of jet variables."""
+    """Coefficient times a product of jet variables, as given; ``JetExpr``
+    puts it in canonical form."""
 
     coeff: Fraction
     factors: tuple[JetIndex, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        ordered = tuple(sorted(self.factors, key=JetIndex.sort_key))
-        object.__setattr__(self, "factors", ordered)
-
-    def key(self):
-        return tuple(f.sort_key() for f in self.factors)
-
 
 def _canonical(monomials) -> tuple[JetMonomial, ...]:
-    merged: dict[tuple, JetMonomial] = {}
+    """The one canonical form: Fraction coefficients, each product's
+    factors sorted, equal products merged, zeros dropped, products sorted."""
+    merged: dict[tuple, list] = {}
     for m in monomials:
-        k = m.key()
-        if k in merged:
-            merged[k] = JetMonomial(merged[k].coeff + m.coeff, m.factors)
+        factors = tuple(sorted(m.factors, key=JetIndex.sort_key))
+        key = tuple(f.sort_key() for f in factors)
+        coeff = m.coeff if type(m.coeff) is Fraction else Fraction(m.coeff)
+        if key in merged:
+            merged[key][0] += coeff
         else:
-            merged[k] = m
-    kept = [m for m in merged.values() if m.coeff != 0]
-    kept.sort(key=JetMonomial.key)
-    return tuple(kept)
+            merged[key] = [coeff, factors]
+    return tuple(
+        JetMonomial(coeff, factors)
+        for _, (coeff, factors) in sorted(merged.items())
+        if coeff != 0
+    )
+
+
+def _times(left, right) -> list[JetMonomial]:
+    """Every product of a monomial of ``left`` with one of ``right``."""
+    return [
+        JetMonomial(a.coeff * b.coeff, a.factors + b.factors) for a in left for b in right
+    ]
+
+
+def _scaled(monomials, c) -> list[JetMonomial]:
+    """Each monomial times the scalar c."""
+    return [JetMonomial(c * m.coeff, m.factors) for m in monomials]
 
 
 @dataclass(frozen=True)
@@ -160,12 +169,12 @@ class JetExpr:
 
     @classmethod
     def constant(cls, n: int, N: int, value) -> "JetExpr":
-        return cls(n, N, ((JetMonomial(Fraction(value)),),))
+        return cls(n, N, ((JetMonomial(value),),))
 
     @classmethod
     def variable(cls, n: int, N: int, component: int, derivs=()) -> "JetExpr":
         idx = JetIndex(component, tuple(derivs))
-        return cls(n, N, ((JetMonomial(Fraction(1), (idx,)),),))
+        return cls(n, N, ((JetMonomial(1, (idx,)),),))
 
     @classmethod
     def vector(cls, components) -> "JetExpr":
@@ -207,10 +216,7 @@ class JetExpr:
             raise ValueError("expressions live in different jet spaces")
         if self.num_outputs != other.num_outputs:
             raise ValueError("expressions have different output counts")
-        terms = tuple(
-            a + tuple(JetMonomial(sign * m.coeff, m.factors) for m in b)
-            for a, b in zip(self.terms, other.terms)
-        )
+        terms = tuple(a + tuple(_scaled(b, sign)) for a, b in zip(self.terms, other.terms))
         return JetExpr(self.n, self.N, terms)
 
     def __add__(self, other: "JetExpr") -> "JetExpr":
@@ -228,18 +234,9 @@ class JetExpr:
                 raise ValueError("expressions live in different jet spaces")
             if self.num_outputs != 1 or other.num_outputs != 1:
                 raise ValueError("products are defined for scalar expressions")
-            prods = [
-                JetMonomial(a.coeff * b.coeff, a.factors + b.factors)
-                for a in self.terms[0]
-                for b in other.terms[0]
-            ]
-            return JetExpr(self.n, self.N, (tuple(prods),))
+            return JetExpr(self.n, self.N, (_times(self.terms[0], other.terms[0]),))
         c = Fraction(other)
-        terms = tuple(
-            tuple(JetMonomial(c * m.coeff, m.factors) for m in part)
-            for part in self.terms
-        )
-        return JetExpr(self.n, self.N, terms)
+        return JetExpr(self.n, self.N, tuple(_scaled(part, c) for part in self.terms))
 
     __rmul__ = __mul__
 
@@ -408,9 +405,7 @@ class _Parser:
         terms = self.parse_term()
         while self.peek().text in ("+", "-"):
             sign = 1 if self.advance().text == "+" else -1
-            terms.extend(
-                JetMonomial(sign * m.coeff, m.factors) for m in self.parse_term()
-            )
+            terms.extend(_scaled(self.parse_term(), sign))
         return terms
 
     def parse_term(self) -> list[JetMonomial]:
@@ -418,11 +413,7 @@ class _Parser:
         while self.peek().text == "*":
             self.advance()
             rhs = self.parse_factor()
-            result = [
-                JetMonomial(a.coeff * b.coeff, a.factors + b.factors)
-                for a in result
-                for b in rhs
-            ]
+            result = _times(result, rhs)
         return result
 
     def parse_factor(self) -> list[JetMonomial]:
@@ -444,7 +435,7 @@ class _Parser:
             self.advance()
             idx = _parse_jet_ident(tok, self.allow_eta)
             self.indices.append((idx, tok))
-            result = [JetMonomial(Fraction(1), (idx,))]
+            result = [JetMonomial(1, (idx,))]
         elif tok.text == "(":
             if self.depth == _MAX_NESTING:
                 raise CoreSyntaxError(
@@ -461,7 +452,7 @@ class _Parser:
             self.advance()
         else:
             self.fail(tok, "a number, jet variable or '('")
-        return result if sign == 1 else [JetMonomial(-m.coeff, m.factors) for m in result]
+        return result if sign == 1 else _scaled(result, -1)
 
 
 def parse_core(
@@ -502,7 +493,7 @@ def parse_core(
                     f"line {tok.line}, column {tok.col}: {_shown(tok.text)} uses "
                     f"spatial axis beyond n={min(n, 2)}"
                 )
-    return JetExpr(n, N, tuple(tuple(c) for c in comps))
+    return JetExpr(n, N, tuple(comps))
 
 
 def _product_rule(expr: JetExpr, derive) -> JetExpr:
@@ -546,25 +537,21 @@ def jet_W(expr: JetExpr) -> JetExpr:
     return _product_rule(expr, lambda f: [f.with_deriv(b).with_deriv(b) for b in labels])
 
 
-def derive_source(core: JetExpr) -> JetExpr:
-    """Filter source s = (W - L)(core) for a first-order core."""
+def _check_first_order(core: JetExpr) -> None:
+    """Refuse a core of order two or more, naming its first jet variable
+    of the highest order."""
     if core.max_order > 1:
-        raise ValueError(
-            f"core must be first order, found order {core.max_order}"
+        top = min(
+            (f for f in core.jet_indices() if f.order == core.max_order),
+            key=JetIndex.sort_key,
         )
+        raise ValueError(f"core must be first order, found {top} (order {top.order})")
+
+
+def derive_source(core: JetExpr) -> JetExpr:
+    """Filter source s = (W - L)F for a first-order core."""
+    _check_first_order(core)
     return jet_W(core) - jet_L(core)
-
-
-def _formal_partial(part: tuple[JetMonomial, ...], var: JetIndex):
-    out = []
-    for m in part:
-        count = m.factors.count(var)
-        if count == 0:
-            continue
-        factors = list(m.factors)
-        factors.remove(var)
-        out.append(JetMonomial(m.coeff * count, tuple(factors)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -576,32 +563,8 @@ class FrechetTable:
     only nonzero entries are stored.
     """
 
-    core: JetExpr
     zero_order: dict
     first_order: dict
-
-
-def jet_frechet(core: JetExpr) -> FrechetTable:
-    """Tabulate the nonzero Frechet coefficients of a first-order core.
-
-    Each output visits only the jet variables it contains, in
-    ``JetIndex.sort_key`` order: u^beta before its first derivatives.
-    """
-    if core.max_order > 1:
-        raise ValueError(
-            f"core must be first order, found order {core.max_order}"
-        )
-    zero = {}
-    first = {}
-    for alpha, part in enumerate(core.terms, start=1):
-        variables = {f for m in part for f in m.factors}
-        for var in sorted(variables, key=JetIndex.sort_key):
-            d = JetExpr(core.n, core.N, (_formal_partial(part, var),))
-            if var.derivs:
-                first[(alpha, var.component) + var.derivs] = d
-            else:
-                zero[(alpha, var.component)] = d
-    return FrechetTable(core=core, zero_order=zero, first_order=first)
 
 
 def jet_linearize(core: JetExpr) -> JetExpr:
@@ -614,6 +577,31 @@ def jet_linearize(core: JetExpr) -> JetExpr:
     """
     lifted = JetExpr(core.n, 2 * core.N, core.terms)
     return _product_rule(lifted, lambda f: (JetIndex(core.N + f.component, f.derivs),))
+
+
+def jet_frechet(core: JetExpr) -> FrechetTable:
+    """Tabulate the nonzero Frechet coefficients of a first-order core.
+
+    They are read off ``jet_linearize(core)``: every monomial of it has
+    one psi factor u^{N+beta}_I, and what multiplies that factor in
+    output alpha is dF^alpha/du^beta_I.  Each output lists only the jet
+    variables it contains, in ``JetIndex.sort_key`` order: u^beta before
+    its first derivatives.
+    """
+    _check_first_order(core)
+    n, N = core.n, core.N
+    zero = {}
+    first = {}
+    for alpha, part in enumerate(jet_linearize(core).terms, start=1):
+        rest: dict[JetIndex, list[JetMonomial]] = {}
+        for m in part:
+            (pos,) = [i for i, f in enumerate(m.factors) if f.component > N]
+            others = m.factors[:pos] + m.factors[pos + 1 :]
+            rest.setdefault(m.factors[pos], []).append(JetMonomial(m.coeff, others))
+        for psi in sorted(rest, key=JetIndex.sort_key):
+            key = (alpha, psi.component - N) + psi.derivs
+            (first if psi.derivs else zero)[key] = JetExpr(n, N, (rest[psi],))
+    return FrechetTable(zero_order=zero, first_order=first)
 
 
 def jet_values(

@@ -21,8 +21,9 @@ from .jets import JetExpr, jet_evaluate, jet_linearize, jet_values
 _CLOSURES = ("none", "helmholtz")
 
 
-def exact_residual(core: JetExpr, u: Field, u_t: Field) -> Field:
-    """r = F(u, u_t), the core's jet polynomial evaluated on the slice."""
+def exact_residual(core: JetExpr, u: Field, u_t: Field | None = None) -> Field:
+    """r = F(u, u_t), the core's jet polynomial evaluated on the slice;
+    u_t is needed only when the core has a t entry."""
     return jet_evaluate(core, jet_values(core, u, u_t))
 
 

@@ -7,7 +7,9 @@ characteristics solved pointwise by Newton iteration, and the evolution
 right-hand sides, the filter stress, source and advection, the
 hand-written core residuals, jet values, jet polynomials and the Duhamel
 sum are rebuilt from plain numpy complex transforms, one round trip per
-operator.  The manufactured families are
+operator.  The Frechet table of a core comes from formal partials,
+counting how often each jet variable occurs in a monomial, not from
+the product rule.  The manufactured families are
 closed-form fields whose time derivatives and filter defects are written
 out by hand.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scalepde import Field, Grid
+from scalepde import Field, FrechetTable, Grid, JetExpr, JetIndex, JetMonomial
 
 
 def fd_derivative(values: np.ndarray, axis: int, spacing: float, order: int = 1) -> np.ndarray:
@@ -163,6 +165,30 @@ def pairwise_jet_evaluate(terms, jets: dict) -> np.ndarray:
             acc = acc + float(m.coeff) * prod
         out.append(acc)
     return np.stack(out)
+
+
+def formal_frechet(core: JetExpr) -> FrechetTable:
+    """The Frechet table of a first-order core by formal partials: the
+    partial of a monomial holding u k times is k times the monomial with
+    one u removed.  Each output visits its jet variables in
+    ``JetIndex.sort_key`` order."""
+    zero, first = {}, {}
+    for alpha, part in enumerate(core.terms, start=1):
+        variables = {f for m in part for f in m.factors}
+        for var in sorted(variables, key=JetIndex.sort_key):
+            monomials = []
+            for m in part:
+                count = m.factors.count(var)
+                if count:
+                    factors = list(m.factors)
+                    factors.remove(var)
+                    monomials.append(JetMonomial(m.coeff * count, tuple(factors)))
+            partial = JetExpr(core.n, core.N, (tuple(monomials),))
+            if var.derivs:
+                first[(alpha, var.component) + var.derivs] = partial
+            else:
+                zero[(alpha, var.component)] = partial
+    return FrechetTable(zero_order=zero, first_order=first)
 
 
 def per_node_duhamel(psi: np.ndarray, etas, target: int) -> np.ndarray:

@@ -240,6 +240,12 @@ class TestDeriveSource:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_second_order_core_exits_2_naming_variable(self, capsys):
+        code = main(["derive-source", "--set", "core_text=u1*u1_x1x1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: core must be first order, found u1_x1x1 (order 2)\n"
+
     @pytest.mark.parametrize(
         "text", ["2/0*u1", "u1 + 3/0", "(" * 400 + "u1" + ")" * 400]
     )

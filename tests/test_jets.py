@@ -1,7 +1,9 @@
 """Jet calculus: parsing, total derivatives, the source map and evaluation."""
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from scalepde import (
 from scalepde.families import random_band_limited, taylor_green
 from scalepde.fluid import burgers_core, fluid_core
 from scalepde.jets import spatial_labels
-from oracles import chained_jet_values, pairwise_jet_evaluate, taylor_green_pressure
+from oracles import chained_jet_values, formal_frechet, pairwise_jet_evaluate, taylor_green_pressure
 
 
 def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2) -> JetExpr:
@@ -52,6 +54,14 @@ def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2) -> Jet
 
 def u(component, *derivs, n=1, N=1):
     return JetExpr.variable(n, N, component, derivs)
+
+
+def assert_table_matches_formal_partials(core: JetExpr):
+    # equal entries in the same order: derive-source prints the table in it
+    table, oracle = jet_frechet(core), formal_frechet(core)
+    for got, want in ((table.zero_order, oracle.zero_order), (table.first_order, oracle.first_order)):
+        assert got == want
+        assert list(got) == list(want)
 
 
 class TestJetIndex:
@@ -95,6 +105,20 @@ class TestJetExpr:
         assert format_expr(e) == "u1*u1_x1"
         with pytest.raises(ValueError, match="scalar"):
             JetExpr.vector([u(1), u(1)]) * u(1)
+
+    def test_canonicalizes_given_monomials(self):
+        # a JetMonomial keeps what it is given; JetExpr converts, sorts, merges, drops zeros
+        u1, u1_x1, u1_t = JetIndex(1), JetIndex(1, ("x1",)), JetIndex(1, ("t",))
+        assert JetMonomial(2, (u1_x1, u1)).factors == (u1_x1, u1)
+        given = (
+            JetMonomial(2, (u1_x1, u1)),
+            JetMonomial(0.5, (u1, u1_x1)),
+            JetMonomial(1, (u1_t,)),
+            JetMonomial(-1.0, (u1_t,)),
+        )
+        (m,) = JetExpr(1, 1, (given,)).terms[0]
+        assert m == JetMonomial(Fraction(5, 2), (u1, u1_x1))
+        assert type(m.coeff) is Fraction
 
     def test_max_order(self):
         assert (u(1, "x1", "x1") + u(1)).max_order == 2
@@ -287,6 +311,27 @@ class TestFrechet:
             (3, 1, "x1"), (3, 2, "x2"),
         ]
 
+    @pytest.mark.parametrize(
+        "core",
+        [
+            burgers_core(),
+            fluid_core(1),
+            fluid_core(2),
+            parse_core("u1*u1*u2_x2 + 3*u2_t*u1; u1_x1*u2_x1 - u2"),
+            u(1) * u(1) * u(1),
+            parse_core("u1*u1_x1 + u2_x1*u1 - u1_x1*u1 + u1_t; u2*u2 - u2*u2 + u1_x2"),
+        ],
+        ids=["burgers", "fluid_1d", "fluid_2d", "cubic", "power", "cancelling"],
+    )
+    def test_table_matches_formal_partials(self, core):
+        assert_table_matches_formal_partials(core)
+
+    def test_table_matches_formal_partials_on_benchmark_cores(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for seed in range(10):
+            assert_table_matches_formal_partials(parse_core(workloads.core_text(seed)))
+
     def test_linearize_burgers(self):
         assert jet_linearize(burgers_core()) == parse_core("u2_t + u1_x1*u2 + u1*u2_x1")
 
@@ -298,7 +343,7 @@ class TestFrechet:
     def test_linearize_contracts_the_frechet_table(self, core):
         # sum over the table of (partial of F^alpha) * (psi^beta jet), psi^beta = u^{N + beta}
         n, N = core.n, core.N
-        table = jet_frechet(core)
+        table = formal_frechet(core)
         rows = [JetExpr.zero(n, 2 * N)] * core.num_outputs
         for key, partial in (*table.zero_order.items(), *table.first_order.items()):
             alpha, beta, derivs = key[0], key[1], key[2:]

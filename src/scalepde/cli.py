@@ -48,7 +48,15 @@ from .heat import (
     heat_propagate,
     heat_propagate_many,
 )
-from .jets import JetExpr, derive_source, format_expr, jet_frechet, parse_core
+from .jets import (
+    JetExpr,
+    derive_source,
+    format_expr,
+    jet_evaluate,
+    jet_frechet,
+    jet_values,
+    parse_core,
+)
 from .residual import closure_error_bound, exact_residual, residual_defect, solve_residual_closure
 
 # config key -> RunConfig field; a dotted key lives in the object its prefix names
@@ -201,20 +209,20 @@ def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     a, b = 0.013, 0.029
     checks = []
 
-    comp = heat_propagate(heat_propagate(f, a), b) - heat_propagate(f, a + b)
+    # each the same to the last bit as its own heat_propagate(f, d)
+    f_a, f_ab, f_0 = heat_propagate_many(f, (a, a + b, 0.0))
+    comp = heat_propagate(f_a, b) - f_ab
     checks.append(_check("semigroup_composition", field_norms(comp)[1] / scale, 1e-12))
-    ident = heat_propagate(f, 0.0) - f
+    ident = f_0 - f
     checks.append(_check("identity_at_zero", field_norms(ident)[1] / scale, 1e-13))
-    mean_drift = abs(float(heat_propagate(f, a).values.mean() - f.values.mean()))
+    mean_drift = abs(float(f_a.values.mean() - f.values.mean()))
     checks.append(_check("mean_preservation", mean_drift / (1.0 + scale), 1e-13))
-    commute = spectral_derivative(heat_propagate(f, a), 0) - heat_propagate(
-        spectral_derivative(f, 0), a
-    )
+    commute = spectral_derivative(f_a, 0) - heat_propagate(spectral_derivative(f, 0), a)
     checks.append(_check("derivative_commutation", field_norms(commute)[1] / scale, 1e-11))
     mode = (2,) * grid.n
     ksq = float(sum(k**2 for k in mode))
     before = _mode_amplitude(f, mode)
-    after = _mode_amplitude(heat_propagate(f, a), mode)
+    after = _mode_amplitude(f_a, mode)
     target = before * np.exp(-a * ksq)
     checks.append(_check("mode_decay_factor", abs(after - target) / (abs(before) + 1e-30), 1e-12))
     if grid.n == 2:
@@ -296,16 +304,24 @@ def _fluid_generator(config: RunConfig):
 
 
 def _residual_stack(
-    core, u_gen: Field, ut_gen: Field, epsilon: float, eta0: float, K: int,
-    start: int = 0, stop: int | None = None,
-):
-    """Scale stacks of (u, u_t, r) on nodes start..stop-1 of the K-node ladder."""
+    core: JetExpr, u_gen: Field, ut_gen: Field, epsilon: float, eta0: float, K: int,
+    start: int = 0, stop: int | None = None, source: JetExpr | None = None,
+) -> tuple[ScaleStack, Field | None]:
+    """The scale stack of r = F(u, u_t) on nodes start..stop-1 of the K-node
+    ladder and, given a source, s at the window's centre node, where r and s
+    are read off one jet table."""
     u_stack = build_scale_stack(u_gen, epsilon, eta0, K, start, stop)
     ut_stack = build_scale_stack(ut_gen, epsilon, eta0, K, start, stop)
-    r_fields = [
-        exact_residual(core, u, u_t) for u, u_t in zip(u_stack.fields, ut_stack.fields)
-    ]
-    return u_stack, ut_stack, ScaleStack(u_stack.eta_nodes, tuple(r_fields))
+    centre = None if source is None else u_stack.K // 2
+    r_fields, s = [], None
+    for j, (u, u_t) in enumerate(zip(u_stack.fields, ut_stack.fields)):
+        if j == centre:
+            jets = jet_values(JetExpr(core.n, core.N, core.terms + source.terms), u, u_t)
+            s = jet_evaluate(source, jets)
+            r_fields.append(jet_evaluate(core, jets))
+        else:
+            r_fields.append(exact_residual(core, u, u_t))
+    return ScaleStack(u_stack.eta_nodes, tuple(r_fields)), s
 
 
 def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
@@ -324,13 +340,12 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     r_eps_norms = field_norms(exact_residual(core, u_eps, ut_eps))
     spacings, errors = [], []
     for K in config.nodes:
-        # the defect reads nodes mid-1..mid+1; a stack needs five nodes
+        # the defect reads r on nodes mid-1..mid+1 and s on mid alone
         mid = K // 2
-        u_stack, ut_stack, r_stack = _residual_stack(
-            core, u_gen, ut_gen, config.epsilon, config.eta0, K, mid - 2, mid + 3
+        r_stack, s_mid = _residual_stack(
+            core, u_gen, ut_gen, config.epsilon, config.eta0, K, mid - 1, mid + 2, source
         )
-        s_mid = exact_residual(source, u_stack.fields[2], ut_stack.fields[2])
-        errors.append(field_norms(residual_defect(r_stack, s_mid, 2))[1])
+        errors.append(field_norms(residual_defect(r_stack, s_mid, 1))[1])
         spacings.append(r_stack.delta_eta)
     orders, rows = _convergence_table(config.nodes, spacings, errors)
     final_order = orders[-1]
@@ -421,7 +436,7 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
 
     # same bound on exact residuals of the filtered reference problem
     u_gen, ut_gen = _burgers_generator(max(64, config.grid_size if config.n == 1 else 128))
-    _, _, r_stack = _residual_stack(
+    r_stack, _ = _residual_stack(
         core_by_name("burgers", 1), u_gen, ut_gen, config.epsilon, config.eta0, K
     )
     burgers_rows, burgers_worst = _closure_bound_rows(r_stack, "burgers")

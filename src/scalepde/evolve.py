@@ -15,7 +15,7 @@ import numbers
 import os
 import sys
 import weakref
-from dataclasses import astuple, dataclass, field as _dc_field, fields
+from dataclasses import dataclass, field as _dc_field, fields
 
 import numpy as np
 
@@ -592,7 +592,8 @@ class DiagnosticsRecord:
     deviation_bound: float
 
     def row(self) -> tuple:
-        return astuple(self)
+        """The fields in column order, as a plain tuple (not a deep copy)."""
+        return tuple(getattr(self, name) for name in DIAGNOSTIC_COLUMNS)
 
 
 DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))

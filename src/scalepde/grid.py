@@ -219,13 +219,19 @@ def _spatial_axes(grid: Grid) -> tuple[int, ...]:
 
 
 def _rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Batched real forward transform over the trailing spatial axes."""
-    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)), out=out)
+    """Batched real forward transform over the trailing spatial axes.  In
+    1-D it is the one-axis call, ``rfftn``'s result to the last bit without
+    its n-D wrapper, which would cost as much as a short transform."""
+    if grid.n == 1:
+        return np.fft.rfft(values, axis=-1, out=out)
+    return np.fft.rfftn(values, axes=(-2, -1), out=out)
 
 
 def _irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of ``_rfft`` onto the grid shape."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.n, 0)), out=out)
+    """Inverse of ``_rfft`` onto the grid shape, one-axis in 1-D likewise."""
+    if grid.n == 1:
+        return np.fft.irfft(coeffs, n=grid.size, axis=-1, out=out)
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=(-2, -1), out=out)
 
 
 def _band_rfft(

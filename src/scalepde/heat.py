@@ -40,7 +40,8 @@ def heat_propagate_many(f: Field, deltas) -> list[Field]:
 
 @dataclass(frozen=True)
 class ScaleStack:
-    """Fields sampled on a uniform ladder of at least five eta nodes."""
+    """Fields sampled on a uniform ladder of at least three eta nodes, the
+    fewest a centred difference reads."""
 
     eta_nodes: np.ndarray
     fields: tuple[Field, ...]
@@ -50,8 +51,8 @@ class ScaleStack:
         nodes.flags.writeable = False
         object.__setattr__(self, "eta_nodes", nodes)
         object.__setattr__(self, "fields", tuple(self.fields))
-        if nodes.ndim != 1 or nodes.size < 5:
-            raise ValueError("scale stack needs at least 5 eta nodes")
+        if nodes.ndim != 1 or nodes.size < 3:
+            raise ValueError("scale stack needs at least 3 eta nodes")
         if len(self.fields) != nodes.size:
             raise ValueError("node and field counts differ")
         steps = np.diff(nodes)
@@ -79,7 +80,9 @@ class ScaleStack:
 
     @property
     def delta_eta(self) -> float:
-        return float(self.eta_nodes[1] - self.eta_nodes[0])
+        """The mean node spacing, so that a window's spacing does not depend
+        on which pair of its nodes is subtracted."""
+        return float(self.eta_nodes[-1] - self.eta_nodes[0]) / (self.K - 1)
 
     @property
     def grid(self) -> Grid:
@@ -110,9 +113,9 @@ def build_scale_stack(
     """Propagate a generator slice at scale epsilon up to eta0 on K nodes.
 
     ``start`` and ``stop`` select the window of nodes start..stop-1 of the
-    ladder ``np.linspace(epsilon, eta0, K)``, at least five of them; the
-    default is the whole ladder.  Node j is heat_propagate(generator,
-    eta_j - epsilon) whatever the window.
+    ladder ``np.linspace(epsilon, eta0, K)``, at least three of them; the
+    default is the whole ladder, which needs K >= 5.  Node j is
+    heat_propagate(generator, eta_j - epsilon) whatever the window.
     """
     if not 0.0 < epsilon < eta0:
         raise ValueError(
@@ -123,9 +126,9 @@ def build_scale_stack(
     if K < 5:
         raise ValueError(f"need at least 5 nodes, got K={K}")
     stop = K if stop is None else stop
-    if not (0 <= start and stop <= K and stop - start >= 5):
+    if not (0 <= start and stop <= K and stop - start >= 3):
         raise ValueError(
-            f"window of nodes {start}..{stop - 1} must hold at least 5 of the "
+            f"window of nodes {start}..{stop - 1} must hold at least 3 of the "
             f"K={K} nodes"
         )
     nodes = np.linspace(epsilon, eta0, K)[start:stop]

@@ -17,9 +17,10 @@ source s = (W - L)F.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -44,11 +45,17 @@ def _coord_rank(label: str) -> tuple[int, int]:
     return (0, int(label[1:]))
 
 
-def _valid_coord(label: str, n: int) -> bool:
+def _coord_reach(label: str) -> float:
+    """The least spatial dimension a coordinate label is valid in: 0 for t
+    and eta, k for x<k> with k >= 1, infinite for any other label."""
     if label in ("t", "eta"):
-        return True
+        return 0
     m = re.fullmatch(r"x([0-9]+)", label)
-    return bool(m) and 1 <= int(m.group(1)) <= n
+    return int(m.group(1)) if m and int(m.group(1)) >= 1 else math.inf
+
+
+def _valid_coord(label: str, n: int) -> bool:
+    return _coord_reach(label) <= n
 
 
 def spatial_labels(n: int) -> tuple[str, ...]:
@@ -61,12 +68,18 @@ class JetIndex:
 
     component: int
     derivs: tuple[str, ...] = ()
+    # made once, from the two fields above, and left out of eq and hash
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.component < 1:
             raise ValueError("components are numbered from 1")
         ordered = tuple(sorted(self.derivs, key=_coord_rank))
         object.__setattr__(self, "derivs", ordered)
+        ranks = tuple(_coord_rank(d) for d in ordered)
+        object.__setattr__(self, "_key", (self.component, len(ordered), ranks))
+        object.__setattr__(self, "_reach", max(map(_coord_reach, ordered), default=0))
 
     @property
     def order(self) -> int:
@@ -76,11 +89,7 @@ class JetIndex:
         return JetIndex(self.component, self.derivs + (label,))
 
     def sort_key(self):
-        return (
-            self.component,
-            len(self.derivs),
-            tuple(_coord_rank(d) for d in self.derivs),
-        )
+        return self._key
 
     def __str__(self) -> str:
         base = f"u{self.component}"
@@ -155,12 +164,11 @@ class JetExpr:
                         raise ValueError(
                             f"jet variable {f} exceeds component count N={self.N}"
                         )
-                    for d in f.derivs:
-                        if not _valid_coord(d, self.n):
-                            raise ValueError(
-                                f"jet variable {f} uses coordinate {d} "
-                                f"outside n={self.n}"
-                            )
+                    if f._reach > self.n:
+                        d = next(d for d in f.derivs if not _valid_coord(d, self.n))
+                        raise ValueError(
+                            f"jet variable {f} uses coordinate {d} outside n={self.n}"
+                        )
         object.__setattr__(self, "terms", canon)
 
     @classmethod

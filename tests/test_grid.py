@@ -205,6 +205,28 @@ class TestSpectralRoundTrip:
         assert coeffs.shape == (2,) + grid2d.rshape
         assert np.max(np.abs(_irfft(grid2d, coeffs) - values)) <= 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("size", [4, 6, 64])
+    @pytest.mark.parametrize("lead", [(1,), (3,), (2, 2)])
+    def test_equal_to_the_n_d_transforms(self, n, size, lead, rng):
+        """Bit for bit the numpy n-D real transforms over the trailing axes,
+        given an output array or not, and the input left as it was."""
+        grid = make_grid(n, size)
+        axes = tuple(range(-n, 0))
+        values = rng.standard_normal(lead + grid.shape)
+        want = np.fft.rfftn(values, axes=axes)
+        np.testing.assert_array_equal(_rfft(grid, values), want)
+        out = np.empty(lead + grid.rshape, complex)
+        assert _rfft(grid, values, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        back = np.fft.irfftn(want, s=grid.shape, axes=axes)
+        coeffs = want.copy()
+        np.testing.assert_array_equal(_irfft(grid, coeffs), back)
+        phys = np.empty(lead + grid.shape)
+        assert _irfft(grid, coeffs, out=phys) is phys
+        np.testing.assert_array_equal(phys, back)
+        np.testing.assert_array_equal(coeffs, want)
+
 
 class TestBandTransforms:
     """The band transforms are the half-spectrum ones restricted to the

@@ -79,6 +79,19 @@ class TestJetIndex:
         with pytest.raises(ValueError, match="component"):
             JetIndex(0)
 
+    def test_sort_key_made_once_and_not_compared(self):
+        a = JetIndex(2, ("t", "x2", "x1"))
+        assert a.sort_key() == (2, 3, ((0, 1), (0, 2), (1, 0)))
+        assert a.sort_key() is a.sort_key()
+        assert a == JetIndex(2, ("x1", "x2", "t")) and hash(a) == hash(JetIndex(2, ("x1", "x2", "t")))
+        assert repr(a) == "JetIndex(component=2, derivs=('x1', 'x2', 't'))"
+
+    @pytest.mark.parametrize("label", ["x3", "x0", "x-1", "x 1"])
+    def test_coordinate_outside_n_names_it(self, label):
+        bad = JetIndex(1, ("x1", label))
+        with pytest.raises(ValueError, match=f"uses coordinate {label} outside n=2"):
+            JetExpr(2, 1, ((JetMonomial(1, (bad,)),),))
+
 
 class TestJetExpr:
     def test_structural_equality_is_mathematical(self):

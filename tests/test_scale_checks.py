@@ -15,8 +15,10 @@ import pytest
 
 from scalepde import (
     Field,
+    ScaleStack,
     build_scale_stack,
     closure_error_bound,
+    eta_derivative,
     heat_propagate,
     make_grid,
     reference_burgers,
@@ -110,7 +112,7 @@ class TestWorkBudget:
         assert transform_counts["calls"] <= 650
 
     @pytest.mark.parametrize(
-        "case, complex_calls, real_calls", [("residual_fluid", 216, 82), ("duhamel", 62, 180)]
+        "case, complex_calls, real_calls", [("residual_fluid", 132, 58), ("duhamel", 62, 180)]
     )
     def test_calls_by_kind(
         self, tmp_path, capsys, transform_counts, case, complex_calls, real_calls
@@ -148,10 +150,27 @@ class TestStackWindow:
             exact = heat_propagate(base, float(full.eta_nodes[j]) - 0.05)
             np.testing.assert_array_equal(f.values, exact.values)
 
-    @pytest.mark.parametrize("start, stop", [(-1, 4), (13, 18), (3, 7)])
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (13, 18), (3, 5)])
     def test_window_validation(self, generator, start, stop):
-        with pytest.raises(ValueError, match="at least 5"):
+        with pytest.raises(ValueError, match="at least 3"):
             build_scale_stack(generator, 0.05, 0.15, 17, start, stop)
+
+    def test_three_node_window_spacing_is_the_mean(self, generator):
+        window = build_scale_stack(generator, 0.05, 0.15, 17, 7, 10)
+        assert window.K == 3
+        nodes = window.eta_nodes
+        assert window.delta_eta == (nodes[2] - nodes[0]) / 2
+        # a centred difference reads the outer nodes, over twice this spacing
+        d = eta_derivative(window, 1)
+        want = (window.fields[2].values - window.fields[0].values) / (nodes[2] - nodes[0])
+        np.testing.assert_allclose(d.values, want, rtol=1e-12, atol=1e-12)
+
+    def test_two_nodes_are_refused(self, generator):
+        full = build_scale_stack(generator, 0.05, 0.15, 5)
+        with pytest.raises(ValueError, match="at least 3 eta nodes"):
+            ScaleStack(full.eta_nodes[:2], full.fields[:2])
+        with pytest.raises(ValueError, match="at least 3 of the K=5 nodes"):
+            build_scale_stack(generator, 0.05, 0.15, 5, 1, 3)
 
     def test_propagate_many_matches_single(self, generator):
         many = heat_propagate_many(generator, [0.0, 0.01, 0.2])

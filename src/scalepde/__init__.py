@@ -16,11 +16,13 @@ from .grid import (
     spectral_derivative,
 )
 from .heat import (
+    DefectStack,
     ScaleStack,
     build_scale_stack,
     duhamel_integral,
     eta_derivative,
     filter_defect,
+    filter_deviation,
     heat_propagate,
 )
 from .jets import (

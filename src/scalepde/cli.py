@@ -45,6 +45,7 @@ from .heat import (
     build_scale_stack,
     duhamel_integral,
     filter_defect,
+    filter_deviation,
     heat_propagate,
     heat_propagate_many,
 )
@@ -459,39 +460,45 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
 
 
 def _deviation_errors(grid, epsilon: float, eta0: float, K: int):
-    """Quadrature-vs-direct deviation error for one ladder resolution."""
+    """Quadrature-vs-direct deviation error for one ladder resolution.
+
+    The ladder's nodes 1..K span [epsilon, eta0]; nodes 0 and K + 1 extend
+    it by one spacing each way, so psi has a centred stencil on all K.
+    """
     h = (eta0 - epsilon) / (K - 1)
-    if epsilon - h <= 0.0:
-        raise ConfigError("epsilon too small for the extended ladder")
     big_nodes = [epsilon + (j - 1) * h for j in range(K + 2)]
     big = ScaleStack.from_fields(families.manufactured_scalar_2d_ladder(grid, big_nodes))
-    psi_fields = [filter_defect(big, j) for j in range(1, K + 1)]
-    psi_stack = ScaleStack.from_fields(psi_fields)
-    anchor = big.fields[1]
-    ladder = big.fields[1 : K + 1]
-    matched = heat_propagate_many(anchor, [f.eta - anchor.eta for f in ladder])
-    deviations = [f - m for f, m in zip(ladder, matched)]
-    # the deviation at the last node is the direct one the quadrature targets
-    direct = deviations[-1]
-    quad = duhamel_integral(psi_stack, K - 1)
-    err = field_norms(direct - quad.with_values(t=direct.t))[1]
-    sup_psi = max(field_norms(p)[1] for p in psi_fields)
+    psi = filter_defect(big)
+    sup_psi = max(field_norms(psi.field(j))[1] for j in range(psi.K))
     margins = []
-    for eta, dev in zip(big_nodes[1:], deviations):
-        bound = eta * sup_psi
+    for node in range(1, K + 1):
+        # the deviation from the filtered family through node 1
+        dev = filter_deviation(big, 1, node)
+        bound = dev.eta * sup_psi
         margins.append(field_norms(dev)[1] / bound if bound > 0 else 0.0)
+    # the deviation at the last node is the direct one the quadrature targets
+    err = field_norms(dev - duhamel_integral(psi, K - 1))[1]
     return err, max(margins)
 
 
 def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
+    epsilon, eta0, coarsest = config.epsilon, config.eta0, config.nodes[0]
+    spacing = (eta0 - epsilon) / (coarsest - 1)
+    if epsilon - spacing <= 0.0:
+        # every ladder extends one spacing below epsilon, the coarsest most
+        raise ConfigError(
+            f"epsilon too small for the extended ladder: epsilon={epsilon} must "
+            f"exceed the spacing (eta0 - epsilon)/(K - 1) = {spacing} of the "
+            f"coarsest ladder, eta0={eta0}, K={coarsest}"
+        )
     grid = make_grid(2, config.grid_size)
     errors, worst_margin = [], 0.0
     for K in config.nodes:
-        err, margin = _deviation_errors(grid, config.epsilon, config.eta0, K)
+        err, margin = _deviation_errors(grid, epsilon, eta0, K)
         errors.append(err)
         worst_margin = max(worst_margin, margin)
-    spacings = [(config.eta0 - config.epsilon) / (K - 1) for K in config.nodes]
+    spacings = [(eta0 - epsilon) / (K - 1) for K in config.nodes]
     orders, rows = _convergence_table(config.nodes, spacings, errors)
     final_order = orders[-1]
     passed = bool(final_order >= 1.5 and worst_margin <= 1.05)

@@ -2,9 +2,11 @@
 
 The filter is the solution operator of d/d(eta) u = laplacian(u) on the
 torus: each Fourier mode is damped by exp(-delta_eta * |k|^2).  A scale
-stack samples one filtered family on a uniform ladder of eta nodes and
-supports centered differencing in eta, the filter defect psi, and the
-Duhamel reconstruction of deviations between families.
+stack samples one family on a uniform ladder of eta nodes and supports
+centered differencing in eta, the filter defect psi, the deviation from
+the filtered family through one node, and the Duhamel reconstruction of
+that deviation.  The last three are formed on the stack's half spectra,
+made once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _irfft, _rfft, _spatial_axes, laplacian
+from .grid import Field, Grid, _irfft, _rfft, _spatial_axes
 
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
@@ -88,6 +90,20 @@ class ScaleStack:
     def grid(self) -> Grid:
         return self.fields[0].grid
 
+    @property
+    def t(self) -> float:
+        return self.fields[0].t
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """The half spectra of the nodes, (K, ncomp, *rshape): one forward
+        transform per node, made once."""
+        grid = self.grid
+        out = np.empty((self.K, self.fields[0].ncomp) + grid.rshape, dtype=complex)
+        for f, coeffs in zip(self.fields, out):
+            _rfft(grid, f.values, out=coeffs)
+        return out
+
     @cached_property
     def peak_curvature(self) -> float:
         """max |d2f/d(eta)2| over the interior nodes, by centered differences."""
@@ -151,29 +167,91 @@ def eta_derivative(stack: ScaleStack, node: int) -> Field:
     return mid.with_values((hi.values - lo.values) / (2.0 * stack.delta_eta))
 
 
-def filter_defect(stack: ScaleStack, node: int) -> Field:
-    """psi = d(u)/d(eta) - laplacian(u) measured at an interior node."""
-    return eta_derivative(stack, node) - laplacian(stack.fields[node])
+def _damping(grid: Grid, delta_eta: float) -> np.ndarray:
+    """The heat multiplier exp(-delta_eta * |k|^2) on the half spectrum."""
+    return np.exp(-delta_eta * grid.rksq)
 
 
-def duhamel_integral(psi_stack: ScaleStack, target_node: int) -> Field:
+@dataclass(frozen=True)
+class DefectStack:
+    """The filter defect psi on the interior nodes of a stack, kept as its
+    half spectra (K - 2, ncomp, *rshape): the Duhamel quadrature sums them
+    as they are, and a node's field takes one inverse transform."""
+
+    stack: ScaleStack
+    spectra: np.ndarray
+
+    @property
+    def eta_nodes(self) -> np.ndarray:
+        return self.stack.eta_nodes[1:-1]
+
+    @property
+    def K(self) -> int:
+        return self.stack.K - 2
+
+    @property
+    def delta_eta(self) -> float:
+        return self.stack.delta_eta
+
+    @property
+    def grid(self) -> Grid:
+        return self.stack.grid
+
+    @property
+    def t(self) -> float:
+        return self.stack.t
+
+    def field(self, j: int) -> Field:
+        """psi at interior node j, stack node j + 1."""
+        return self.stack.fields[j + 1].with_values(_irfft(self.grid, self.spectra[j]))
+
+
+def filter_defect(stack: ScaleStack) -> DefectStack:
+    """psi = d(u)/d(eta) - laplacian(u) at every interior node, on the half
+    spectrum: (u_{j+1} - u_{j-1}) / (2 h) + |k|^2 u_j, the centred
+    difference of ``eta_derivative``."""
+    u_hat, rksq = stack.spectra, stack.grid.rksq
+    psi_hat = np.empty_like(u_hat[1:-1])
+    # a product, since a complex array divides by a real scalar six times slower
+    half_over_h = 0.5 / stack.delta_eta
+    for j, out in enumerate(psi_hat, start=1):
+        np.subtract(u_hat[j + 1], u_hat[j - 1], out=out)
+        out *= half_over_h
+        out += rksq * u_hat[j]
+    return DefectStack(stack, psi_hat)
+
+
+def filter_deviation(stack: ScaleStack, anchor: int, node: int) -> Field:
+    """u at a node minus the filtered family through the anchor node,
+    u_node - exp((eta_node - eta_anchor) laplacian) u_anchor, on the half
+    spectrum and transformed back once."""
+    if not 0 <= anchor <= node < stack.K:
+        raise ValueError(
+            f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}"
+        )
+    grid, u_hat, nodes = stack.grid, stack.spectra, stack.eta_nodes
+    damping = _damping(grid, float(nodes[node] - nodes[anchor]))
+    dev_hat = u_hat[node] - damping * u_hat[anchor]
+    return stack.fields[node].with_values(_irfft(grid, dev_hat))
+
+
+def duhamel_integral(psi_stack: ScaleStack | DefectStack, target_node: int) -> Field:
     """Trapezoid quadrature of propagated defects up to a target node.
 
-    Approximates the deviation of the stack's family from the matched
-    filtered family anchored at the stack's first node.
+    Approximates the deviation of the family psi measures from the
+    matched filtered family anchored at psi's first node.  The weighted,
+    damped defects are summed on their half spectra and transformed back
+    once.
     """
     if not 1 <= target_node <= psi_stack.K - 1:
         raise ValueError(
             f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}"
         )
-    grid, first = psi_stack.grid, psi_stack.fields[0]
-    eta_target = float(psi_stack.eta_nodes[target_node])
+    grid, nodes, psi_hat = psi_stack.grid, psi_stack.eta_nodes, psi_stack.spectra
+    eta_target = float(nodes[target_node])
     h = psi_stack.delta_eta
-    # summed on the half spectrum and transformed back once; one node at a
-    # time, since a batched transform of the ladder holds all K spectra
-    total = np.zeros((first.ncomp,) + grid.rshape, dtype=complex)
+    total = np.zeros(psi_hat.shape[1:], dtype=complex)
     for j in range(target_node + 1):
         weight = 0.5 * h if j in (0, target_node) else h
-        damping = np.exp(-(eta_target - float(psi_stack.eta_nodes[j])) * grid.rksq)
-        total += (weight * damping) * _rfft(grid, psi_stack.fields[j].values)
-    return first.with_values(_irfft(grid, total), eta=eta_target)
+        total += (weight * _damping(grid, eta_target - float(nodes[j]))) * psi_hat[j]
+    return Field(grid, _irfft(grid, total), t=psi_stack.t, eta=eta_target)

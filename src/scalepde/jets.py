@@ -17,7 +17,9 @@ source s = (W - L)F.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -86,7 +88,19 @@ class JetIndex:
         return len(self.derivs)
 
     def with_deriv(self, label: str) -> "JetIndex":
-        return JetIndex(self.component, self.derivs + (label,))
+        """This index with one more derivative.  Its own labels are sorted
+        and checked already, so only the new one is ranked and reached."""
+        component, order, ranks = self._key
+        rank = _coord_rank(label)
+        pos = bisect.bisect_right(ranks, rank)
+        derived = object.__new__(type(self))
+        vars(derived).update(
+            component=component,
+            derivs=self.derivs[:pos] + (label,) + self.derivs[pos:],
+            _key=(component, order + 1, ranks[:pos] + (rank,) + ranks[pos:]),
+            _reach=max(self._reach, _coord_reach(label)),
+        )
+        return derived
 
     def sort_key(self):
         return self._key
@@ -105,13 +119,21 @@ class JetMonomial:
     factors: tuple[JetIndex, ...] = ()
 
 
+_factor_key = operator.attrgetter("_key")
+
+
 def _canonical(monomials) -> tuple[JetMonomial, ...]:
     """The one canonical form: Fraction coefficients, each product's
-    factors sorted, equal products merged, zeros dropped, products sorted."""
+    factors sorted, equal products merged, zeros dropped, products sorted.
+    A product whose factors are in order already, as in every operand of
+    a sum, is not sorted again."""
     merged: dict[tuple, list] = {}
     for m in monomials:
-        factors = tuple(sorted(m.factors, key=JetIndex.sort_key))
-        key = tuple(f.sort_key() for f in factors)
+        factors = tuple(m.factors)
+        key = tuple(map(_factor_key, factors))
+        if any(map(operator.gt, key, key[1:])):
+            factors = tuple(sorted(factors, key=_factor_key))
+            key = tuple(map(_factor_key, factors))
         coeff = m.coeff if type(m.coeff) is Fraction else Fraction(m.coeff)
         if key in merged:
             merged[key][0] += coeff

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalepde import ConfigError, Field, make_grid, parse_config, read_checkpoint, write_checkpoint
+from scalepde import (
+    ConfigError, Field, families, make_grid, parse_config, read_checkpoint, write_checkpoint,
+)
 from scalepde.cli import COMMANDS, _measured_orders, config_hash, main
 
 
@@ -517,6 +519,27 @@ class TestConvergenceOrders:
         capsys.readouterr()
         assert code == 0
         assert abs(json.loads((out / "report.json").read_text())["final_order"] - 2.0) <= 0.05
+
+
+class TestDuhamelCommand:
+    def test_epsilon_below_coarsest_spacing_exits_2_before_any_ladder(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(
+            families, "manufactured_scalar_2d_ladder", lambda *a, **k: built.append(a)
+        )
+        out = tmp_path / "run"
+        # the K = 33 ladder alone would fit: its spacing is 0.0040625
+        code = main(["duhamel-check", "--out", str(out), "--set", "grid_size=16",
+                     "--set", "epsilon=0.02", "--set", "nodes=[5,33]"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: epsilon too small for the extended ladder")
+        for named in ("epsilon=0.02", "eta0=0.15", "K=5", "(eta0 - epsilon)/(K - 1) = 0.0325"):
+            assert named in err
+        assert built == []
+        assert not (out / "report.json").exists()
 
 
 class TestBurgersReferenceCommand:

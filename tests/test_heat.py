@@ -12,6 +12,7 @@ from scalepde import (
     eta_derivative,
     field_norms,
     filter_defect,
+    filter_deviation,
     heat_propagate,
     laplacian,
     make_grid,
@@ -147,7 +148,7 @@ class TestEtaDerivative:
 class TestFilterDefect:
     def test_filtered_stack_defect_small(self, grid2d):
         stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, 33)
-        psi = filter_defect(stack, 16)
+        psi = filter_defect(stack).field(15)
         # members of the filter-map set have psi = O(delta_eta^2) only
         assert field_norms(psi)[1] <= 1e-4
 
@@ -155,7 +156,7 @@ class TestFilterDefect:
         errors = []
         for K in (9, 17, 33):
             stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, K)
-            errors.append(field_norms(filter_defect(stack, K // 2))[1])
+            errors.append(field_norms(filter_defect(stack).field(K // 2 - 1))[1])
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 1.9
 
@@ -165,14 +166,14 @@ class TestFilterDefect:
         nodes = np.linspace(0.01, 0.05, 5)
         fields = tuple(Field(grid1d, np.sin(x), eta=float(e)) for e in nodes)
         stack = ScaleStack(nodes, fields)
-        psi = filter_defect(stack, 2)
+        psi = filter_defect(stack).field(1)
         assert np.max(np.abs(psi.component(0) - np.sin(x))) <= 1e-12
 
     def test_manufactured_defect_matches_analytic(self, grid2d):
         nodes = np.linspace(0.04, 0.12, 33)
         fields = [manufactured_scalar_2d(grid2d, float(e))[0] for e in nodes]
         stack = ScaleStack.from_fields(fields)
-        psi = filter_defect(stack, 16)
+        psi = filter_defect(stack).field(15)
         analytic = manufactured_scalar_2d(grid2d, float(nodes[16]))[1]
         err = field_norms(psi - analytic)[1]
         assert err <= 5e-4  # second-order eta differencing floor
@@ -229,10 +230,90 @@ class TestDuhamel:
         big = ScaleStack.from_fields(
             [manufactured_scalar_2d(grid2d, float(e))[0] for e in big_nodes]
         )
-        psi_stack = ScaleStack.from_fields(
-            [filter_defect(big, j) for j in range(1, K + 1)]
-        )
         anchor, target = big.fields[1], big.fields[K]
         direct = target - heat_propagate(anchor, target.eta - anchor.eta)
-        quad = duhamel_integral(psi_stack, K - 1)
+        quad = duhamel_integral(filter_defect(big), K - 1)
         assert field_norms(direct - quad)[1] <= 1e-4
+
+
+def _white_noise_stack(n, size, K=9):
+    grid = make_grid(n, size)
+    nodes = np.linspace(0.02, 0.1, K)
+    values = np.random.default_rng(size + n).standard_normal((K, 2) + grid.shape)
+    return ScaleStack(
+        nodes, tuple(Field(grid, v, t=0.3, eta=float(e)) for v, e in zip(values, nodes))
+    )
+
+
+def _physical_defects(stack):
+    return np.stack(
+        [
+            (eta_derivative(stack, j) - laplacian(stack.fields[j])).values
+            for j in range(1, stack.K - 1)
+        ]
+    )
+
+
+def _assert_close(got, want):
+    scale = max(np.max(np.abs(w)) for w in want)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, size", [(1, 64), (2, 32)])
+class TestHalfSpectrumAgainstPhysical:
+    """psi, the deviations and the quadrature are formed on the stack's
+    half spectra; white-noise ladders, Nyquist planes included, against
+    their physical forms."""
+
+    def test_spectra_one_forward_transform_per_node_made_once(
+        self, n, size, transform_counts
+    ):
+        stack = _white_noise_stack(n, size)
+        assert stack.spectra is stack.spectra
+        assert transform_counts["calls"] == stack.K
+        assert transform_counts["complex"] == 0
+
+    def test_defect_is_eta_derivative_minus_laplacian(self, n, size):
+        stack = _white_noise_stack(n, size)
+        psi = filter_defect(stack)
+        assert psi.K == stack.K - 2
+        np.testing.assert_array_equal(psi.eta_nodes, stack.eta_nodes[1:-1])
+        got = [psi.field(j) for j in range(psi.K)]
+        _assert_close([f.values for f in got], _physical_defects(stack))
+        for j, f in enumerate(got, start=1):
+            assert (f.t, f.eta) == (0.3, stack.eta_nodes[j])
+
+    @pytest.mark.parametrize("anchor", [0, 1])
+    def test_deviation_is_difference_from_propagated_anchor(self, n, size, anchor):
+        stack = _white_noise_stack(n, size)
+        base = stack.fields[anchor]
+        nodes = range(anchor, stack.K)
+        got = [filter_deviation(stack, anchor, j) for j in nodes]
+        want = [
+            (stack.fields[j] - heat_propagate(base, stack.fields[j].eta - base.eta)).values
+            for j in nodes
+        ]
+        _assert_close([f.values for f in got], want)
+        assert np.max(np.abs(got[0].values)) == 0.0
+        assert got[-1].eta == stack.eta_nodes[-1]
+
+    def test_quadrature_matches_per_node_propagation(self, n, size):
+        stack = _white_noise_stack(n, size)
+        psi = filter_defect(stack)
+        physical = _physical_defects(stack)
+        for target in (1, 3, psi.K - 1):
+            got = duhamel_integral(psi, target)
+            want = per_node_duhamel(physical, psi.eta_nodes, target)
+            _assert_close([got.values], [want])
+            assert (got.t, got.eta) == (0.3, psi.eta_nodes[target])
+
+
+def test_deviation_nodes_validated(grid1d):
+    nodes = np.linspace(0.02, 0.1, 5)
+    stack = ScaleStack(
+        nodes, tuple(Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes)
+    )
+    for anchor, node in ((-1, 2), (3, 2), (0, 5)):
+        with pytest.raises(ValueError, match="anchor"):
+            filter_deviation(stack, anchor, node)

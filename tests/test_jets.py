@@ -86,6 +86,19 @@ class TestJetIndex:
         assert a == JetIndex(2, ("x1", "x2", "t")) and hash(a) == hash(JetIndex(2, ("x1", "x2", "t")))
         assert repr(a) == "JetIndex(component=2, derivs=('x1', 'x2', 't'))"
 
+    @pytest.mark.parametrize(
+        "derivs, label",
+        [((), "x1"), (("x2", "t"), "x1"), (("x1", "eta"), "t"), (("x1",), "x1"),
+         (("t",), "x3"), (("x1", "x2"), "x0")],
+    )
+    def test_with_deriv_equals_a_fresh_index(self, derivs, label):
+        derived = JetIndex(2, derivs).with_deriv(label)
+        fresh = JetIndex(2, derivs + (label,))
+        assert derived == fresh and hash(derived) == hash(fresh)
+        assert repr(derived) == repr(fresh)
+        assert derived.sort_key() == fresh.sort_key()
+        assert derived._reach == fresh._reach
+
     @pytest.mark.parametrize("label", ["x3", "x0", "x-1", "x 1"])
     def test_coordinate_outside_n_names_it(self, label):
         bad = JetIndex(1, ("x1", label))

@@ -112,14 +112,17 @@ class TestWorkBudget:
         assert transform_counts["calls"] <= 650
 
     @pytest.mark.parametrize(
-        "case, complex_calls, real_calls", [("residual_fluid", 132, 58), ("duhamel", 62, 180)]
+        "case, complex_calls, real_calls", [("residual_fluid", 132, 58), ("duhamel", 0, 186)]
     )
     def test_calls_by_kind(
         self, tmp_path, capsys, transform_counts, case, complex_calls, real_calls
     ):
-        # complex: heat propagation of the generators and one forward
-        # transform per differentiated component plus one inverse per jet;
-        # real: laplacians, one dealiasing per output, the Duhamel sums
+        # residual_fluid: complex for the heat propagation of the generators
+        # and one forward transform per differentiated component plus one
+        # inverse per jet, real for one dealiasing per output; duhamel: real
+        # only, one forward transform per node of each extended ladder and one
+        # inverse per psi, per deviation and for the quadrature, so
+        # sum over K of (K + 2) + (2K + 1) for K = 9, 17, 33
         code, _ = _run(tmp_path, case)
         capsys.readouterr()
         assert code == 0
@@ -131,6 +134,22 @@ class TestWorkBudget:
         capsys.readouterr()
         assert code == 0
         assert transform_counts["fields"] <= 1000
+
+    def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
+        forward = []
+        rfftn = np.fft.rfftn
+        monkeypatch.setattr(
+            np.fft, "rfftn", lambda a, *args, **kw: forward.append(1) or rfftn(a, *args, **kw)
+        )
+        code, _ = _run(tmp_path, "duhamel")
+        capsys.readouterr()
+        assert code == 0
+        # the ladder nodes alone; psi goes to the quadrature as coefficients
+        assert len(forward) == sum(K + 2 for K in (9, 17, 33))
+        # the ladders, and one field per psi, per deviation, for the quadrature
+        # and for its error: 3K + 4 for each K (366 when psi and the matched
+        # family were transformed on their own)
+        assert transform_counts["fields"] <= 189
 
 
 class TestStackWindow:

@@ -18,6 +18,7 @@ from .grid import (
 from .heat import (
     DefectStack,
     ScaleStack,
+    SpectralStack,
     build_scale_stack,
     duhamel_integral,
     eta_derivative,

@@ -30,7 +30,7 @@ from .evolve import (
     run_simulation,
     write_checkpoint,
 )
-from .fluid import core_by_name
+from .fluid import burgers_core, core_by_name
 from .grid import (
     Field,
     _rfft,
@@ -42,7 +42,7 @@ from .grid import (
 )
 from .heat import (
     ScaleStack,
-    build_scale_stack,
+    SpectralStack,
     duhamel_integral,
     filter_defect,
     filter_deviation,
@@ -304,25 +304,30 @@ def _fluid_generator(config: RunConfig):
     return families.filtered_taylor_green(grid, t=0.0, eta=0.0)
 
 
-def _residual_stack(
-    core: JetExpr, u_gen: Field, ut_gen: Field, epsilon: float, eta0: float, K: int,
-    start: int = 0, stop: int | None = None, source: JetExpr | None = None,
-) -> tuple[ScaleStack, Field | None]:
-    """The scale stack of r = F(u, u_t) on nodes start..stop-1 of the K-node
-    ladder and, given a source, s at the window's centre node, where r and s
-    are read off one jet table."""
-    u_stack = build_scale_stack(u_gen, epsilon, eta0, K, start, stop)
-    ut_stack = build_scale_stack(ut_gen, epsilon, eta0, K, start, stop)
-    centre = None if source is None else u_stack.K // 2
-    r_fields, s = [], None
-    for j, (u, u_t) in enumerate(zip(u_stack.fields, ut_stack.fields)):
-        if j == centre:
+def _residual_stacks(
+    core: JetExpr, u_gen: Field, ut_gen: Field, epsilon: float, windows, source=None
+) -> list[tuple[ScaleStack, Field | None]]:
+    """The scale stack of r = F(u, u_t) on each window of eta nodes of the
+    filtered family through (u_gen, ut_gen) at epsilon and, given a source,
+    s at the window's centre, where r and s are read off one jet table.
+
+    Windows share the nodes they hold to the last bit: each generator is
+    transformed forward once and r formed once per distinct node, where
+    the slices are dropped once r is formed.
+    """
+    etas = list(dict.fromkeys(float(eta) for window in windows for eta in window))
+    centres = () if source is None else {float(w[len(w) // 2]) for w in windows}
+    deltas = [eta - epsilon for eta in etas]
+    slices = (heat_propagate_many(g.with_values(eta=epsilon), deltas) for g in (u_gen, ut_gen))
+    r, s = {}, {}
+    for eta, u, u_t in zip(etas, *slices):
+        if eta in centres:
             jets = jet_values(JetExpr(core.n, core.N, core.terms + source.terms), u, u_t)
-            s = jet_evaluate(source, jets)
-            r_fields.append(jet_evaluate(core, jets))
+            r[eta], s[eta] = jet_evaluate(core, jets), jet_evaluate(source, jets)
+            del jets  # the largest table alive; it must not outlive its node
         else:
-            r_fields.append(exact_residual(core, u, u_t))
-    return ScaleStack(u_stack.eta_nodes, tuple(r_fields)), s
+            r[eta] = exact_residual(core, u, u_t)
+    return [(ScaleStack(w, [r[eta] for eta in w]), s.get(w[len(w) // 2])) for w in windows]
 
 
 def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
@@ -339,13 +344,13 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     # r at epsilon, the first node of every ladder
     u_eps, ut_eps = (g.with_values(eta=config.epsilon) for g in (u_gen, ut_gen))
     r_eps_norms = field_norms(exact_residual(core, u_eps, ut_eps))
+    # the defect of the K-node ladder reads r on its nodes mid-1..mid+1,
+    # mid = K // 2, and s on mid alone; nested ladders share their centre
+    windows = [
+        np.linspace(config.epsilon, config.eta0, K)[K // 2 - 1 : K // 2 + 2] for K in config.nodes
+    ]
     spacings, errors = [], []
-    for K in config.nodes:
-        # the defect reads r on nodes mid-1..mid+1 and s on mid alone
-        mid = K // 2
-        r_stack, s_mid = _residual_stack(
-            core, u_gen, ut_gen, config.epsilon, config.eta0, K, mid - 1, mid + 2, source
-        )
+    for r_stack, s_mid in _residual_stacks(core, u_gen, ut_gen, config.epsilon, windows, source):
         errors.append(field_norms(residual_defect(r_stack, s_mid, 1))[1])
         spacings.append(r_stack.delta_eta)
     orders, rows = _convergence_table(config.nodes, spacings, errors)
@@ -394,42 +399,21 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     checks.append(_check("back_substitution", field_norms(back)[1] / scale, 1e-10))
 
     sine = families.sine_field(grid)
-    r_sine = solve_residual_closure(sine, eta)
-    expected = sine.values / (1.0 + 1.0 / eta)
-    checks.append(
-        _check(
-            "single_mode_exact",
-            float(np.max(np.abs(r_sine.values - expected))),
-            1e-12,
-        )
-    )
+    miss = solve_residual_closure(sine, eta).values - sine.values / (1.0 + 1.0 / eta)
+    checks.append(_check("single_mode_exact", float(np.max(np.abs(miss))), 1e-12))
     const = Field(grid, np.full((1,) + grid.shape, 0.7))
-    r_const = solve_residual_closure(const, eta)
-    checks.append(
-        _check(
-            "constant_mode",
-            float(np.max(np.abs(r_const.values - 0.7 * eta))),
-            1e-12,
-        )
-    )
-    small_scale_decay = [
-        field_norms(solve_residual_closure(sine, e))[1] for e in (1e-1, 1e-2, 1e-3)
-    ]
-    checks.append(
-        _check(
-            "vanishing_scale_limit",
-            0.0 if small_scale_decay[0] > small_scale_decay[1] > small_scale_decay[2] else 1.0,
-            0.5,
-        )
-    )
+    miss = solve_residual_closure(const, eta).values - 0.7 * eta
+    checks.append(_check("constant_mode", float(np.max(np.abs(miss))), 1e-12))
+    decay = [field_norms(solve_residual_closure(sine, e))[1] for e in (1e-1, 1e-2, 1e-3)]
+    falls = decay[0] > decay[1] > decay[2]
+    checks.append(_check("vanishing_scale_limit", 0.0 if falls else 1.0, 0.5))
 
     # Taylor bound experiment on a manufactured residual stack
     K = 33
     nodes = np.linspace(0.01, 0.2, K)
-    x = grid.coords()[0]
+    sin_x = np.sin(grid.coords()[0])
     r_fields = [
-        Field(grid, (e * np.exp(-2.0 * e) * np.sin(x))[np.newaxis], eta=float(e))
-        for e in nodes
+        Field(grid, (e * np.exp(-2.0 * e) * sin_x)[np.newaxis], eta=float(e)) for e in nodes
     ]
     manu_stack = ScaleStack(nodes, tuple(r_fields))
     manu_rows, manu_worst = _closure_bound_rows(manu_stack, "manufactured")
@@ -437,9 +421,8 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
 
     # same bound on exact residuals of the filtered reference problem
     u_gen, ut_gen = _burgers_generator(max(64, config.grid_size if config.n == 1 else 128))
-    r_stack, _ = _residual_stack(
-        core_by_name("burgers", 1), u_gen, ut_gen, config.epsilon, config.eta0, K
-    )
+    ladder = [np.linspace(config.epsilon, config.eta0, K)]
+    [(r_stack, _)] = _residual_stacks(burgers_core(), u_gen, ut_gen, config.epsilon, ladder)
     burgers_rows, burgers_worst = _closure_bound_rows(r_stack, "burgers")
     checks.append(_check("taylor_bound_burgers", burgers_worst, 1.10))
     r_eps_max = field_norms(r_stack.fields[0])[1]
@@ -459,46 +442,56 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     return (0 if passed else 1), report, {"closure_bound.csv": table}
 
 
-def _deviation_errors(grid, epsilon: float, eta0: float, K: int):
-    """Quadrature-vs-direct deviation error for one ladder resolution.
+def _deviation_errors(grid, epsilon: float, nodes, spacings) -> tuple[list[float], float]:
+    """Quadrature-vs-direct deviation error of each ladder resolution, and
+    the worst ratio of a deviation to its bound.
 
-    The ladder's nodes 1..K span [epsilon, eta0]; nodes 0 and K + 1 extend
-    it by one spacing each way, so psi has a centred stencil on all K.
+    The K-node ladder's nodes 1..K span [epsilon, eta0]; nodes 0 and K + 1
+    extend it by one spacing each way, so psi has a centred stencil on all
+    K.  Ladders share the nodes they hold to the last bit: each distinct
+    node is built and transformed forward once and kept as its spectrum,
+    and its deviation from the family filtered from epsilon (node 1 of
+    every ladder) transformed back once.
     """
-    h = (eta0 - epsilon) / (K - 1)
-    big_nodes = [epsilon + (j - 1) * h for j in range(K + 2)]
-    big = ScaleStack.from_fields(families.manufactured_scalar_2d_ladder(grid, big_nodes))
-    psi = filter_defect(big)
-    sup_psi = max(field_norms(psi.field(j))[1] for j in range(psi.K))
-    margins = []
-    for node in range(1, K + 1):
-        # the deviation from the filtered family through node 1
-        dev = filter_deviation(big, 1, node)
-        bound = dev.eta * sup_psi
-        margins.append(field_norms(dev)[1] / bound if bound > 0 else 0.0)
-    # the deviation at the last node is the direct one the quadrature targets
-    err = field_norms(dev - duhamel_integral(psi, K - 1))[1]
-    return err, max(margins)
+    ladders = [[epsilon + (j - 1) * h for j in range(K + 2)] for K, h in zip(nodes, spacings)]
+    spectra = {
+        u.eta: _rfft(grid, u.values)
+        for u in families.manufactured_scalar_2d_ladder(grid, sorted(set().union(*ladders)))
+    }
+    # the max norm of the deviation at each node, and its field where a ladder ends
+    norms, ends = {}, dict.fromkeys(ladder[-2] for ladder in ladders)
+    errors, worst = [], 0.0
+    for ladder in ladders:
+        stack = SpectralStack(grid, ladder, [spectra[eta] for eta in ladder])
+        psi = filter_defect(stack)
+        sup_psi = max(field_norms(psi.field(j))[1] for j in range(psi.K))
+        for node, eta in enumerate(ladder[1:-1], start=1):
+            if eta not in norms:
+                dev = filter_deviation(stack, 1, node)
+                norms[eta] = field_norms(dev)[1]
+                if eta in ends:
+                    ends[eta] = dev
+            bound = eta * sup_psi
+            worst = max(worst, norms[eta] / bound if bound > 0 else 0.0)
+        # the deviation at the last node is the direct one the quadrature targets
+        errors.append(field_norms(ends[ladder[-2]] - duhamel_integral(psi, psi.K - 1))[1])
+        del psi  # not to be alive beside the next ladder's
+    return errors, worst
 
 
 def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
-    epsilon, eta0, coarsest = config.epsilon, config.eta0, config.nodes[0]
-    spacing = (eta0 - epsilon) / (coarsest - 1)
-    if epsilon - spacing <= 0.0:
+    epsilon, eta0 = config.epsilon, config.eta0
+    spacings = [(eta0 - epsilon) / (K - 1) for K in config.nodes]
+    if epsilon - spacings[0] <= 0.0:
         # every ladder extends one spacing below epsilon, the coarsest most
         raise ConfigError(
             f"epsilon too small for the extended ladder: epsilon={epsilon} must "
-            f"exceed the spacing (eta0 - epsilon)/(K - 1) = {spacing} of the "
-            f"coarsest ladder, eta0={eta0}, K={coarsest}"
+            f"exceed the spacing (eta0 - epsilon)/(K - 1) = {spacings[0]} of the "
+            f"coarsest ladder, eta0={eta0}, K={config.nodes[0]}"
         )
     grid = make_grid(2, config.grid_size)
-    errors, worst_margin = [], 0.0
-    for K in config.nodes:
-        err, margin = _deviation_errors(grid, epsilon, eta0, K)
-        errors.append(err)
-        worst_margin = max(worst_margin, margin)
-    spacings = [(eta0 - epsilon) / (K - 1) for K in config.nodes]
+    errors, worst_margin = _deviation_errors(grid, epsilon, config.nodes, spacings)
     orders, rows = _convergence_table(config.nodes, spacings, errors)
     final_order = orders[-1]
     passed = bool(final_order >= 1.5 and worst_margin <= 1.05)
@@ -638,18 +631,16 @@ def main(argv=None) -> int:
         prog="scalepde",
         description="Scale-filtered PDE laboratory: filtering, sources, residuals, evolution.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--out", help="directory for artifacts")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config entry (dotted paths allowed)",
-        )
-        p.add_argument("--seed", type=int, help="override the RNG seed")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="path to a JSON config file")
+    parser.add_argument("--out", help="directory for artifacts")
+    parser.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a config entry (dotted paths allowed)",
+    )
+    parser.add_argument("--seed", type=int, help="override the RNG seed")
     args = parser.parse_args(argv)
     try:
         spec = build_spec(args)

@@ -10,6 +10,7 @@ known field.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -96,18 +97,19 @@ def random_solenoidal(
     return Field(grid, vals)
 
 
-def manufactured_scalar_2d_ladder(grid: Grid, etas, t: float = 0.0) -> list[Field]:
+def manufactured_scalar_2d_ladder(grid: Grid, etas, t: float = 0.0) -> Iterator[Field]:
     """Scalar 2d family u at each eta, for deviation experiments.
 
     u = a(eta) sin x cos y + b(eta) cos x + c(eta) sin 2x cos y with
     a = 1 + eta, b = e^{-eta} and c = cos(eta), coefficients that do not
-    follow the heat flow.  The modes are formed once.
+    follow the heat flow.  The modes are formed once, and the fields one
+    at a time as the caller takes them.
     """
     if grid.n != 2:
         raise ValueError("needs a two dimensional grid")
     x, y = grid.coords()
     m1, m2, m3 = np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)
-    return [
+    return (
         Field(
             grid,
             ((1.0 + eta) * m1 + math.exp(-eta) * m2 + math.cos(eta) * m3)[np.newaxis],
@@ -115,7 +117,7 @@ def manufactured_scalar_2d_ladder(grid: Grid, etas, t: float = 0.0) -> list[Fiel
             eta=eta,
         )
         for eta in etas
-    ]
+    )
 
 
 def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[Field, Field]:

@@ -6,11 +6,13 @@ stack samples one family on a uniform ladder of eta nodes and supports
 centered differencing in eta, the filter defect psi, the deviation from
 the filtered family through one node, and the Duhamel reconstruction of
 that deviation.  The last three are formed on the stack's half spectra,
-made once.
+made once; a ladder kept as its spectra alone (``SpectralStack``) serves
+them too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,60 +23,45 @@ from .grid import Field, Grid, _irfft, _rfft, _spatial_axes
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
     """Advance a field by delta_eta along the filter scale."""
-    return heat_propagate_many(f, (delta_eta,))[0]
+    return next(heat_propagate_many(f, (delta_eta,)))
 
 
-def heat_propagate_many(f: Field, deltas) -> list[Field]:
+def heat_propagate_many(f: Field, deltas) -> Iterator[Field]:
     """heat_propagate(f, d) for each d, sharing one forward transform of f.
 
-    Each result is the same to the last bit as a propagation on its own.
+    The fields are made one at a time as the caller takes them, so only
+    those it keeps stay alive.  Each is the same to the last bit as a
+    propagation on its own.
     """
+    deltas = tuple(deltas)
+    if min(deltas, default=0.0) < 0.0:
+        raise ValueError(f"delta_eta must be >= 0, got {min(deltas)}")
     axes = _spatial_axes(f.grid)
     coeffs = np.fft.fftn(f.values, axes=axes)
-    out = []
-    for d in deltas:
-        if d < 0.0:
-            raise ValueError(f"delta_eta must be >= 0, got {d}")
-        vals = np.fft.ifftn(coeffs * np.exp(-d * f.grid.ksq), axes=axes).real
-        out.append(f.with_values(vals, eta=f.eta + d))
-    return out
+    # one expression, so that no transform outlives the field made of it
+    return (
+        f.with_values(np.fft.ifftn(coeffs * np.exp(-d * f.grid.ksq), axes=axes).real, eta=f.eta + d)
+        for d in deltas
+    )
 
 
-@dataclass(frozen=True)
-class ScaleStack:
-    """Fields sampled on a uniform ladder of at least three eta nodes, the
-    fewest a centred difference reads."""
+class _Ladder:
+    """A stack on a uniform ladder of at least three eta nodes, the fewest a
+    centred difference reads."""
 
     eta_nodes: np.ndarray
-    fields: tuple[Field, ...]
 
     def __post_init__(self):
         nodes = np.array(self.eta_nodes, dtype=float)
         nodes.flags.writeable = False
         object.__setattr__(self, "eta_nodes", nodes)
-        object.__setattr__(self, "fields", tuple(self.fields))
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("scale stack needs at least 3 eta nodes")
-        if len(self.fields) != nodes.size:
-            raise ValueError("node and field counts differ")
         steps = np.diff(nodes)
         if np.any(steps <= 0.0):
             raise ValueError("eta nodes must be strictly increasing")
         if np.max(steps) - np.min(steps) > 1e-12 * np.max(steps):
             raise ValueError("eta nodes must be uniformly spaced")
-        grid = self.fields[0].grid
-        t = self.fields[0].t
-        for j, f in enumerate(self.fields):
-            if f.grid != grid:
-                raise ValueError("stack fields live on different grids")
-            if f.ncomp != self.fields[0].ncomp:
-                raise ValueError("stack fields have different component counts")
-            if abs(f.t - t) > 1e-12:
-                raise ValueError("stack fields have different slice times")
-            if abs(f.eta - nodes[j]) > 1e-12:
-                raise ValueError(
-                    f"field {j} carries eta={f.eta} but node is {nodes[j]}"
-                )
 
     @property
     def K(self) -> int:
@@ -85,6 +72,32 @@ class ScaleStack:
         """The mean node spacing, so that a window's spacing does not depend
         on which pair of its nodes is subtracted."""
         return float(self.eta_nodes[-1] - self.eta_nodes[0]) / (self.K - 1)
+
+
+@dataclass(frozen=True)
+class ScaleStack(_Ladder):
+    """Fields sampled on a uniform ladder of at least three eta nodes."""
+
+    eta_nodes: np.ndarray
+    fields: tuple[Field, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        nodes = self.eta_nodes
+        object.__setattr__(self, "fields", tuple(self.fields))
+        if len(self.fields) != nodes.size:
+            raise ValueError("node and field counts differ")
+        grid = self.fields[0].grid
+        t = self.fields[0].t
+        for j, f in enumerate(self.fields):
+            if f.grid != grid:
+                raise ValueError("stack fields live on different grids")
+            if f.ncomp != self.fields[0].ncomp:
+                raise ValueError("stack fields have different component counts")
+            if abs(f.t - t) > 1e-12:
+                raise ValueError("stack fields have different slice times")
+            if abs(f.eta - nodes[j]) > 1e-12:
+                raise ValueError(f"field {j} carries eta={f.eta} but node is {nodes[j]}")
 
     @property
     def grid(self) -> Grid:
@@ -118,46 +131,41 @@ class ScaleStack:
         return cls(np.array([f.eta for f in fields]), fields)
 
 
-def build_scale_stack(
-    generator: Field,
-    epsilon: float,
-    eta0: float,
-    K: int,
-    start: int = 0,
-    stop: int | None = None,
-) -> ScaleStack:
-    """Propagate a generator slice at scale epsilon up to eta0 on K nodes.
+@dataclass(frozen=True)
+class SpectralStack(_Ladder):
+    """A uniform ladder kept as the half spectra (ncomp, *rshape) of its
+    nodes alone, which ladders sharing a node may share."""
 
-    ``start`` and ``stop`` select the window of nodes start..stop-1 of the
-    ladder ``np.linspace(epsilon, eta0, K)``, at least three of them; the
-    default is the whole ladder, which needs K >= 5.  Node j is
-    heat_propagate(generator, eta_j - epsilon) whatever the window.
-    """
+    grid: Grid
+    eta_nodes: np.ndarray
+    spectra: tuple[np.ndarray, ...]
+    t: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "spectra", tuple(self.spectra))
+        shapes = {c.shape for c in self.spectra}
+        if len(self.spectra) != self.K or len(shapes) != 1 or shapes.pop()[1:] != self.grid.rshape:
+            raise ValueError("need one spectrum per node, all of one shape (ncomp, *grid.rshape)")
+
+
+def build_scale_stack(generator: Field, epsilon: float, eta0: float, K: int) -> ScaleStack:
+    """Propagate a generator slice at scale epsilon up to eta0 on K >= 5
+    nodes: node j is heat_propagate(generator, eta_j - epsilon)."""
     if not 0.0 < epsilon < eta0:
-        raise ValueError(
-            f"need 0 < epsilon < eta0, got epsilon={epsilon}, eta0={eta0}"
-        )
+        raise ValueError(f"need 0 < epsilon < eta0, got epsilon={epsilon}, eta0={eta0}")
     if eta0 > 1.0:
         raise ValueError(f"eta0 must be <= 1, got {eta0}")
     if K < 5:
         raise ValueError(f"need at least 5 nodes, got K={K}")
-    stop = K if stop is None else stop
-    if not (0 <= start and stop <= K and stop - start >= 3):
-        raise ValueError(
-            f"window of nodes {start}..{stop - 1} must hold at least 3 of the "
-            f"K={K} nodes"
-        )
-    nodes = np.linspace(epsilon, eta0, K)[start:stop]
+    nodes = np.linspace(epsilon, eta0, K)
     base = generator.with_values(eta=epsilon)
-    fields = heat_propagate_many(base, [eta - epsilon for eta in nodes])
-    return ScaleStack(nodes, tuple(fields))
+    return ScaleStack(nodes, heat_propagate_many(base, nodes - epsilon))
 
 
 def _require_interior(stack: ScaleStack, node: int):
     if not 1 <= node <= stack.K - 2:
-        raise ValueError(
-            f"node {node} has no centered stencil in a stack of {stack.K} nodes"
-        )
+        raise ValueError(f"node {node} has no centered stencil in a stack of {stack.K} nodes")
 
 
 def eta_derivative(stack: ScaleStack, node: int) -> Field:
@@ -178,7 +186,7 @@ class DefectStack:
     half spectra (K - 2, ncomp, *rshape): the Duhamel quadrature sums them
     as they are, and a node's field takes one inverse transform."""
 
-    stack: ScaleStack
+    stack: ScaleStack | SpectralStack
     spectra: np.ndarray
 
     @property
@@ -203,15 +211,16 @@ class DefectStack:
 
     def field(self, j: int) -> Field:
         """psi at interior node j, stack node j + 1."""
-        return self.stack.fields[j + 1].with_values(_irfft(self.grid, self.spectra[j]))
+        eta = float(self.eta_nodes[j])
+        return Field(self.grid, _irfft(self.grid, self.spectra[j]), t=self.t, eta=eta)
 
 
-def filter_defect(stack: ScaleStack) -> DefectStack:
+def filter_defect(stack: ScaleStack | SpectralStack) -> DefectStack:
     """psi = d(u)/d(eta) - laplacian(u) at every interior node, on the half
     spectrum: (u_{j+1} - u_{j-1}) / (2 h) + |k|^2 u_j, the centred
     difference of ``eta_derivative``."""
     u_hat, rksq = stack.spectra, stack.grid.rksq
-    psi_hat = np.empty_like(u_hat[1:-1])
+    psi_hat = np.empty((stack.K - 2,) + u_hat[0].shape, dtype=complex)
     # a product, since a complex array divides by a real scalar six times slower
     half_over_h = 0.5 / stack.delta_eta
     for j, out in enumerate(psi_hat, start=1):
@@ -221,18 +230,16 @@ def filter_defect(stack: ScaleStack) -> DefectStack:
     return DefectStack(stack, psi_hat)
 
 
-def filter_deviation(stack: ScaleStack, anchor: int, node: int) -> Field:
+def filter_deviation(stack: ScaleStack | SpectralStack, anchor: int, node: int) -> Field:
     """u at a node minus the filtered family through the anchor node,
     u_node - exp((eta_node - eta_anchor) laplacian) u_anchor, on the half
     spectrum and transformed back once."""
     if not 0 <= anchor <= node < stack.K:
-        raise ValueError(
-            f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}"
-        )
+        raise ValueError(f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}")
     grid, u_hat, nodes = stack.grid, stack.spectra, stack.eta_nodes
     damping = _damping(grid, float(nodes[node] - nodes[anchor]))
     dev_hat = u_hat[node] - damping * u_hat[anchor]
-    return stack.fields[node].with_values(_irfft(grid, dev_hat))
+    return Field(grid, _irfft(grid, dev_hat), t=stack.t, eta=float(nodes[node]))
 
 
 def duhamel_integral(psi_stack: ScaleStack | DefectStack, target_node: int) -> Field:
@@ -244,13 +251,11 @@ def duhamel_integral(psi_stack: ScaleStack | DefectStack, target_node: int) -> F
     once.
     """
     if not 1 <= target_node <= psi_stack.K - 1:
-        raise ValueError(
-            f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}"
-        )
+        raise ValueError(f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}")
     grid, nodes, psi_hat = psi_stack.grid, psi_stack.eta_nodes, psi_stack.spectra
     eta_target = float(nodes[target_node])
     h = psi_stack.delta_eta
-    total = np.zeros(psi_hat.shape[1:], dtype=complex)
+    total = np.zeros(psi_hat[0].shape, dtype=complex)
     for j in range(target_node + 1):
         weight = 0.5 * h if j in (0, target_node) else h
         total += (weight * _damping(grid, eta_target - float(nodes[j]))) * psi_hat[j]

@@ -11,7 +11,9 @@ operator.  The Frechet table of a core comes from formal partials,
 counting how often each jet variable occurs in a monomial, not from
 the product rule.  The manufactured families are
 closed-form fields whose time derivatives and filter defects are written
-out by hand.
+out by hand.  The per-ladder check evaluations alone chain the package's
+public functions, one ladder at a time, so that the commands' sharing of
+nodes between ladders can be checked against them bit for bit.
 """
 
 import math
@@ -19,7 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scalepde import Field, FrechetTable, Grid, JetExpr, JetIndex, JetMonomial
+from scalepde import (
+    Field,
+    FrechetTable,
+    Grid,
+    JetExpr,
+    JetIndex,
+    JetMonomial,
+    ScaleStack,
+    build_scale_stack,
+    derive_source,
+    duhamel_integral,
+    exact_residual,
+    field_norms,
+    filter_defect,
+    filter_deviation,
+    residual_defect,
+)
+from scalepde.families import manufactured_scalar_2d_ladder
 
 
 def fd_derivative(values: np.ndarray, axis: int, spacing: float, order: int = 1) -> np.ndarray:
@@ -423,3 +442,37 @@ def manufactured_scalar_2d(grid: Grid, eta: float, t: float = 0.0) -> tuple[Fiel
         return Field(grid, (w1 * m1 + w2 * m2 + w3 * m3)[np.newaxis], t=t, eta=eta)
 
     return field((a, b, c)), field(psi_weights)
+
+
+def per_ladder_residual_errors(core: JetExpr, u_gen: Field, ut_gen: Field,
+                               epsilon: float, eta0: float, nodes) -> list[float]:
+    """residual-check's max |e| for each K-node ladder built on its own: the
+    full u and u_t stacks, r on nodes mid-1..mid+1 and s at mid = K // 2,
+    each from its own jet table."""
+    source = derive_source(core)
+    errors = []
+    for K in nodes:
+        u, u_t = (build_scale_stack(g, epsilon, eta0, K) for g in (u_gen, ut_gen))
+        window = range(K // 2 - 1, K // 2 + 2)
+        r = [exact_residual(core, u.fields[j], u_t.fields[j]) for j in window]
+        s = exact_residual(source, u.fields[K // 2], u_t.fields[K // 2])
+        e = residual_defect(ScaleStack(u.eta_nodes[window.start : window.stop], r), s, 1)
+        errors.append(field_norms(e)[1])
+    return errors
+
+
+def per_ladder_deviation_errors(grid: Grid, epsilon: float, eta0: float,
+                                nodes) -> tuple[list[float], float]:
+    """duhamel-check's quadrature errors and worst deviation/bound ratio,
+    each extended ladder built, transformed and read on its own."""
+    errors, worst = [], 0.0
+    for K in nodes:
+        h = (eta0 - epsilon) / (K - 1)
+        etas = [epsilon + (j - 1) * h for j in range(K + 2)]
+        stack = ScaleStack.from_fields(manufactured_scalar_2d_ladder(grid, etas))
+        psi = filter_defect(stack)
+        sup_psi = max(field_norms(psi.field(j))[1] for j in range(psi.K))
+        devs = [filter_deviation(stack, 1, j) for j in range(1, K + 1)]
+        worst = max([worst] + [field_norms(d)[1] / (d.eta * sup_psi) for d in devs])
+        errors.append(field_norms(devs[-1] - duhamel_integral(psi, K - 1))[1])
+    return errors, worst

@@ -566,6 +566,35 @@ class TestBurgersReferenceCommand:
         assert "n = 1" in capsys.readouterr().err
 
 
+class TestCommandLine:
+    """One parser: the command is a positional choice, the options may come
+    before or after it."""
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"]], ids=["empty", "options-only"])
+    def test_missing_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus-check", "--set", "grid_size=16"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus-check'" in err and "filter-check" in err
+
+    def test_options_before_command(self, tmp_path, capsys):
+        before, after = tmp_path / "before", tmp_path / "after"
+        opts = ["--set", "grid_size=16", "--seed", "3"]
+        assert main(["--out", str(before)] + opts + ["filter-check"]) == 0
+        assert main(["filter-check", "--out", str(after)] + opts) == 0
+        capsys.readouterr()
+        report = (before / "report.json").read_text()
+        assert report == (after / "report.json").read_text()
+        assert json.loads(report)["grid"] == {"n": 2, "size": 16}
+
+
 def test_module_entry_point_runs_without_warning():
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])

@@ -16,17 +16,28 @@ import pytest
 from scalepde import (
     Field,
     ScaleStack,
+    SpectralStack,
     build_scale_stack,
+    burgers_core,
     closure_error_bound,
     eta_derivative,
-    heat_propagate,
+    fluid_core,
     make_grid,
     reference_burgers,
 )
 from scalepde.cli import main
 from scalepde.heat import heat_propagate_many
-from scalepde.families import manufactured_scalar_2d_ladder, random_band_limited
-from oracles import burgers_physical_rk4, manufactured_scalar_2d
+from scalepde.families import (
+    filtered_taylor_green,
+    manufactured_scalar_2d_ladder,
+    random_band_limited,
+)
+from oracles import (
+    burgers_physical_rk4,
+    manufactured_scalar_2d,
+    per_ladder_deviation_errors,
+    per_ladder_residual_errors,
+)
 
 RTOL = 1e-9
 
@@ -86,15 +97,14 @@ def test_report_matches_pinned_values(tmp_path, capsys, case):
 
 
 def test_benchmark_values(tmp_path, capsys, monkeypatch):
-    """The unseeded scale_checks commands of perfbench/, at its grid sizes,
-    pass its output checks and match its recorded values."""
+    """The seven scale_checks commands of perfbench/, at its grid sizes and
+    default seed, pass its output checks and match its recorded values."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
     reference = workloads.load_reference()
     workload = workloads.build("scale_checks", tmp_path, workloads.DEFAULT_SEED)
-    unseeded = [cmd for cmd in workload.cycle if not cmd.seeded]
-    assert len(unseeded) == 4
-    for cmd in unseeded:
+    assert len(workload.cycle) == 7
+    for cmd in workload.cycle:
         code = main(list(cmd.argv))
         capsys.readouterr()
         problems, seen = workloads.check(cmd, code)
@@ -112,17 +122,19 @@ class TestWorkBudget:
         assert transform_counts["calls"] <= 650
 
     @pytest.mark.parametrize(
-        "case, complex_calls, real_calls", [("residual_fluid", 132, 58), ("duhamel", 0, 186)]
+        "case, complex_calls, real_calls", [("residual_fluid", 94, 42), ("duhamel", 0, 134)]
     )
     def test_calls_by_kind(
         self, tmp_path, capsys, transform_counts, case, complex_calls, real_calls
     ):
-        # residual_fluid: complex for the heat propagation of the generators
-        # and one forward transform per differentiated component plus one
-        # inverse per jet, real for one dealiasing per output; duhamel: real
-        # only, one forward transform per node of each extended ladder and one
-        # inverse per psi, per deviation and for the quadrature, so
-        # sum over K of (K + 2) + (2K + 1) for K = 9, 17, 33
+        # residual_fluid: complex for the heat propagation of the generators,
+        # one forward each and one inverse per distinct node (7: the three
+        # windows share their centre), and one forward transform per
+        # differentiated component plus one inverse per jet; real for one
+        # dealiasing per output, the source's read once at the shared centre.
+        # duhamel: real only, one forward transform per distinct node of the
+        # extended ladders (39 for K = 9, 17, 33), one inverse per psi (sum
+        # of K), per distinct deviation (33) and per quadrature (3)
         code, _ = _run(tmp_path, case)
         capsys.readouterr()
         assert code == 0
@@ -133,7 +145,7 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "closure")
         capsys.readouterr()
         assert code == 0
-        assert transform_counts["fields"] <= 1000
+        assert transform_counts["fields"] <= 310
 
     def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
         forward = []
@@ -144,12 +156,50 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "duhamel")
         capsys.readouterr()
         assert code == 0
-        # the ladder nodes alone; psi goes to the quadrature as coefficients
-        assert len(forward) == sum(K + 2 for K in (9, 17, 33))
-        # the ladders, and one field per psi, per deviation, for the quadrature
-        # and for its error: 3K + 4 for each K (366 when psi and the matched
-        # family were transformed on their own)
-        assert transform_counts["fields"] <= 189
+        # the distinct ladder nodes alone, in units of the finest spacing:
+        # -1..33 (K = 33), -2 and 34 (K = 17), -4 and 36 (K = 9); psi goes
+        # to the quadrature as coefficients
+        assert len(forward) == 39 < sum(K + 2 for K in (9, 17, 33))
+        # the 39 nodes, a field per psi (59) and per distinct deviation (33),
+        # and per ladder one for the quadrature and one for its error
+        assert transform_counts["fields"] <= 137
+
+
+class TestSharedNodes:
+    """The commands compute each distinct eta node once, keyed by exact
+    float equality.  On ladders that are not nested their reports equal
+    each ladder evaluated on its own: on 5, 7, 9 the residual windows share
+    only their centre and the extended ladders of 5 and 9 nodes the nodes
+    of the first; on 6, 11 the centre of the first window is an outer node
+    of the second."""
+
+    @pytest.mark.parametrize("nodes", [[5, 7, 9], [6, 11]], ids=["5-7-9", "6-11"])
+    @pytest.mark.parametrize("core", ["fluid", "burgers"])
+    def test_residual_check(self, tmp_path, capsys, core, nodes):
+        n = 2 if core == "fluid" else 1
+        out = tmp_path / "run"
+        main(["residual-check", "--out", str(out), "--set", "grid_size=16",
+              "--set", f"n={n}", "--set", f"core={core}", "--set", f"nodes={nodes}"])
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        grid = make_grid(n, 16)
+        if core == "fluid":
+            expr, gens = fluid_core(2), filtered_taylor_green(grid, t=0.0, eta=0.0)
+        else:
+            ref = reference_burgers(grid, t_end=0.5)
+            expr, gens = burgers_core(), ref.coarse_slice(len(ref.times) - 1)
+        assert report["max_e"] == per_ladder_residual_errors(expr, *gens, 0.05, 0.15, nodes)
+
+    @pytest.mark.parametrize("nodes", [[5, 7, 9], [6, 11]], ids=["5-7-9", "6-11"])
+    def test_duhamel_check(self, tmp_path, capsys, nodes):
+        out = tmp_path / "run"
+        main(["duhamel-check", "--out", str(out), "--set", "grid_size=16",
+              "--set", f"nodes={nodes}"])
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        errors, worst = per_ladder_deviation_errors(make_grid(2, 16), 0.05, 0.15, nodes)
+        assert report["errors"] == errors
+        assert report["deviation_bound_margin"] == worst
 
 
 class TestStackWindow:
@@ -158,24 +208,9 @@ class TestStackWindow:
         grid = make_grid(2, 16)
         return random_band_limited(grid, np.random.default_rng(3), ncomp=2, kmax=4)
 
-    def test_window_is_slice_of_full_ladder(self, generator):
-        full = build_scale_stack(generator, 0.05, 0.15, 17)
-        window = build_scale_stack(generator, 0.05, 0.15, 17, 6, 11)
-        assert window.K == 5
-        np.testing.assert_array_equal(window.eta_nodes, full.eta_nodes[6:11])
-        base = generator.with_values(eta=0.05)
-        for j, f in enumerate(window.fields, start=6):
-            np.testing.assert_array_equal(f.values, full.fields[j].values)
-            exact = heat_propagate(base, float(full.eta_nodes[j]) - 0.05)
-            np.testing.assert_array_equal(f.values, exact.values)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 4), (13, 18), (3, 5)])
-    def test_window_validation(self, generator, start, stop):
-        with pytest.raises(ValueError, match="at least 3"):
-            build_scale_stack(generator, 0.05, 0.15, 17, start, stop)
-
     def test_three_node_window_spacing_is_the_mean(self, generator):
-        window = build_scale_stack(generator, 0.05, 0.15, 17, 7, 10)
+        full = build_scale_stack(generator, 0.05, 0.15, 17)
+        window = ScaleStack(full.eta_nodes[7:10], full.fields[7:10])
         assert window.K == 3
         nodes = window.eta_nodes
         assert window.delta_eta == (nodes[2] - nodes[0]) / 2
@@ -188,8 +223,32 @@ class TestStackWindow:
         full = build_scale_stack(generator, 0.05, 0.15, 5)
         with pytest.raises(ValueError, match="at least 3 eta nodes"):
             ScaleStack(full.eta_nodes[:2], full.fields[:2])
-        with pytest.raises(ValueError, match="at least 3 of the K=5 nodes"):
-            build_scale_stack(generator, 0.05, 0.15, 5, 1, 3)
+        spectra = [np.zeros((2,) + full.grid.rshape, complex)] * 2
+        with pytest.raises(ValueError, match="at least 3 eta nodes"):
+            SpectralStack(full.grid, full.eta_nodes[:2], spectra)
+
+    def test_spectral_stack_validation(self, generator):
+        grid, nodes = generator.grid, [0.05, 0.06, 0.07]
+        coeffs = np.zeros((2,) + grid.rshape, complex)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            SpectralStack(grid, [0.05, 0.06, 0.08], [coeffs] * 3)
+        for grid_of, spectra in (
+            (grid, [coeffs] * 2),
+            (grid, [coeffs, coeffs, coeffs[:1]]),
+            (make_grid(2, 8), [coeffs] * 3),
+        ):
+            with pytest.raises(ValueError, match="one spectrum per node"):
+                SpectralStack(grid_of, nodes, spectra)
+
+    def test_propagate_many_makes_each_field_when_taken(self, generator, transform_counts):
+        many = heat_propagate_many(generator, [0.01, 0.02])
+        # the forward transform at once, each inverse as its field is taken
+        assert transform_counts["calls"] == 1
+        next(many)
+        assert transform_counts["calls"] == 2
+        with pytest.raises(ValueError, match="delta_eta"):
+            heat_propagate_many(generator, [0.01, -0.1])
+        assert transform_counts["calls"] == 2
 
     def test_propagate_many_matches_single(self, generator):
         many = heat_propagate_many(generator, [0.0, 0.01, 0.2])

@@ -102,10 +102,14 @@ class _Stages:
     The state, every slope and the forcing lie in the 2/3 band, so every
     coefficient buffer and multiplier is band width: the first
     ``grid.band`` columns of the half spectrum (k_last < N/3), and the
-    transforms are ``_band_rfft``/``_band_irfft``.  ``total`` keeps the
+    transforms are ``_band_rfft``/``_band_irfft``.  Each derivative
+    multiplier is a C-contiguous table of that whole shape, so no multiply
+    broadcasts it, and -d_1 is one of its own, so the slope negates nothing.  ``total`` keeps the
     coefficients of the last step's result, so a step or record of the
     Fields that step returned (held by weak references) transforms nothing
-    on entry.
+    on entry; the first stage of such a step takes their values, the
+    inverse of those coefficients bit for bit, and inverts only
+    helmholtz's gradient rows.
     """
 
     def __init__(self, grid: Grid, psi: bool, closure: str, eta: float):
@@ -115,9 +119,12 @@ class _Stages:
         tensors = (m // n + helmholtz) * (n == 2)
         rows = m + self.grads
         band = (Ellipsis, slice(grid.band))  # views of the grid's tables
-        self.d = tuple(d[band] for d in grid.rderivatives)
-        self.leray, self.mask = grid.rleray[band], grid.rdealias_mask[band]
         bshape = grid.rshape[:-1] + (grid.band,)
+        # full tables, so a multiply allocates no buffer to broadcast them
+        self.d = tuple(np.broadcast_to(d[band], bshape).copy() for d in grid.rderivatives)
+        if tensors:  # the velocity slope is c (-d_1, d_0)
+            self.minus_d1 = np.negative(self.d[1])
+        self.leray, self.mask = grid.rleray[band], grid.rdealias_mask[band]
         self.u0, self.total = (np.empty((m,) + bshape, complex) for _ in range(2))
         # the product coefficients reuse the stage rows, the slope the physical rows
         self.spec = np.empty((rows,) + bshape, complex)
@@ -145,6 +152,7 @@ class _Stages:
                 self.weights[-1] *= self.q2
         self._forcing = None
         self._last = None
+        self._values = None
 
     def holds(self, v: Field, psi_v: Field | None) -> bool:
         """Whether ``total`` holds the coefficients of (v, psi_v): whether
@@ -160,11 +168,13 @@ class _Stages:
 
     def load(self, v: Field, psi_v: Field | None):
         """u0: the (v, psi) coefficients cut to the 2/3 band and projected.
-        A step result's are ``total`` already, which becomes u0."""
+        A step result's are ``total`` already, which becomes u0, and its
+        values, the inverse of u0 bit for bit, serve the first slope."""
         if self.holds(v, psi_v):
             self.u0, self.total = self.total, self.u0
+            self._values = tuple(f.values for f in (v, psi_v) if f is not None)
         else:
-            m = self.m
+            self._values, m = None, self.m
             values = v.values if psi_v is None else np.concatenate(
                 [v.values, psi_v.values], out=self.prod[:m]
             )
@@ -187,9 +197,11 @@ class _Stages:
 
     def slope(self, e_hat: np.ndarray | None) -> np.ndarray:
         """The projected right-hand side at the stage in ``spec[:m]``; the
-        other buffers are overwritten."""
+        other buffers are overwritten.  The first slope after ``load`` of a
+        step result copies the state's values instead of transforming u0."""
         grid, m, n, tensors = self.grid, self.m, self.grid.n, len(self.weights)
         spec, phys, prod, k = self.spec, self.phys, self.prod, self.k
+        values, self._values = self._values, None
         if not tensors:
             k.fill(0.0)
         else:
@@ -197,7 +209,12 @@ class _Stages:
             if self.grads:  # d_0 v_0, d_1 v_0, d_0 v_1
                 np.multiply(spec[:2], d0, out=spec[m : m + 3 : 2])
                 np.multiply(spec[0], d1, out=spec[m + 1])
-            _band_irfft(grid, spec, out=phys)
+            if values is None:
+                _band_irfft(grid, spec, out=phys)
+            else:
+                np.concatenate(values, out=phys[:m])
+                if self.grads:
+                    _band_irfft(grid, spec[m:], out=phys[m:])
             v0, v1 = phys[0], phys[1]
             a, b = prod[0], prod[1]
             np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
@@ -219,7 +236,7 @@ class _Stages:
             if self.grads:
                 c[0] += c[-1]
             fields = k.reshape((m // n, n) + k.shape[1:])
-            np.negative(np.multiply(c[: m // n], d1, out=fields[:, 0]), out=fields[:, 0])
+            np.multiply(c[: m // n], self.minus_d1, out=fields[:, 0])
             np.multiply(c[: m // n], d0, out=fields[:, 1])
         if e_hat is not None:
             k[n:] += e_hat
@@ -604,7 +621,12 @@ def kinetic_energy(v: Field) -> float:
     return 0.5 * float(np.vdot(v.values, v.values)) / v.grid.num_points * measure
 
 
-def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> DiagnosticsRecord:
+def _diagnose(
+    state: EvolutionState,
+    closure: str,
+    psi_sup: float,
+    psi_norms: tuple[float, float] | None = None,
+) -> DiagnosticsRecord:
     """One diagnostics row, formed in the run's stage buffers.
 
     The state a run records is band-limited (built cut and cut by every
@@ -612,7 +634,8 @@ def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> Diagnostic
     last step's result.  Without the closure div v is one inverse
     transform of sum_a ik_a v_a; with it the n^2 velocity gradients, which
     sigma needs, give div v too, and r is the closure of the whole source
-    -2 div sigma.
+    -2 div sigma.  ``psi_norms`` are ``field_norms(state.psi_v)`` if the
+    caller has them; they are taken here otherwise.
     """
     v = state.v
     grid, n = v.grid, v.grid.n
@@ -647,10 +670,9 @@ def _diagnose(state: EvolutionState, closure: str, psi_sup: float) -> Diagnostic
             div_hat += np.multiply(v_hat[a], d[a], out=ws.spec[1:2])
         div = _band_irfft(grid, div_hat, out=ws.phys[:1])
         div_max = max(div.max(), -div.min())
-    if state.psi_v is not None:
-        psi_l2, psi_max = field_norms(state.psi_v)
-    else:
-        psi_l2, psi_max = 0.0, 0.0
+    if psi_norms is None:
+        psi_norms = (0.0, 0.0) if state.psi_v is None else field_norms(state.psi_v)
+    psi_l2, psi_max = psi_norms
     return DiagnosticsRecord(
         step=state.step_count,
         t=state.t,
@@ -685,17 +707,18 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     state = build_initial_state(config)
     dt = config.resolved_dt(state.v)
     n_steps = max(1, round(config.t_end / dt))
-    e_v, psi_sup = None, 0.0
+    e_v, psi_norms = None, (0.0, 0.0)
     if state.psi_v is not None:
         grid = state.v.grid
         e_v = resolve_forcing(config, grid)
         if e_v is not None:  # transformed here, once per run, not in every step
             _stages(grid, True, config.closure, state.eta).forcing(e_v)
-        psi_sup = field_norms(state.psi_v)[1]
+        psi_norms = field_norms(state.psi_v)
+    psi_sup = psi_norms[1]
     records, cfl = [], []
 
     def record():
-        records.append(_diagnose(state, config.closure, psi_sup))
+        records.append(_diagnose(state, config.closure, psi_sup, psi_norms))
         cfl.append(_cfl_number(state.v, dt))
 
     # an overflow ends in the non-finite field that _checked_field reports
@@ -704,8 +727,9 @@ def run_simulation(config: RunConfig) -> SimulationResult:
             record()
             for _ in range(n_steps):
                 state = step_rk4(state, dt, closure=config.closure, e_v=e_v)
-                if state.psi_v is not None:
-                    psi_sup = max(psi_sup, field_norms(state.psi_v)[1])
+                if state.psi_v is not None:  # taken once, for psi_sup and the record
+                    psi_norms = field_norms(state.psi_v)
+                    psi_sup = max(psi_sup, psi_norms[1])
                 if state.step_count % config.output_interval == 0 or state.step_count == n_steps:
                     record()
         except SimulationDiverged as err:

@@ -8,14 +8,12 @@ same RK4 stages through its linearized transport equation.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
 import os
 import sys
-import weakref
-from dataclasses import dataclass, field as _dc_field, fields
+from dataclasses import dataclass, field as _dc_field, fields, replace
 
 import numpy as np
 
@@ -61,6 +59,8 @@ class EvolutionState:
     v: Field
     psi_v: Field | None = None
     step_count: int = 0
+    # the run's stage buffers, which steps and records of this state reuse
+    _ws: _Stages | None = _dc_field(default=None, compare=False, repr=False)
 
     @property
     def eta(self) -> float:
@@ -88,8 +88,9 @@ def _check_closure(closure: str, eta: float):
 
 
 class _Stages:
-    """Buffers and multipliers of the RK4 stages of one (grid, v or (v, psi),
-    closure, eta), shared by every stage, step and diagnostics record.
+    """Buffers and multipliers of the RK4 stages of one run: one grid,
+    v or (v, psi), closure, eta and psi forcing, used by every stage, step
+    and diagnostics record of the states that carry it.
 
     Transport is -P div T for symmetric tensors T: v v, v psi + psi v and,
     through the closure, 2 sigma / (|k|^2 + 1/eta).  P removes div(T^{nn} I),
@@ -104,17 +105,19 @@ class _Stages:
     ``grid.band`` columns of the half spectrum (k_last < N/3), and the
     transforms are ``_band_rfft``/``_band_irfft``.  Each derivative
     multiplier is a C-contiguous table of that whole shape, so no multiply
-    broadcasts it, and -d_1 is one of its own, so the slope negates nothing.  ``total`` keeps the
-    coefficients of the last step's result, so a step or record of the
-    Fields that step returned (held by weak references) transforms nothing
-    on entry; the first stage of such a step takes their values, the
-    inverse of those coefficients bit for bit, and inverts only
-    helmholtz's gradient rows.
+    broadcasts it, and -d_1 is one of its own, so the slope negates
+    nothing.  The forcing is cut to the band and projected once, here.
+    ``total`` keeps the coefficients of the last step's result and
+    ``_last`` that result's Fields (no Field refers back), so a step or
+    record of those Fields transforms nothing on entry; the first stage of
+    such a step takes their values, the inverse of those coefficients bit
+    for bit, and inverts only helmholtz's gradient rows.
     """
 
-    def __init__(self, grid: Grid, psi: bool, closure: str, eta: float):
+    def __init__(self, grid: Grid, psi: bool, closure: str, eta: float, e_v: Field | None = None):
         n, helmholtz = grid.n, closure == "helmholtz"
         m = self.m = n * (1 + psi)
+        self.key, self.e_v = (grid, psi, closure, eta), e_v
         self.grid, self.grads = grid, (n * n - 1) * helmholtz
         tensors = (m // n + helmholtz) * (n == 2)
         rows = m + self.grads
@@ -150,21 +153,18 @@ class _Stages:
                 self.weights[1, 0] *= 2.0
             if helmholtz:
                 self.weights[-1] *= self.q2
-        self._forcing = None
-        self._last = None
+        self.e_hat = None  # the projected psi forcing in the band, if any
+        if e_v is not None and psi:
+            e_hat = _band_rfft(grid, e_v.values)
+            e_hat *= self.mask
+            self.e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
+        self._last = (None, None)
         self._values = None
 
     def holds(self, v: Field, psi_v: Field | None) -> bool:
         """Whether ``total`` holds the coefficients of (v, psi_v): whether
         they are the Fields the last step returned."""
-        return self._last is not None and all(
-            ref() is f for ref, f in zip(self._last, (v, psi_v))
-        )
-
-    def keep(self, v: Field, psi_v: Field | None):
-        """Mark ``total`` as the coefficients of the step result (v, psi_v);
-        weakly, so the reuse keeps no Field alive."""
-        self._last = tuple(weakref.ref(f) for f in (v, psi_v) if f is not None)
+        return self._last[0] is v and self._last[1] is psi_v
 
     def load(self, v: Field, psi_v: Field | None):
         """u0: the (v, psi) coefficients cut to the 2/3 band and projected.
@@ -181,21 +181,9 @@ class _Stages:
             w = _band_rfft(self.grid, values, out=self.total, scratch=self.half[:m])
             w *= self.mask
             _leray_hat(self.leray, w, out=self.u0, scratch=self.spec[0])
-        self._last = None
+        self._last = (None, None)
 
-    def forcing(self, e_v: Field | None) -> np.ndarray | None:
-        """The projected psi forcing in the 2/3 band, transformed once per
-        Field; None without a forcing or without psi."""
-        if e_v is None or self.m == self.grid.n:
-            return None
-        if e_v is not self._forcing:
-            self._forcing = e_v
-            e_hat = _band_rfft(self.grid, e_v.values)
-            e_hat *= self.mask
-            self._e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
-        return self._e_hat
-
-    def slope(self, e_hat: np.ndarray | None) -> np.ndarray:
+    def slope(self) -> np.ndarray:
         """The projected right-hand side at the stage in ``spec[:m]``; the
         other buffers are overwritten.  The first slope after ``load`` of a
         step result copies the state's values instead of transforming u0."""
@@ -238,14 +226,9 @@ class _Stages:
             fields = k.reshape((m // n, n) + k.shape[1:])
             np.multiply(c[: m // n], self.minus_d1, out=fields[:, 0])
             np.multiply(c[: m // n], d0, out=fields[:, 1])
-        if e_hat is not None:
-            k[n:] += e_hat
+        if self.e_hat is not None:
+            k[n:] += self.e_hat
         return k
-
-
-# reused across the steps and runs of one stack, closure and eta; each use
-# writes a buffer before reading it, and the forcing is keyed by its Field
-_stages = functools.lru_cache(maxsize=4)(_Stages)
 
 
 def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: float) -> Field:
@@ -260,12 +243,12 @@ def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: floa
 def _rhs(
     v: Field, psi_v: Field | None, closure: str, eta: float, e_v: Field | None = None
 ) -> np.ndarray:
-    """The band coefficients of the slope a step integrates at the (v, psi) stack."""
-    ws = _stages(v.grid, psi_v is not None, closure, eta)
+    """The band coefficients of the slope a step integrates at the (v, psi)
+    stack, formed in a workspace of their own."""
+    ws = _Stages(v.grid, psi_v is not None, closure, eta, e_v)
     ws.load(v, psi_v)
-    e_hat = ws.forcing(e_v)  # before the stage is written: it projects in spec[0]
     np.copyto(ws.spec[: ws.m], ws.u0)
-    return ws.slope(e_hat)
+    return ws.slope()
 
 
 def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
@@ -323,19 +306,23 @@ def step_rk4(
     v and psi are solenoidal and band-limited to the 2/3 cutoff.  So the
     state enters Leray-projected and cut to the band, the forcing is cut
     to the band, and every slope is projected and masked.  Finite values
-    are checked once, on the result.  A step from the Fields the last step
-    returned starts from that step's coefficients, with no transform.
+    are checked once, on the result.  The step runs in the state's
+    workspace if that has its grid, psi presence, closure, eta and forcing
+    Field, in a new one otherwise, and its result carries the workspace.
+    From the Fields of the workspace's last step it starts from that
+    step's coefficients, with no transform.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     v, psi = state.v, state.psi_v
     grid, eta = v.grid, v.eta
     _check_closure(closure, eta)
-    ws = _stages(grid, psi is not None, closure, eta)
+    key, ws = (grid, psi is not None, closure, eta), state._ws
+    if ws is None or ws.key != key or ws.e_v is not e_v:
+        ws = _Stages(*key, e_v)
     ws.load(v, psi)
     m = ws.m
-    e_hat = ws.forcing(e_v)
-    _rk4(ws.u0, ws.total, ws.spec[:m], dt, lambda: ws.slope(e_hat))
+    _rk4(ws.u0, ws.total, ws.spec[:m], dt, ws.slope)
     coeffs = ws.spec[:m]
     np.copyto(coeffs, ws.total)  # the inverse overwrites its input; total stays
     values = _band_irfft(grid, coeffs, out=ws.phys[:m])
@@ -345,8 +332,8 @@ def step_rk4(
     psi_new = None
     if psi is not None:
         psi_new = _checked_field(grid, values[grid.n :], "psi", step, t_new, psi.eta)
-    ws.keep(v_new, psi_new)
-    return EvolutionState(t=t_new, v=v_new, psi_v=psi_new, step_count=step)
+    ws._last = (v_new, psi_new)
+    return EvolutionState(t=t_new, v=v_new, psi_v=psi_new, step_count=step, _ws=ws)
 
 
 _IC_DEFAULTS = {
@@ -627,11 +614,12 @@ def _diagnose(
     psi_sup: float,
     psi_norms: tuple[float, float] | None = None,
 ) -> DiagnosticsRecord:
-    """One diagnostics row, formed in the run's stage buffers.
+    """One diagnostics row, formed in the state's workspace if that has its
+    grid, psi presence, closure and eta, in a new one otherwise.
 
     The state a run records is band-limited (built cut and cut by every
     step), so v is transformed on the band, and not at all when it is the
-    last step's result.  Without the closure div v is one inverse
+    workspace's last step result.  Without the closure div v is one inverse
     transform of sum_a ik_a v_a; with it the n^2 velocity gradients, which
     sigma needs, give div v too, and r is the closure of the whole source
     -2 div sigma.  ``psi_norms`` are ``field_norms(state.psi_v)`` if the
@@ -639,7 +627,9 @@ def _diagnose(
     """
     v = state.v
     grid, n = v.grid, v.grid.n
-    ws = _stages(grid, state.psi_v is not None, closure, v.eta)
+    key, ws = (grid, state.psi_v is not None, closure, v.eta), state._ws
+    if ws is None or ws.key != key:
+        ws = _Stages(*key)
     d = ws.d
     if ws.holds(v, state.psi_v):
         v_hat = ws.total[:n]
@@ -662,7 +652,9 @@ def _diagnose(
             np.multiply(s_hat[a], d[0], out=r_hat[a])
             if n == 2:
                 r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[rows])
-        np.negative(np.multiply(r_hat, ws.q2, out=r_hat), out=r_hat)
+        for row in r_hat:  # by the real q2 part by part: no complex cast of q2
+            for part in (row.real, row.imag):
+                np.negative(np.multiply(part, ws.q2, out=part), out=part)
         r_l2, r_max = _value_norms(grid, _band_irfft(grid, r_hat, out=ws.prod[:n]))
     else:
         div_hat = np.multiply(v_hat[0], d[0], out=ws.spec[:1])
@@ -709,12 +701,12 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     n_steps = max(1, round(config.t_end / dt))
     e_v, psi_norms = None, (0.0, 0.0)
     if state.psi_v is not None:
-        grid = state.v.grid
-        e_v = resolve_forcing(config, grid)
-        if e_v is not None:  # transformed here, once per run, not in every step
-            _stages(grid, True, config.closure, state.eta).forcing(e_v)
+        e_v = resolve_forcing(config, state.v.grid)
         psi_norms = field_norms(state.psi_v)
     psi_sup = psi_norms[1]
+    # the run's workspace, its forcing transformed once, for every step and record
+    ws = _Stages(state.v.grid, state.psi_v is not None, config.closure, state.eta, e_v)
+    state = replace(state, _ws=ws)
     records, cfl = [], []
 
     def record():

@@ -1,9 +1,11 @@
 """Slice evolution: right-hand sides, RK4 stepping, runs and references."""
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from scalepde import (
     write_checkpoint,
 )
 from scalepde.cli import main
-from scalepde.evolve import _diagnose, _stages
+from scalepde.evolve import _diagnose, _Stages
 from scalepde.families import (
     random_band_limited,
     random_solenoidal,
@@ -332,6 +334,22 @@ class TestStepMemory:
         state_bytes = v.values.nbytes * (1 + with_psi)
         assert peak <= 1.5 * state_bytes
 
+    def test_warm_helmholtz_record_allocates_no_buffer(self, rng):
+        """The record multiplies r by the real closure table part by part,
+        so numpy casts no table to complex (47 KB at 64^2)."""
+        grid = make_grid(2, 64)
+        v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
+        state = step_rk4(EvolutionState(0.0, v), 1e-3, closure="helmholtz")
+        _diagnose(state, "helmholtz", 0.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _diagnose(state, "helmholtz", 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096
+
 
 class TestStageTables:
     """The stages multiply by full band-width tables, and the first slope
@@ -341,7 +359,7 @@ class TestStageTables:
     @pytest.mark.parametrize("size", [32, 64])
     def test_derivative_tables_have_the_band_shape(self, size):
         grid = make_grid(2, size)
-        ws = _stages(grid, False, "helmholtz", 0.05)
+        ws = _Stages(grid, False, "helmholtz", 0.05)
         bshape = grid.rshape[:-1] + (grid.band,)
         d0, d1 = (d[..., : grid.band] for d in grid.rderivatives)
         for table, want in zip(ws.d + (ws.minus_d1,), (d0, d1, -d1)):
@@ -364,15 +382,15 @@ class TestStageTables:
         psi = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05) if with_psi else None
         e_v = random_solenoidal(grid, rng, kmax=3) if with_psi else None
         state = step_rk4(EvolutionState(0.0, v, psi), 0.01, closure=closure, e_v=e_v)
-        ws = _stages(grid, with_psi, closure, 0.05)
+        ws = state._ws
+        assert ws.e_v is e_v and (ws.e_hat is not None) == with_psi
         ws.load(state.v, state.psi_v)
-        e_hat = ws.forcing(e_v)
         slopes = []
         for want_calls in (calls, 4):  # the state's values, then u0 transformed
             np.copyto(ws.spec[: ws.m], ws.u0)
             ws.phys.fill(np.nan)  # as a record may leave it: the slope reads no stale row
             transform_counts.update(calls=0, complex=0)
-            slopes.append(ws.slope(e_hat).copy())
+            slopes.append(ws.slope().copy())
             assert (transform_counts["calls"], transform_counts["complex"]) == (want_calls, 0)
         assert np.array_equal(*slopes)
 
@@ -419,15 +437,17 @@ class TestSpectrumReuse:
                     scale = np.max(np.abs(want.values))
                     assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
-    def test_rhs_takes_the_kept_coefficients_once(self, rng):
-        """macroscopic_rhs of a step result starts from the step's
-        coefficients and uses them up; a step of that result then
-        transforms it again."""
+    def test_rhs_leaves_the_kept_coefficients(self, transform_counts, rng):
+        """macroscopic_rhs of a step result works in a workspace of its
+        own, so the next step of that result still starts from the
+        step's coefficients: 18 helmholtz calls, not 20."""
         state, _ = self._state(rng, False)
         state = step_rk4(state, 0.01, closure="helmholtz")
         copied = self._copy(state)
         rhs = macroscopic_rhs(state.v, closure="helmholtz").values
+        transform_counts.update(calls=0)
         stepped = step_rk4(state, 0.01, closure="helmholtz").v.values
+        assert transform_counts["calls"] == 18
         for got, want in (
             (rhs, macroscopic_rhs(copied.v, closure="helmholtz").values),
             (stepped, step_rk4(copied, 0.01, closure="helmholtz").v.values),
@@ -435,16 +455,36 @@ class TestSpectrumReuse:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_no_stale_spectrum_after_a_run(self, rng):
-        from scalepde.evolve import _stages
-
         unrelated, _ = self._state(rng, False)
         result = run_simulation(RunConfig(grid_size=32, t_end=0.04, output_interval=2))
         assert result.final.v.grid == unrelated.v.grid
         after_run = step_rk4(unrelated, 0.01, closure="helmholtz")
-        _stages.cache_clear()
-        fresh = step_rk4(unrelated, 0.01, closure="helmholtz")
+        fresh = step_rk4(self._copy(unrelated), 0.01, closure="helmholtz")
         scale = np.max(np.abs(fresh.v.values))
         assert np.max(np.abs(after_run.v.values - fresh.v.values)) <= 1e-13 * scale
+
+    def test_workspace_is_freed_with_its_run(self):
+        """A state holds its workspace and the workspace the last result's
+        Fields, which refer to nothing of it: no cycle keeps it alive."""
+        result = run_simulation(RunConfig(grid_size=32, t_end=0.04, output_interval=2))
+        ref = weakref.ref(result.final._ws)
+        del result
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("other", ["closure", "forcing"])
+    def test_unfit_workspace_is_not_used(self, rng, other):
+        """A step of a state whose workspace was made for another closure
+        or another forcing Field makes a workspace of its own."""
+        state, e_v = self._state(rng, True)
+        e_other = random_solenoidal(state.v.grid, rng, kmax=2)
+        closure, e_step = ("helmholtz", e_v) if other == "closure" else ("none", e_other)
+        state = step_rk4(state, 0.01, closure="none", e_v=e_v)
+        got = step_rk4(state, 0.01, closure=closure, e_v=e_step)
+        want = step_rk4(self._copy(state), 0.01, closure=closure, e_v=e_step)
+        assert got._ws is not state._ws
+        for f, g in ((got.v, want.v), (got.psi_v, want.psi_v)):
+            assert np.max(np.abs(f.values - g.values)) <= 1e-13 * np.max(np.abs(g.values))
 
     @pytest.mark.parametrize(
         "last_v, last_psi, transforms", [(True, False, 40), (False, True, 40), (True, True, 32)]

@@ -732,22 +732,24 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     return SimulationResult(config=config, records=records, final=state, cfl_peak=max(cfl))
 
 
-def _burgers_slope(grid: Grid, spec: np.ndarray):
-    """The slope -(u u_x) of the coefficients in ``spec[0]``, the product
-    2/3-rule masked, as a function that reuses its buffers.
+def _burgers_slope(grid: Grid, stage: np.ndarray):
+    """The slope -(u^2/2)_x of the coefficients in ``stage``, 2/3-rule
+    masked, as a function that reuses its buffers.
 
-    One inverse transform gives u and u_x (into ``spec[1]``), one forward
-    transform the product.
+    One inverse transform gives u, squared in place, and one forward
+    transform its square, multiplied by the table -ik/2 cut to the band.
+    On coefficients inside the band this is -u u_x on every kept mode:
+    the square of a band field aliases onto dropped modes only.
     """
-    phys, k = np.empty((2,) + grid.shape), np.empty((1,) + grid.rshape, complex)
+    table = -0.5 * grid.rderivatives[0] * grid.rdealias_mask
+    phys, k = np.empty((1,) + grid.shape), np.empty((1,) + grid.rshape, complex)
 
     def slope():
-        np.multiply(spec[0], grid.rderivatives[0], out=spec[1])
-        u, u_x = _irfft(grid, spec, out=phys)
-        u *= u_x
-        k_hat = _rfft(grid, phys[:1], out=k)
-        k_hat *= grid.rdealias_mask
-        return np.negative(k_hat, out=k_hat)
+        u = _irfft(grid, stage, out=phys)
+        np.square(u, out=u)
+        k_hat = _rfft(grid, u, out=k)
+        k_hat *= table
+        return k_hat
 
     return slope
 
@@ -769,10 +771,9 @@ class BurgersReference:
         fine half spectrum's first coarse.size // 2 + 1 modes.
         """
         snap, fine, coarse = self.snapshots[i], self.fine, self.coarse
-        spec = np.empty((2,) + fine.rshape, complex)
-        u_hat = _rfft(fine, snap.values, out=spec[:1])
+        u_hat = _rfft(fine, snap.values)
         keep = coarse.size // 2 + 1
-        coeffs = np.concatenate([u_hat[:, :keep], _burgers_slope(fine, spec)()[:, :keep]])
+        coeffs = np.concatenate([u_hat[:, :keep], _burgers_slope(fine, u_hat)()[:, :keep]])
         coeffs *= coarse.rdealias_mask * (coarse.size / fine.size)
         u, u_t = _irfft(coarse, coeffs)
         return Field(coarse, u, t=snap.t), Field(coarse, u_t, t=snap.t)
@@ -805,14 +806,14 @@ def reference_burgers(
         snapshots.append(u)
         wanted = wanted[1:]
     u_hat = _rfft(fine, u.values)
-    total, spec = np.empty_like(u_hat), np.empty((2,) + fine.rshape, complex)
-    slope = _burgers_slope(fine, spec)
+    total, stage = np.empty_like(u_hat), np.empty_like(u_hat)
+    slope = _burgers_slope(fine, stage)
     t = 0.0
     for target in wanted:
         n_steps = max(1, round((target - t) / dt))
         h = (target - t) / n_steps
         for step in range(1, n_steps + 1):
-            _rk4(u_hat, total, spec[:1], h, slope)
+            _rk4(u_hat, total, stage, h, slope)
             u_hat, total = total, u_hat
             if not np.all(np.isfinite(u_hat)):
                 raise SimulationDiverged(

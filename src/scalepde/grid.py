@@ -214,10 +214,6 @@ class Field:
     __rmul__ = __mul__
 
 
-def _spatial_axes(grid: Grid) -> tuple[int, ...]:
-    return tuple(range(1, grid.n + 1))
-
-
 def _rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Batched real forward transform over the trailing spatial axes.  In
     1-D it is the one-axis call, ``rfftn``'s result to the last bit without
@@ -232,6 +228,22 @@ def _irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.
     if grid.n == 1:
         return np.fft.irfft(coeffs, n=grid.size, axis=-1, out=out)
     return np.fft.irfftn(coeffs, s=grid.shape, axes=(-2, -1), out=out)
+
+
+def _fft(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Complex forward transform over the trailing spatial axes, one-axis in
+    1-D like ``_rfft``: the very call ``fftn`` would make, without its
+    wrapper."""
+    if grid.n == 1:
+        return np.fft.fft(values, axis=-1)
+    return np.fft.fftn(values, axes=(-2, -1))
+
+
+def _ifft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``_fft``, one-axis in 1-D likewise."""
+    if grid.n == 1:
+        return np.fft.ifft(coeffs, axis=-1, out=out)
+    return np.fft.ifftn(coeffs, axes=(-2, -1), out=out)
 
 
 def _band_rfft(

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _irfft, _rfft, _spatial_axes
+from .grid import Field, Grid, _fft, _ifft, _irfft, _rfft
 
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
@@ -36,11 +36,11 @@ def heat_propagate_many(f: Field, deltas) -> Iterator[Field]:
     deltas = tuple(deltas)
     if min(deltas, default=0.0) < 0.0:
         raise ValueError(f"delta_eta must be >= 0, got {min(deltas)}")
-    axes = _spatial_axes(f.grid)
-    coeffs = np.fft.fftn(f.values, axes=axes)
+    grid = f.grid
+    coeffs = _fft(grid, f.values)
     # one expression, so that no transform outlives the field made of it
     return (
-        f.with_values(np.fft.ifftn(coeffs * np.exp(-d * f.grid.ksq), axes=axes).real, eta=f.eta + d)
+        f.with_values(_ifft(grid, coeffs * np.exp(-d * grid.ksq)).real, eta=f.eta + d)
         for d in deltas
     )
 

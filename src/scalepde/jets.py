@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, _dealias_values, _spatial_axes
+from .grid import Field, _dealias_values, _fft, _ifft
 
 
 class CoreSyntaxError(ValueError):
@@ -663,17 +663,22 @@ def jet_values(
             raise ValueError(
                 f"jet variable {idx} exceeds field component count {base.ncomp}"
             )
-        grid, axes = base.grid, _spatial_axes(base.grid)
+        grid = base.grid
         vals = base.component(idx.component - 1)[np.newaxis]
         spatial = [int(d[1:]) - 1 for d in idx.derivs if d.startswith("x")]
         if spatial:
+            if max(spatial) >= grid.n:
+                raise ValueError(
+                    f"jet variable {idx} differentiates along x{max(spatial) + 1}, "
+                    f"but the field's grid is {grid.n}-dimensional"
+                )
             if spectrum_of != (t_count, idx.component):
                 spectrum_of = (t_count, idx.component)
-                spectrum = np.fft.fftn(vals, axes=axes)
+                spectrum = _fft(grid, vals)
             coeffs = spectrum * grid.derivatives[spatial[0]]
             for axis in spatial[1:]:
                 coeffs *= grid.derivatives[axis]
-            vals = np.fft.ifftn(coeffs, axes=axes, out=coeffs).real
+            vals = _ifft(grid, coeffs, out=coeffs).real
         values[idx] = Field(grid, vals, t=u.t, eta=u.eta)
     return values
 

@@ -27,8 +27,8 @@ def rng():
 
 
 def _batch_size(a, axes) -> int:
-    """How many fields one numpy.fft call transforms: its size over the
-    axes it leaves alone.  Every call in src passes ``axes=``; a call
+    """How many fields one n-D numpy.fft call transforms: its size over the
+    axes it leaves alone.  Every n-D call in src passes ``axes=``; a call
     without it counts as one field."""
     if axes is None:
         return 1
@@ -38,14 +38,31 @@ def _batch_size(a, axes) -> int:
 
 
 @pytest.fixture
+def forbid_nd_transforms(monkeypatch):
+    """A call that makes numpy.fft's complex n-D entry points raise from
+    then on, so that a test can take its expected values first."""
+
+    def forbid():
+        for name in ("fftn", "ifftn", "fft2", "ifft2"):
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"numpy.fft.{_name} called")
+
+            monkeypatch.setattr(np.fft, name, refuse)
+
+    return forbid
+
+
+@pytest.fixture
 def transform_counts(monkeypatch):
     """Live counts of numpy.fft calls (all, complex), the transforms they
     do (one per transformed field) and Field constructions.
 
-    A band transform (``grid._band_rfft``/``_band_irfft``) is two calls:
-    ``rfft``/``irfft`` along the last axis of a stack (rows, *grid.shape),
-    which counts one real transform per row, and in 2-D the complex pass
-    along axis -2, which counts as a call only."""
+    A one-axis call (``fft``, ``ifft``, ``rfft``, ``irfft``) along the last
+    axis of a stack (rows, *grid.shape) counts one transform per row: the
+    1-D transforms of ``grid``, and the row pass of a band transform
+    (``grid._band_rfft``/``_band_irfft``).  In 2-D a band transform's
+    complex pass along axis -2 counts as a call only."""
     counts = {"calls": 0, "complex": 0, "transforms": 0, "fields": 0}
     for name in _FFT_ENTRY_POINTS:
 
@@ -53,9 +70,9 @@ def transform_counts(monkeypatch):
             counts["calls"] += 1
             if kwargs.get("axis") != -2:
                 counts["complex"] += "rfft" not in _name
-                row_pass = _name in ("rfft", "irfft")
+                one_axis = _name in ("fft", "ifft", "rfft", "irfft")
                 counts["transforms"] += (
-                    np.shape(a)[0] if row_pass else _batch_size(a, kwargs.get("axes"))
+                    np.shape(a)[0] if one_axis else _batch_size(a, kwargs.get("axes"))
                 )
             return _orig(a, *args, **kwargs)
 

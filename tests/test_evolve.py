@@ -755,6 +755,21 @@ class TestBurgersReference:
             assert np.max(np.abs(got.values - want)) <= 1e-13
             assert (got.grid, got.t, got.eta) == (ref.coarse, 0.3, 0.0)
 
+    def test_step_transforms_one_row_each_way(self, transform_counts):
+        """Each of a step's four stages inverts u alone and transforms its
+        square forward: 8 real one-row transforms, none complex."""
+        coarse = make_grid(1, 64)
+        dt = 0.25 * make_grid(1, 4 * coarse.size).spacing
+        runs = []
+        for steps in (1, 2):
+            transform_counts.update(calls=0, complex=0, transforms=0)
+            assert reference_burgers(coarse, steps * dt).times == [steps * dt]
+            runs.append({k: transform_counts[k] for k in ("calls", "complex", "transforms")})
+        per_step = {k: runs[1][k] - runs[0][k] for k in runs[0]}
+        assert per_step == {"calls": 8, "complex": 0, "transforms": 8}
+        # the first forward transform and the snapshot's inverse
+        assert runs[0] == {"calls": 10, "complex": 0, "transforms": 10}
+
     def test_snapshot_times(self):
         coarse = make_grid(1, 64)
         ref = reference_burgers(coarse, 0.4, snapshot_times=[0.0, 0.2])

@@ -18,6 +18,7 @@ from scalepde import (
     make_grid,
 )
 from scalepde.families import random_band_limited, random_solenoidal, taylor_green
+from scalepde.heat import heat_propagate_many
 from oracles import manufactured_scalar_2d, per_node_duhamel
 
 
@@ -72,6 +73,21 @@ class TestHeatPropagate:
         coeffs = np.fft.fftn(out.values, axes=(1,))
         amp = 2.0 * abs(coeffs[0, 5]) / grid1d.size
         assert abs(amp - np.exp(-0.07 * 25.0)) <= 1e-13
+
+    def test_one_dimensional_makes_one_axis_calls(
+        self, grid1d, rng, transform_counts, forbid_nd_transforms
+    ):
+        f = Field(grid1d, rng.standard_normal((2,) + grid1d.shape))
+        deltas = (0.0, 0.01, 0.3)
+        coeffs = np.fft.fftn(f.values, axes=(-1,))
+        want = [np.fft.ifftn(coeffs * np.exp(-d * grid1d.ksq), axes=(-1,)).real for d in deltas]
+        transform_counts.update(calls=0, complex=0, transforms=0)
+        forbid_nd_transforms()
+        for got, w in zip(heat_propagate_many(f, deltas), want):
+            np.testing.assert_array_equal(got.values, w)
+        # one forward and one inverse per delta, each of both rows
+        assert (transform_counts["calls"], transform_counts["complex"]) == (4, 4)
+        assert transform_counts["transforms"] == 8
 
     def test_eta_bookkeeping(self, grid1d):
         f = Field(grid1d, np.zeros(grid1d.shape), eta=0.05)

@@ -30,6 +30,7 @@ from scalepde import (
 from scalepde.families import random_band_limited, taylor_green
 from scalepde.fluid import burgers_core, fluid_core
 from scalepde.jets import spatial_labels
+from scalepde.residual import exact_residual
 from oracles import chained_jet_values, formal_frechet, pairwise_jet_evaluate, taylor_green_pressure
 
 
@@ -412,6 +413,33 @@ class TestNumericEvaluation:
         f = Field(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError, match="eta"):
             jet_values(e, f)
+
+    def test_axis_beyond_the_grid_names_jet_and_dimension(self, grid1d):
+        u = Field(grid1d, np.zeros((3,) + grid1d.shape))
+        with pytest.raises(ValueError, match=r"u1_x2 differentiates along x2.*1-dimensional"):
+            exact_residual(fluid_core(2), u, u)
+
+    def test_one_dimensional_makes_one_axis_calls(
+        self, grid1d, rng, transform_counts, forbid_nd_transforms
+    ):
+        u = Field(grid1d, rng.standard_normal(grid1d.shape))
+        expr = parse_core("u1_x1 + u1*u1_x1x1", n=1, N=1)
+        d = grid1d.derivatives[0]
+        spectrum = np.fft.fftn(u.values, axes=(-1,))
+        want = {
+            JetIndex(1): u.values,
+            JetIndex(1, ("x1",)): np.fft.ifftn(spectrum * d, axes=(-1,)).real,
+            JetIndex(1, ("x1", "x1")): np.fft.ifftn(spectrum * d * d, axes=(-1,)).real,
+        }
+        transform_counts.update(calls=0, complex=0, transforms=0)
+        forbid_nd_transforms()
+        got = jet_values(expr, u)
+        assert got.keys() == want.keys()
+        for idx, w in want.items():
+            np.testing.assert_array_equal(got[idx].values, w)
+        # one forward transform of u1, one inverse per differentiated jet
+        assert (transform_counts["calls"], transform_counts["complex"]) == (3, 3)
+        assert transform_counts["transforms"] == 3
 
     def test_constant_needs_grid(self, grid1d):
         e = JetExpr.constant(1, 1, Fraction(5, 2))

@@ -92,48 +92,48 @@ class _Stages:
     v or (v, psi), closure, eta and psi forcing, used by every stage, step
     and diagnostics record of the states that carry it.
 
-    Transport is -P div T for symmetric tensors T: v v, v psi + psi v and,
-    through the closure, 2 sigma / (|k|^2 + 1/eta).  P removes div(T^{nn} I),
-    a gradient, so only T - T^{nn} I is transformed, without its (n, n) row:
-    in 2-D A = T^{00} - T^{11} and B = T^{01}, and -P div T = c (-d_1, d_0)
-    with c = (k_0 k_1 A + (k_1^2 - k_0^2) B) / |k|^2.  In 1-D no divergence
-    survives P, so nothing is transformed.  sigma needs d_0 v_0, d_1 v_0 and
-    d_0 v_1 only, since d_1 v_1 = -d_0 v_0 on a solenoidal stage.
+    Transport is -P div T for symmetric tensors T: v v and v psi + psi v.
+    P removes div(T^{nn} I), a gradient, so only T - T^{nn} I is
+    transformed, without its (n, n) row: in 2-D A = T^{00} - T^{11} and
+    B = T^{01}, and -P div T = c (-d_1, d_0) with
+    c = (k_0 k_1 A + (k_1^2 - k_0^2) B) / |k|^2.  In 1-D no divergence
+    survives P, so nothing is transformed.  The helmholtz closure adds
+    2 q sigma to v v, q = 1 / (|k|^2 + 1/eta); as 2 sigma = lap(v v) -
+    v lap v - lap v v and 1 - q |k|^2 = q / eta, the sum is q / eta times
+    the symmetric part of v w, w = v - 2 eta lap v.
 
     The state, every slope and the forcing lie in the 2/3 band, so every
     coefficient buffer and multiplier is band width: the first
     ``grid.band`` columns of the half spectrum (k_last < N/3), and the
-    transforms are ``_band_rfft``/``_band_irfft``.  Each derivative
-    multiplier is a C-contiguous table of that whole shape, so no multiply
-    broadcasts it, and -d_1 is one of its own, so the slope negates
-    nothing.  The forcing is cut to the band and projected once, here.
-    ``total`` keeps the coefficients of the last step's result and
-    ``_last`` that result's Fields (no Field refers back), so a step or
-    record of those Fields transforms nothing on entry; the first stage of
-    such a step takes their values, the inverse of those coefficients bit
-    for bit, and inverts only helmholtz's gradient rows.
+    transforms are ``_band_rfft``/``_band_irfft``.  Each multiplier is a
+    C-contiguous table of that whole shape, so no multiply broadcasts it,
+    and -d_1 is one of its own, so the slope negates nothing.  The forcing
+    is cut to the band and projected once, here.  ``total`` keeps the
+    coefficients of the last step's result and ``_last`` that result's
+    Fields (no Field refers back), so a step or record of those Fields
+    transforms nothing on entry; the first stage of such a step takes
+    their values, the inverse of those coefficients bit for bit, and
+    inverts only helmholtz's rows of 2 eta lap v.
     """
 
     def __init__(self, grid: Grid, psi: bool, closure: str, eta: float, e_v: Field | None = None):
         n, helmholtz = grid.n, closure == "helmholtz"
         m = self.m = n * (1 + psi)
         self.key, self.e_v = (grid, psi, closure, eta), e_v
-        self.grid, self.grads = grid, (n * n - 1) * helmholtz
-        tensors = (m // n + helmholtz) * (n == 2)
-        rows = m + self.grads
+        tensors = (m // n) * (n == 2)
+        self.grid, self.lap = grid, None  # the table of 2 eta lap, if the stages take it
+        rows = m + n * (helmholtz and tensors > 0)
         band = (Ellipsis, slice(grid.band))  # views of the grid's tables
         bshape = grid.rshape[:-1] + (grid.band,)
         # full tables, so a multiply allocates no buffer to broadcast them
         self.d = tuple(np.broadcast_to(d[band], bshape).copy() for d in grid.rderivatives)
-        if tensors:  # the velocity slope is c (-d_1, d_0)
-            self.minus_d1 = np.negative(self.d[1])
         self.leray, self.mask = grid.rleray[band], grid.rdealias_mask[band]
         self.u0, self.total = (np.empty((m,) + bshape, complex) for _ in range(2))
         # the product coefficients reuse the stage rows, the slope the physical rows
         self.spec = np.empty((rows,) + bshape, complex)
-        # psi's stacked stage values and a helmholtz record's sigma (one
-        # pair in 1-D) are products too
-        self.prod = np.empty((max(2 * tensors, int(helmholtz), m * psi),) + grid.shape)
+        # psi's stacked stage values and a helmholtz record's sigma are products too
+        sigma = len(_tensor_pairs(n)) * helmholtz
+        self.prod = np.empty((max(2 * tensors, sigma, m * psi),) + grid.shape)
         # the forward transforms' half spectrum reuses the physical rows too
         half_rows = max(len(self.prod), m)
         k_size, half_size = 2 * m * math.prod(bshape), 2 * half_rows * math.prod(grid.rshape)
@@ -145,14 +145,17 @@ class _Stages:
         if helmholtz:  # twice the closure multiplier, within the band
             self.q2 = 2.0 * self.mask * _closure_multiplier(grid, eta)[band]
         if tensors:
+            self.minus_d1 = np.negative(self.d[1])  # the velocity slope is c (-d_1, d_0)
             k0, k1 = (np.imag(d) for d in self.d)
             ksq = grid.rksq[band]
             scale = self.mask / np.where(ksq > 0.0, ksq, 1.0)
             self.weights[:] = (k0 * k1 * scale, (k1**2 - k0**2) * scale)
             if m > n:  # psi's row A holds (T^{00} - T^{11}) / 2
                 self.weights[1, 0] *= 2.0
-            if helmholtz:
-                self.weights[-1] *= self.q2
+            if helmholtz:  # v's rows are filtered by q / eta, and its row B holds 2 T^{01}
+                self.lap = -2.0 * eta * ksq
+                self.weights[0] *= self.q2 / (2.0 * eta)
+                self.weights[0, 1] *= 0.5
         self.e_hat = None  # the projected psi forcing in the band, if any
         if e_v is not None and psi:
             e_hat = _band_rfft(grid, e_v.values)
@@ -188,41 +191,38 @@ class _Stages:
         other buffers are overwritten.  The first slope after ``load`` of a
         step result copies the state's values instead of transforming u0."""
         grid, m, n, tensors = self.grid, self.m, self.grid.n, len(self.weights)
-        spec, phys, prod, k = self.spec, self.phys, self.prod, self.k
+        spec, phys, prod, k, lap = self.spec, self.phys, self.prod, self.k, self.lap
         values, self._values = self._values, None
         if not tensors:
             k.fill(0.0)
         else:
             d0, d1 = self.d
-            if self.grads:  # d_0 v_0, d_1 v_0, d_0 v_1
-                np.multiply(spec[:2], d0, out=spec[m : m + 3 : 2])
-                np.multiply(spec[0], d1, out=spec[m + 1])
+            if lap is not None:  # 2 eta lap v
+                np.multiply(spec[:n], lap, out=spec[m:])
             if values is None:
                 _band_irfft(grid, spec, out=phys)
             else:
                 np.concatenate(values, out=phys[:m])
-                if self.grads:
+                if lap is not None:
                     _band_irfft(grid, spec[m:], out=phys[m:])
             v0, v1 = phys[0], phys[1]
             a, b = prod[0], prod[1]
-            np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
-            np.multiply(v0, v1, out=b)
+            if lap is None:
+                np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
+                np.multiply(v0, v1, out=b)
+            else:  # A and 2 B of the symmetric part of v w, w = v - 2 eta lap v
+                w0, w1 = np.subtract(phys[:n], phys[m:], out=phys[m:])
+                np.subtract(np.multiply(v0, w0, out=a), np.multiply(v1, w1, out=b), out=a)
+                np.add(np.multiply(v0, w1, out=b), np.multiply(v1, w0, out=w0), out=b)
             if m > n:
                 p0, p1, a, b = phys[2], phys[3], prod[2], prod[3]
                 np.subtract(np.multiply(v0, p0, out=a), np.multiply(v1, p1, out=b), out=a)
                 np.add(np.multiply(v0, p1, out=b), np.multiply(p0, v1, out=p0), out=b)
-            if self.grads:
-                g00, g01, g10 = phys[m:]
-                a, b = prod[-2], prod[-1]
-                np.multiply(np.add(g01, g10, out=a), np.subtract(g01, g10, out=b), out=a)
-                np.multiply(np.subtract(g10, g01, out=b), g00, out=b)
-            rows = len(prod)
-            t = _band_rfft(grid, prod, out=spec[:rows], scratch=self.half[:rows])
+            rows = 2 * tensors
+            t = _band_rfft(grid, prod[:rows], out=spec[:rows], scratch=self.half[:rows])
             t = t.reshape(self.weights.shape)
             t *= self.weights
             c = np.add(t[:, 0], t[:, 1], out=t[:, 0])
-            if self.grads:
-                c[0] += c[-1]
             fields = k.reshape((m // n, n) + k.shape[1:])
             np.multiply(c[: m // n], self.minus_d1, out=fields[:, 0])
             np.multiply(c[: m // n], d0, out=fields[:, 1])

@@ -146,11 +146,12 @@ class TestStepRK4:
 class TestAgainstComplexTransforms:
     """The half-spectrum kernel against per-operator complex round trips."""
 
-    def test_macroscopic_rhs(self, grid2d, rng):
-        v = random_solenoidal(grid2d, rng, kmax=8).with_values(eta=0.05)
+    @pytest.mark.parametrize("eta", [1e-3, 0.05, 1.0])
+    def test_macroscopic_rhs(self, grid2d, rng, eta):
+        v = random_solenoidal(grid2d, rng, kmax=8).with_values(eta=eta)
         for closure in ("none", "helmholtz"):
             got = macroscopic_rhs(v, closure=closure).values
-            want = complex_fft_rhs(v.values, closure, eta=0.05)
+            want = complex_fft_rhs(v.values, closure, eta=eta)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_psi_rhs(self, grid2d, rng):
@@ -182,14 +183,16 @@ class TestAgainstComplexTransforms:
         assert np.max(np.abs(got.v.values - want[0])) <= 1e-12
         assert np.max(np.abs(got.psi_v.values - want[1])) <= 1e-12
 
+    @pytest.mark.parametrize("eta", [1e-3, 0.05, 1.0])
     @pytest.mark.parametrize("size, kmax", [(32, 14), (48, 16)], ids=["past_cutoff", "size_48"])
-    def test_band_limited_inputs(self, rng, size, kmax):
+    def test_band_limited_inputs(self, rng, size, kmax, eta):
         """The flux form is taken of the solenoidal part within the band, so
         the kernel matches the advective oracle on those parts of
         compressible fields past size/3; at size 48 the |k| = 16 modes
-        must go too."""
+        must go too.  helmholtz scales lap v by 2 eta and divides by
+        1 + eta |k|^2, so it runs at both ends of eta's range too."""
         grid = make_grid(2, size)
-        v = random_band_limited(grid, rng, ncomp=2, kmax=kmax).with_values(eta=0.05)
+        v = random_band_limited(grid, rng, ncomp=2, kmax=kmax).with_values(eta=eta)
         psi = random_band_limited(grid, rng, ncomp=2, kmax=kmax)
         e_v = Field(grid, rng.standard_normal((2,) + grid.shape))
         v_cut, psi_cut = (
@@ -197,7 +200,7 @@ class TestAgainstComplexTransforms:
         )
         for closure in ("none", "helmholtz"):
             got = macroscopic_rhs(v, closure=closure).values
-            want = complex_fft_rhs(v_cut, closure, eta=0.05)
+            want = complex_fft_rhs(v_cut, closure, eta=eta)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         got = psi_rhs(psi, v, e_v).values
         _, want = complex_fft_rhs(v_cut, psi=psi_cut, e=complex_dealias(e_v.values))
@@ -242,19 +245,21 @@ class TestTransformBudget:
         [
             ("none", False, 20, 16),
             ("none", True, 40, 32),
-            ("helmholtz", False, 40, 36),
-            ("helmholtz", True, 60, 52),
+            ("helmholtz", False, 28, 24),
+            ("helmholtz", True, 48, 40),
         ],
         ids=["none", "none-psi", "helmholtz", "helmholtz-psi"],
     )
     def test_transforms_per_step(self, transform_counts, rng, closure, with_psi, first, reused):
-        """A stage transforms (v, psi), helmholtz's n^2 - 1 velocity
-        gradients and the two trace-free rows of each tensor; the forcing
-        is transformed once, by the first step that uses it.  A step from
-        the last step's result starts from its coefficients, so it skips
-        the forward transform of the state, and its first stage takes the
+        """A stage inverts (v, psi) and, with helmholtz, the n rows of
+        2 eta lap v, and forward-transforms the two trace-free rows of each
+        tensor (helmholtz filters v's tensor, adding none); the forcing is
+        transformed once, by the first step that uses it.  A step from the
+        last step's result starts from its coefficients, so it skips the
+        forward transform of the state, and its first stage takes the
         state's values, so it skips their inverse: 16 calls instead of 20,
-        18 with helmholtz, whose gradients the first stage still inverts."""
+        18 with helmholtz, whose rows of 2 eta lap v the first stage still
+        inverts."""
         grid = make_grid(2, 32)
         v = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05)
         psi = random_solenoidal(grid, rng, kmax=3) if with_psi else None
@@ -359,10 +364,12 @@ class TestStageTables:
     @pytest.mark.parametrize("size", [32, 64])
     def test_derivative_tables_have_the_band_shape(self, size):
         grid = make_grid(2, size)
-        ws = _Stages(grid, False, "helmholtz", 0.05)
+        eta = 0.05
+        ws = _Stages(grid, False, "helmholtz", eta)
         bshape = grid.rshape[:-1] + (grid.band,)
         d0, d1 = (d[..., : grid.band] for d in grid.rderivatives)
-        for table, want in zip(ws.d + (ws.minus_d1,), (d0, d1, -d1)):
+        lap = -2.0 * eta * grid.rksq[..., : grid.band]
+        for table, want in zip(ws.d + (ws.minus_d1, ws.lap), (d0, d1, -d1, lap)):
             assert table.shape == bshape
             assert table.flags.c_contiguous
             assert np.array_equal(table, np.broadcast_to(want, bshape))
@@ -375,8 +382,8 @@ class TestStageTables:
     def test_first_slope_from_the_values_is_exact(
         self, transform_counts, rng, closure, with_psi, calls
     ):
-        """From the values the first slope inverts helmholtz's three
-        gradient rows only, and forward-transforms its products."""
+        """From the values the first slope inverts helmholtz's two rows of
+        2 eta lap v only, and forward-transforms its products."""
         grid = make_grid(2, 32)
         v = random_solenoidal(grid, rng, kmax=6).with_values(eta=0.05)
         psi = random_solenoidal(grid, rng, kmax=4).with_values(eta=0.05) if with_psi else None

@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field as _dc_field, fields, replace
+from dataclasses import dataclass, field as _dc_field, fields
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .grid import (
     NonFiniteFieldError,
     _band_irfft,
     _band_rfft,
-    _dealias_values,
     _irfft,
+    _peak,
     _rfft,
     _value_norms,
     field_norms,
@@ -69,15 +69,13 @@ class EvolutionState:
 
 def cfl_limit(v: Field) -> float:
     """Largest admissible dt: half a cell crossing at the peak speed."""
-    vmax = float(np.max(np.abs(v.values)))
-    if vmax == 0.0:
-        return math.inf
-    return 0.5 * v.grid.spacing / vmax
+    vmax = float(_peak(v.values))
+    return 0.5 * v.grid.spacing / vmax if vmax != 0.0 else math.inf
 
 
 def _cfl_number(v: Field, dt: float) -> float:
     """dt max|v| / h: the cells the fastest point crosses in one step."""
-    return float(dt * max(v.values.max(), -v.values.min()) / v.grid.spacing)
+    return float(dt * _peak(v.values) / v.grid.spacing)
 
 
 def _check_closure(closure: str, eta: float):
@@ -108,18 +106,18 @@ class _Stages:
     transforms are ``_band_rfft``/``_band_irfft``.  Each multiplier is a
     C-contiguous table of that whole shape, so no multiply broadcasts it,
     and -d_1 is one of its own, so the slope negates nothing.  The forcing
-    is cut to the band and projected once, here.  ``total`` keeps the
-    coefficients of the last step's result and ``_last`` that result's
-    Fields (no Field refers back), so a step or record of those Fields
-    transforms nothing on entry; the first stage of such a step takes
-    their values, the inverse of those coefficients bit for bit, and
-    inverts only helmholtz's rows of 2 eta lap v.
+    is cut to the band and projected once, by ``force``.  ``total`` keeps the
+    coefficients of the last step's result, or of the run's initial state,
+    and ``_last`` their Fields (``keep``; no Field refers back), so a step
+    or record of those Fields transforms nothing on entry; the first stage
+    of such a step takes their values, the inverse of those coefficients
+    bit for bit, and inverts only helmholtz's rows of 2 eta lap v.
     """
 
     def __init__(self, grid: Grid, psi: bool, closure: str, eta: float, e_v: Field | None = None):
         n, helmholtz = grid.n, closure == "helmholtz"
         m = self.m = n * (1 + psi)
-        self.key, self.e_v = (grid, psi, closure, eta), e_v
+        self.key = (grid, psi, closure, eta)
         tensors = (m // n) * (n == 2)
         self.grid, self.lap = grid, None  # the table of 2 eta lap, if the stages take it
         rows = m + n * (helmholtz and tensors > 0)
@@ -156,13 +154,16 @@ class _Stages:
                 self.lap = -2.0 * eta * ksq
                 self.weights[0] *= self.q2 / (2.0 * eta)
                 self.weights[0, 1] *= 0.5
-        self.e_hat = None  # the projected psi forcing in the band, if any
-        if e_v is not None and psi:
-            e_hat = _band_rfft(grid, e_v.values)
-            e_hat *= self.mask
-            self.e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
+        self.force(e_v)
         self._last = (None, None)
         self._values = None
+
+    def force(self, e_v: Field | None):
+        """Take e_v as the psi forcing: ``e_hat``, cut to the band and projected once."""
+        self.e_v, self.e_hat = e_v, None
+        if e_v is not None and self.m > self.grid.n:
+            e_hat = _band_rfft(self.grid, e_v.values) * self.mask
+            self.e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
 
     def holds(self, v: Field, psi_v: Field | None) -> bool:
         """Whether ``total`` holds the coefficients of (v, psi_v): whether
@@ -171,8 +172,8 @@ class _Stages:
 
     def load(self, v: Field, psi_v: Field | None):
         """u0: the (v, psi) coefficients cut to the 2/3 band and projected.
-        A step result's are ``total`` already, which becomes u0, and its
-        values, the inverse of u0 bit for bit, serve the first slope."""
+        Those of the kept Fields are ``total`` already, which becomes u0,
+        and their values, u0's inverse bit for bit, serve the first slope."""
         if self.holds(v, psi_v):
             self.u0, self.total = self.total, self.u0
             self._values = tuple(f.values for f in (v, psi_v) if f is not None)
@@ -185,6 +186,22 @@ class _Stages:
             w *= self.mask
             _leray_hat(self.leray, w, out=self.u0, scratch=self.spec[0])
         self._last = (None, None)
+
+    def keep(self, t: float, etas: tuple[float, ...], failure) -> tuple[Field, Field | None]:
+        """The Fields (v, psi) at time t and scales ``etas`` of ``total``,
+        its inverse bit for bit, kept as the last Fields.  Non-finite
+        values of field i, 0 for v and 1 for psi, raise ``failure(i)``."""
+        grid, n, m = self.grid, self.grid.n, self.m
+        np.copyto(self.spec[:m], self.total)  # the inverse overwrites its input; total stays
+        values = _band_irfft(grid, self.spec[:m], out=self.phys[:m])
+        kept = [None, None]
+        for i, eta in enumerate(etas):
+            try:
+                kept[i] = Field(grid, values[i * n : (i + 1) * n], t=t, eta=eta)
+            except NonFiniteFieldError as err:
+                raise failure(i) from err
+        self._last = tuple(kept)
+        return self._last
 
     def slope(self) -> np.ndarray:
         """The projected right-hand side at the stage in ``spec[:m]``; the
@@ -229,15 +246,6 @@ class _Stages:
         if self.e_hat is not None:
             k[n:] += self.e_hat
         return k
-
-
-def _checked_field(grid: Grid, values, name: str, step: int, t: float, eta: float) -> Field:
-    try:
-        return Field(grid, values, t=t, eta=eta)
-    except NonFiniteFieldError as err:
-        raise SimulationDiverged(
-            f"non-finite values in {name} at step {step}, t={t:.6g}"
-        ) from err
 
 
 def _rhs(
@@ -309,8 +317,8 @@ def step_rk4(
     are checked once, on the result.  The step runs in the state's
     workspace if that has its grid, psi presence, closure, eta and forcing
     Field, in a new one otherwise, and its result carries the workspace.
-    From the Fields of the workspace's last step it starts from that
-    step's coefficients, with no transform.
+    From the workspace's last Fields (a step result or the run's initial
+    state) it starts from their coefficients, with no transform.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -321,18 +329,11 @@ def step_rk4(
     if ws is None or ws.key != key or ws.e_v is not e_v:
         ws = _Stages(*key, e_v)
     ws.load(v, psi)
-    m = ws.m
-    _rk4(ws.u0, ws.total, ws.spec[:m], dt, ws.slope)
-    coeffs = ws.spec[:m]
-    np.copyto(coeffs, ws.total)  # the inverse overwrites its input; total stays
-    values = _band_irfft(grid, coeffs, out=ws.phys[:m])
-    t_new = state.t + dt
-    step = state.step_count + 1
-    v_new = _checked_field(grid, values[: grid.n], "v", step, t_new, eta)
-    psi_new = None
-    if psi is not None:
-        psi_new = _checked_field(grid, values[grid.n :], "psi", step, t_new, psi.eta)
-    ws._last = (v_new, psi_new)
+    _rk4(ws.u0, ws.total, ws.spec[: ws.m], dt, ws.slope)
+    t_new, step = state.t + dt, state.step_count + 1
+    etas = (eta,) if psi is None else (eta, psi.eta)
+    errors = [f"non-finite values in {name} at step {step}, t={t_new:.6g}" for name in ("v", "psi")]
+    v_new, psi_new = ws.keep(t_new, etas, lambda i: SimulationDiverged(errors[i]))
     return EvolutionState(t=t_new, v=v_new, psi_v=psi_new, step_count=step, _ws=ws)
 
 
@@ -403,34 +404,34 @@ def _check_spec(spec: dict, table: dict, what: str, grid_size: int):
         raise ConfigError(f"{what}.path must name the checkpoint file, got {spec.get('path')!r}")
 
 
-def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str, eta: float) -> Field:
-    """The initial field of a checked spec cut to the 2/3 band, at t = 0, scale eta.
+def _amplitude_error(what: str, spec: dict) -> ConfigError:
+    amplitude = dict(_IC_DEFAULTS[spec["name"]], **spec).get("amplitude")
+    return ConfigError(f"{what}.amplitude={amplitude!r} makes the field non-finite")
+
+
+def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str) -> Field:
+    """The initial field of a checked spec, as its family builds it.
 
     Every family is solenoidal (``random_solenoidal`` is projected where
-    it is built), so the cut field is the state a step starts from and the
-    first diagnostics record reports it.  The errors left need the field:
-    a non-finite amplitude, and a family that does not fit the grid.
+    it is built); ``build_initial_state`` cuts it to the 2/3 band.  The
+    errors left need the field: a non-finite amplitude (the caller ignores
+    overflow, which leaves non-finite values), and a family that does not
+    fit the grid.
     """
     params = dict(_IC_DEFAULTS[spec["name"]], **spec)
     name = params.pop("name")
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            if name == "taylor_green":
-                f = families.taylor_green(grid, **params)
-            elif name == "random_solenoidal":
-                f = families.random_solenoidal(grid, rng, **params)
-            elif name == "single_mode":
-                f = families.single_mode_solenoidal(grid, **params)
-            else:
-                f = Field(grid, np.zeros((grid.n,) + grid.shape))
-            f = Field(grid, _dealias_values(grid, f.values), t=0.0, eta=eta)
-    except (FloatingPointError, NonFiniteFieldError) as err:
-        raise ConfigError(
-            f"{what}.amplitude={params['amplitude']!r} makes the field non-finite"
-        ) from err
+        if name == "taylor_green":
+            return families.taylor_green(grid, **params)
+        if name == "random_solenoidal":
+            return families.random_solenoidal(grid, rng, **params)
+        if name == "single_mode":
+            return families.single_mode_solenoidal(grid, **params)
+        return Field(grid, np.zeros((grid.n,) + grid.shape))
+    except NonFiniteFieldError as err:
+        raise _amplitude_error(what, spec) from err
     except ValueError as err:
         raise ConfigError(f"{what}.name={name!r} does not fit this grid: {err}") from err
-    return f
 
 
 # each spec field's table: its names and the parameters each takes, with defaults
@@ -558,16 +559,21 @@ class RunConfig:
 
 
 def build_initial_state(config: RunConfig) -> EvolutionState:
-    """Construct the configured initial (v, psi) slice at t = 0."""
+    """The configured initial (v, psi) slice at t = 0, kept in a new run
+    workspace as a step result is: the inverse of the built fields' band
+    coefficients, cut and projected once.  An overflow there names its key."""
     if config.core != "fluid":
         raise ConfigError("slice evolution supports the fluid core only")
-    grid = config.grid()
-    rng = config.rng()
-    v0 = _build_ic(config.initial_condition, grid, rng, "initial_condition", config.eta)
-    psi0 = None
-    if config.psi_enabled:
-        psi0 = _build_ic(config.psi_initial, grid, rng, "psi.initial_condition", config.eta)
-    return EvolutionState(t=0.0, v=v0, psi_v=psi0)
+    grid, rng = config.grid(), config.rng()
+    ics = [("initial_condition", config.initial_condition),
+           ("psi.initial_condition", config.psi_initial)][: 1 + config.psi_enabled]
+    ws = _Stages(grid, config.psi_enabled, config.closure, config.eta)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused as non-finite
+        built = [_build_ic(spec, grid, rng, what) for what, spec in ics]
+        ws.load(built[0], built[1] if config.psi_enabled else None)
+        ws.u0, ws.total = ws.total, ws.u0  # the cut coefficients are the kept ones
+        v, psi = ws.keep(0.0, (config.eta,) * len(ics), lambda i: _amplitude_error(*ics[i]))
+    return EvolutionState(t=0.0, v=v, psi_v=psi, _ws=ws)
 
 
 def resolve_forcing(config: RunConfig, grid: Grid) -> Field | None:
@@ -617,9 +623,9 @@ def _diagnose(
     """One diagnostics row, formed in the state's workspace if that has its
     grid, psi presence, closure and eta, in a new one otherwise.
 
-    The state a run records is band-limited (built cut and cut by every
+    The state a run records is band-limited (cut on entry and by every
     step), so v is transformed on the band, and not at all when it is the
-    workspace's last step result.  Without the closure div v is one inverse
+    workspace's last Fields.  Without the closure div v is one inverse
     transform of sum_a ik_a v_a; with it the n^2 velocity gradients, which
     sigma needs, give div v too, and r is the closure of the whole source
     -2 div sigma.  ``psi_norms`` are ``field_norms(state.psi_v)`` if the
@@ -644,7 +650,7 @@ def _diagnose(
         for row, (a, b) in zip(sigma, _tensor_pairs(n)):
             np.einsum("c...,c...->...", dv[a], dv[b], out=row)
         div = np.add(dv[0, 0], dv[-1, -1], out=dv[0, 0]) if n == 2 else dv[0, 0]
-        div_max = max(div.max(), -div.min())  # before the slope rows reuse dv
+        div_max = _peak(div)  # before the slope rows reuse dv
         rows = len(sigma)
         s_hat = _band_rfft(grid, sigma, out=ws.spec[:rows], scratch=ws.half[:rows])
         r_hat = ws.k[:n]  # -2 q div sigma; the pair (a, b) is row a + b for n <= 2
@@ -661,7 +667,7 @@ def _diagnose(
         for a in range(1, n):
             div_hat += np.multiply(v_hat[a], d[a], out=ws.spec[1:2])
         div = _band_irfft(grid, div_hat, out=ws.phys[:1])
-        div_max = max(div.max(), -div.min())
+        div_max = _peak(div)
     if psi_norms is None:
         psi_norms = (0.0, 0.0) if state.psi_v is None else field_norms(state.psi_v)
     psi_l2, psi_max = psi_norms
@@ -696,24 +702,20 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     attached, naming the last record's CFL number) when values stop
     being finite.
     """
-    state = build_initial_state(config)
+    state = build_initial_state(config)  # in the workspace of every step and record
     dt = config.resolved_dt(state.v)
     n_steps = max(1, round(config.t_end / dt))
-    e_v, psi_norms = None, (0.0, 0.0)
-    if state.psi_v is not None:
-        e_v = resolve_forcing(config, state.v.grid)
-        psi_norms = field_norms(state.psi_v)
+    e_v = resolve_forcing(config, state.v.grid) if config.psi_enabled else None
+    state._ws.force(e_v)  # the forcing of the run's workspace, read once all else is checked
+    psi_norms = (0.0, 0.0) if state.psi_v is None else field_norms(state.psi_v)
     psi_sup = psi_norms[1]
-    # the run's workspace, its forcing transformed once, for every step and record
-    ws = _Stages(state.v.grid, state.psi_v is not None, config.closure, state.eta, e_v)
-    state = replace(state, _ws=ws)
     records, cfl = [], []
 
     def record():
         records.append(_diagnose(state, config.closure, psi_sup, psi_norms))
         cfl.append(_cfl_number(state.v, dt))
 
-    # an overflow ends in the non-finite field that _checked_field reports
+    # an overflow ends in the non-finite field that _Stages.keep refuses
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             record()
@@ -846,7 +848,7 @@ def write_checkpoint(path, f: Field, extra: dict | None = None):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))  # its buffer, not a copy
 
 
 def read_checkpoint(path) -> tuple[Field, dict]:

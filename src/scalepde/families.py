@@ -15,7 +15,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .fluid import _leray_hat
-from .grid import Field, Grid, _irfft, _rfft
+from .grid import Field, Grid, _band_irfft, _peak
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0, t: float = 0.0, eta: float = 0.0) -> Field:
@@ -54,17 +54,20 @@ def _random_values(
 ) -> np.ndarray:
     """Standard normal noise confined to |k_axis| <= kmax.  A solenoidal
     draw also drops the Nyquist planes (the half-spectrum Leray projector
-    leaves a divergence there) and the mean, and is Leray-projected."""
-    noise = rng.standard_normal((ncomp,) + grid.shape)
-    coeffs = _rfft(grid, noise, out=np.empty((ncomp,) + grid.rshape, complex))
+    leaves a divergence there) and the mean, and is Leray-projected.  Only
+    the kept columns k_last <= kmax are transformed along axis -2 and back,
+    each on its own, so the values are the whole-grid pair's bit for bit."""
+    cols = min(kmax, grid.size // 2) + 1
+    coeffs = np.fft.rfft(rng.standard_normal((ncomp,) + grid.shape), axis=-1)[..., :cols]
+    coeffs = np.fft.fft(coeffs, axis=-2) if grid.n == 2 else coeffs
     k = np.abs(np.fft.fftfreq(grid.size, 1.0 / grid.size))
     kept = (k <= kmax) & (k < grid.size // 2) if solenoidal else k <= kmax
-    for axis, size in enumerate(grid.rshape):
+    for axis, size in enumerate(coeffs.shape[1:]):
         coeffs *= kept[:size].reshape((size,) + (1,) * (grid.n - 1 - axis))
     if solenoidal:
         coeffs[(slice(None),) + (0,) * grid.n] = 0.0
-        coeffs = _leray_hat(grid.rleray, coeffs)
-    return _irfft(grid, coeffs)
+        coeffs = _leray_hat(grid.rleray[..., :cols], coeffs)
+    return _band_irfft(grid, coeffs)
 
 
 def random_band_limited(
@@ -73,7 +76,7 @@ def random_band_limited(
 ) -> Field:
     """Smooth random field with modes confined to |k_axis| <= kmax."""
     vals = _random_values(grid, rng, ncomp, kmax, solenoidal=False)
-    peak = max(vals.max(), -vals.min())
+    peak = _peak(vals)
     if peak > 0.0:
         vals *= amplitude / peak
     return Field(grid, vals)
@@ -88,7 +91,7 @@ def random_solenoidal(
     the mean is removed; that raises ValueError.
     """
     vals = _random_values(grid, rng, grid.n, kmax, solenoidal=True)
-    peak = max(vals.max(), -vals.min())
+    peak = _peak(vals)
     if not peak > 1e-12:
         raise ValueError(
             f"no divergence-free part with zero mean exists on a {grid.n}-D grid"

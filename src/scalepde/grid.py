@@ -314,10 +314,15 @@ def divergence(f: Field) -> Field:
     return f.with_values(_irfft(grid, sum(d * c for d, c in zip(grid.rderivatives, coeffs))))
 
 
+def _peak(values: np.ndarray) -> np.floating:
+    """max |values| from the max and the min, with no temporary |values|."""
+    return max(values.max(), -values.min())
+
+
 def _value_norms(grid: Grid, values: np.ndarray) -> tuple[float, float]:
     """``field_norms`` of a stack of component values, with no temporaries."""
     mean_sq = float(np.vdot(values, values)) / grid.num_points
-    return float(np.sqrt(mean_sq) * TWO_PI**grid.n), float(max(values.max(), -values.min()))
+    return float(np.sqrt(mean_sq) * TWO_PI**grid.n), float(_peak(values))
 
 
 def field_norms(f: Field) -> tuple[float, float]:

@@ -39,11 +39,11 @@ def _batch_size(a, axes) -> int:
 
 @pytest.fixture
 def forbid_nd_transforms(monkeypatch):
-    """A call that makes numpy.fft's complex n-D entry points raise from
-    then on, so that a test can take its expected values first."""
+    """A call that makes numpy.fft's n-D entry points raise from then on,
+    so that a test can take its expected values first."""
 
     def forbid():
-        for name in ("fftn", "ifftn", "fft2", "ifft2"):
+        for name in ("fftn", "ifftn", "fft2", "ifft2", "rfftn", "irfftn", "rfft2", "irfft2"):
 
             def refuse(*args, _name=name, **kwargs):
                 raise AssertionError(f"numpy.fft.{_name} called")

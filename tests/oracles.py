@@ -125,6 +125,34 @@ def _complex_ops(n, size):
     return ks, ksq, deriv, dealias
 
 
+def full_grid_random(
+    grid: Grid, rng: np.random.Generator, ncomp: int, kmax: int, amplitude: float, solenoidal: bool
+) -> np.ndarray:
+    """The values of a random family draw, transformed on the whole grid.
+
+    Standard normal noise goes through ``rfftn``, is confined to
+    |k_axis| <= kmax (a solenoidal draw also loses the Nyquist planes and
+    the mean and is multiplied by the projector table ``grid.rleray``,
+    written out term by term), comes back through ``irfftn`` and is
+    scaled to peak |value| = amplitude.  Every product is taken in the
+    families' order, so only the transforms' extent differs from theirs.
+    """
+    axes = tuple(range(1, grid.n + 1))
+    coeffs = np.fft.rfftn(rng.standard_normal((ncomp,) + grid.shape), axes=axes)
+    k = np.abs(np.fft.fftfreq(grid.size, 1.0 / grid.size))
+    kept = (k <= kmax) & (k < grid.size // 2) if solenoidal else k <= kmax
+    for axis, size in enumerate(coeffs.shape[1:]):
+        coeffs *= kept[:size].reshape((size,) + (1,) * (grid.n - 1 - axis))
+    if solenoidal:
+        coeffs[(slice(None),) + (0,) * grid.n] = 0.0
+        leray = grid.rleray
+        coeffs = np.stack([
+            sum(coeffs[b] * leray[a, b] for b in range(grid.n)) for a in range(grid.n)
+        ])
+    values = np.fft.irfftn(coeffs, s=grid.shape, axes=axes)
+    return values * (amplitude / max(values.max(), -values.min()))
+
+
 def complex_dealias(values: np.ndarray) -> np.ndarray:
     """2/3-rule cut of each component of an array (ncomp, size, ..., size)."""
     _, _, _, dealias = _complex_ops(values.ndim - 1, values.shape[1])

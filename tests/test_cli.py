@@ -72,6 +72,8 @@ SPEC_ROWS = [
 FIELD_ROWS = [
     ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
      "initial_condition.amplitude"),
+    ("psi.enabled=true psi.initial_condition.name=taylor_green "
+     "psi.initial_condition.amplitude=1e308", "psi.initial_condition.amplitude"),
     ("n=1 initial_condition.name=single_mode", "initial_condition.name"),
     ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
 ]
@@ -434,6 +436,29 @@ class TestEvolveCommand:
         capsys.readouterr()
         assert main(argv + ["--set", "psi.enabled=true"]) == 4
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
+             "initial_condition.amplitude"),
+            ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
+            ("dt=0.03", "t_end"),
+            ("core=burgers n=1", "fluid core"),
+        ],
+    )
+    def test_refused_before_the_forcing_is_read(self, tmp_path, capsys, override, named):
+        """A run the initial state or its step refuses exits 2, the forcing
+        file unread."""
+        missing = tmp_path / "nonexistent.ckpt"
+        forcing = json.dumps({"name": "checkpoint", "path": str(missing)})
+        sets = ["grid_size=16", "psi.enabled=true", f"psi.forcing={forcing}"] + override.split()
+        code = main(["evolve", "--out", str(tmp_path / "run")] + [
+            arg for item in sets for arg in ("--set", item)
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and str(missing) not in err
 
     def test_unwritable_out_exit_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

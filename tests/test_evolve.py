@@ -35,6 +35,7 @@ from scalepde import (
 )
 from scalepde.cli import main
 from scalepde.evolve import _diagnose, _Stages
+from scalepde.grid import _band_irfft
 from scalepde.families import (
     random_band_limited,
     random_solenoidal,
@@ -510,6 +511,65 @@ class TestSpectrumReuse:
         assert transform_counts["transforms"] == transforms
 
 
+class TestInitialState:
+    """The initial state enters the run's workspace as a step result does:
+    its Fields are the inverse of the kept, cut and projected coefficients
+    of the built fields, so record 0 and step 1 transform it no further
+    forward, and no transform in a run is an n-D call."""
+
+    @staticmethod
+    def _config(closure, psi, **kwargs):
+        random = {"name": "random_solenoidal"}
+        return RunConfig(
+            grid_size=32, closure=closure, initial_condition=random,
+            psi_enabled=psi, psi_initial=dict(random, kmax=3), **kwargs,
+        )
+
+    @pytest.mark.parametrize("closure, psi", [("helmholtz", False), ("none", True)])
+    def test_state_is_the_inverse_of_the_kept_coefficients(self, closure, psi):
+        """The kept coefficients are the built fields' cut and projected,
+        as a step loads them, and the state's values their inverse."""
+        config = self._config(closure, psi)
+        state = build_initial_state(config)
+        ws, grid, rng = state._ws, state.v.grid, config.rng()
+        assert ws.holds(state.v, state.psi_v)
+        v0 = random_solenoidal(grid, rng)
+        psi0 = random_solenoidal(grid, rng, kmax=3) if psi else None
+        loaded = _Stages(grid, psi, closure, config.eta)
+        loaded.load(v0, psi0)
+        assert np.array_equal(ws.total, loaded.u0)
+        values = [f.values for f in (state.v, state.psi_v) if f is not None]
+        assert np.array_equal(_band_irfft(grid, ws.total.copy()), np.concatenate(values))
+
+    @pytest.mark.parametrize("closure, psi", [("helmholtz", False), ("none", True)])
+    def test_run_makes_no_nd_transform(self, forbid_nd_transforms, closure, psi):
+        forbid_nd_transforms()
+        result = run_simulation(self._config(closure, psi, t_end=0.04, output_interval=2))
+        assert max(record.max_div_v for record in result.records) <= 1e-12
+
+    @pytest.mark.parametrize("closure, step_calls", [("helmholtz", 18), ("none", 16)])
+    def test_first_record_and_step_as_later_ones(self, transform_counts, closure, step_calls):
+        """A record and a step from the initial state make the numpy.fft
+        calls of a record and a step from a step result."""
+        state, calls = build_initial_state(self._config(closure, False)), []
+        for _ in range(2):
+            transform_counts.update(calls=0)
+            _diagnose(state, closure, 0.0)
+            record = transform_counts["calls"]
+            state = step_rk4(state, 1e-3, closure=closure)
+            calls.append((record, transform_counts["calls"] - record))
+        assert calls[0] == calls[1]
+        assert calls[0][1] == step_calls
+
+    def test_run_calls(self, transform_counts):
+        """A 32^2 helmholtz run of 4 steps, recorded at steps 0, 2 and 4:
+        4 calls draw the initial field (rfft, fft and their inverses on its
+        kept columns), 2 transform it on the band, 2 invert it, each record
+        makes 6 and each step 18."""
+        run_simulation(self._config("helmholtz", False, t_end=0.04, dt=0.01, output_interval=2))
+        assert transform_counts["calls"] == 4 + 2 + 2 + 3 * 6 + 4 * 18
+
+
 class TestPinnedRun:
     """A 32^2 closure=none run with psi and a checkpoint forcing, pinned to
     the values of the advective-form kernel (v and grad v, psi and grad psi
@@ -808,6 +868,12 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="checkpoint"):
             read_checkpoint(path)
+
+    def test_data_is_the_raw_values(self, tmp_path, grid2d, rng):
+        f = random_solenoidal(grid2d, rng, kmax=5)
+        path = tmp_path / "v.ckpt"
+        write_checkpoint(path, f)
+        assert path.read_bytes().endswith(b"}\n" + f.values.astype("<f8").tobytes())
 
     def test_deterministic_bytes(self, tmp_path, grid1d):
         x = grid1d.coords()[0]

@@ -19,6 +19,7 @@ from scalepde.families import (
     taylor_green,
 )
 from oracles import (
+    full_grid_random,
     manufactured_burgers,
     manufactured_fluid,
     manufactured_scalar_2d,
@@ -73,6 +74,32 @@ class TestBasicFields:
         coeffs = np.fft.fftn(v.values, axes=(1, 2))
         assert np.max(np.abs(coeffs[:, size // 2, :])) <= 1e-12
         assert np.max(np.abs(coeffs[:, :, size // 2])) <= 1e-12
+
+
+class TestDrawsOnTheirColumns:
+    """A random draw transforms only its kept columns along axis -2 and
+    back; each column is transformed on its own, so its values are those
+    of the whole-grid transform pair bit for bit (a grid divisible by 3
+    included, and kmax at or past N/2)."""
+
+    CASES = [
+        (1, 64, 4), (1, 16, 8), (2, 8, 4), (2, 12, 4),
+        (2, 64, 4), (2, 128, 8), (2, 256, 4), (2, 48, 30), (2, 96, 6),
+    ]
+
+    @pytest.mark.parametrize("n, size, kmax", CASES)
+    def test_band_limited(self, n, size, kmax):
+        grid = make_grid(n, size)
+        got = random_band_limited(grid, np.random.default_rng(size), 2, kmax, amplitude=1.3)
+        want = full_grid_random(grid, np.random.default_rng(size), 2, kmax, 1.3, solenoidal=False)
+        assert np.array_equal(got.values, want)
+
+    @pytest.mark.parametrize("n, size, kmax", [case for case in CASES if case[0] == 2])
+    def test_solenoidal(self, n, size, kmax):
+        grid = make_grid(n, size)
+        got = random_solenoidal(grid, np.random.default_rng(size), kmax, amplitude=0.7)
+        want = full_grid_random(grid, np.random.default_rng(size), n, kmax, 0.7, solenoidal=True)
+        assert np.array_equal(got.values, want)
 
 
 class TestManufacturedBurgers:

@@ -449,15 +449,13 @@ def _deviation_errors(grid, epsilon: float, nodes, spacings) -> tuple[list[float
     The K-node ladder's nodes 1..K span [epsilon, eta0]; nodes 0 and K + 1
     extend it by one spacing each way, so psi has a centred stencil on all
     K.  Ladders share the nodes they hold to the last bit: each distinct
-    node is built and transformed forward once and kept as its spectrum,
-    and its deviation from the family filtered from epsilon (node 1 of
-    every ladder) transformed back once.
+    node's spectrum is formed once from the family's three transformed
+    modes, and its deviation from the family filtered from epsilon (node 1
+    of every ladder) transformed back once.
     """
     ladders = [[epsilon + (j - 1) * h for j in range(K + 2)] for K, h in zip(nodes, spacings)]
-    spectra = {
-        u.eta: _rfft(grid, u.values)
-        for u in families.manufactured_scalar_2d_ladder(grid, sorted(set().union(*ladders)))
-    }
+    etas = sorted(set().union(*ladders))
+    spectra = dict(zip(etas, families.manufactured_scalar_2d_ladder(grid, etas)))
     # the max norm of the deviation at each node, and its field where a ladder ends
     norms, ends = {}, dict.fromkeys(ladder[-2] for ladder in ladders)
     errors, worst = [], 0.0

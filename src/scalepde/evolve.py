@@ -159,11 +159,15 @@ class _Stages:
         self._values = None
 
     def force(self, e_v: Field | None):
-        """Take e_v as the psi forcing: ``e_hat``, cut to the band and projected once."""
+        """Take e_v as the psi forcing: ``e_hat``, cut to the band and projected
+        once.  Coefficients that overflow raise NonFiniteFieldError."""
         self.e_v, self.e_hat = e_v, None
         if e_v is not None and self.m > self.grid.n:
-            e_hat = _band_rfft(self.grid, e_v.values) * self.mask
-            self.e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_hat = _band_rfft(self.grid, e_v.values) * self.mask
+                self.e_hat = _leray_hat(self.leray, e_hat, scratch=self.spec[0])
+            if not np.isfinite(self.e_hat).all():
+                raise NonFiniteFieldError("psi forcing overflows when transformed")
 
     def holds(self, v: Field, psi_v: Field | None) -> bool:
         """Whether ``total`` holds the coefficients of (v, psi_v): whether
@@ -706,7 +710,10 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     dt = config.resolved_dt(state.v)
     n_steps = max(1, round(config.t_end / dt))
     e_v = resolve_forcing(config, state.v.grid) if config.psi_enabled else None
-    state._ws.force(e_v)  # the forcing of the run's workspace, read once all else is checked
+    try:  # the forcing of the run's workspace, read once all else is checked
+        state._ws.force(e_v)
+    except NonFiniteFieldError as err:
+        raise OSError(f"{config.psi_forcing['path']}: {err}") from err
     psi_norms = (0.0, 0.0) if state.psi_v is None else field_norms(state.psi_v)
     psi_sup = psi_norms[1]
     records, cfl = [], []

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .fluid import _leray_hat
-from .grid import Field, Grid, _band_irfft, _peak
+from .grid import Field, Grid, _band_irfft, _peak, _rfft
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0, t: float = 0.0, eta: float = 0.0) -> Field:
@@ -100,25 +100,23 @@ def random_solenoidal(
     return Field(grid, vals)
 
 
-def manufactured_scalar_2d_ladder(grid: Grid, etas, t: float = 0.0) -> Iterator[Field]:
-    """Scalar 2d family u at each eta, for deviation experiments.
+def manufactured_scalar_2d_ladder(grid: Grid, etas) -> Iterator[np.ndarray]:
+    """Half spectra (1, *grid.rshape) of a scalar 2d family u at each eta,
+    for deviation experiments.
 
     u = a(eta) sin x cos y + b(eta) cos x + c(eta) sin 2x cos y with
     a = 1 + eta, b = e^{-eta} and c = cos(eta), coefficients that do not
-    follow the heat flow.  The modes are formed once, and the fields one
-    at a time as the caller takes them.
+    follow the heat flow.  The three modes are transformed once, in one
+    call, and each spectrum is their combination, made as the caller
+    takes it.
     """
     if grid.n != 2:
         raise ValueError("needs a two dimensional grid")
     x, y = grid.coords()
-    m1, m2, m3 = np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)
+    modes = np.stack([np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)])
+    m1, m2, m3 = _rfft(grid, modes)
     return (
-        Field(
-            grid,
-            ((1.0 + eta) * m1 + math.exp(-eta) * m2 + math.cos(eta) * m3)[np.newaxis],
-            t=t,
-            eta=eta,
-        )
+        ((1.0 + eta) * m1 + math.exp(-eta) * m2 + math.cos(eta) * m3)[np.newaxis]
         for eta in etas
     )
 

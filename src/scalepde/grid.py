@@ -67,8 +67,7 @@ class Grid:
         for name, value in (
             ("shape", shape),
             ("spacing", TWO_PI / self.size),
-            ("derivatives", tuple(_derivative(k, a, self.size) for a, k in enumerate(wavenumbers))),
-            ("ksq", ksq),
+            ("ksq", ksq),  # on the complex layout, for heat_propagate_many alone
             *self._half_spectrum(k1d, cutoff),
         ):
             object.__setattr__(self, name, value)
@@ -233,17 +232,17 @@ def _irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.
 def _fft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Complex forward transform over the trailing spatial axes, one-axis in
     1-D like ``_rfft``: the very call ``fftn`` would make, without its
-    wrapper."""
+    wrapper.  ``heat_propagate_many`` alone takes it."""
     if grid.n == 1:
         return np.fft.fft(values, axis=-1)
     return np.fft.fftn(values, axes=(-2, -1))
 
 
-def _ifft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of ``_fft``, one-axis in 1-D likewise."""
     if grid.n == 1:
-        return np.fft.ifft(coeffs, axis=-1, out=out)
-    return np.fft.ifftn(coeffs, axes=(-2, -1), out=out)
+        return np.fft.ifft(coeffs, axis=-1)
+    return np.fft.ifftn(coeffs, axes=(-2, -1))
 
 
 def _band_rfft(

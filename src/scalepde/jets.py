@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, _dealias_values, _fft, _ifft
+from .grid import Field, _dealias_values, _irfft, _rfft
 
 
 class CoreSyntaxError(ValueError):
@@ -640,8 +640,9 @@ def jet_values(
     """Numeric values for every jet variable the expression needs.
 
     Component alpha maps to u.component(alpha - 1); spatial derivatives
-    are spectral, one inverse transform per jet of one forward transform
-    per differentiated component.  A single t-derivative reads from u_t;
+    are spectral on the half spectrum, one real inverse transform per jet
+    of one real forward transform per differentiated component, times
+    ``grid.rderivatives``.  A single t-derivative reads from u_t;
     higher time or any eta derivatives cannot be formed from slice data.
     """
     values: dict[JetIndex, Field] = {}
@@ -674,11 +675,11 @@ def jet_values(
                 )
             if spectrum_of != (t_count, idx.component):
                 spectrum_of = (t_count, idx.component)
-                spectrum = _fft(grid, vals)
-            coeffs = spectrum * grid.derivatives[spatial[0]]
+                spectrum = _rfft(grid, vals)
+            coeffs = spectrum * grid.rderivatives[spatial[0]]
             for axis in spatial[1:]:
-                coeffs *= grid.derivatives[axis]
-            vals = _ifft(grid, coeffs, out=coeffs).real
+                coeffs *= grid.rderivatives[axis]
+            vals = _irfft(grid, coeffs)
         values[idx] = Field(grid, vals, t=u.t, eta=u.eta)
     return values
 

@@ -29,6 +29,7 @@ from scalepde import (
     JetIndex,
     JetMonomial,
     ScaleStack,
+    SpectralStack,
     build_scale_stack,
     derive_source,
     duhamel_integral,
@@ -492,12 +493,12 @@ def per_ladder_residual_errors(core: JetExpr, u_gen: Field, ut_gen: Field,
 def per_ladder_deviation_errors(grid: Grid, epsilon: float, eta0: float,
                                 nodes) -> tuple[list[float], float]:
     """duhamel-check's quadrature errors and worst deviation/bound ratio,
-    each extended ladder built, transformed and read on its own."""
+    each extended ladder's spectra formed and read on its own."""
     errors, worst = [], 0.0
     for K in nodes:
         h = (eta0 - epsilon) / (K - 1)
         etas = [epsilon + (j - 1) * h for j in range(K + 2)]
-        stack = ScaleStack.from_fields(manufactured_scalar_2d_ladder(grid, etas))
+        stack = SpectralStack(grid, etas, manufactured_scalar_2d_ladder(grid, etas))
         psi = filter_defect(stack)
         sup_psi = max(field_norms(psi.field(j))[1] for j in range(psi.K))
         devs = [filter_deviation(stack, 1, j) for j in range(1, K + 1)]

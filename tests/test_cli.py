@@ -428,6 +428,21 @@ class TestEvolveCommand:
         assert code == 4
         assert "forcing.ckpt: truncated checkpoint" in capsys.readouterr().err
 
+    def test_overflowing_forcing_exit_4_before_any_step(self, tmp_path, capsys):
+        """Finite forcing values whose coefficients overflow are refused as a
+        bad file, with no warning and before the first step or record."""
+        ckpt = tmp_path / "forcing.ckpt"
+        write_checkpoint(ckpt, families.taylor_green(make_grid(2, 16), amplitude=1e308))
+        out = tmp_path / "run"
+        code = main(["evolve", "--out", str(out)] + [
+            arg for item in ("grid_size=16", "psi.enabled=true", "psi.forcing.name=checkpoint",
+                             f"psi.forcing.path={ckpt}")
+            for arg in ("--set", item)
+        ])
+        assert code == 4
+        assert f"{ckpt}: psi forcing overflows when transformed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_forcing_not_read_with_psi_off(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.ckpt"
         forcing = json.dumps({"name": "checkpoint", "path": str(missing)})

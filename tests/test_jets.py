@@ -424,12 +424,12 @@ class TestNumericEvaluation:
     ):
         u = Field(grid1d, rng.standard_normal(grid1d.shape))
         expr = parse_core("u1_x1 + u1*u1_x1x1", n=1, N=1)
-        d = grid1d.derivatives[0]
-        spectrum = np.fft.fftn(u.values, axes=(-1,))
+        d = grid1d.rderivatives[0]
+        spectrum = np.fft.rfftn(u.values, axes=(-1,))
         want = {
             JetIndex(1): u.values,
-            JetIndex(1, ("x1",)): np.fft.ifftn(spectrum * d, axes=(-1,)).real,
-            JetIndex(1, ("x1", "x1")): np.fft.ifftn(spectrum * d * d, axes=(-1,)).real,
+            JetIndex(1, ("x1",)): np.fft.irfftn(spectrum * d, grid1d.shape, axes=(-1,)),
+            JetIndex(1, ("x1", "x1")): np.fft.irfftn(spectrum * d * d, grid1d.shape, axes=(-1,)),
         }
         transform_counts.update(calls=0, complex=0, transforms=0)
         forbid_nd_transforms()
@@ -437,9 +437,27 @@ class TestNumericEvaluation:
         assert got.keys() == want.keys()
         for idx, w in want.items():
             np.testing.assert_array_equal(got[idx].values, w)
-        # one forward transform of u1, one inverse per differentiated jet
-        assert (transform_counts["calls"], transform_counts["complex"]) == (3, 3)
+        # one rfft of u1, one irfft per differentiated jet, no complex call
+        assert (transform_counts["calls"], transform_counts["complex"]) == (3, 0)
         assert transform_counts["transforms"] == 3
+
+    def test_two_dimensional_makes_real_calls_only(self, rng, transform_counts, monkeypatch):
+        grid = make_grid(2, 32)
+        u = Field(grid, rng.standard_normal((2,) + grid.shape))
+        expr = parse_core("u1*u1_x1 + u2*u1_x2 + u1_x1x2; u2_x2x2*u1 + u2", n=2, N=2)
+        transform_counts.update(calls=0, complex=0, transforms=0)
+        for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"):
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"numpy.fft.{_name} called")
+
+            monkeypatch.setattr(np.fft, name, refuse)
+        got = jet_values(expr, u)
+        assert len(got) == 6
+        # one rfftn of each of u1 and u2, one irfftn per differentiated
+        # jet (u1_x1, u1_x2, u1_x1x2, u2_x2x2)
+        assert (transform_counts["calls"], transform_counts["complex"]) == (6, 0)
+        assert transform_counts["transforms"] == 6
 
     def test_constant_needs_grid(self, grid1d):
         e = JetExpr.constant(1, 1, Fraction(5, 2))
@@ -454,9 +472,10 @@ class TestNumericEvaluation:
 
 
 class TestAgainstChainedTransforms:
-    """jet_values and jet_evaluate against one complex round trip per
-    derivative and per dealiased product, on white noise, which fills
-    the Nyquist planes."""
+    """jet_values and jet_evaluate against transform chains on white noise,
+    which fills the Nyquist planes: a first-order jet is one real round
+    trip, and the complex chain (one complex round trip per derivative and
+    per dealiased product) is an independent reference."""
 
     CORES = {
         1: "u1_t + u1*u1_x1 - 3*u1_x1x1*u1_x1 + 2/3*u1*u1_x1*u1_x1x1 + u1_x1t + 5",
@@ -480,12 +499,29 @@ class TestAgainstChainedTransforms:
         return sum(d.startswith("x") for d in idx.derivs)
 
     def test_first_order_jets_bit_for_bit(self, case):
+        # rfftn, times grid.rderivatives, irfftn
         expr, u, u_t, values = case
-        oracle = chained_jet_values(values, u.values, u_t.values)
+        grid = u.grid
+        axes = tuple(range(-grid.n, 0))
         first = [idx for idx in values if self._spatial_order(idx) <= 1]
         assert any(self._spatial_order(idx) == 1 for idx in first)
         for idx in first:
-            np.testing.assert_array_equal(values[idx].component(0), oracle[idx])
+            want = (u_t if "t" in idx.derivs else u).component(idx.component - 1)
+            for d in idx.derivs:
+                if d.startswith("x"):
+                    coeffs = np.fft.rfftn(want, axes=axes) * grid.rderivatives[int(d[1:]) - 1]
+                    want = np.fft.irfftn(coeffs, grid.shape, axes=axes)
+            np.testing.assert_array_equal(values[idx].component(0), want)
+
+    def test_first_order_jets_match_the_complex_chain(self, case):
+        expr, u, u_t, values = case
+        oracle = chained_jet_values(values, u.values, u_t.values)
+        first = [idx for idx in values if self._spatial_order(idx) == 1]
+        assert first
+        for idx in first:
+            want = oracle[idx]
+            err = np.max(np.abs(values[idx].component(0) - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), idx
 
     def test_second_order_jets(self, case):
         expr, u, u_t, values = case

@@ -9,6 +9,7 @@ numeric check, 2 invalid config, 3 simulation diverged, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -93,7 +94,6 @@ def _coerce_override(text: str):
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Set each dotted key=value; an object the config does not give starts
     from its RunConfig default."""
-    defaults = asdict(RunConfig())
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -102,7 +102,7 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
         target = raw
         for depth, key in enumerate(keys[:-1]):
             if key not in target:
-                default = defaults.get(_FIELD_OF.get(".".join(keys[: depth + 1])))
+                default = asdict(RunConfig()).get(_FIELD_OF.get(".".join(keys[: depth + 1])))
                 target[key] = default if isinstance(default, dict) else {}
             target = target[key]
             if not isinstance(target, dict):
@@ -313,17 +313,24 @@ def _residual_stacks(
 
     Windows share the nodes they hold to the last bit: each generator is
     transformed forward once and r formed once per distinct node, where
-    the slices are dropped once r is formed.
+    the slices are dropped once r is formed.  Of ut_gen only the rows up
+    to the last one a t jet reads are propagated, none if no jet has a t.
     """
+    table = core if source is None else JetExpr(core.n, core.N, core.terms + source.terms)
+    ut_rows = max((f.component for f in table.jet_indices() if "t" in f.derivs), default=0)
     etas = list(dict.fromkeys(float(eta) for window in windows for eta in window))
     centres = () if source is None else {float(w[len(w) // 2]) for w in windows}
     deltas = [eta - epsilon for eta in etas]
-    slices = (heat_propagate_many(g.with_values(eta=epsilon), deltas) for g in (u_gen, ut_gen))
+    u_slices = heat_propagate_many(u_gen.with_values(eta=epsilon), deltas)
+    ut_slices = [None] * len(deltas)
+    if ut_rows:
+        ut_cut = ut_gen.with_values(ut_gen.values[:ut_rows], eta=epsilon)
+        ut_slices = heat_propagate_many(ut_cut, deltas)
     r, s = {}, {}
-    for eta, u, u_t in zip(etas, *slices):
+    for eta, u, u_t in zip(etas, u_slices, ut_slices):
         if eta in centres:
-            jets = jet_values(JetExpr(core.n, core.N, core.terms + source.terms), u, u_t)
-            r[eta], s[eta] = jet_evaluate(core, jets), jet_evaluate(source, jets)
+            jets = jet_values(table, u, u_t)
+            r[eta], s[eta] = jet_evaluate(core, jets, u), jet_evaluate(source, jets, u)
             del jets  # the largest table alive; it must not outlive its node
         else:
             r[eta] = exact_residual(core, u, u_t)
@@ -624,7 +631,8 @@ def build_spec(args) -> ExperimentSpec:
     )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scalepde",
         description="Scale-filtered PDE laboratory: filtering, sources, residuals, evolution.",
@@ -639,7 +647,11 @@ def main(argv=None) -> int:
         help="override a config entry (dotted paths allowed)",
     )
     parser.add_argument("--seed", type=int, help="override the RNG seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec = build_spec(args)
         return run_command(spec)

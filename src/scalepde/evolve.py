@@ -657,14 +657,14 @@ def _diagnose(
         div_max = _peak(div)  # before the slope rows reuse dv
         rows = len(sigma)
         s_hat = _band_rfft(grid, sigma, out=ws.spec[:rows], scratch=ws.half[:rows])
-        r_hat = ws.k[:n]  # -2 q div sigma; the pair (a, b) is row a + b for n <= 2
+        r_hat = ws.k[:n]  # 2 q div sigma = -r: the norms read no sign; (a, b) is row a + b
         for a in range(n):
             np.multiply(s_hat[a], d[0], out=r_hat[a])
             if n == 2:
                 r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[rows])
         for row in r_hat:  # by the real q2 part by part: no complex cast of q2
             for part in (row.real, row.imag):
-                np.negative(np.multiply(part, ws.q2, out=part), out=part)
+                np.multiply(part, ws.q2, out=part)
         r_l2, r_max = _value_norms(grid, _band_irfft(grid, r_hat, out=ws.prod[:n]))
     else:
         div_hat = np.multiply(v_hat[0], d[0], out=ws.spec[:1])

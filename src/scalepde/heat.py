@@ -127,12 +127,6 @@ class ScaleStack(_Ladder):
         d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / self.delta_eta**2
         return float(np.max(np.abs(d2)))
 
-    @classmethod
-    def from_fields(cls, fields) -> "ScaleStack":
-        """Assemble a stack from fields that already carry their eta."""
-        fields = tuple(fields)
-        return cls(np.array([f.eta for f in fields]), fields)
-
 
 @dataclass(frozen=True)
 class SpectralStack(_Ladder):

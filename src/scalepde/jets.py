@@ -237,10 +237,6 @@ class JetExpr:
     def jet_indices(self) -> set[JetIndex]:
         return {f for part in self.terms for m in part for f in m.factors}
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not part for part in self.terms)
-
     def _binary(self, other: "JetExpr", sign: int) -> "JetExpr":
         if (self.n, self.N) != (other.n, other.N):
             raise ValueError("expressions live in different jet spaces")
@@ -634,18 +630,16 @@ def jet_frechet(core: JetExpr) -> FrechetTable:
     return FrechetTable(zero_order=zero, first_order=first)
 
 
-def jet_values(
-    expr: JetExpr, u: Field, u_t: Field | None = None
-) -> dict[JetIndex, Field]:
-    """Numeric values for every jet variable the expression needs.
+def jet_values(expr: JetExpr, u: Field, u_t: Field | None = None) -> dict[JetIndex, np.ndarray]:
+    """Each jet variable the expression needs, as values on the slice's grid.
 
-    Component alpha maps to u.component(alpha - 1); spatial derivatives
-    are spectral on the half spectrum, one real inverse transform per jet
-    of one real forward transform per differentiated component, times
-    ``grid.rderivatives``.  A single t-derivative reads from u_t;
-    higher time or any eta derivatives cannot be formed from slice data.
+    Component alpha is u.component(alpha - 1), a read-only view; spatial
+    derivatives are spectral on the half spectrum, one real inverse
+    transform per jet of one real forward transform per differentiated
+    component, times ``grid.rderivatives``.  A single t-derivative reads
+    from u_t; higher time or any eta derivatives cannot be formed.
     """
-    values: dict[JetIndex, Field] = {}
+    values: dict[JetIndex, np.ndarray] = {}
     # jets of one field and component in a row, so one spectrum is live
     order = sorted(expr.jet_indices(), key=lambda i: (i.derivs.count("t"), i.sort_key()))
     spectrum_of, spectrum = None, None
@@ -665,7 +659,7 @@ def jet_values(
                 f"jet variable {idx} exceeds field component count {base.ncomp}"
             )
         grid = base.grid
-        vals = base.component(idx.component - 1)[np.newaxis]
+        vals = base.component(idx.component - 1)
         spatial = [int(d[1:]) - 1 for d in idx.derivs if d.startswith("x")]
         if spatial:
             if max(spatial) >= grid.n:
@@ -680,23 +674,21 @@ def jet_values(
             for axis in spatial[1:]:
                 coeffs *= grid.rderivatives[axis]
             vals = _irfft(grid, coeffs)
-        values[idx] = Field(grid, vals, t=u.t, eta=u.eta)
+        values[idx] = vals
     return values
 
 
-def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, Field]) -> Field:
-    """Evaluate a jet polynomial on numeric jet values.
+def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], u: Field) -> Field:
+    """Evaluate a jet polynomial on the jet values read off the slice u.
 
     Nonlinear terms are dealiased pseudo-spectrally: the quadratic
     monomials of each output are summed and the sum dealiased once, and
     a monomial of three or more factors is dealiased after each product
-    of two.  The grid, t and eta come from the jet values, so a constant
-    expression, which needs none, cannot be evaluated.
+    of two.  The grid, t and eta come from u, so a constant expression
+    evaluates to its constant; the Field returned is where the values
+    are checked.
     """
-    if not jets:
-        raise ValueError("no jet values to take the grid from")
-    sample = next(iter(jets.values()))
-    grid, t, eta = sample.grid, sample.t, sample.eta
+    grid = u.grid
     out = np.zeros((expr.num_outputs,) + grid.shape)
     for a, part in enumerate(expr.terms):
         quadratic = None
@@ -704,7 +696,7 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, Field]) -> Field:
             for f in m.factors:
                 if f not in jets:
                     raise ValueError(f"missing jet value for {f}")
-            vals = [jets[f].component(0) for f in m.factors]
+            vals = [jets[f] for f in m.factors]
             if len(vals) == 2:
                 term = float(m.coeff) * (vals[0] * vals[1])
                 quadratic = term if quadratic is None else quadratic + term
@@ -715,4 +707,4 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, Field]) -> Field:
             out[a] += float(m.coeff) * prod
         if quadratic is not None:
             out[a] += _dealias_values(grid, quadratic)
-    return Field(grid, out, t=t, eta=eta)
+    return Field(grid, out, t=u.t, eta=u.eta)

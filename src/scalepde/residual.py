@@ -24,7 +24,7 @@ _CLOSURES = ("none", "helmholtz")
 def exact_residual(core: JetExpr, u: Field, u_t: Field | None = None) -> Field:
     """r = F(u, u_t), the core's jet polynomial evaluated on the slice;
     u_t is needed only when the core has a t entry."""
-    return jet_evaluate(core, jet_values(core, u, u_t))
+    return jet_evaluate(core, jet_values(core, u, u_t), u)
 
 
 def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:

@@ -59,10 +59,11 @@ def transform_counts(monkeypatch):
     do (one per transformed field) and Field constructions.
 
     A one-axis call (``fft``, ``ifft``, ``rfft``, ``irfft``) along the last
-    axis of a stack (rows, *grid.shape) counts one transform per row: the
-    1-D transforms of ``grid``, and the row pass of a band transform
-    (``grid._band_rfft``/``_band_irfft``).  In 2-D a band transform's
-    complex pass along axis -2 counts as a call only."""
+    axis of a stack (rows, *grid.shape) counts one transform per row, and
+    on a single 1-D row one: the 1-D transforms of ``grid``, and the row
+    pass of a band transform (``grid._band_rfft``/``_band_irfft``).  In
+    2-D a band transform's complex pass along axis -2 counts as a call
+    only."""
     counts = {"calls": 0, "complex": 0, "transforms": 0, "fields": 0}
     for name in _FFT_ENTRY_POINTS:
 
@@ -72,7 +73,9 @@ def transform_counts(monkeypatch):
                 counts["complex"] += "rfft" not in _name
                 one_axis = _name in ("fft", "ifft", "rfft", "irfft")
                 counts["transforms"] += (
-                    np.shape(a)[0] if one_axis else _batch_size(a, kwargs.get("axes"))
+                    (np.shape(a)[0] if np.ndim(a) > 1 else 1)
+                    if one_axis
+                    else _batch_size(a, kwargs.get("axes"))
                 )
             return _orig(a, *args, **kwargs)
 

@@ -188,7 +188,7 @@ class TestFilterDefect:
     def test_manufactured_defect_matches_analytic(self, grid2d):
         nodes = np.linspace(0.04, 0.12, 33)
         fields = [manufactured_scalar_2d(grid2d, float(e))[0] for e in nodes]
-        stack = ScaleStack.from_fields(fields)
+        stack = ScaleStack(nodes, fields)
         psi = filter_defect(stack).field(15)
         analytic = manufactured_scalar_2d(grid2d, float(nodes[16]))[1]
         err = field_norms(psi - analytic)[1]
@@ -243,8 +243,8 @@ class TestDuhamel:
         eps, eta0, K = 0.04, 0.12, 17
         h = (eta0 - eps) / (K - 1)
         big_nodes = [eps + (j - 1) * h for j in range(K + 2)]
-        big = ScaleStack.from_fields(
-            [manufactured_scalar_2d(grid2d, float(e))[0] for e in big_nodes]
+        big = ScaleStack(
+            big_nodes, [manufactured_scalar_2d(grid2d, float(e))[0] for e in big_nodes]
         )
         anchor, target = big.fields[1], big.fields[K]
         direct = target - heat_propagate(anchor, target.eta - anchor.eta)

@@ -48,6 +48,14 @@ class TestExactResidual:
         expected = 0.2 * np.cos(x) + 0.5 * np.sin(2 * x)
         assert np.max(np.abs(r.component(0) - expected)) <= 1e-12
 
+    def test_builds_one_field(self, grid2d, rng, transform_counts):
+        # the jet table holds arrays; r is the one Field, where they are checked
+        u, u_t = (Field(grid2d, rng.standard_normal((3,) + grid2d.shape)) for _ in range(2))
+        transform_counts["fields"] = 0
+        r = exact_residual(fluid_core(2), u, u_t)
+        assert transform_counts["fields"] == 1
+        assert (r.grid, r.ncomp) == (grid2d, 3)
+
 
 class TestResidualDefect:
     def test_constant_residual_zero_source(self, grid1d):
@@ -196,7 +204,7 @@ class TestFrechetContraction:
         mid = K // 2
         source = derive_source(core)
         s_mid = jet_evaluate(
-            source, jet_values(source, slices[mid].u, slices[mid].u_t)
+            source, jet_values(source, slices[mid].u, slices[mid].u_t), slices[mid].u
         )
         measured = residual_defect(r_stack, s_mid, mid)
         predicted = frechet_contraction(

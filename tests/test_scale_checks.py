@@ -123,6 +123,10 @@ class TestWorkBudget:
         capsys.readouterr()
         assert code == 0
         assert transform_counts["calls"] <= 650
+        # u_t's pressure row is read by no jet, so it is not propagated: the
+        # heat propagation transforms 3 + 2 rows forward and as many back at
+        # each of the 7 distinct nodes (180 with all three rows of u_t)
+        assert transform_counts["transforms"] == 172
 
     @pytest.mark.parametrize(
         "case, complex_calls, real_calls", [("residual_fluid", 16, 120), ("duhamel", 0, 96)]
@@ -148,7 +152,8 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "closure")
         capsys.readouterr()
         assert code == 0
-        assert transform_counts["fields"] <= 310
+        # jet tables hold arrays: the r stack's Fields alone, no Field per jet
+        assert transform_counts["fields"] <= 212
 
     def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
         forward = []

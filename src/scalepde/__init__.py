@@ -16,7 +16,6 @@ from .grid import (
     spectral_derivative,
 )
 from .heat import (
-    DefectStack,
     ScaleStack,
     SpectralStack,
     build_scale_stack,

@@ -555,7 +555,7 @@ def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     if config.n != 1:
         raise ConfigError("burgers-reference needs n = 1")
     grid = make_grid(1, config.grid_size)
-    times = [round(j * config.t_end / 4.0, 12) for j in range(5)]
+    times = [round(j * config.t_end / 4.0, 12) for j in range(4)] + [config.t_end]
     ref = reference_burgers(grid, config.t_end, snapshot_times=times)
     rows = []
     for i, t in enumerate(ref.times):

@@ -794,7 +794,8 @@ def reference_burgers(
     """Solve inviscid Burgers from u0 = sin x on a 4x refined grid.
 
     RK4 steps of a quarter of the fine spacing.  Valid strictly before
-    shock formation at t = 1.
+    shock formation at t = 1, and refused (ValueError) when the final
+    spectrum's top third of the 2/3 band exceeds 1e-6 of its largest mode.
     """
     if coarse.n != 1:
         raise ValueError("the reference problem is one dimensional")
@@ -831,6 +832,14 @@ def reference_burgers(
         t = target
         times.append(target)
         snapshots.append(Field(fine, _irfft(fine, u_hat), t=target))
+    # the top third of the band, 2b // 3 <= k < b, against the largest mode
+    mags, b = np.abs(u_hat[0]), fine.band
+    share = float(np.max(mags[2 * b // 3 : b]) / np.max(mags))
+    if share > 1e-6:
+        raise ValueError(
+            f"the Burgers reference does not resolve t_end={t_end} on {fine.size} fine points: "
+            f"the top third of its band holds {share:.2g} of the largest mode, above 1e-06"
+        )
     return BurgersReference(coarse=coarse, fine=fine, times=times, snapshots=snapshots)
 
 

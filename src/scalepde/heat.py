@@ -1,13 +1,13 @@
 """Heat-semigroup scale filtering and scale stacks.
 
 The filter is the solution operator of d/d(eta) u = laplacian(u) on the
-torus: each Fourier mode is damped by exp(-delta_eta * |k|^2).  A scale
-stack samples one family on a uniform ladder of eta nodes and supports
-centered differencing in eta, the filter defect psi, the deviation from
-the filtered family through one node, and the Duhamel reconstruction of
-that deviation.  The last three are formed on the stack's half spectra,
-made once; a ladder kept as its spectra alone (``SpectralStack``) serves
-them too.
+torus: each Fourier mode is damped by exp(-delta_eta * |k|^2).  A ladder
+samples one family on uniform eta nodes, as physical fields
+(``ScaleStack``: centred differences and curvature in eta) or as half
+spectra alone (``SpectralStack``).  The filter defect psi, the deviation
+from the filtered family through one node and the Duhamel reconstruction
+of that deviation take a ``SpectralStack``; psi is itself one, on the
+interior nodes of a ladder of at least 5.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _fft, _ifft, _irfft, _rfft
+from .grid import Field, Grid, _fft, _ifft, _irfft
 
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
@@ -33,8 +33,9 @@ def heat_propagate_many(f: Field, deltas) -> Iterator[Field]:
     those it keeps stay alive.  Each is the same to the last bit as a
     propagation on its own.  The transforms stay complex: the check values
     built on these fields (``residual-check``'s defect) are pinned to
-    1e-6 relative, and real transforms here move them by more than that
-    (1.10e-6 together with the jets' real transforms).
+    1e-6 relative, and real transforms here move ``residual-check fluid``'s
+    max_e_2 by 3.4e-7, on a value that already sits 7.65e-7 from its
+    recorded reference; a re-recorded reference would allow them.
     """
     deltas = tuple(deltas)
     if min(deltas, default=0.0) < 0.0:
@@ -79,7 +80,7 @@ class _Ladder:
 
 @dataclass(frozen=True)
 class ScaleStack(_Ladder):
-    """Fields sampled on a uniform ladder of at least three eta nodes."""
+    """Physical fields on a uniform ladder of at least three eta nodes."""
 
     eta_nodes: np.ndarray
     fields: tuple[Field, ...]
@@ -111,16 +112,6 @@ class ScaleStack(_Ladder):
         return self.fields[0].t
 
     @cached_property
-    def spectra(self) -> np.ndarray:
-        """The half spectra of the nodes, (K, ncomp, *rshape): one forward
-        transform per node, made once."""
-        grid = self.grid
-        out = np.empty((self.K, self.fields[0].ncomp) + grid.rshape, dtype=complex)
-        for f, coeffs in zip(self.fields, out):
-            _rfft(grid, f.values, out=coeffs)
-        return out
-
-    @cached_property
     def peak_curvature(self) -> float:
         """max |d2f/d(eta)2| over the interior nodes, by centered differences."""
         vals = np.stack([f.values for f in self.fields])
@@ -144,6 +135,11 @@ class SpectralStack(_Ladder):
         shapes = {c.shape for c in self.spectra}
         if len(self.spectra) != self.K or len(shapes) != 1 or shapes.pop()[1:] != self.grid.rshape:
             raise ValueError("need one spectrum per node, all of one shape (ncomp, *grid.rshape)")
+
+    def field(self, j: int) -> Field:
+        """Node j's field, by one inverse transform."""
+        grid = self.grid
+        return Field(grid, _irfft(grid, self.spectra[j]), t=self.t, eta=float(self.eta_nodes[j]))
 
 
 def build_scale_stack(generator: Field, epsilon: float, eta0: float, K: int) -> ScaleStack:
@@ -177,45 +173,13 @@ def _damping(grid: Grid, delta_eta: float) -> np.ndarray:
     return np.exp(-delta_eta * grid.rksq)
 
 
-@dataclass(frozen=True)
-class DefectStack:
-    """The filter defect psi on the interior nodes of a stack, kept as its
-    half spectra (K - 2, ncomp, *rshape): the Duhamel quadrature sums them
-    as they are, and a node's field takes one inverse transform."""
-
-    stack: ScaleStack | SpectralStack
-    spectra: np.ndarray
-
-    @property
-    def eta_nodes(self) -> np.ndarray:
-        return self.stack.eta_nodes[1:-1]
-
-    @property
-    def K(self) -> int:
-        return self.stack.K - 2
-
-    @property
-    def delta_eta(self) -> float:
-        return self.stack.delta_eta
-
-    @property
-    def grid(self) -> Grid:
-        return self.stack.grid
-
-    @property
-    def t(self) -> float:
-        return self.stack.t
-
-    def field(self, j: int) -> Field:
-        """psi at interior node j, stack node j + 1."""
-        eta = float(self.eta_nodes[j])
-        return Field(self.grid, _irfft(self.grid, self.spectra[j]), t=self.t, eta=eta)
-
-
-def filter_defect(stack: ScaleStack | SpectralStack) -> DefectStack:
+def filter_defect(stack: SpectralStack) -> SpectralStack:
     """psi = d(u)/d(eta) - laplacian(u) at every interior node, on the half
     spectrum: (u_{j+1} - u_{j-1}) / (2 h) + |k|^2 u_j, the centred
-    difference of ``eta_derivative``."""
+    difference of ``eta_derivative``.  psi is a ladder of K - 2 >= 3 nodes,
+    so the stack needs at least 5."""
+    if stack.K < 5:
+        raise ValueError(f"filter defect needs a ladder of at least 5 eta nodes, got {stack.K}")
     u_hat, rksq = stack.spectra, stack.grid.rksq
     psi_hat = np.empty((stack.K - 2,) + u_hat[0].shape, dtype=complex)
     # a product, since a complex array divides by a real scalar six times slower
@@ -224,13 +188,13 @@ def filter_defect(stack: ScaleStack | SpectralStack) -> DefectStack:
         np.subtract(u_hat[j + 1], u_hat[j - 1], out=out)
         out *= half_over_h
         out += rksq * u_hat[j]
-    return DefectStack(stack, psi_hat)
+    return SpectralStack(stack.grid, stack.eta_nodes[1:-1], psi_hat, stack.t)
 
 
-def filter_deviation(stack: ScaleStack | SpectralStack, anchor: int, node: int) -> Field:
+def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> Field:
     """u at a node minus the filtered family through the anchor node,
-    u_node - exp((eta_node - eta_anchor) laplacian) u_anchor, on the half
-    spectrum and transformed back once."""
+    u_node - exp((eta_node - eta_anchor) laplacian) u_anchor, on the
+    ladder's half spectra and transformed back once."""
     if not 0 <= anchor <= node < stack.K:
         raise ValueError(f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}")
     grid, u_hat, nodes = stack.grid, stack.spectra, stack.eta_nodes
@@ -239,13 +203,13 @@ def filter_deviation(stack: ScaleStack | SpectralStack, anchor: int, node: int) 
     return Field(grid, _irfft(grid, dev_hat), t=stack.t, eta=float(nodes[node]))
 
 
-def duhamel_integral(psi_stack: ScaleStack | DefectStack, target_node: int) -> Field:
+def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
     """Trapezoid quadrature of propagated defects up to a target node.
 
     Approximates the deviation of the family psi measures from the
-    matched filtered family anchored at psi's first node.  The weighted,
-    damped defects are summed on their half spectra and transformed back
-    once.
+    matched filtered family anchored at psi's first node.  psi_stack is
+    ``filter_defect``'s ladder: its weighted, damped spectra are summed
+    with its own spacing and transformed back once.
     """
     if not 1 <= target_node <= psi_stack.K - 1:
         raise ValueError(f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}")

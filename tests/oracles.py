@@ -7,7 +7,8 @@ characteristics solved pointwise by Newton iteration, and the evolution
 right-hand sides, the filter stress, source and advection, the
 hand-written core residuals, jet values, jet polynomials and the Duhamel
 sum are rebuilt from plain numpy complex transforms, one round trip per
-operator.  The Frechet table of a core comes from formal partials,
+operator; a ladder's half spectra come from one ``numpy.fft.rfftn`` per
+node.  The Frechet table of a core comes from formal partials,
 counting how often each jet variable occurs in a monomial, not from
 the product rule.  The manufactured families are
 closed-form fields whose time derivatives and filter defects are written
@@ -471,6 +472,17 @@ def manufactured_scalar_2d(grid: Grid, eta: float, t: float = 0.0) -> tuple[Fiel
         return Field(grid, (w1 * m1 + w2 * m2 + w3 * m3)[np.newaxis], t=t, eta=eta)
 
     return field((a, b, c)), field(psi_weights)
+
+
+def spectral_stack(fields) -> SpectralStack:
+    """The ladder of fields kept as their half spectra, one
+    ``numpy.fft.rfftn`` over the spatial axes per node, at the fields'
+    own scales and slice time."""
+    fields = list(fields)
+    grid = fields[0].grid
+    axes = tuple(range(1, grid.n + 1))
+    spectra = [np.fft.rfftn(f.values, axes=axes) for f in fields]
+    return SpectralStack(grid, [f.eta for f in fields], spectra, fields[0].t)
 
 
 def per_ladder_residual_errors(core: JetExpr, u_gen: Field, ut_gen: Field,

@@ -50,7 +50,12 @@ from scalepde.families import (
     single_mode_solenoidal,
     taylor_green,
 )
-from oracles import manufactured_burgers, manufactured_fluid, manufactured_scalar_2d
+from oracles import (
+    manufactured_burgers,
+    manufactured_fluid,
+    manufactured_scalar_2d,
+    spectral_stack,
+)
 
 
 def _verdict(capsys, name: str, ok: bool, detail: str, elapsed: float, cap: float):
@@ -293,18 +298,16 @@ class TestAcceptance:
         for K in (9, 17, 33):
             h = (eta0 - epsilon) / (K - 1)
             big_nodes = [epsilon + (j - 1) * h for j in range(K + 2)]
-            big = ScaleStack(
-                big_nodes, [manufactured_scalar_2d(grid, float(e))[0] for e in big_nodes]
-            )
-            psi = filter_defect(big)
+            big = [manufactured_scalar_2d(grid, float(e))[0] for e in big_nodes]
+            psi = filter_defect(spectral_stack(big))
             psi_fields = [psi.field(j) for j in range(K)]
-            anchor = big.fields[1]
-            direct = big.fields[K] - heat_propagate(anchor, big.fields[K].eta - anchor.eta)
+            anchor = big[1]
+            direct = big[K] - heat_propagate(anchor, big[K].eta - anchor.eta)
             quad = duhamel_integral(psi, K - 1)
             errors.append(field_norms(direct - quad.with_values(t=direct.t))[1])
             sup_psi = max(field_norms(p)[1] for p in psi_fields)
             for j in range(1, K + 1):
-                dev = big.fields[j] - heat_propagate(anchor, big.fields[j].eta - anchor.eta)
+                dev = big[j] - heat_propagate(anchor, big[j].eta - anchor.eta)
                 margins.append(field_norms(dev)[1] / (big_nodes[j] * sup_psi))
         orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
         final_order = orders[-1]

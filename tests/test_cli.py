@@ -600,6 +600,27 @@ class TestBurgersReferenceCommand:
         u, _ = read_checkpoint(out / "u_final.ckpt")
         assert abs(u.t - 0.2) <= 1e-12
 
+    def test_last_row_is_t_end(self, tmp_path, capsys):
+        # the quarter times are rounded to 12 decimals, the end itself is not
+        out, t_end = tmp_path / "ref", 0.123456789012345
+        code = main(["burgers-reference", "--out", str(out), "--set", "n=1",
+                     "--set", f"t_end={t_end}"])
+        capsys.readouterr()
+        assert code == 0
+        rows = (out / "reference_norms.csv").read_text().splitlines()[2:]
+        assert len(rows) == 5
+        assert float(rows[-1].split(",")[0]) == t_end
+        assert json.loads((out / "report.json").read_text())["times"][-1] == t_end
+
+    def test_unresolved_t_end_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ref"
+        code = main(["burgers-reference", "--out", str(out), "--set", "n=1",
+                     "--set", "grid_size=64", "--set", "t_end=0.999"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "t_end=0.999" in err and "256 fine points" in err and "0.013" in err
+        assert not (out / "report.json").exists()
+
     def test_needs_one_dimension(self, capsys):
         code = main(["burgers-reference", "--set", "core=burgers"])
         assert code == 2

@@ -851,6 +851,17 @@ class TestBurgersReference:
         with pytest.raises(ValueError, match="one dimensional"):
             reference_burgers(grid2d, 0.1)
 
+    @pytest.mark.parametrize("size", [32, 64, 128])
+    def test_resolved_at_half(self, size):
+        # the top third of the band holds at most 3.9e-8 of the largest mode
+        ref = reference_burgers(make_grid(1, size), 0.5)
+        assert ref.times == [0.5]
+
+    def test_unresolved_end_rejected(self):
+        # past t = 0.75 on 256 fine points the spectrum fills the band
+        with pytest.raises(ValueError, match=r"t_end=0.999 on 256 fine points.* 0.013 "):
+            reference_burgers(make_grid(1, 64), 0.999)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, grid2d, rng):

@@ -6,6 +6,7 @@ import pytest
 from scalepde import (
     Field,
     ScaleStack,
+    SpectralStack,
     build_scale_stack,
     divergence,
     duhamel_integral,
@@ -19,7 +20,7 @@ from scalepde import (
 )
 from scalepde.families import random_band_limited, random_solenoidal, taylor_green
 from scalepde.heat import heat_propagate_many
-from oracles import manufactured_scalar_2d, per_node_duhamel
+from oracles import manufactured_scalar_2d, per_node_duhamel, spectral_stack
 
 
 class TestHeatPropagate:
@@ -164,7 +165,7 @@ class TestEtaDerivative:
 class TestFilterDefect:
     def test_filtered_stack_defect_small(self, grid2d):
         stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, 33)
-        psi = filter_defect(stack).field(15)
+        psi = filter_defect(spectral_stack(stack.fields)).field(15)
         # members of the filter-map set have psi = O(delta_eta^2) only
         assert field_norms(psi)[1] <= 1e-4
 
@@ -172,7 +173,8 @@ class TestFilterDefect:
         errors = []
         for K in (9, 17, 33):
             stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, K)
-            errors.append(field_norms(filter_defect(stack).field(K // 2 - 1))[1])
+            psi = filter_defect(spectral_stack(stack.fields))
+            errors.append(field_norms(psi.field(K // 2 - 1))[1])
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 1.9
 
@@ -180,16 +182,14 @@ class TestFilterDefect:
         # fields constant in eta: d/d(eta) vanishes exactly, psi = -laplacian u
         x = grid1d.coords()[0]
         nodes = np.linspace(0.01, 0.05, 5)
-        fields = tuple(Field(grid1d, np.sin(x), eta=float(e)) for e in nodes)
-        stack = ScaleStack(nodes, fields)
-        psi = filter_defect(stack).field(1)
+        fields = [Field(grid1d, np.sin(x), eta=float(e)) for e in nodes]
+        psi = filter_defect(spectral_stack(fields)).field(1)
         assert np.max(np.abs(psi.component(0) - np.sin(x))) <= 1e-12
 
     def test_manufactured_defect_matches_analytic(self, grid2d):
         nodes = np.linspace(0.04, 0.12, 33)
         fields = [manufactured_scalar_2d(grid2d, float(e))[0] for e in nodes]
-        stack = ScaleStack(nodes, fields)
-        psi = filter_defect(stack).field(15)
+        psi = filter_defect(spectral_stack(fields)).field(15)
         analytic = manufactured_scalar_2d(grid2d, float(nodes[16]))[1]
         err = field_norms(psi - analytic)[1]
         assert err <= 5e-4  # second-order eta differencing floor
@@ -198,26 +198,22 @@ class TestFilterDefect:
 class TestDuhamel:
     def test_zero_defect(self, grid1d):
         nodes = np.linspace(0.02, 0.1, 9)
-        zeros = tuple(Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes)
-        stack = ScaleStack(nodes, zeros)
-        out = duhamel_integral(stack, 8)
+        zeros = [Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes]
+        out = duhamel_integral(spectral_stack(zeros), 8)
         assert np.max(np.abs(out.values)) == 0.0
         assert out.eta == pytest.approx(0.1)
 
     def test_constant_defect(self, grid1d):
         # psi = c constant in space and scale integrates to (eta - epsilon) c
         nodes = np.linspace(0.02, 0.1, 9)
-        fields = tuple(
-            Field(grid1d, np.full(grid1d.shape, 1.3), eta=float(e)) for e in nodes
-        )
-        stack = ScaleStack(nodes, fields)
-        out = duhamel_integral(stack, 8)
+        fields = [Field(grid1d, np.full(grid1d.shape, 1.3), eta=float(e)) for e in nodes]
+        out = duhamel_integral(spectral_stack(fields), 8)
         assert np.max(np.abs(out.values - 1.3 * 0.08)) <= 1e-13
 
     def test_target_validation(self, grid1d):
         nodes = np.linspace(0.02, 0.1, 9)
-        zeros = tuple(Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes)
-        stack = ScaleStack(nodes, zeros)
+        zeros = [Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes]
+        stack = spectral_stack(zeros)
         with pytest.raises(ValueError, match="target"):
             duhamel_integral(stack, 0)
         with pytest.raises(ValueError, match="target"):
@@ -229,9 +225,7 @@ class TestDuhamel:
         grid = make_grid(n, size)
         nodes = np.linspace(0.02, 0.1, 9)
         psi = np.random.default_rng(size).standard_normal((9, 2) + grid.shape)
-        stack = ScaleStack(
-            nodes, tuple(Field(grid, p, eta=float(e)) for p, e in zip(psi, nodes))
-        )
+        stack = spectral_stack(Field(grid, p, eta=float(e)) for p, e in zip(psi, nodes))
         for target in (1, 4, 8):
             got = duhamel_integral(stack, target)
             want = per_node_duhamel(psi, nodes, target)
@@ -243,12 +237,10 @@ class TestDuhamel:
         eps, eta0, K = 0.04, 0.12, 17
         h = (eta0 - eps) / (K - 1)
         big_nodes = [eps + (j - 1) * h for j in range(K + 2)]
-        big = ScaleStack(
-            big_nodes, [manufactured_scalar_2d(grid2d, float(e))[0] for e in big_nodes]
-        )
-        anchor, target = big.fields[1], big.fields[K]
+        big = [manufactured_scalar_2d(grid2d, float(e))[0] for e in big_nodes]
+        anchor, target = big[1], big[K]
         direct = target - heat_propagate(anchor, target.eta - anchor.eta)
-        quad = duhamel_integral(filter_defect(big), K - 1)
+        quad = duhamel_integral(filter_defect(spectral_stack(big)), K - 1)
         assert field_norms(direct - quad)[1] <= 1e-4
 
 
@@ -278,21 +270,27 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("n, size", [(1, 64), (2, 32)])
 class TestHalfSpectrumAgainstPhysical:
-    """psi, the deviations and the quadrature are formed on the stack's
+    """psi, the deviations and the quadrature are formed on the ladder's
     half spectra; white-noise ladders, Nyquist planes included, against
     their physical forms."""
 
-    def test_spectra_one_forward_transform_per_node_made_once(
+    def test_defect_is_a_spectral_ladder_on_the_interior_nodes(
         self, n, size, transform_counts
     ):
         stack = _white_noise_stack(n, size)
-        assert stack.spectra is stack.spectra
-        assert transform_counts["calls"] == stack.K
-        assert transform_counts["complex"] == 0
+        psi = filter_defect(spectral_stack(stack.fields))
+        assert isinstance(psi, SpectralStack)
+        np.testing.assert_array_equal(psi.eta_nodes, stack.eta_nodes[1:-1])
+        assert (psi.grid, psi.t) == (stack.grid, stack.t)
+        transform_counts.update(calls=0, complex=0, transforms=0)
+        psi.field(2)
+        assert {k: transform_counts[k] for k in ("calls", "complex", "transforms")} == {
+            "calls": 1, "complex": 0, "transforms": 2
+        }
 
     def test_defect_is_eta_derivative_minus_laplacian(self, n, size):
         stack = _white_noise_stack(n, size)
-        psi = filter_defect(stack)
+        psi = filter_defect(spectral_stack(stack.fields))
         assert psi.K == stack.K - 2
         np.testing.assert_array_equal(psi.eta_nodes, stack.eta_nodes[1:-1])
         got = [psi.field(j) for j in range(psi.K)]
@@ -304,8 +302,8 @@ class TestHalfSpectrumAgainstPhysical:
     def test_deviation_is_difference_from_propagated_anchor(self, n, size, anchor):
         stack = _white_noise_stack(n, size)
         base = stack.fields[anchor]
-        nodes = range(anchor, stack.K)
-        got = [filter_deviation(stack, anchor, j) for j in nodes]
+        nodes, spectral = range(anchor, stack.K), spectral_stack(stack.fields)
+        got = [filter_deviation(spectral, anchor, j) for j in nodes]
         want = [
             (stack.fields[j] - heat_propagate(base, stack.fields[j].eta - base.eta)).values
             for j in nodes
@@ -316,7 +314,7 @@ class TestHalfSpectrumAgainstPhysical:
 
     def test_quadrature_matches_per_node_propagation(self, n, size):
         stack = _white_noise_stack(n, size)
-        psi = filter_defect(stack)
+        psi = filter_defect(spectral_stack(stack.fields))
         physical = _physical_defects(stack)
         for target in (1, 3, psi.K - 1):
             got = duhamel_integral(psi, target)
@@ -327,9 +325,15 @@ class TestHalfSpectrumAgainstPhysical:
 
 def test_deviation_nodes_validated(grid1d):
     nodes = np.linspace(0.02, 0.1, 5)
-    stack = ScaleStack(
-        nodes, tuple(Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes)
-    )
+    stack = spectral_stack(Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes)
     for anchor, node in ((-1, 2), (3, 2), (0, 5)):
         with pytest.raises(ValueError, match="anchor"):
             filter_deviation(stack, anchor, node)
+
+
+def test_defect_needs_five_nodes(grid1d):
+    # psi lives on the interior nodes, a ladder of K - 2 >= 3
+    nodes = np.linspace(0.02, 0.1, 4)
+    stack = spectral_stack(Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes)
+    with pytest.raises(ValueError, match="at least 5 eta nodes, got 4"):
+        filter_defect(stack)

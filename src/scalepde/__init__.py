@@ -59,7 +59,6 @@ from .residual import (
     solve_residual_closure,
 )
 from .evolve import (
-    BurgersReference,
     ConfigError,
     DiagnosticsRecord,
     EvolutionState,

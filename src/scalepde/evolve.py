@@ -37,6 +37,8 @@ from .residual import _CLOSURES, _closure_multiplier
 
 # the longest run a config may ask for
 _MAX_STEPS = 10**6
+# the Burgers reference's fine grid has this many times the coarse points
+BURGERS_REFINEMENT = 4
 
 
 class ConfigError(ValueError):
@@ -86,16 +88,17 @@ def _check_closure(closure: str, eta: float):
 
 
 class _Stages:
-    """Buffers and multipliers of the RK4 stages of one run: one grid,
+    """Buffers and multipliers of the RK4 stages of one run: one 2-D grid,
     v or (v, psi), closure, eta and psi forcing, used by every stage, step
-    and diagnostics record of the states that carry it.
+    and diagnostics record of the states that carry it.  A 1-D grid is
+    refused (ValueError): a solenoidal field there is a constant, so a
+    1-D run could only evolve v = 0.
 
     Transport is -P div T for symmetric tensors T: v v and v psi + psi v.
-    P removes div(T^{nn} I), a gradient, so only T - T^{nn} I is
-    transformed, without its (n, n) row: in 2-D A = T^{00} - T^{11} and
+    P removes div(T^{11} I), a gradient, so only T - T^{11} I is
+    transformed, without its (1, 1) row: A = T^{00} - T^{11} and
     B = T^{01}, and -P div T = c (-d_1, d_0) with
-    c = (k_0 k_1 A + (k_1^2 - k_0^2) B) / |k|^2.  In 1-D no divergence
-    survives P, so nothing is transformed.  The helmholtz closure adds
+    c = (k_0 k_1 A + (k_1^2 - k_0^2) B) / |k|^2.  The helmholtz closure adds
     2 q sigma to v v, q = 1 / (|k|^2 + 1/eta); as 2 sigma = lap(v v) -
     v lap v - lap v v and 1 - q |k|^2 = q / eta, the sum is q / eta times
     the symmetric part of v w, w = v - 2 eta lap v.
@@ -115,12 +118,14 @@ class _Stages:
     """
 
     def __init__(self, grid: Grid, psi: bool, closure: str, eta: float, e_v: Field | None = None):
+        if grid.n != 2:
+            raise ValueError(f"slice evolution needs n = 2, got n={grid.n}")
         n, helmholtz = grid.n, closure == "helmholtz"
         m = self.m = n * (1 + psi)
         self.key = (grid, psi, closure, eta)
-        tensors = (m // n) * (n == 2)
+        tensors = 1 + psi
         self.grid, self.lap = grid, None  # the table of 2 eta lap, if the stages take it
-        rows = m + n * (helmholtz and tensors > 0)
+        rows = m + n * helmholtz
         band = (Ellipsis, slice(grid.band))  # views of the grid's tables
         bshape = grid.rshape[:-1] + (grid.band,)
         # full tables, so a multiply allocates no buffer to broadcast them
@@ -142,18 +147,17 @@ class _Stages:
         self.weights = np.empty((tensors, 2) + bshape)
         if helmholtz:  # twice the closure multiplier, within the band
             self.q2 = 2.0 * self.mask * _closure_multiplier(grid, eta)[band]
-        if tensors:
-            self.minus_d1 = np.negative(self.d[1])  # the velocity slope is c (-d_1, d_0)
-            k0, k1 = (np.imag(d) for d in self.d)
-            ksq = grid.rksq[band]
-            scale = self.mask / np.where(ksq > 0.0, ksq, 1.0)
-            self.weights[:] = (k0 * k1 * scale, (k1**2 - k0**2) * scale)
-            if m > n:  # psi's row A holds (T^{00} - T^{11}) / 2
-                self.weights[1, 0] *= 2.0
-            if helmholtz:  # v's rows are filtered by q / eta, and its row B holds 2 T^{01}
-                self.lap = -2.0 * eta * ksq
-                self.weights[0] *= self.q2 / (2.0 * eta)
-                self.weights[0, 1] *= 0.5
+        self.minus_d1 = np.negative(self.d[1])  # the velocity slope is c (-d_1, d_0)
+        k0, k1 = (np.imag(d) for d in self.d)
+        ksq = grid.rksq[band]
+        scale = self.mask / np.where(ksq > 0.0, ksq, 1.0)
+        self.weights[:] = (k0 * k1 * scale, (k1**2 - k0**2) * scale)
+        if psi:  # psi's row A holds (T^{00} - T^{11}) / 2
+            self.weights[1, 0] *= 2.0
+        if helmholtz:  # v's rows are filtered by q / eta, and its row B holds 2 T^{01}
+            self.lap = -2.0 * eta * ksq
+            self.weights[0] *= self.q2 / (2.0 * eta)
+            self.weights[0, 1] *= 0.5
         self.force(e_v)
         self._last = (None, None)
         self._values = None
@@ -214,39 +218,35 @@ class _Stages:
         grid, m, n, tensors = self.grid, self.m, self.grid.n, len(self.weights)
         spec, phys, prod, k, lap = self.spec, self.phys, self.prod, self.k, self.lap
         values, self._values = self._values, None
-        if not tensors:
-            k.fill(0.0)
+        if lap is not None:  # 2 eta lap v
+            np.multiply(spec[:n], lap, out=spec[m:])
+        if values is None:
+            _band_irfft(grid, spec, out=phys)
         else:
-            d0, d1 = self.d
-            if lap is not None:  # 2 eta lap v
-                np.multiply(spec[:n], lap, out=spec[m:])
-            if values is None:
-                _band_irfft(grid, spec, out=phys)
-            else:
-                np.concatenate(values, out=phys[:m])
-                if lap is not None:
-                    _band_irfft(grid, spec[m:], out=phys[m:])
-            v0, v1 = phys[0], phys[1]
-            a, b = prod[0], prod[1]
-            if lap is None:
-                np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
-                np.multiply(v0, v1, out=b)
-            else:  # A and 2 B of the symmetric part of v w, w = v - 2 eta lap v
-                w0, w1 = np.subtract(phys[:n], phys[m:], out=phys[m:])
-                np.subtract(np.multiply(v0, w0, out=a), np.multiply(v1, w1, out=b), out=a)
-                np.add(np.multiply(v0, w1, out=b), np.multiply(v1, w0, out=w0), out=b)
-            if m > n:
-                p0, p1, a, b = phys[2], phys[3], prod[2], prod[3]
-                np.subtract(np.multiply(v0, p0, out=a), np.multiply(v1, p1, out=b), out=a)
-                np.add(np.multiply(v0, p1, out=b), np.multiply(p0, v1, out=p0), out=b)
-            rows = 2 * tensors
-            t = _band_rfft(grid, prod[:rows], out=spec[:rows], scratch=self.half[:rows])
-            t = t.reshape(self.weights.shape)
-            t *= self.weights
-            c = np.add(t[:, 0], t[:, 1], out=t[:, 0])
-            fields = k.reshape((m // n, n) + k.shape[1:])
-            np.multiply(c[: m // n], self.minus_d1, out=fields[:, 0])
-            np.multiply(c[: m // n], d0, out=fields[:, 1])
+            np.concatenate(values, out=phys[:m])
+            if lap is not None:
+                _band_irfft(grid, spec[m:], out=phys[m:])
+        v0, v1 = phys[0], phys[1]
+        a, b = prod[0], prod[1]
+        if lap is None:
+            np.multiply(np.add(v0, v1, out=a), np.subtract(v0, v1, out=b), out=a)
+            np.multiply(v0, v1, out=b)
+        else:  # A and 2 B of the symmetric part of v w, w = v - 2 eta lap v
+            w0, w1 = np.subtract(phys[:n], phys[m:], out=phys[m:])
+            np.subtract(np.multiply(v0, w0, out=a), np.multiply(v1, w1, out=b), out=a)
+            np.add(np.multiply(v0, w1, out=b), np.multiply(v1, w0, out=w0), out=b)
+        if m > n:
+            p0, p1, a, b = phys[2], phys[3], prod[2], prod[3]
+            np.subtract(np.multiply(v0, p0, out=a), np.multiply(v1, p1, out=b), out=a)
+            np.add(np.multiply(v0, p1, out=b), np.multiply(p0, v1, out=p0), out=b)
+        rows = 2 * tensors
+        t = _band_rfft(grid, prod[:rows], out=spec[:rows], scratch=self.half[:rows])
+        t = t.reshape(self.weights.shape)
+        t *= self.weights
+        c = np.add(t[:, 0], t[:, 1], out=t[:, 0])
+        fields = k.reshape((tensors, n) + k.shape[1:])
+        np.multiply(c, self.minus_d1, out=fields[:, 0])
+        np.multiply(c, self.d[0], out=fields[:, 1])
         if self.e_hat is not None:
             k[n:] += self.e_hat
         return k
@@ -418,9 +418,8 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str) -> Fi
 
     Every family is solenoidal (``random_solenoidal`` is projected where
     it is built); ``build_initial_state`` cuts it to the 2/3 band.  The
-    errors left need the field: a non-finite amplitude (the caller ignores
-    overflow, which leaves non-finite values), and a family that does not
-    fit the grid.
+    one error left needs the field: a non-finite amplitude (the caller
+    ignores overflow, which leaves non-finite values).
     """
     params = dict(_IC_DEFAULTS[spec["name"]], **spec)
     name = params.pop("name")
@@ -434,8 +433,6 @@ def _build_ic(spec: dict, grid: Grid, rng: np.random.Generator, what: str) -> Fi
         return Field(grid, np.zeros((grid.n,) + grid.shape))
     except NonFiniteFieldError as err:
         raise _amplitude_error(what, spec) from err
-    except ValueError as err:
-        raise ConfigError(f"{what}.name={name!r} does not fit this grid: {err}") from err
 
 
 # each spec field's table: its names and the parameters each takes, with defaults
@@ -565,7 +562,8 @@ class RunConfig:
 def build_initial_state(config: RunConfig) -> EvolutionState:
     """The configured initial (v, psi) slice at t = 0, kept in a new run
     workspace as a step result is: the inverse of the built fields' band
-    coefficients, cut and projected once.  An overflow there names its key."""
+    coefficients, cut and projected once.  An overflow there names its key.
+    A 1-D config is refused by the workspace, before any field is built."""
     if config.core != "fluid":
         raise ConfigError("slice evolution supports the fluid core only")
     grid, rng = config.grid(), config.rng()
@@ -630,7 +628,7 @@ def _diagnose(
     The state a run records is band-limited (cut on entry and by every
     step), so v is transformed on the band, and not at all when it is the
     workspace's last Fields.  Without the closure div v is one inverse
-    transform of sum_a ik_a v_a; with it the n^2 velocity gradients, which
+    transform of sum_a ik_a v_a; with it the four velocity gradients, which
     sigma needs, give div v too, and r is the closure of the whole source
     -2 div sigma.  ``psi_norms`` are ``field_norms(state.psi_v)`` if the
     caller has them; they are taken here otherwise.
@@ -653,25 +651,22 @@ def _diagnose(
         sigma = ws.prod[: len(_tensor_pairs(n))]
         for row, (a, b) in zip(sigma, _tensor_pairs(n)):
             np.einsum("c...,c...->...", dv[a], dv[b], out=row)
-        div = np.add(dv[0, 0], dv[-1, -1], out=dv[0, 0]) if n == 2 else dv[0, 0]
-        div_max = _peak(div)  # before the slope rows reuse dv
+        # div v, taken before the slope rows reuse dv
+        div_max = _peak(np.add(dv[0, 0], dv[1, 1], out=dv[0, 0]))
         rows = len(sigma)
         s_hat = _band_rfft(grid, sigma, out=ws.spec[:rows], scratch=ws.half[:rows])
         r_hat = ws.k[:n]  # 2 q div sigma = -r: the norms read no sign; (a, b) is row a + b
         for a in range(n):
             np.multiply(s_hat[a], d[0], out=r_hat[a])
-            if n == 2:
-                r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[rows])
+            r_hat[a] += np.multiply(s_hat[a + 1], d[1], out=ws.spec[rows])
         for row in r_hat:  # by the real q2 part by part: no complex cast of q2
             for part in (row.real, row.imag):
                 np.multiply(part, ws.q2, out=part)
         r_l2, r_max = _value_norms(grid, _band_irfft(grid, r_hat, out=ws.prod[:n]))
     else:
         div_hat = np.multiply(v_hat[0], d[0], out=ws.spec[:1])
-        for a in range(1, n):
-            div_hat += np.multiply(v_hat[a], d[a], out=ws.spec[1:2])
-        div = _band_irfft(grid, div_hat, out=ws.phys[:1])
-        div_max = _peak(div)
+        div_hat += np.multiply(v_hat[1], d[1], out=ws.spec[1:2])
+        div_max = _peak(_band_irfft(grid, div_hat, out=ws.phys[:1]))
     if psi_norms is None:
         psi_norms = (0.0, 0.0) if state.psi_v is None else field_norms(state.psi_v)
     psi_l2, psi_max = psi_norms
@@ -691,7 +686,6 @@ def _diagnose(
 
 @dataclass
 class SimulationResult:
-    config: RunConfig
     records: list[DiagnosticsRecord]
     final: EvolutionState
     cfl_peak: float
@@ -738,7 +732,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
                 f"{err}; CFL number {cfl[-1]:.3g} at the last record, step {records[-1].step}",
                 records=records,
             ) from err
-    return SimulationResult(config=config, records=records, final=state, cfl_peak=max(cfl))
+    return SimulationResult(records=records, final=state, cfl_peak=max(cfl))
 
 
 def _burgers_slope(grid: Grid, stage: np.ndarray):
@@ -763,65 +757,36 @@ def _burgers_slope(grid: Grid, stage: np.ndarray):
     return slope
 
 
-@dataclass
-class BurgersReference:
-    """Fine-grid inviscid Burgers trajectory with coarse slice access."""
+def reference_burgers(coarse: Grid, times: list[float]) -> list[tuple[Field, Field]]:
+    """Inviscid Burgers from u0 = sin x, as (u, u_t) on the coarse grid at
+    each of ``times``, a non-decreasing list in [0, 1): strictly before
+    shock formation at t = 1.
 
-    coarse: Grid
-    fine: Grid
-    times: list[float]
-    snapshots: list[Field]
-
-    def coarse_slice(self, i: int) -> tuple[Field, Field]:
-        """(u, u_t) restricted to the coarse grid and cut to its 2/3 band.
-
-        u_t restricts the fine-grid right-hand side, which is the exact
-        time derivative of the restricted trajectory.  Both keep the
-        fine half spectrum's first coarse.size // 2 + 1 modes.
-        """
-        snap, fine, coarse = self.snapshots[i], self.fine, self.coarse
-        u_hat = _rfft(fine, snap.values)
-        keep = coarse.size // 2 + 1
-        coeffs = np.concatenate([u_hat[:, :keep], _burgers_slope(fine, u_hat)()[:, :keep]])
-        coeffs *= coarse.rdealias_mask * (coarse.size / fine.size)
-        u, u_t = _irfft(coarse, coeffs)
-        return Field(coarse, u, t=snap.t), Field(coarse, u_t, t=snap.t)
-
-
-def reference_burgers(
-    coarse: Grid, t_end: float, snapshot_times: list[float] | None = None
-) -> BurgersReference:
-    """Solve inviscid Burgers from u0 = sin x on a 4x refined grid.
-
-    RK4 steps of a quarter of the fine spacing.  Valid strictly before
-    shock formation at t = 1, and refused (ValueError) when the final
-    spectrum's top third of the 2/3 band exceeds 1e-6 of its largest mode.
+    RK4 steps of a quarter of the fine spacing on a grid BURGERS_REFINEMENT
+    times finer; a repeated time takes no step.  Each pair restricts the
+    fine half spectrum û and its slope -(u^2/2)_x, the exact time
+    derivative of the restricted trajectory: their first coarse.size // 2
+    + 1 modes, cut to the coarse 2/3 band, by one coarse inverse.  Refused
+    (ValueError) when the final spectrum's top third of the 2/3 band
+    exceeds 1e-6 of its largest mode.
     """
     if coarse.n != 1:
         raise ValueError("the reference problem is one dimensional")
-    if not 0.0 <= t_end < 1.0:
+    if list(times) != sorted(times) or not all(0.0 <= tw < 1.0 for tw in times):
         raise ValueError(
-            f"t_end must lie in [0, 1) before the first shock, got {t_end}"
+            f"reference times must be non-decreasing in [0, 1), t_end before the first "
+            f"shock at 1, got {times}"
         )
-    fine = make_grid(1, 4 * coarse.size)
+    fine = make_grid(1, BURGERS_REFINEMENT * coarse.size)
     dt = 0.25 * fine.spacing
-    wanted = sorted(set(snapshot_times or []) | {t_end})
-    for tw in wanted:
-        if not 0.0 <= tw <= t_end:
-            raise ValueError(f"snapshot time {tw} outside [0, {t_end}]")
-    u = Field(fine, np.sin(fine.coords()[0])[np.newaxis], t=0.0)
-    times, snapshots = [], []
-    if wanted and wanted[0] == 0.0:
-        times.append(0.0)
-        snapshots.append(u)
-        wanted = wanted[1:]
-    u_hat = _rfft(fine, u.values)
+    keep, scale = coarse.size // 2 + 1, coarse.rdealias_mask * (coarse.size / fine.size)
+    u_hat = _rfft(fine, np.sin(fine.coords()[0])[np.newaxis])
     total, stage = np.empty_like(u_hat), np.empty_like(u_hat)
     slope = _burgers_slope(fine, stage)
-    t = 0.0
-    for target in wanted:
-        n_steps = max(1, round((target - t) / dt))
-        h = (target - t) / n_steps
+    t, slices = 0.0, []
+    for target in times:
+        n_steps = max(1, round((target - t) / dt)) if target > t else 0
+        h = (target - t) / max(1, n_steps)
         for step in range(1, n_steps + 1):
             _rk4(u_hat, total, stage, h, slope)
             u_hat, total = total, u_hat
@@ -830,17 +795,20 @@ def reference_burgers(
                     f"non-finite values in the Burgers reference at t={t + step * h:.6g}"
                 )
         t = target
-        times.append(target)
-        snapshots.append(Field(fine, _irfft(fine, u_hat), t=target))
+        np.copyto(stage, u_hat)
+        coeffs = np.concatenate([u_hat[:, :keep], slope()[:, :keep]])
+        coeffs *= scale
+        u, u_t = _irfft(coarse, coeffs)
+        slices.append((Field(coarse, u, t=t), Field(coarse, u_t, t=t)))
     # the top third of the band, 2b // 3 <= k < b, against the largest mode
     mags, b = np.abs(u_hat[0]), fine.band
     share = float(np.max(mags[2 * b // 3 : b]) / np.max(mags))
     if share > 1e-6:
         raise ValueError(
-            f"the Burgers reference does not resolve t_end={t_end} on {fine.size} fine points: "
+            f"the Burgers reference does not resolve t_end={t} on {fine.size} fine points: "
             f"the top third of its band holds {share:.2g} of the largest mode, above 1e-06"
         )
-    return BurgersReference(coarse=coarse, fine=fine, times=times, snapshots=snapshots)
+    return slices
 
 
 CHECKPOINT_MAGIC = b"SCALEPDE"

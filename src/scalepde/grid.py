@@ -248,23 +248,19 @@ def _ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 def _band_rfft(
     grid: Grid, values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """``_rfft`` of a stack of fields (rows, *grid.shape) on the band columns
-    only: ``rfft`` along the last axis into ``scratch``, a half spectrum of
-    the stack, then in 2-D the complex pass along axis -2 on the first
+    """``_rfft`` of a stack of 2-D fields (rows, *grid.shape) on the band
+    columns only: ``rfft`` along the last axis into ``scratch``, a half
+    spectrum of the stack, then the complex pass along axis -2 on the first
     ``grid.band`` columns.  Rows past the 2/3 cut are kept."""
     band = np.fft.rfft(values, axis=-1, out=scratch)[..., : grid.band]
-    if grid.n == 2:
-        return np.fft.fft(band, axis=-2, out=out)
-    if out is None:
-        return band.copy()
-    np.copyto(out, band)
-    return out
+    return np.fft.fft(band, axis=-2, out=out)
 
 
 def _band_irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of ``_band_rfft``, the columns past the band taken as zero.
-    In 2-D the complex pass runs in place, so ``coeffs`` are overwritten;
-    ``irfft`` zero-pads the short rows itself."""
+    """Inverse of ``_band_rfft``, and in 1-D of ``_rfft``'s first columns:
+    the columns past those given are taken as zero.  In 2-D the complex
+    pass runs in place, so ``coeffs`` are overwritten; ``irfft`` zero-pads
+    the short rows itself."""
     if grid.n == 2:
         np.fft.ifft(coeffs, axis=-2, out=coeffs)
     return np.fft.irfft(coeffs, n=grid.size, axis=-1, out=out)

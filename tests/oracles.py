@@ -366,6 +366,15 @@ def burgers_physical_rk4(size: int, t_end: float, dt: float) -> np.ndarray:
     return u
 
 
+def restricted_burgers_pair(u: np.ndarray, coarse_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u_t) of fine Burgers values u (size,) on a coarser grid: u and
+    its right-hand side -(u u_x), 2/3-rule dealiased on the fine grid, each
+    restricted by ``complex_restrict`` and cut to the coarse 2/3 band."""
+    _, _, deriv, _ = _complex_ops(1, len(u))
+    rhs = -complex_dealias((u * deriv(u, 0))[np.newaxis])
+    return tuple(complex_dealias(complex_restrict(f, coarse_size))[0] for f in (u[np.newaxis], rhs))
+
+
 def taylor_green_pressure(grid: Grid, amplitude: float = 1.0, t: float = 0.0, eta: float = 0.0) -> Field:
     """Pressure A^2/4 (cos 2x + cos 2y) balancing the cellular advection."""
     x, y = grid.coords()

@@ -70,8 +70,7 @@ def _filtered_stacks(core_name: str, epsilon: float, eta0: float, K: int):
     """(u, u_t, r) stacks for a filtered family of the named core."""
     if core_name == "burgers":
         core = burgers_core()
-        ref = reference_burgers(make_grid(1, 128), t_end=0.5)
-        u_gen, ut_gen = ref.coarse_slice(-1)
+        (u_gen, ut_gen), = reference_burgers(make_grid(1, 128), [0.5])
     else:
         core = fluid_core(2)
         u_gen, ut_gen = filtered_taylor_green(make_grid(2, 64), t=0.0, eta=0.0)

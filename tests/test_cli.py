@@ -68,14 +68,13 @@ SPEC_ROWS = [
      "psi.forcing.scale"),
     ("core=burgers n=2", "core"),
 ]
-# bad values that only the built field shows, which evolve alone builds
+# bad values that evolve alone refuses: n = 1, and those only the built field shows
 FIELD_ROWS = [
     ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
      "initial_condition.amplitude"),
     ("psi.enabled=true psi.initial_condition.name=taylor_green "
      "psi.initial_condition.amplitude=1e308", "psi.initial_condition.amplitude"),
-    ("n=1 initial_condition.name=single_mode", "initial_condition.name"),
-    ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
+    ("n=1 initial_condition.name=zero", "needs n = 2"),
 ]
 
 
@@ -457,7 +456,7 @@ class TestEvolveCommand:
         [
             ("initial_condition.name=taylor_green initial_condition.amplitude=1e308",
              "initial_condition.amplitude"),
-            ("n=1 initial_condition.name=taylor_green", "initial_condition.name"),
+            ("n=1 initial_condition.name=zero", "needs n = 2"),
             ("dt=0.03", "t_end"),
             ("core=burgers n=1", "fluid core"),
         ],
@@ -601,7 +600,6 @@ class TestBurgersReferenceCommand:
         assert abs(u.t - 0.2) <= 1e-12
 
     def test_last_row_is_t_end(self, tmp_path, capsys):
-        # the quarter times are rounded to 12 decimals, the end itself is not
         out, t_end = tmp_path / "ref", 0.123456789012345
         code = main(["burgers-reference", "--out", str(out), "--set", "n=1",
                      "--set", f"t_end={t_end}"])
@@ -611,6 +609,20 @@ class TestBurgersReferenceCommand:
         assert len(rows) == 5
         assert float(rows[-1].split(",")[0]) == t_end
         assert json.loads((out / "report.json").read_text())["times"][-1] == t_end
+
+    def test_tiny_t_end_keeps_five_distinct_times(self, tmp_path, capsys):
+        # quarter times rounded to 12 decimals would all be 0.0
+        out, t_end = tmp_path / "ref", 1e-13
+        code = main(["burgers-reference", "--out", str(out), "--set", "n=1",
+                     "--set", f"t_end={t_end}"])
+        capsys.readouterr()
+        assert code == 0
+        times = json.loads((out / "report.json").read_text())["times"]
+        assert times == [j * t_end / 4.0 for j in range(4)] + [t_end]
+        assert times == pytest.approx([0.0, 2.5e-14, 5e-14, 7.5e-14, 1e-13], rel=1e-15, abs=0.0)
+        assert len(set(times)) == 5
+        rows = (out / "reference_norms.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == times
 
     def test_unresolved_t_end_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ref"

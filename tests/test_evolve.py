@@ -34,7 +34,7 @@ from scalepde import (
     write_checkpoint,
 )
 from scalepde.cli import main
-from scalepde.evolve import _diagnose, _Stages
+from scalepde.evolve import BURGERS_REFINEMENT, _diagnose, _Stages
 from scalepde.grid import _band_irfft
 from scalepde.families import (
     random_band_limited,
@@ -43,11 +43,11 @@ from scalepde.families import (
     taylor_green,
 )
 from oracles import (
-    _complex_ops,
     burgers_characteristics,
+    burgers_physical_rk4,
     complex_dealias,
     complex_fft_rhs,
-    complex_restrict,
+    restricted_burgers_pair,
 )
 
 
@@ -743,15 +743,13 @@ class TestRunSimulation:
 
 
 class TestOneDimensional:
-    """1-D fluid evolve, pinned to the values of the complex-transform code.
+    """The fluid kernel serves n = 2 only.  In 1-D a solenoidal field with
+    zero mean is zero, so a 1-D run is refused before any field is built."""
 
-    In 1-D a solenoidal field is a constant, so ``random_solenoidal`` has
-    nothing left after the mean is removed and the run is refused.
-    """
-
-    @staticmethod
-    def _run(out, ic):
-        return main(
+    @pytest.mark.parametrize("ic", ["zero", "taylor_green", "random_solenoidal", "single_mode"])
+    def test_evolve_exits_2(self, tmp_path, capsys, ic):
+        out = tmp_path / ic
+        code = main(
             [
                 "evolve", "--out", str(out),
                 "--set", "n=1", "--set", "grid_size=32",
@@ -759,49 +757,45 @@ class TestOneDimensional:
                 "--set", "t_end=0.05", "--set", "closure=helmholtz",
             ]
         )
-
-    @pytest.mark.parametrize("ic, energy, l2, vmax", [("zero", 0.0, 0.0, 0.0)])
-    def test_final_energy_and_checkpoint(self, tmp_path, capsys, ic, energy, l2, vmax):
-        out = tmp_path / ic
-        code = self._run(out, ic)
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["energy_final"] == pytest.approx(energy, rel=1e-9, abs=1e-12)
-        v, _ = read_checkpoint(out / "final_v.ckpt")
-        got_l2, got_max = field_norms(v)
-        assert got_l2 == pytest.approx(l2, rel=1e-9, abs=1e-12)
-        assert got_max == pytest.approx(vmax, rel=1e-9, abs=1e-12)
-
-    def test_random_solenoidal_exits_2_naming_key(self, tmp_path, capsys):
-        code = self._run(tmp_path / "random_solenoidal", "random_solenoidal")
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and "initial_condition.name" in err
-        assert "Traceback" not in err
+        assert err == "error: slice evolution needs n = 2, got n=1\n"
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda v: step_rk4(EvolutionState(t=0.0, v=v), 0.01),
+            lambda v: macroscopic_rhs(v, closure="none"),
+            lambda v: psi_rhs(v, v),
+            lambda v: _diagnose(EvolutionState(t=0.0, v=v), "none", 0.0),
+        ],
+        ids=["step_rk4", "macroscopic_rhs", "psi_rhs", "diagnose"],
+    )
+    def test_kernel_refuses_a_1d_state(self, grid1d, entry):
+        v = Field(grid1d, np.zeros(grid1d.shape), eta=0.05)
+        with pytest.raises(ValueError, match="needs n = 2, got n=1"):
+            entry(v)
 
 
 class TestBurgersReference:
     def test_initial_condition(self):
         coarse = make_grid(1, 64)
-        ref = reference_burgers(coarse, 0.0)
-        u, u_t = ref.coarse_slice(0)
+        (u, u_t), = reference_burgers(coarse, [0.0])
         x = coarse.coords()[0]
         assert np.max(np.abs(u.component(0) - np.sin(x))) <= 1e-13
         assert np.max(np.abs(u_t.component(0) + np.sin(x) * np.cos(x))) <= 1e-10
 
     def test_matches_characteristics_oracle(self):
         coarse = make_grid(1, 128)
-        ref = reference_burgers(coarse, 0.5)
-        u, _ = ref.coarse_slice(-1)
+        (u, _), = reference_burgers(coarse, [0.5])
         x = coarse.coords()[0]
         truth = burgers_characteristics(x, 0.5)
         assert np.max(np.abs(u.component(0) - truth)) <= 1e-8
 
     def test_u_t_consistent_with_rhs(self):
         coarse = make_grid(1, 128)
-        ref = reference_burgers(coarse, 0.3)
-        u, u_t = ref.coarse_slice(-1)
+        (u, u_t), = reference_burgers(coarse, [0.3])
         from scalepde import spectral_derivative
 
         du = spectral_derivative(u, 0)
@@ -809,58 +803,72 @@ class TestBurgersReference:
         assert np.max(np.abs(u_t.values - approx)) <= 1e-6
 
     @pytest.mark.parametrize("size", [64, 128])
-    def test_coarse_slice_matches_complex_restriction(self, size):
+    def test_pair_matches_complex_restriction(self, size):
         """u and u_t are the complex restriction and 2/3 cut of the fine
-        snapshot and of its fine-grid right-hand side."""
-        ref = reference_burgers(make_grid(1, size), 0.3)
-        u, u_t = ref.coarse_slice(-1)
-        snap = ref.snapshots[-1].values
-        _, _, deriv, _ = _complex_ops(1, ref.fine.size)
-        rhs = -complex_dealias(snap * deriv(snap[0], 0))
-        for got, fine in ((u, snap), (u_t, rhs)):
-            want = complex_dealias(complex_restrict(fine, size))
-            assert np.max(np.abs(got.values - want)) <= 1e-13
-            assert (got.grid, got.t, got.eta) == (ref.coarse, 0.3, 0.0)
+        solution and of its fine-grid right-hand side."""
+        coarse = make_grid(1, size)
+        fine = make_grid(1, BURGERS_REFINEMENT * size)
+        pair = reference_burgers(coarse, [0.3])[0]
+        solution = burgers_physical_rk4(fine.size, 0.3, 0.25 * fine.spacing)
+        for got, want in zip(pair, restricted_burgers_pair(solution, size)):
+            assert np.max(np.abs(got.values[0] - want)) <= 1e-13
+            assert (got.grid, got.t, got.eta) == (coarse, 0.3, 0.0)
 
     def test_step_transforms_one_row_each_way(self, transform_counts):
         """Each of a step's four stages inverts u alone and transforms its
         square forward: 8 real one-row transforms, none complex."""
         coarse = make_grid(1, 64)
-        dt = 0.25 * make_grid(1, 4 * coarse.size).spacing
+        dt = 0.25 * make_grid(1, BURGERS_REFINEMENT * coarse.size).spacing
         runs = []
         for steps in (1, 2):
             transform_counts.update(calls=0, complex=0, transforms=0)
-            assert reference_burgers(coarse, steps * dt).times == [steps * dt]
+            assert len(reference_burgers(coarse, [steps * dt])) == 1
             runs.append({k: transform_counts[k] for k in ("calls", "complex", "transforms")})
         per_step = {k: runs[1][k] - runs[0][k] for k in runs[0]}
         assert per_step == {"calls": 8, "complex": 0, "transforms": 8}
-        # the first forward transform and the snapshot's inverse
-        assert runs[0] == {"calls": 10, "complex": 0, "transforms": 10}
+        # the first forward transform and the slice's three calls
+        assert runs[0] == {"calls": 12, "complex": 0, "transforms": 13}
 
-    def test_snapshot_times(self):
-        coarse = make_grid(1, 64)
-        ref = reference_burgers(coarse, 0.4, snapshot_times=[0.0, 0.2])
-        assert ref.times == [0.0, 0.2, 0.4]
-        assert [s.t for s in ref.snapshots] == [0.0, 0.2, 0.4]
+    def test_three_calls_and_two_coarse_fields_per_time(self, transform_counts):
+        """A time takes the fine slope, one row each way, and one coarse
+        inverse of the pair; it builds the pair's two Fields and no fine
+        one.  A repeated time steps nothing."""
+        coarse, runs = make_grid(1, 64), []
+        for repeats in (1, 2, 3):
+            transform_counts.update(calls=0, complex=0, transforms=0, fields=0)
+            slices = reference_burgers(coarse, [0.2] * repeats)
+            runs.append(dict(transform_counts))
+            assert all(f.grid == coarse for pair in slices for f in pair)
+        for fewer, more in zip(runs, runs[1:]):
+            per_time = {k: more[k] - fewer[k] for k in more}
+            assert per_time == {"calls": 3, "complex": 0, "transforms": 4, "fields": 2}
+        assert runs[0]["fields"] == 2
+        for got, want in zip(slices[-1], slices[0]):
+            assert np.array_equal(got.values, want.values)
 
-    def test_shock_time_rejected(self):
-        with pytest.raises(ValueError, match="shock"):
-            reference_burgers(make_grid(1, 64), 1.0)
+    def test_a_pair_per_asked_time(self):
+        slices = reference_burgers(make_grid(1, 64), [0.0, 0.2, 0.2, 0.4])
+        assert [u.t for u, _ in slices] == [0.0, 0.2, 0.2, 0.4]
+        assert [u_t.t for _, u_t in slices] == [0.0, 0.2, 0.2, 0.4]
+
+    @pytest.mark.parametrize("times", [[0.2, 0.1], [-0.1, 0.2], [0.5, 1.0]])
+    def test_times_must_be_non_decreasing_before_the_shock(self, times):
+        with pytest.raises(ValueError, match="non-decreasing in .0, 1.*shock"):
+            reference_burgers(make_grid(1, 64), times)
 
     def test_two_dimensional_rejected(self, grid2d):
         with pytest.raises(ValueError, match="one dimensional"):
-            reference_burgers(grid2d, 0.1)
+            reference_burgers(grid2d, [0.1])
 
     @pytest.mark.parametrize("size", [32, 64, 128])
     def test_resolved_at_half(self, size):
         # the top third of the band holds at most 3.9e-8 of the largest mode
-        ref = reference_burgers(make_grid(1, size), 0.5)
-        assert ref.times == [0.5]
+        assert len(reference_burgers(make_grid(1, size), [0.5])) == 1
 
     def test_unresolved_end_rejected(self):
         # past t = 0.75 on 256 fine points the spectrum fills the band
         with pytest.raises(ValueError, match=r"t_end=0.999 on 256 fine points.* 0.013 "):
-            reference_burgers(make_grid(1, 64), 0.999)
+            reference_burgers(make_grid(1, 64), [0.5, 0.999])
 
 
 class TestCheckpoint:

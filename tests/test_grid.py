@@ -232,19 +232,32 @@ class TestBandTransforms:
     """The band transforms are the half-spectrum ones restricted to the
     columns k_last < size/3 of the 2/3 band."""
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("size, band", [(4, 2), (6, 2), (30, 10), (32, 11), (48, 16), (64, 22)])
-    def test_match_masked_half_spectrum(self, n, size, band, rng):
+    SIZES = [(4, 2), (6, 2), (30, 10), (32, 11), (48, 16), (64, 22)]
+
+    @staticmethod
+    def _band_limited(n, size, band, rng):
         grid = make_grid(n, size)
         # a size divisible by 3 drops its |k| = size/3 column
         assert grid.band == band
         assert grid.rdealias_mask[..., band - 1].any() and not grid.rdealias_mask[..., band:].any()
         values = _irfft(grid, _dealiased_hat(grid, rng.standard_normal((3,) + grid.shape)))
-        want = _rfft(grid, values) * grid.rdealias_mask
+        return grid, values, _rfft(grid, values) * grid.rdealias_mask
+
+    @pytest.mark.parametrize("size, band", SIZES)
+    def test_match_masked_half_spectrum(self, size, band, rng):
+        """The forward transform serves the 2-D kernel alone."""
+        grid, values, want = self._band_limited(2, size, band, rng)
         coeffs = _band_rfft(grid, values)
         assert coeffs.shape == (3,) + grid.rshape[:-1] + (band,)
         assert np.max(np.abs(coeffs - want[..., :band])) <= 1e-14 * np.max(np.abs(want))
         back = _band_irfft(grid, coeffs)
+        assert np.max(np.abs(back - _irfft(grid, want))) <= 1e-14 * np.max(np.abs(values))
+        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("size, band", SIZES)
+    def test_inverse_zero_pads_the_band_in_1d(self, size, band, rng):
+        grid, values, want = self._band_limited(1, size, band, rng)
+        back = _band_irfft(grid, want[..., :band].copy())
         assert np.max(np.abs(back - _irfft(grid, want))) <= 1e-14 * np.max(np.abs(values))
         assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
 

@@ -29,6 +29,7 @@ from scalepde import (
     reference_burgers,
 )
 from scalepde.cli import main
+from scalepde.evolve import BURGERS_REFINEMENT
 from scalepde.heat import heat_propagate_many
 from scalepde.families import (
     filtered_taylor_green,
@@ -40,6 +41,7 @@ from oracles import (
     manufactured_scalar_2d,
     per_ladder_deviation_errors,
     per_ladder_residual_errors,
+    restricted_burgers_pair,
 )
 
 RTOL = 1e-9
@@ -198,8 +200,7 @@ class TestSharedNodes:
         if core == "fluid":
             expr, gens = fluid_core(2), filtered_taylor_green(grid, t=0.0, eta=0.0)
         else:
-            ref = reference_burgers(grid, t_end=0.5)
-            expr, gens = burgers_core(), ref.coarse_slice(len(ref.times) - 1)
+            expr, gens = burgers_core(), reference_burgers(grid, [0.5])[0]
         assert report["max_e"] == per_ladder_residual_errors(expr, *gens, 0.05, 0.15, nodes)
 
     @pytest.mark.parametrize("nodes", [[5, 7, 9], [6, 11]], ids=["5-7-9", "6-11"])
@@ -301,8 +302,9 @@ def test_scalar_ladder_matches_single_slices():
 
 
 def test_burgers_reference_matches_physical_rk4():
-    coarse = make_grid(1, 32)
-    ref = reference_burgers(coarse, 0.3)
-    want = burgers_physical_rk4(ref.fine.size, 0.3, 0.25 * ref.fine.spacing)
-    assert np.max(np.abs(ref.snapshots[-1].values[0] - want)) <= 1e-12
-    assert isinstance(ref.snapshots[-1], Field) and ref.snapshots[-1].t == 0.3
+    coarse, fine = make_grid(1, 32), make_grid(1, BURGERS_REFINEMENT * 32)
+    solution = burgers_physical_rk4(fine.size, 0.3, 0.25 * fine.spacing)
+    pair = reference_burgers(coarse, [0.3])[0]
+    for got, want in zip(pair, restricted_burgers_pair(solution, coarse.size)):
+        assert np.max(np.abs(got.values[0] - want)) <= 1e-12
+        assert isinstance(got, Field) and (got.grid, got.t) == (coarse, 0.3)

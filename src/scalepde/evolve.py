@@ -37,6 +37,8 @@ from .residual import _CLOSURES, _closure_multiplier
 
 # the longest run a config may ask for
 _MAX_STEPS = 10**6
+# the finest grid a config may ask for; a grid builds its tables whole
+_MAX_GRID_SIZE = 2048
 # the Burgers reference's fine grid has this many times the coarse points
 BURGERS_REFINEMENT = 4
 
@@ -80,19 +82,13 @@ def _cfl_number(v: Field, dt: float) -> float:
     return float(dt * _peak(v.values) / v.grid.spacing)
 
 
-def _check_closure(closure: str, eta: float):
-    if closure not in _CLOSURES:
-        raise ValueError(f"unknown closure {closure!r}")
-    if closure == "helmholtz" and not eta > 0.0:
-        raise ValueError("the helmholtz closure needs eta > 0")
-
-
 class _Stages:
     """Buffers and multipliers of the RK4 stages of one run: one 2-D grid,
     v or (v, psi), closure, eta and psi forcing, used by every stage, step
     and diagnostics record of the states that carry it.  A 1-D grid is
     refused (ValueError): a solenoidal field there is a constant, so a
-    1-D run could only evolve v = 0.
+    1-D run could only evolve v = 0.  So are an unknown closure and the
+    helmholtz closure at eta = 0, whose multiplier needs 1/eta.
 
     Transport is -P div T for symmetric tensors T: v v and v psi + psi v.
     P removes div(T^{11} I), a gradient, so only T - T^{11} I is
@@ -120,6 +116,10 @@ class _Stages:
     def __init__(self, grid: Grid, psi: bool, closure: str, eta: float, e_v: Field | None = None):
         if grid.n != 2:
             raise ValueError(f"slice evolution needs n = 2, got n={grid.n}")
+        if closure not in _CLOSURES:
+            raise ValueError(f"unknown closure {closure!r}")
+        if closure == "helmholtz" and not eta > 0.0:
+            raise ValueError("the helmholtz closure needs eta > 0")
         n, helmholtz = grid.n, closure == "helmholtz"
         m = self.m = n * (1 + psi)
         self.key = (grid, psi, closure, eta)
@@ -263,13 +263,10 @@ def _rhs(
     return ws.slope()
 
 
-def macroscopic_rhs(v: Field, closure: str = "none", eta: float | None = None) -> Field:
+def macroscopic_rhs(v: Field, closure: str = "none") -> Field:
     """Projected right-hand side P(-(v . grad) v + r_closure) of the
-    solenoidal part of v within the 2/3 band."""
-    if eta is None:
-        eta = v.eta
-    _check_closure(closure, eta)
-    return v.with_values(_band_irfft(v.grid, _rhs(v, None, closure, eta)))
+    solenoidal part of v within the 2/3 band, at v's eta."""
+    return v.with_values(_band_irfft(v.grid, _rhs(v, None, closure, v.eta)))
 
 
 def psi_rhs(psi_v: Field, v: Field, e_v: Field | None = None) -> Field:
@@ -328,7 +325,6 @@ def step_rk4(
         raise ValueError(f"dt must be positive, got {dt}")
     v, psi = state.v, state.psi_v
     grid, eta = v.grid, v.eta
-    _check_closure(closure, eta)
     key, ws = (grid, psi is not None, closure, eta), state._ws
     if ws is None or ws.key != key or ws.e_v is not e_v:
         ws = _Stages(*key, e_v)
@@ -480,8 +476,10 @@ class RunConfig:
                 _require(_CONFIG_KEYS.get(f.name, f.name), value, kind)
         if self.n not in (1, 2):
             raise ConfigError(f"n must be 1 or 2, got {self.n}")
-        if self.grid_size < 4 or self.grid_size % 2:
-            raise ConfigError(f"grid_size must be even and >= 4, got {self.grid_size}")
+        if not 4 <= self.grid_size <= _MAX_GRID_SIZE or self.grid_size % 2:
+            raise ConfigError(
+                f"grid_size must be even and in [4, {_MAX_GRID_SIZE}], got {self.grid_size}"
+            )
         if self.core not in ("fluid", "burgers"):
             raise ConfigError(f"core must be 'fluid' or 'burgers', got {self.core!r}")
         if self.core == "burgers" and self.n != 1:

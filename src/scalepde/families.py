@@ -18,19 +18,19 @@ from .fluid import _leray_hat
 from .grid import Field, Grid, _band_irfft, _peak, _rfft
 
 
-def taylor_green(grid: Grid, amplitude: float = 1.0, t: float = 0.0, eta: float = 0.0) -> Field:
+def taylor_green(grid: Grid, amplitude: float = 1.0) -> Field:
     """Steady cellular velocity (sin x cos y, -cos x sin y)."""
     if grid.n != 2:
         raise ValueError("the cellular field needs a two dimensional grid")
     x, y = grid.coords()
     vals = amplitude * np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
-    return Field(grid, vals, t=t, eta=eta)
+    return Field(grid, vals)
 
 
-def sine_field(grid: Grid, t: float = 0.0, eta: float = 0.0) -> Field:
+def sine_field(grid: Grid) -> Field:
     """Scalar sin(x1)."""
     vals = np.sin(grid.coords()[0])
-    return Field(grid, vals[np.newaxis], t=t, eta=eta)
+    return Field(grid, vals[np.newaxis])
 
 
 def single_mode_solenoidal(

@@ -266,16 +266,12 @@ def _band_irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -
     return np.fft.irfft(coeffs, n=grid.size, axis=-1, out=out)
 
 
-def _dealiased_hat(grid: Grid, products: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients of products, 2/3-rule masked."""
-    coeffs = _rfft(grid, products)
-    coeffs *= grid.rdealias_mask
-    return coeffs
-
-
 def _dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    # trailing axes are spatial; a leading component axis is optional
-    return _irfft(grid, _dealiased_hat(grid, values))
+    """The 2/3-rule cut of values on the half spectrum, back in physical
+    space.  Trailing axes are spatial; a leading component axis is optional."""
+    coeffs = _rfft(grid, values)
+    coeffs *= grid.rdealias_mask
+    return _irfft(grid, coeffs)
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:

@@ -122,12 +122,12 @@ class ScaleStack(_Ladder):
 @dataclass(frozen=True)
 class SpectralStack(_Ladder):
     """A uniform ladder kept as the half spectra (ncomp, *rshape) of its
-    nodes alone, which ladders sharing a node may share."""
+    nodes alone, which ladders sharing a node may share.  Its fields are
+    at t = 0."""
 
     grid: Grid
     eta_nodes: np.ndarray
     spectra: tuple[np.ndarray, ...]
-    t: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -139,7 +139,7 @@ class SpectralStack(_Ladder):
     def field(self, j: int) -> Field:
         """Node j's field, by one inverse transform."""
         grid = self.grid
-        return Field(grid, _irfft(grid, self.spectra[j]), t=self.t, eta=float(self.eta_nodes[j]))
+        return Field(grid, _irfft(grid, self.spectra[j]), eta=float(self.eta_nodes[j]))
 
 
 def build_scale_stack(generator: Field, epsilon: float, eta0: float, K: int) -> ScaleStack:
@@ -188,7 +188,7 @@ def filter_defect(stack: SpectralStack) -> SpectralStack:
         np.subtract(u_hat[j + 1], u_hat[j - 1], out=out)
         out *= half_over_h
         out += rksq * u_hat[j]
-    return SpectralStack(stack.grid, stack.eta_nodes[1:-1], psi_hat, stack.t)
+    return SpectralStack(stack.grid, stack.eta_nodes[1:-1], psi_hat)
 
 
 def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> Field:
@@ -200,7 +200,7 @@ def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> Field:
     grid, u_hat, nodes = stack.grid, stack.spectra, stack.eta_nodes
     damping = _damping(grid, float(nodes[node] - nodes[anchor]))
     dev_hat = u_hat[node] - damping * u_hat[anchor]
-    return Field(grid, _irfft(grid, dev_hat), t=stack.t, eta=float(nodes[node]))
+    return Field(grid, _irfft(grid, dev_hat), eta=float(nodes[node]))
 
 
 def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
@@ -220,4 +220,4 @@ def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
     for j in range(target_node + 1):
         weight = 0.5 * h if j in (0, target_node) else h
         total += (weight * _damping(grid, eta_target - float(nodes[j]))) * psi_hat[j]
-    return Field(grid, _irfft(grid, total), t=psi_stack.t, eta=eta_target)
+    return Field(grid, _irfft(grid, total), eta=eta_target)

@@ -198,10 +198,6 @@ class JetExpr:
         return cls(n, N, ((),) * outputs)
 
     @classmethod
-    def constant(cls, n: int, N: int, value) -> "JetExpr":
-        return cls(n, N, ((JetMonomial(value),),))
-
-    @classmethod
     def variable(cls, n: int, N: int, component: int, derivs=()) -> "JetExpr":
         idx = JetIndex(component, tuple(derivs))
         return cls(n, N, ((JetMonomial(1, (idx,)),),))
@@ -222,10 +218,6 @@ class JetExpr:
     @property
     def num_outputs(self) -> int:
         return len(self.terms)
-
-    def component(self, a: int) -> "JetExpr":
-        """Single-output expression for output a (1-based)."""
-        return JetExpr(self.n, self.N, (self.terms[a - 1],))
 
     @property
     def max_order(self) -> int:
@@ -368,7 +360,7 @@ def _split_suffix(suffix: str, tok: _Token) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _parse_jet_ident(tok: _Token, allow_eta: bool) -> JetIndex:
+def _parse_jet_ident(tok: _Token) -> JetIndex:
     m = re.fullmatch(r"u([0-9]+)(?:_([A-Za-z0-9]+))?", tok.text)
     if not m:
         raise CoreSyntaxError(
@@ -382,7 +374,7 @@ def _parse_jet_ident(tok: _Token, allow_eta: bool) -> JetIndex:
             f"from 1, got {_shown(tok.text)}"
         )
     derivs = _split_suffix(m.group(2), tok) if m.group(2) else ()
-    if not allow_eta and "eta" in derivs:
+    if "eta" in derivs:
         raise CoreSyntaxError(
             f"line {tok.line}, column {tok.col}: eta derivatives are not "
             f"allowed in core functions ({_shown(tok.text)})"
@@ -395,10 +387,9 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], allow_eta: bool):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.allow_eta = allow_eta
         self.indices: list[tuple[JetIndex, _Token]] = []
         self.depth = 0  # open parentheses; each level costs three Python frames
 
@@ -459,7 +450,7 @@ class _Parser:
                 ) from None
         elif tok.kind == "ident":
             self.advance()
-            idx = _parse_jet_ident(tok, self.allow_eta)
+            idx = _parse_jet_ident(tok)
             self.indices.append((idx, tok))
             result = [JetMonomial(1, (idx,))]
         elif tok.text == "(":
@@ -481,20 +472,15 @@ class _Parser:
         return result if sign == 1 else _scaled(result, -1)
 
 
-def parse_core(
-    text: str,
-    n: int | None = None,
-    N: int | None = None,
-    allow_eta: bool = False,
-) -> JetExpr:
+def parse_core(text: str, n: int | None = None, N: int | None = None) -> JetExpr:
     """Parse core-function text into a JetExpr.
 
     Components are separated by ';'.  When n or N is omitted it is
     inferred from the variables that actually appear (at least 1).
-    Core functions may not carry eta derivatives; pass allow_eta=True
-    for general jet polynomials.
+    Core functions may not carry eta derivatives: one raises
+    CoreSyntaxError naming the variable.
     """
-    parser = _Parser(_tokenize(text), allow_eta)
+    parser = _Parser(_tokenize(text))
     comps = parser.parse_components()
     seen_n = 0
     seen_N = 0

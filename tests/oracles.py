@@ -486,12 +486,12 @@ def manufactured_scalar_2d(grid: Grid, eta: float, t: float = 0.0) -> tuple[Fiel
 def spectral_stack(fields) -> SpectralStack:
     """The ladder of fields kept as their half spectra, one
     ``numpy.fft.rfftn`` over the spatial axes per node, at the fields'
-    own scales and slice time."""
+    own scales."""
     fields = list(fields)
     grid = fields[0].grid
     axes = tuple(range(1, grid.n + 1))
     spectra = [np.fft.rfftn(f.values, axes=axes) for f in fields]
-    return SpectralStack(grid, [f.eta for f in fields], spectra, fields[0].t)
+    return SpectralStack(grid, [f.eta for f in fields], spectra)
 
 
 def per_ladder_residual_errors(core: JetExpr, u_gen: Field, ut_gen: Field,

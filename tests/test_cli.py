@@ -189,6 +189,16 @@ class TestParseConfig:
     def test_bad_spec_exits_2_on_every_command(self, capsys, command, override, key):
         _assert_exits_2_naming(capsys, command, override, key)
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_grid_size_past_2048_exits_2_on_every_command(self, capsys, command):
+        # refused before any grid is built, whose tables would fill memory
+        _assert_exits_2_naming(
+            capsys, command, "grid_size=2050", "grid_size must be even and in [4, 2048]"
+        )
+
+    def test_grid_size_2048_is_allowed(self):
+        assert parse_config("", ["grid_size=2048"])[0].grid_size == 2048
+
     @pytest.mark.parametrize("command", ["residual-check", "evolve", "filter-check"])
     def test_core_text_read_by_derive_source_only(self, tmp_path, capsys, command):
         out = tmp_path / "run"

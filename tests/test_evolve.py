@@ -68,14 +68,23 @@ class TestRhs:
             rhs = macroscopic_rhs(v, closure=closure)
             assert field_norms(divergence(rhs))[1] <= 1e-10
 
-    def test_unknown_closure(self, grid2d):
-        with pytest.raises(ValueError, match="closure"):
-            macroscopic_rhs(taylor_green(grid2d), closure="smagorinsky")
+    # every entry to the stage workspace, which checks the closure once
+    ENTRIES = {
+        "macroscopic_rhs": lambda v, closure: macroscopic_rhs(v, closure),
+        "step_rk4": lambda v, closure: step_rk4(EvolutionState(0.0, v), 1e-3, closure),
+        "_diagnose": lambda v, closure: _diagnose(EvolutionState(0.0, v), closure, 0.0),
+    }
 
-    def test_helmholtz_needs_positive_eta(self, grid2d):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_unknown_closure(self, grid2d, entry):
+        with pytest.raises(ValueError, match="unknown closure 'bogus'"):
+            self.ENTRIES[entry](taylor_green(grid2d), "bogus")
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_helmholtz_needs_positive_eta(self, grid2d, entry):
         v = taylor_green(grid2d)  # eta defaults to 0
-        with pytest.raises(ValueError, match="eta"):
-            macroscopic_rhs(v, closure="helmholtz")
+        with pytest.raises(ValueError, match="the helmholtz closure needs eta > 0"):
+            self.ENTRIES[entry](v, "helmholtz")
 
     def test_psi_transport_at_rest_is_forcing(self, grid2d, rng):
         v = Field(grid2d, np.zeros((2,) + grid2d.shape))

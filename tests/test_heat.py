@@ -249,7 +249,7 @@ def _white_noise_stack(n, size, K=9):
     nodes = np.linspace(0.02, 0.1, K)
     values = np.random.default_rng(size + n).standard_normal((K, 2) + grid.shape)
     return ScaleStack(
-        nodes, tuple(Field(grid, v, t=0.3, eta=float(e)) for v, e in zip(values, nodes))
+        nodes, tuple(Field(grid, v, eta=float(e)) for v, e in zip(values, nodes))
     )
 
 
@@ -281,9 +281,9 @@ class TestHalfSpectrumAgainstPhysical:
         psi = filter_defect(spectral_stack(stack.fields))
         assert isinstance(psi, SpectralStack)
         np.testing.assert_array_equal(psi.eta_nodes, stack.eta_nodes[1:-1])
-        assert (psi.grid, psi.t) == (stack.grid, stack.t)
+        assert psi.grid == stack.grid
         transform_counts.update(calls=0, complex=0, transforms=0)
-        psi.field(2)
+        assert psi.field(2).t == stack.t == 0.0
         assert {k: transform_counts[k] for k in ("calls", "complex", "transforms")} == {
             "calls": 1, "complex": 0, "transforms": 2
         }
@@ -296,7 +296,7 @@ class TestHalfSpectrumAgainstPhysical:
         got = [psi.field(j) for j in range(psi.K)]
         _assert_close([f.values for f in got], _physical_defects(stack))
         for j, f in enumerate(got, start=1):
-            assert (f.t, f.eta) == (0.3, stack.eta_nodes[j])
+            assert (f.t, f.eta) == (0.0, stack.eta_nodes[j])
 
     @pytest.mark.parametrize("anchor", [0, 1])
     def test_deviation_is_difference_from_propagated_anchor(self, n, size, anchor):
@@ -320,7 +320,7 @@ class TestHalfSpectrumAgainstPhysical:
             got = duhamel_integral(psi, target)
             want = per_node_duhamel(physical, psi.eta_nodes, target)
             _assert_close([got.values], [want])
-            assert (got.t, got.eta) == (0.3, psi.eta_nodes[target])
+            assert (got.t, got.eta) == (0.0, psi.eta_nodes[target])
 
 
 def test_deviation_nodes_validated(grid1d):

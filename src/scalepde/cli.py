@@ -330,11 +330,12 @@ def _residual_stacks(
     for eta, u, u_t in zip(etas, u_slices, ut_slices):
         if eta in centres:
             jets = jet_values(table, u, u_t)
-            r[eta], s[eta] = jet_evaluate(core, jets, u), jet_evaluate(source, jets, u)
+            r[eta], s[eta] = jet_evaluate(core, jets, u).values, jet_evaluate(source, jets, u)
             del jets  # the largest table alive; it must not outlive its node
         else:
-            r[eta] = exact_residual(core, u, u_t)
-    return [(ScaleStack(w, [r[eta] for eta in w]), s.get(w[len(w) // 2])) for w in windows]
+            r[eta] = exact_residual(core, u, u_t).values
+    grid = u_gen.grid
+    return [(ScaleStack(grid, w, [r[eta] for eta in w]), s.get(w[len(w) // 2])) for w in windows]
 
 
 def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
@@ -419,10 +420,8 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     K = 33
     nodes = np.linspace(0.01, 0.2, K)
     sin_x = np.sin(grid.coords()[0])
-    r_fields = [
-        Field(grid, (e * np.exp(-2.0 * e) * sin_x)[np.newaxis], eta=float(e)) for e in nodes
-    ]
-    manu_stack = ScaleStack(nodes, tuple(r_fields))
+    r_rows = [(e * np.exp(-2.0 * e) * sin_x)[np.newaxis] for e in nodes]
+    manu_stack = ScaleStack(grid, nodes, r_rows)
     manu_rows, manu_worst = _closure_bound_rows(manu_stack, "manufactured")
     checks.append(_check("taylor_bound_manufactured", manu_worst, 1.10))
 
@@ -432,7 +431,7 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     [(r_stack, _)] = _residual_stacks(burgers_core(), u_gen, ut_gen, config.epsilon, ladder)
     burgers_rows, burgers_worst = _closure_bound_rows(r_stack, "burgers")
     checks.append(_check("taylor_bound_burgers", burgers_worst, 1.10))
-    r_eps_max = field_norms(r_stack.fields[0])[1]
+    r_eps_max = float(np.max(np.abs(r_stack.values[0])))
 
     passed = all(c["passed"] for c in checks)
     report = {
@@ -449,8 +448,8 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     return (0 if passed else 1), report, {"closure_bound.csv": table}
 
 
-def _deviation_errors(grid, epsilon: float, nodes, spacings) -> tuple[list[float], float]:
-    """Quadrature-vs-direct deviation error of each ladder resolution, and
+def _deviation_errors(grid, ladders) -> tuple[list[float], float]:
+    """Quadrature-vs-direct deviation error of each extended ladder, and
     the worst ratio of a deviation to its bound.
 
     The K-node ladder's nodes 1..K span [epsilon, eta0]; nodes 0 and K + 1
@@ -460,7 +459,6 @@ def _deviation_errors(grid, epsilon: float, nodes, spacings) -> tuple[list[float
     modes, and its deviation from the family filtered from epsilon (node 1
     of every ladder) transformed back once.
     """
-    ladders = [[epsilon + (j - 1) * h for j in range(K + 2)] for K, h in zip(nodes, spacings)]
     etas = sorted(set().union(*ladders))
     spectra = dict(zip(etas, families.manufactured_scalar_2d_ladder(grid, etas)))
     # the max norm of the deviation at each node, and its field where a ladder ends
@@ -484,20 +482,33 @@ def _deviation_errors(grid, epsilon: float, nodes, spacings) -> tuple[list[float
     return errors, worst
 
 
+# complex values of the half spectra duhamel-check may keep alive, 1 GiB
+_SPECTRA_BUDGET = 2**26
+
+
 def cmd_duhamel_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     config = spec.config
-    epsilon, eta0 = config.epsilon, config.eta0
-    spacings = [(eta0 - epsilon) / (K - 1) for K in config.nodes]
+    if config.n != 2:
+        raise ConfigError(f"duhamel-check needs n = 2, got n={config.n}")
+    epsilon, eta0, nodes, size = config.epsilon, config.eta0, config.nodes, config.grid_size
+    spacings = [(eta0 - epsilon) / (K - 1) for K in nodes]
     if epsilon - spacings[0] <= 0.0:
         # every ladder extends one spacing below epsilon, the coarsest most
         raise ConfigError(
             f"epsilon too small for the extended ladder: epsilon={epsilon} must "
             f"exceed the spacing (eta0 - epsilon)/(K - 1) = {spacings[0]} of the "
-            f"coarsest ladder, eta0={eta0}, K={config.nodes[0]}"
+            f"coarsest ladder, eta0={eta0}, K={nodes[0]}"
         )
-    grid = make_grid(2, config.grid_size)
-    errors, worst_margin = _deviation_errors(grid, epsilon, config.nodes, spacings)
-    orders, rows = _convergence_table(config.nodes, spacings, errors)
+    ladders = [[epsilon + (j - 1) * h for j in range(K + 2)] for K, h in zip(nodes, spacings)]
+    # the distinct nodes' spectra are kept, beside the finest ladder's psi
+    live = len(set().union(*ladders)) + nodes[-1]
+    if live * size * (size // 2 + 1) > _SPECTRA_BUDGET:
+        raise ConfigError(
+            f"nodes={list(nodes)} on grid_size={size} keep {live} half spectra of "
+            f"{size}x{size // 2 + 1} values, over the {_SPECTRA_BUDGET} allowed"
+        )
+    errors, worst_margin = _deviation_errors(make_grid(2, size), ladders)
+    orders, rows = _convergence_table(nodes, spacings, errors)
     final_order = orders[-1]
     passed = bool(final_order >= 1.5 and worst_margin <= 1.05)
     report = {

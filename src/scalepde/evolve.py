@@ -512,6 +512,15 @@ class RunConfig:
             raise ConfigError(
                 f"nodes must hold at least two strictly increasing counts, got {nodes}"
             )
+        # the finest ladder (closure-check's has 33 nodes) keeps its spacing over rounding
+        finest = max(nodes[-1], 33)
+        spacing = (self.eta0 - self.epsilon) / (finest - 1)
+        if spacing < 1e-3 * self.eta0:
+            raise ConfigError(
+                f"epsilon={self.epsilon} and eta0={self.eta0} are too close for a ladder "
+                f"of K={finest} nodes (max of nodes and 33): its spacing (eta0 - epsilon)/"
+                f"(K - 1) = {spacing:.4g} is below 1e-3 * eta0 = {1e-3 * self.eta0:.4g}"
+            )
         if self.output_interval < 1:
             raise ConfigError(f"output_interval must be >= 1, got {self.output_interval}")
         if self.seed < 0:

@@ -2,12 +2,12 @@
 
 The filter is the solution operator of d/d(eta) u = laplacian(u) on the
 torus: each Fourier mode is damped by exp(-delta_eta * |k|^2).  A ladder
-samples one family on uniform eta nodes, as physical fields
-(``ScaleStack``: centred differences and curvature in eta) or as half
-spectra alone (``SpectralStack``).  The filter defect psi, the deviation
-from the filtered family through one node and the Duhamel reconstruction
-of that deviation take a ``SpectralStack``; psi is itself one, on the
-interior nodes of a ladder of at least 5.
+samples one family on uniform eta nodes, one row per node on one grid:
+physical values (``ScaleStack``: centred differences and curvature in
+eta) or half spectra (``SpectralStack``).  The filter defect psi, the
+deviation from the filtered family through one node and the Duhamel
+reconstruction of that deviation take a ``SpectralStack``; psi is itself
+one, on the interior nodes of a ladder of at least 5.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _fft, _ifft, _irfft
+from .grid import Field, Grid, NonFiniteFieldError, _fft, _ifft, _irfft
 
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
@@ -49,11 +49,17 @@ def heat_propagate_many(f: Field, deltas) -> Iterator[Field]:
     )
 
 
+@dataclass(frozen=True)
 class _Ladder:
-    """A stack on a uniform ladder of at least three eta nodes, the fewest a
-    centred difference reads."""
+    """Rows on a uniform ladder of at least three eta nodes, the fewest a
+    centred difference reads: one read-only (ncomp, *layout) array per
+    node, which ladders sharing a node may share."""
 
+    grid: Grid
     eta_nodes: np.ndarray
+    values: tuple[np.ndarray, ...]
+
+    _LAYOUT = "shape"  # the Grid attribute that is each row's layout
 
     def __post_init__(self):
         nodes = np.array(self.eta_nodes, dtype=float)
@@ -66,6 +72,14 @@ class _Ladder:
             raise ValueError("eta nodes must be strictly increasing")
         if np.max(steps) - np.min(steps) > 1e-12 * np.max(steps):
             raise ValueError("eta nodes must be uniformly spaced")
+        rows = tuple(np.asarray(row) for row in self.values)
+        layout = getattr(self.grid, self._LAYOUT)
+        shapes = {row.shape for row in rows}
+        if len(rows) != nodes.size or len(shapes) != 1 or shapes.pop()[1:] != layout:
+            raise ValueError(f"need one row per node, all one shape (ncomp, *grid.{self._LAYOUT})")
+        for row in rows:
+            row.flags.writeable = False
+        object.__setattr__(self, "values", rows)
 
     @property
     def K(self) -> int:
@@ -78,68 +92,32 @@ class _Ladder:
         return float(self.eta_nodes[-1] - self.eta_nodes[0]) / (self.K - 1)
 
 
-@dataclass(frozen=True)
 class ScaleStack(_Ladder):
-    """Physical fields on a uniform ladder of at least three eta nodes."""
-
-    eta_nodes: np.ndarray
-    fields: tuple[Field, ...]
+    """Physical values (ncomp, *grid.shape) on a uniform ladder, finite as
+    a Field's are."""
 
     def __post_init__(self):
         super().__post_init__()
-        nodes = self.eta_nodes
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if len(self.fields) != nodes.size:
-            raise ValueError("node and field counts differ")
-        grid = self.fields[0].grid
-        t = self.fields[0].t
-        for j, f in enumerate(self.fields):
-            if f.grid != grid:
-                raise ValueError("stack fields live on different grids")
-            if f.ncomp != self.fields[0].ncomp:
-                raise ValueError("stack fields have different component counts")
-            if abs(f.t - t) > 1e-12:
-                raise ValueError("stack fields have different slice times")
-            if abs(f.eta - nodes[j]) > 1e-12:
-                raise ValueError(f"field {j} carries eta={f.eta} but node is {nodes[j]}")
-
-    @property
-    def grid(self) -> Grid:
-        return self.fields[0].grid
-
-    @property
-    def t(self) -> float:
-        return self.fields[0].t
+        if not all(np.isfinite(row).all() for row in self.values):
+            raise NonFiniteFieldError("scale stack values must be finite")
 
     @cached_property
     def peak_curvature(self) -> float:
         """max |d2f/d(eta)2| over the interior nodes, by centered differences."""
-        vals = np.stack([f.values for f in self.fields])
+        vals = np.stack(self.values)
         d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / self.delta_eta**2
         return float(np.max(np.abs(d2)))
 
 
-@dataclass(frozen=True)
 class SpectralStack(_Ladder):
-    """A uniform ladder kept as the half spectra (ncomp, *rshape) of its
-    nodes alone, which ladders sharing a node may share.  Its fields are
-    at t = 0."""
+    """A uniform ladder kept as the half spectra (ncomp, *grid.rshape) of
+    its nodes alone.  Its fields are at t = 0."""
 
-    grid: Grid
-    eta_nodes: np.ndarray
-    spectra: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "spectra", tuple(self.spectra))
-        shapes = {c.shape for c in self.spectra}
-        if len(self.spectra) != self.K or len(shapes) != 1 or shapes.pop()[1:] != self.grid.rshape:
-            raise ValueError("need one spectrum per node, all of one shape (ncomp, *grid.rshape)")
+    _LAYOUT = "rshape"
 
     def field(self, j: int) -> Field:
         """Node j's field, by one inverse transform."""
-        grid = self.grid
-        return Field(grid, _irfft(grid, self.spectra[j]), eta=float(self.eta_nodes[j]))
+        return Field(self.grid, _irfft(self.grid, self.values[j]), eta=float(self.eta_nodes[j]))
 
 
 def build_scale_stack(generator: Field, epsilon: float, eta0: float, K: int) -> ScaleStack:
@@ -152,20 +130,15 @@ def build_scale_stack(generator: Field, epsilon: float, eta0: float, K: int) -> 
     if K < 5:
         raise ValueError(f"need at least 5 nodes, got K={K}")
     nodes = np.linspace(epsilon, eta0, K)
-    base = generator.with_values(eta=epsilon)
-    return ScaleStack(nodes, heat_propagate_many(base, nodes - epsilon))
+    slices = heat_propagate_many(generator, nodes - epsilon)
+    return ScaleStack(generator.grid, nodes, [f.values for f in slices])
 
 
-def _require_interior(stack: ScaleStack, node: int):
+def eta_derivative(stack: ScaleStack, node: int) -> np.ndarray:
+    """Centered second-order difference d/d(eta) at an interior node."""
     if not 1 <= node <= stack.K - 2:
         raise ValueError(f"node {node} has no centered stencil in a stack of {stack.K} nodes")
-
-
-def eta_derivative(stack: ScaleStack, node: int) -> Field:
-    """Centered second-order difference d/d(eta) at an interior node."""
-    _require_interior(stack, node)
-    lo, mid, hi = stack.fields[node - 1], stack.fields[node], stack.fields[node + 1]
-    return mid.with_values((hi.values - lo.values) / (2.0 * stack.delta_eta))
+    return (stack.values[node + 1] - stack.values[node - 1]) / (2.0 * stack.delta_eta)
 
 
 def _damping(grid: Grid, delta_eta: float) -> np.ndarray:
@@ -180,7 +153,7 @@ def filter_defect(stack: SpectralStack) -> SpectralStack:
     so the stack needs at least 5."""
     if stack.K < 5:
         raise ValueError(f"filter defect needs a ladder of at least 5 eta nodes, got {stack.K}")
-    u_hat, rksq = stack.spectra, stack.grid.rksq
+    u_hat, rksq = stack.values, stack.grid.rksq
     psi_hat = np.empty((stack.K - 2,) + u_hat[0].shape, dtype=complex)
     # a product, since a complex array divides by a real scalar six times slower
     half_over_h = 0.5 / stack.delta_eta
@@ -197,7 +170,7 @@ def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> Field:
     ladder's half spectra and transformed back once."""
     if not 0 <= anchor <= node < stack.K:
         raise ValueError(f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}")
-    grid, u_hat, nodes = stack.grid, stack.spectra, stack.eta_nodes
+    grid, u_hat, nodes = stack.grid, stack.values, stack.eta_nodes
     damping = _damping(grid, float(nodes[node] - nodes[anchor]))
     dev_hat = u_hat[node] - damping * u_hat[anchor]
     return Field(grid, _irfft(grid, dev_hat), eta=float(nodes[node]))
@@ -213,7 +186,7 @@ def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
     """
     if not 1 <= target_node <= psi_stack.K - 1:
         raise ValueError(f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}")
-    grid, nodes, psi_hat = psi_stack.grid, psi_stack.eta_nodes, psi_stack.spectra
+    grid, nodes, psi_hat = psi_stack.grid, psi_stack.eta_nodes, psi_stack.values
     eta_target = float(nodes[target_node])
     h = psi_stack.delta_eta
     total = np.zeros(psi_hat[0].shape, dtype=complex)

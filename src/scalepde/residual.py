@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, _irfft, _rfft, laplacian
-from .heat import ScaleStack, _require_interior, eta_derivative
+from .grid import Field, Grid, _irfft, _rfft
+from .heat import ScaleStack, eta_derivative
 from .jets import JetExpr, jet_evaluate, jet_linearize, jet_values
 
 # the residual closures a run can take: none, or the Helmholtz balance below
@@ -28,9 +28,14 @@ def exact_residual(core: JetExpr, u: Field, u_t: Field | None = None) -> Field:
 
 
 def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:
-    """e = d(r)/d(eta) - laplacian(r) - s at an interior node."""
-    dr = eta_derivative(r_stack, node)
-    return dr - laplacian(r_stack.fields[node]) - s
+    """e = d(r)/d(eta) - laplacian(r) - s at an interior node, with s's
+    t and eta."""
+    dr, r, grid = eta_derivative(r_stack, node), r_stack.values[node], r_stack.grid
+    if s.grid != grid or s.ncomp != len(r):
+        raise ValueError("s and the residual stack differ in grid or component count")
+    lap_r = _rfft(grid, r)
+    lap_r *= -grid.rksq
+    return s.with_values(dr - _irfft(grid, lap_r) - s.values)
 
 
 def _closure_multiplier(grid: Grid, eta: float) -> np.ndarray:
@@ -55,10 +60,9 @@ def closure_error_bound(r_stack: ScaleStack, node: int) -> tuple[float, float]:
     and rhs = (eta/2) * max over interior nodes of |d2(r)/d(eta)2|.  The
     curvature is formed once per stack and shared by all its nodes.
     """
-    _require_interior(r_stack, node)
-    eta = float(r_stack.eta_nodes[node])
     dr = eta_derivative(r_stack, node)
-    lhs = float(np.max(np.abs(dr.values - r_stack.fields[node].values / eta)))
+    eta = float(r_stack.eta_nodes[node])
+    lhs = float(np.max(np.abs(dr - r_stack.values[node] / eta)))
     return lhs, 0.5 * eta * r_stack.peak_curvature
 
 

@@ -483,6 +483,11 @@ def manufactured_scalar_2d(grid: Grid, eta: float, t: float = 0.0) -> tuple[Fiel
     return field((a, b, c)), field(psi_weights)
 
 
+def node_fields(stack: ScaleStack) -> list[Field]:
+    """A physical ladder's rows as Fields at their nodes' scales."""
+    return [Field(stack.grid, row, eta=float(eta)) for row, eta in zip(stack.values, stack.eta_nodes)]
+
+
 def spectral_stack(fields) -> SpectralStack:
     """The ladder of fields kept as their half spectra, one
     ``numpy.fft.rfftn`` over the spatial axes per node, at the fields'
@@ -502,11 +507,12 @@ def per_ladder_residual_errors(core: JetExpr, u_gen: Field, ut_gen: Field,
     source = derive_source(core)
     errors = []
     for K in nodes:
-        u, u_t = (build_scale_stack(g, epsilon, eta0, K) for g in (u_gen, ut_gen))
-        window = range(K // 2 - 1, K // 2 + 2)
-        r = [exact_residual(core, u.fields[j], u_t.fields[j]) for j in window]
-        s = exact_residual(source, u.fields[K // 2], u_t.fields[K // 2])
-        e = residual_defect(ScaleStack(u.eta_nodes[window.start : window.stop], r), s, 1)
+        stacks = [build_scale_stack(g, epsilon, eta0, K) for g in (u_gen, ut_gen)]
+        u, u_t = (node_fields(stack) for stack in stacks)
+        window = slice(K // 2 - 1, K // 2 + 2)
+        r = [exact_residual(core, *pair).values for pair in list(zip(u, u_t))[window]]
+        s = exact_residual(source, u[K // 2], u_t[K // 2])
+        e = residual_defect(ScaleStack(u_gen.grid, stacks[0].eta_nodes[window], r), s, 1)
         errors.append(field_norms(e)[1])
     return errors
 

@@ -54,6 +54,7 @@ from oracles import (
     manufactured_burgers,
     manufactured_fluid,
     manufactured_scalar_2d,
+    node_fields,
     spectral_stack,
 )
 
@@ -76,18 +77,18 @@ def _filtered_stacks(core_name: str, epsilon: float, eta0: float, K: int):
         u_gen, ut_gen = filtered_taylor_green(make_grid(2, 64), t=0.0, eta=0.0)
     u_stack = build_scale_stack(u_gen, epsilon, eta0, K)
     ut_stack = build_scale_stack(ut_gen, epsilon, eta0, K)
-    r_fields = tuple(
-        exact_residual(core, u, u_t).with_values(eta=u.eta)
-        for u, u_t in zip(u_stack.fields, ut_stack.fields)
-    )
-    return core, u_stack, ut_stack, ScaleStack(u_stack.eta_nodes, r_fields)
+    r_rows = [
+        exact_residual(core, u, u_t).values
+        for u, u_t in zip(node_fields(u_stack), node_fields(ut_stack))
+    ]
+    return core, u_stack, ut_stack, ScaleStack(u_stack.grid, u_stack.eta_nodes, r_rows)
 
 
 def _defect_at_mid(core, u_stack, ut_stack, r_stack):
     mid = u_stack.K // 2
     source = derive_source(core)
-    jets = jet_values(source, u_stack.fields[mid], ut_stack.fields[mid])
-    s_mid = jet_evaluate(source, jets, u_stack.fields[mid])
+    u, u_t = (node_fields(stack)[mid] for stack in (u_stack, ut_stack))
+    s_mid = jet_evaluate(source, jet_values(source, u, u_t), u)
     return residual_defect(r_stack, s_mid, mid)
 
 
@@ -193,11 +194,7 @@ class TestAcceptance:
                 grid, core, family = make_grid(2, 64), fluid_core(2), manufactured_fluid
             slices = [family(grid, 0.0, float(e)) for e in nodes]
             r_stack = ScaleStack(
-                nodes,
-                tuple(
-                    exact_residual(core, s.u, s.u_t).with_values(eta=float(e))
-                    for e, s in zip(nodes, slices)
-                ),
+                grid, nodes, [exact_residual(core, s.u, s.u_t).values for s in slices]
             )
             mid = K // 2
             source = derive_source(core)
@@ -263,11 +260,7 @@ class TestAcceptance:
         x = grid1.coords()[0]
         nodes = np.linspace(0.01, 0.2, K)
         manu = ScaleStack(
-            nodes,
-            tuple(
-                Field(grid1, (e * np.exp(-2.0 * e) * np.sin(x))[np.newaxis], eta=float(e))
-                for e in nodes
-            ),
+            grid1, nodes, [(e * np.exp(-2.0 * e) * np.sin(x))[np.newaxis] for e in nodes]
         )
         for node in range(1, K - 1):
             lhs, rhs = closure_error_bound(manu, node)

@@ -14,6 +14,7 @@ import pytest
 from scalepde import (
     ConfigError, Field, families, make_grid, parse_config, read_checkpoint, write_checkpoint,
 )
+from scalepde import cli
 from scalepde.cli import COMMANDS, _measured_orders, config_hash, main
 
 
@@ -198,6 +199,23 @@ class TestParseConfig:
 
     def test_grid_size_2048_is_allowed(self):
         assert parse_config("", ["grid_size=2048"])[0].grid_size == 2048
+
+    @pytest.mark.parametrize("command", ["residual-check", "closure-check", "duhamel-check"])
+    def test_narrow_eta_range_exits_2_naming_epsilon_and_eta0(self, capsys, command):
+        # closure-check's 33-node ladder would be spaced 3.1e-6, under the
+        # rounding its uniformity check allows
+        for key in ("epsilon=0.1", "eta0=0.1001", "K=33"):
+            _assert_exits_2_naming(capsys, command, "epsilon=0.1 eta0=0.1001", key)
+
+    def test_eta_range_is_refused_by_its_finest_ladder(self):
+        # (0.15 - 0.05)/(K - 1) >= 1e-3 * 0.15 holds up to K = 667
+        assert parse_config("", ["nodes=[5,667]"])[0].nodes == (5, 667)
+        with pytest.raises(ConfigError, match="epsilon=0.05 and eta0=0.15 .* K=668 nodes"):
+            parse_config("", ["nodes=[5,668]"])
+        # (eta0 - 0.1)/32 >= 1e-3 * eta0 from eta0 = 0.1/0.968 = 0.10331 up
+        assert parse_config("", ["epsilon=0.1", "eta0=0.1034"])[0].eta0 == 0.1034
+        with pytest.raises(ConfigError, match="K=33 nodes"):
+            parse_config("", ["epsilon=0.1", "eta0=0.1033"])
 
     @pytest.mark.parametrize("command", ["residual-check", "evolve", "filter-check"])
     def test_core_text_read_by_derive_source_only(self, tmp_path, capsys, command):
@@ -589,6 +607,39 @@ class TestDuhamelCommand:
             assert named in err
         assert built == []
         assert not (out / "report.json").exists()
+
+    def test_one_dimension_exits_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "make_grid", lambda *a: built.append(a))
+        out = tmp_path / "run"
+        code = main(["duhamel-check", "--out", str(out), "--set", "n=1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duhamel-check needs n = 2, got n=1\n"
+        assert built == []
+        assert not (out / "report.json").exists()
+
+    def test_spectra_past_the_budget_exit_2_before_the_family(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(
+            families, "manufactured_scalar_2d_ladder", lambda *a, **k: built.append(a)
+        )
+        out = tmp_path / "run"
+        # 39 distinct nodes and psi's 33 of 2048 x 1025 values each
+        code = main(["duhamel-check", "--out", str(out), "--set", "grid_size=2048"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: nodes=[9, 17, 33] on grid_size=2048 keep 72 half spectra")
+        assert built == []
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("size", [32, 64, 128, 1024])
+    def test_default_nodes_fit_the_budget(self, capsys, monkeypatch, size):
+        # the benchmark's and the README's grids, and one far past them
+        monkeypatch.setattr(cli, "_deviation_errors", lambda grid, ladders: ([4.0, 1.0, 0.25], 0.5))
+        assert main(["duhamel-check", "--set", f"grid_size={size}"]) == 0
+        capsys.readouterr()
 
 
 class TestBurgersReferenceCommand:

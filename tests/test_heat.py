@@ -5,6 +5,7 @@ import pytest
 
 from scalepde import (
     Field,
+    NonFiniteFieldError,
     ScaleStack,
     SpectralStack,
     build_scale_stack,
@@ -20,7 +21,7 @@ from scalepde import (
 )
 from scalepde.families import random_band_limited, random_solenoidal, taylor_green
 from scalepde.heat import heat_propagate_many
-from oracles import manufactured_scalar_2d, per_node_duhamel, spectral_stack
+from oracles import manufactured_scalar_2d, node_fields, per_node_duhamel, spectral_stack
 
 
 class TestHeatPropagate:
@@ -102,9 +103,10 @@ class TestScaleStack:
         assert stack.K == 9
         assert stack.eta_nodes[0] == pytest.approx(0.02)
         assert stack.eta_nodes[-1] == pytest.approx(0.1)
+        assert stack.grid == grid2d
         for j, eta in enumerate(stack.eta_nodes):
             expected = np.exp(-2.0 * (eta - 0.02)) * v.values
-            assert np.max(np.abs(stack.fields[j].values - expected)) <= 1e-12
+            assert np.max(np.abs(stack.values[j] - expected)) <= 1e-12
 
     def test_build_validation(self, grid1d):
         f = Field(grid1d, np.zeros(grid1d.shape))
@@ -117,27 +119,41 @@ class TestScaleStack:
 
     def test_nonuniform_rejected(self, grid1d):
         nodes = np.array([0.01, 0.02, 0.05, 0.06, 0.07])
-        fields = tuple(
-            Field(grid1d, np.zeros(grid1d.shape), eta=float(e)) for e in nodes
-        )
         with pytest.raises(ValueError, match="uniform"):
-            ScaleStack(nodes, fields)
-
-    def test_eta_mismatch_rejected(self, grid1d):
-        nodes = np.linspace(0.01, 0.05, 5)
-        fields = tuple(Field(grid1d, np.zeros(grid1d.shape), eta=0.99) for _ in nodes)
-        with pytest.raises(ValueError, match="eta"):
-            ScaleStack(nodes, fields)
+            ScaleStack(grid1d, nodes, [np.zeros((1,) + grid1d.shape)] * 5)
 
     def test_component_count_mismatch_rejected(self, grid1d):
-        # the Duhamel sum would broadcast one component into two
+        # a centred difference would broadcast one component into two
         nodes = np.linspace(0.01, 0.05, 5)
-        fields = tuple(
-            Field(grid1d, np.zeros((1 if j else 2,) + grid1d.shape), eta=float(e))
-            for j, e in enumerate(nodes)
-        )
-        with pytest.raises(ValueError, match="component counts"):
-            ScaleStack(nodes, fields)
+        rows = [np.zeros((1 if j else 2,) + grid1d.shape) for j in range(5)]
+        with pytest.raises(ValueError, match="one row per node, all one shape"):
+            ScaleStack(grid1d, nodes, rows)
+
+    def test_rows_must_fit_the_grid(self, grid1d):
+        # one (ncomp, *grid.shape) row per node, no row without its component axis
+        nodes = np.linspace(0.01, 0.05, 5)
+        for rows in (
+            [np.zeros((1,) + grid1d.shape)] * 4,
+            [np.zeros(grid1d.shape)] * 5,
+            [np.zeros((1, 64))] * 5,
+        ):
+            with pytest.raises(ValueError, match=r"\(ncomp, \*grid.shape\)"):
+                ScaleStack(grid1d, nodes, rows)
+
+    def test_non_finite_rejected(self, grid1d):
+        rows = [np.zeros((1,) + grid1d.shape) for _ in range(5)]
+        rows[3][0, 7] = np.nan
+        with pytest.raises(NonFiniteFieldError, match="finite"):
+            ScaleStack(grid1d, np.linspace(0.01, 0.05, 5), rows)
+
+    def test_rows_are_read_only_and_shared(self, grid1d):
+        # windows of one ladder hold its arrays, not copies
+        rows = [np.full((1,) + grid1d.shape, float(j)) for j in range(5)]
+        full = ScaleStack(grid1d, np.linspace(0.01, 0.05, 5), rows)
+        window = ScaleStack(grid1d, full.eta_nodes[1:4], full.values[1:4])
+        assert all(w is r for w, r in zip(window.values, rows[1:4]))
+        with pytest.raises(ValueError, match="read-only"):
+            window.values[0][0, 0] = 1.0
 
 
 class TestEtaDerivative:
@@ -156,8 +172,8 @@ class TestEtaDerivative:
             stack = build_scale_stack(v, 0.02, 0.1, K)
             mid = K // 2
             d = eta_derivative(stack, mid)
-            exact = -2.0 * stack.fields[mid].values
-            errors.append(np.max(np.abs(d.values - exact)))
+            exact = -2.0 * stack.values[mid]
+            errors.append(np.max(np.abs(d - exact)))
         rate = np.log2(errors[0] / errors[1])
         assert rate >= 1.9
 
@@ -165,7 +181,7 @@ class TestEtaDerivative:
 class TestFilterDefect:
     def test_filtered_stack_defect_small(self, grid2d):
         stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, 33)
-        psi = filter_defect(spectral_stack(stack.fields)).field(15)
+        psi = filter_defect(spectral_stack(node_fields(stack))).field(15)
         # members of the filter-map set have psi = O(delta_eta^2) only
         assert field_norms(psi)[1] <= 1e-4
 
@@ -173,7 +189,7 @@ class TestFilterDefect:
         errors = []
         for K in (9, 17, 33):
             stack = build_scale_stack(taylor_green(grid2d), 0.02, 0.1, K)
-            psi = filter_defect(spectral_stack(stack.fields))
+            psi = filter_defect(spectral_stack(node_fields(stack)))
             errors.append(field_norms(psi.field(K // 2 - 1))[1])
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 1.9
@@ -248,15 +264,14 @@ def _white_noise_stack(n, size, K=9):
     grid = make_grid(n, size)
     nodes = np.linspace(0.02, 0.1, K)
     values = np.random.default_rng(size + n).standard_normal((K, 2) + grid.shape)
-    return ScaleStack(
-        nodes, tuple(Field(grid, v, eta=float(e)) for v, e in zip(values, nodes))
-    )
+    return ScaleStack(grid, nodes, values)
 
 
 def _physical_defects(stack):
+    fields = node_fields(stack)
     return np.stack(
         [
-            (eta_derivative(stack, j) - laplacian(stack.fields[j])).values
+            eta_derivative(stack, j) - laplacian(fields[j]).values
             for j in range(1, stack.K - 1)
         ]
     )
@@ -278,19 +293,19 @@ class TestHalfSpectrumAgainstPhysical:
         self, n, size, transform_counts
     ):
         stack = _white_noise_stack(n, size)
-        psi = filter_defect(spectral_stack(stack.fields))
+        psi = filter_defect(spectral_stack(node_fields(stack)))
         assert isinstance(psi, SpectralStack)
         np.testing.assert_array_equal(psi.eta_nodes, stack.eta_nodes[1:-1])
         assert psi.grid == stack.grid
         transform_counts.update(calls=0, complex=0, transforms=0)
-        assert psi.field(2).t == stack.t == 0.0
+        assert psi.field(2).t == 0.0
         assert {k: transform_counts[k] for k in ("calls", "complex", "transforms")} == {
             "calls": 1, "complex": 0, "transforms": 2
         }
 
     def test_defect_is_eta_derivative_minus_laplacian(self, n, size):
         stack = _white_noise_stack(n, size)
-        psi = filter_defect(spectral_stack(stack.fields))
+        psi = filter_defect(spectral_stack(node_fields(stack)))
         assert psi.K == stack.K - 2
         np.testing.assert_array_equal(psi.eta_nodes, stack.eta_nodes[1:-1])
         got = [psi.field(j) for j in range(psi.K)]
@@ -301,11 +316,12 @@ class TestHalfSpectrumAgainstPhysical:
     @pytest.mark.parametrize("anchor", [0, 1])
     def test_deviation_is_difference_from_propagated_anchor(self, n, size, anchor):
         stack = _white_noise_stack(n, size)
-        base = stack.fields[anchor]
-        nodes, spectral = range(anchor, stack.K), spectral_stack(stack.fields)
+        fields = node_fields(stack)
+        base = fields[anchor]
+        nodes, spectral = range(anchor, stack.K), spectral_stack(fields)
         got = [filter_deviation(spectral, anchor, j) for j in nodes]
         want = [
-            (stack.fields[j] - heat_propagate(base, stack.fields[j].eta - base.eta)).values
+            (fields[j] - heat_propagate(base, fields[j].eta - base.eta)).values
             for j in nodes
         ]
         _assert_close([f.values for f in got], want)
@@ -314,7 +330,7 @@ class TestHalfSpectrumAgainstPhysical:
 
     def test_quadrature_matches_per_node_propagation(self, n, size):
         stack = _white_noise_stack(n, size)
-        psi = filter_defect(spectral_stack(stack.fields))
+        psi = filter_defect(spectral_stack(node_fields(stack)))
         physical = _physical_defects(stack)
         for target in (1, 3, psi.K - 1):
             got = duhamel_integral(psi, target)

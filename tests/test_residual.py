@@ -26,10 +26,7 @@ from oracles import manufactured_burgers, manufactured_fluid, taylor_green_press
 
 
 def _field_stack(grid, nodes, value_fn):
-    fields = tuple(
-        Field(grid, value_fn(float(e)), eta=float(e)) for e in nodes
-    )
-    return ScaleStack(np.asarray(nodes), fields)
+    return ScaleStack(grid, nodes, [value_fn(float(e))[np.newaxis] for e in nodes])
 
 
 class TestExactResidual:
@@ -64,6 +61,25 @@ class TestResidualDefect:
         s = Field(grid1d, np.zeros(grid1d.shape), eta=float(nodes[4]))
         e = residual_defect(stack, s, 4)
         assert field_norms(e)[1] <= 1e-13
+
+    def test_builds_one_field_with_the_source_scales(self, grid1d, transform_counts):
+        # e is formed on the rows; s gives its grid, t and eta
+        nodes = np.linspace(0.02, 0.1, 9)
+        stack = _field_stack(grid1d, nodes, lambda e: e * np.ones(grid1d.shape))
+        s = Field(grid1d, np.zeros(grid1d.shape), t=0.3, eta=0.07)
+        transform_counts["fields"] = 0
+        e = residual_defect(stack, s, 4)
+        assert transform_counts["fields"] == 1
+        assert (e.grid, e.t, e.eta) == (grid1d, 0.3, 0.07)
+        np.testing.assert_allclose(e.values, 1.0, rtol=1e-12)
+
+    def test_source_must_match_the_stack(self, grid1d):
+        # a one-component s would broadcast over a two-component residual
+        rows = [np.zeros((2,) + grid1d.shape)] * 5
+        stack = ScaleStack(grid1d, np.linspace(0.02, 0.1, 5), rows)
+        for s in (Field(grid1d, np.zeros(grid1d.shape)), Field(make_grid(1, 32), np.zeros((2, 32)))):
+            with pytest.raises(ValueError, match="grid or component count"):
+                residual_defect(stack, s, 2)
 
     def test_transport_solution_converges_second_order(self, grid1d):
         # r = g(eta) sin x solves the transport equation with
@@ -196,11 +212,8 @@ class TestFrechetContraction:
         K = 33
         nodes = np.linspace(0.05, 0.15, K)
         slices = [family(grid, 0.0, float(e)) for e in nodes]
-        r_fields = tuple(
-            exact_residual(core, s.u, s.u_t).with_values(eta=float(e))
-            for e, s in zip(nodes, slices)
-        )
-        r_stack = ScaleStack(nodes, r_fields)
+        r_rows = [exact_residual(core, s.u, s.u_t).values for s in slices]
+        r_stack = ScaleStack(grid, nodes, r_rows)
         mid = K // 2
         source = derive_source(core)
         s_mid = jet_evaluate(

@@ -154,8 +154,17 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "closure")
         capsys.readouterr()
         assert code == 0
-        # jet tables hold arrays: the r stack's Fields alone, no Field per jet
-        assert transform_counts["fields"] <= 212
+        # the stacks hold rows: no Field per manufactured node or per
+        # eta derivative, and none per jet
+        assert transform_counts["fields"] <= 115
+
+    @pytest.mark.parametrize("case", ["residual_fluid", "residual_burgers"])
+    def test_residual_check_fields(self, tmp_path, capsys, transform_counts, case):
+        code, _ = _run(tmp_path, case)
+        capsys.readouterr()
+        assert code == 0
+        # e is formed on the rows and checked once, one Field per ladder
+        assert transform_counts["fields"] <= 29
 
     def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
         forward = []
@@ -223,19 +232,19 @@ class TestStackWindow:
 
     def test_three_node_window_spacing_is_the_mean(self, generator):
         full = build_scale_stack(generator, 0.05, 0.15, 17)
-        window = ScaleStack(full.eta_nodes[7:10], full.fields[7:10])
+        window = ScaleStack(full.grid, full.eta_nodes[7:10], full.values[7:10])
         assert window.K == 3
         nodes = window.eta_nodes
         assert window.delta_eta == (nodes[2] - nodes[0]) / 2
         # a centred difference reads the outer nodes, over twice this spacing
         d = eta_derivative(window, 1)
-        want = (window.fields[2].values - window.fields[0].values) / (nodes[2] - nodes[0])
-        np.testing.assert_allclose(d.values, want, rtol=1e-12, atol=1e-12)
+        want = (window.values[2] - window.values[0]) / (nodes[2] - nodes[0])
+        np.testing.assert_allclose(d, want, rtol=1e-12, atol=1e-12)
 
     def test_two_nodes_are_refused(self, generator):
         full = build_scale_stack(generator, 0.05, 0.15, 5)
         with pytest.raises(ValueError, match="at least 3 eta nodes"):
-            ScaleStack(full.eta_nodes[:2], full.fields[:2])
+            ScaleStack(full.grid, full.eta_nodes[:2], full.values[:2])
         spectra = [np.zeros((2,) + full.grid.rshape, complex)] * 2
         with pytest.raises(ValueError, match="at least 3 eta nodes"):
             SpectralStack(full.grid, full.eta_nodes[:2], spectra)
@@ -250,8 +259,11 @@ class TestStackWindow:
             (grid, [coeffs, coeffs, coeffs[:1]]),
             (make_grid(2, 8), [coeffs] * 3),
         ):
-            with pytest.raises(ValueError, match="one spectrum per node"):
+            with pytest.raises(ValueError, match=r"one row per node.*\(ncomp, \*grid.rshape\)"):
                 SpectralStack(grid_of, nodes, spectra)
+        # a physical row is not a half spectrum
+        with pytest.raises(ValueError, match="one row per node"):
+            SpectralStack(grid, nodes, [generator.values] * 3)
 
     def test_propagate_many_makes_each_field_when_taken(self, generator, transform_counts):
         many = heat_propagate_many(generator, [0.01, 0.02])
@@ -278,8 +290,8 @@ class TestStackWindow:
         stack = build_scale_stack(generator, 0.05, 0.15, 9)
         h = stack.delta_eta
         loop = max(
-            float(np.max(np.abs((hi.values - 2.0 * mid.values + lo.values) / h**2)))
-            for lo, mid, hi in zip(stack.fields, stack.fields[1:], stack.fields[2:])
+            float(np.max(np.abs((hi - 2.0 * mid + lo) / h**2)))
+            for lo, mid, hi in zip(stack.values, stack.values[1:], stack.values[2:])
         )
         assert stack.peak_curvature == loop
         lhs, rhs = closure_error_bound(stack, 3)

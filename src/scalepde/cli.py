@@ -35,6 +35,8 @@ from .evolve import (
 from .fluid import burgers_core, core_by_name
 from .grid import (
     Field,
+    _irfft,
+    _peak,
     _rfft,
     divergence,
     field_norms,
@@ -467,7 +469,7 @@ def _deviation_errors(grid, ladders) -> tuple[list[float], float]:
     for ladder in ladders:
         stack = SpectralStack(grid, ladder, [spectra[eta] for eta in ladder])
         psi = filter_defect(stack)
-        sup_psi = max(field_norms(psi.field(j))[1] for j in range(psi.K))
+        sup_psi = max(float(_peak(_irfft(grid, row))) for row in psi.values)
         for node, eta in enumerate(ladder[1:-1], start=1):
             if eta not in norms:
                 dev = filter_deviation(stack, 1, node)

@@ -107,18 +107,24 @@ def manufactured_scalar_2d_ladder(grid: Grid, etas) -> Iterator[np.ndarray]:
     u = a(eta) sin x cos y + b(eta) cos x + c(eta) sin 2x cos y with
     a = 1 + eta, b = e^{-eta} and c = cos(eta), coefficients that do not
     follow the heat flow.  The three modes are transformed once, in one
-    call, and each spectrum is their combination, made as the caller
-    takes it.
+    call, and each spectrum is their combination ((1 + eta) m1 + b m2) + c m3,
+    made as the caller takes it in one new array and one scratch spectrum.
     """
     if grid.n != 2:
         raise ValueError("needs a two dimensional grid")
     x, y = grid.coords()
     modes = np.stack([np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)])
     m1, m2, m3 = _rfft(grid, modes)
-    return (
-        ((1.0 + eta) * m1 + math.exp(-eta) * m2 + math.cos(eta) * m3)[np.newaxis]
-        for eta in etas
-    )
+
+    def spectra():
+        scratch = np.empty_like(m1)
+        for eta in etas:
+            u_hat = np.multiply(1.0 + eta, m1)
+            u_hat += np.multiply(math.exp(-eta), m2, out=scratch)
+            u_hat += np.multiply(math.cos(eta), m3, out=scratch)
+            yield u_hat[np.newaxis]
+
+    return spectra()
 
 
 def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[Field, Field]:

@@ -141,9 +141,10 @@ def eta_derivative(stack: ScaleStack, node: int) -> np.ndarray:
     return (stack.values[node + 1] - stack.values[node - 1]) / (2.0 * stack.delta_eta)
 
 
-def _damping(grid: Grid, delta_eta: float) -> np.ndarray:
-    """The heat multiplier exp(-delta_eta * |k|^2) on the half spectrum."""
-    return np.exp(-delta_eta * grid.rksq)
+def _damping(grid: Grid, delta_eta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The heat multiplier exp(-delta_eta * |k|^2) on the half spectrum,
+    into ``out`` when given."""
+    return np.exp(np.multiply(-delta_eta, grid.rksq, out=out), out=out)
 
 
 def filter_defect(stack: SpectralStack) -> SpectralStack:
@@ -155,12 +156,13 @@ def filter_defect(stack: SpectralStack) -> SpectralStack:
         raise ValueError(f"filter defect needs a ladder of at least 5 eta nodes, got {stack.K}")
     u_hat, rksq = stack.values, stack.grid.rksq
     psi_hat = np.empty((stack.K - 2,) + u_hat[0].shape, dtype=complex)
+    laplacian = np.empty(u_hat[0].shape, dtype=complex)
     # a product, since a complex array divides by a real scalar six times slower
     half_over_h = 0.5 / stack.delta_eta
     for j, out in enumerate(psi_hat, start=1):
         np.subtract(u_hat[j + 1], u_hat[j - 1], out=out)
         out *= half_over_h
-        out += rksq * u_hat[j]
+        out += np.multiply(rksq, u_hat[j], out=laplacian)
     return SpectralStack(stack.grid, stack.eta_nodes[1:-1], psi_hat)
 
 
@@ -190,7 +192,10 @@ def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
     eta_target = float(nodes[target_node])
     h = psi_stack.delta_eta
     total = np.zeros(psi_hat[0].shape, dtype=complex)
+    damping, term = np.empty(grid.rshape), np.empty_like(total)
     for j in range(target_node + 1):
         weight = 0.5 * h if j in (0, target_node) else h
-        total += (weight * _damping(grid, eta_target - float(nodes[j]))) * psi_hat[j]
+        _damping(grid, eta_target - float(nodes[j]), out=damping)
+        damping *= weight
+        total += np.multiply(damping, psi_hat[j], out=term)
     return Field(grid, _irfft(grid, total), eta=eta_target)

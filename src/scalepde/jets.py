@@ -676,21 +676,27 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], u: Field) -> F
     """
     grid = u.grid
     out = np.zeros((expr.num_outputs,) + grid.shape)
+    # the quadratic sum of one output and a scaled monomial, reused
+    quadratic, term = np.empty((2,) + grid.shape)
     for a, part in enumerate(expr.terms):
-        quadratic = None
+        has_quadratic = False
         for m in part:
             for f in m.factors:
                 if f not in jets:
                     raise ValueError(f"missing jet value for {f}")
             vals = [jets[f] for f in m.factors]
             if len(vals) == 2:
-                term = float(m.coeff) * (vals[0] * vals[1])
-                quadratic = term if quadratic is None else quadratic + term
+                row = term if has_quadratic else quadratic
+                np.multiply(vals[0], vals[1], out=row)
+                row *= float(m.coeff)
+                if has_quadratic:
+                    quadratic += row
+                has_quadratic = True
                 continue
             prod = vals[0] if vals else 1.0
             for v in vals[1:]:
                 prod = _dealias_values(grid, prod * v)
-            out[a] += float(m.coeff) * prod
-        if quadratic is not None:
+            out[a] += np.multiply(float(m.coeff), prod, out=term)
+        if has_quadratic:
             out[a] += _dealias_values(grid, quadratic)
     return Field(grid, out, t=u.t, eta=u.eta)

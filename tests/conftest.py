@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scalepde import Field, make_grid
+from scalepde import Field, evolve, make_grid
 
 _FFT_ENTRY_POINTS = (
     "fft", "ifft", "fftn", "ifftn", "fft2", "ifft2",
@@ -88,3 +88,17 @@ def transform_counts(monkeypatch):
 
     monkeypatch.setattr(Field, "__post_init__", counted_post_init)
     return counts
+
+
+@pytest.fixture
+def overflowing_rk4(monkeypatch):
+    """Every RK4 step of the Burgers reference overflows: the step's result
+    is multiplied by 1e308, so its largest modes, and every later state,
+    are not finite."""
+    rk4 = evolve._rk4
+
+    def overflowing(u0, total, stage, dt, slope):
+        rk4(u0, total, stage, dt, slope)
+        total *= 1e308
+
+    monkeypatch.setattr(evolve, "_rk4", overflowing)

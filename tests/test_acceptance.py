@@ -8,7 +8,6 @@ enforces its runtime cap.
 import time
 
 import numpy as np
-import pytest
 
 from scalepde import (
     EvolutionState,
@@ -30,11 +29,9 @@ from scalepde import (
     heat_propagate,
     jet_evaluate,
     jet_values,
-    kinetic_energy,
     laplacian,
     make_grid,
     parse_core,
-    read_checkpoint,
     reference_burgers,
     residual_defect,
     run_simulation,

@@ -694,6 +694,17 @@ class TestBurgersReferenceCommand:
         assert "t_end=0.999" in err and "256 fine points" in err and "0.013" in err
         assert not (out / "report.json").exists()
 
+    def test_non_finite_reference_exits_3(self, tmp_path, capsys, overflowing_rk4):
+        # diverged, not the exit 2 of a non-finite Field made of the state
+        out = tmp_path / "ref"
+        code = main(["burgers-reference", "--out", str(out), "--set", "n=1",
+                     "--set", "t_end=0.2"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "diverged: non-finite values in the Burgers reference at t=0.05\n"
+        )
+        assert not (out / "report.json").exists()
+
     def test_needs_one_dimension(self, capsys):
         code = main(["burgers-reference", "--set", "core=burgers"])
         assert code == 2

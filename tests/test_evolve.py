@@ -21,7 +21,6 @@ from scalepde import (
     divergence,
     field_norms,
     fluid_source,
-    kinetic_energy,
     leray_project,
     macroscopic_rhs,
     make_grid,
@@ -39,7 +38,6 @@ from scalepde.grid import _band_irfft
 from scalepde.families import (
     random_band_limited,
     random_solenoidal,
-    single_mode_solenoidal,
     taylor_green,
 )
 from oracles import (
@@ -873,6 +871,13 @@ class TestBurgersReference:
     def test_resolved_at_half(self, size):
         # the top third of the band holds at most 3.9e-8 of the largest mode
         assert len(reference_burgers(make_grid(1, size), [0.5])) == 1
+
+    def test_non_finite_state_diverges_at_the_asked_time(self, overflowing_rk4):
+        # the state is checked once per asked time, after its steps and
+        # before its pair is formed; time 0 takes no step and passes
+        with pytest.raises(SimulationDiverged) as excinfo:
+            reference_burgers(make_grid(1, 64), [0.0, 0.3, 0.4])
+        assert str(excinfo.value) == "non-finite values in the Burgers reference at t=0.3"
 
     def test_unresolved_end_rejected(self):
         # past t = 0.75 on 256 fine points the spectrum fills the band

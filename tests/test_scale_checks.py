@@ -11,6 +11,7 @@ sit at rounding level are compared absolutely.
 
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,20 @@ from scalepde import (
     build_scale_stack,
     burgers_core,
     closure_error_bound,
+    derive_source,
+    duhamel_integral,
     eta_derivative,
+    filter_defect,
     fluid_core,
+    jet_evaluate,
+    jet_values,
     make_grid,
+    parse_core,
     reference_burgers,
 )
 from scalepde.cli import main
 from scalepde.evolve import BURGERS_REFINEMENT
+from scalepde.grid import _dealias_values, _irfft, _rfft
 from scalepde.heat import heat_propagate_many
 from scalepde.families import (
     filtered_taylor_green,
@@ -117,6 +125,27 @@ def test_benchmark_values(tmp_path, capsys, monkeypatch):
         assert not problems, (cmd.label, problems)
 
 
+def test_tiny_cycle_twice_in_one_process(tmp_path, capsys, monkeypatch):
+    """The tiny scale_checks cycle, run twice in one process, writes the
+    same bytes and prints the same lines: no scratch array outlives the
+    call that made it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.build("scale_checks", tmp_path, workloads.DEFAULT_SEED, tiny=True)
+    runs = []
+    for _ in range(2):
+        seen = {}
+        for cmd in workload.cycle:
+            code = main(list(cmd.argv))
+            seen[cmd.label] = (code, capsys.readouterr())
+            for path in sorted(Path(cmd.out).rglob("*")):
+                if path.is_file():
+                    seen[path] = path.read_bytes()
+        runs.append(seen)
+    assert len(runs[0]) > 2 * len(workload.cycle)
+    assert runs[0] == runs[1]
+
+
 class TestWorkBudget:
     """Transform and Field counts, which do not depend on the grid size."""
 
@@ -182,9 +211,15 @@ class TestWorkBudget:
         # K = 33, -2 and 34 for K = 17, -4 and 36 for K = 9) are formed of
         # them, and psi goes to the quadrature as coefficients
         assert forward == [(3, 32, 32)]
-        # no field per node: a field per psi (59) and per distinct deviation
-        # (33), and per ladder one for the quadrature and one for its error
-        assert transform_counts["fields"] <= 98
+
+    def test_duhamel_check_fields(self, tmp_path, capsys, transform_counts):
+        code, _ = _run(tmp_path, "duhamel")
+        capsys.readouterr()
+        assert code == 0
+        # no field per node or per psi (sup |psi| is read off each inverse):
+        # one per distinct deviation (33), and per ladder one for the
+        # quadrature and one for its error
+        assert transform_counts["fields"] <= 39
 
 
 class TestSharedNodes:
@@ -320,3 +355,76 @@ def test_burgers_reference_matches_physical_rk4():
     for got, want in zip(pair, restricted_burgers_pair(solution, coarse.size)):
         assert np.max(np.abs(got.values[0] - want)) <= 1e-12
         assert isinstance(got, Field) and (got.grid, got.t) == (coarse, 0.3)
+
+
+class TestExpressionForms:
+    """The check path forms its values in reused buffers, with the same
+    operations in the same order as the plain expressions written here, so
+    the results are equal to the last bit.  The oracle comparisons elsewhere
+    use tolerances and would not see a reordering that moves a value the
+    benchmark pins to 1e-6."""
+
+    @pytest.fixture
+    def stack(self):
+        grid = make_grid(2, 16)
+        etas = [0.05 + j * 0.1 / 8 for j in range(-1, 10)]
+        return SpectralStack(grid, etas, list(manufactured_scalar_2d_ladder(grid, etas)))
+
+    def test_manufactured_ladder(self, stack):
+        grid = stack.grid
+        x, y = grid.coords()
+        modes = np.stack([np.sin(x) * np.cos(y), np.cos(x), np.sin(2 * x) * np.cos(y)])
+        m1, m2, m3 = _rfft(grid, modes)
+        for eta, got in zip(stack.eta_nodes.tolist(), stack.values):
+            want = ((1.0 + eta) * m1 + math.exp(-eta) * m2 + math.cos(eta) * m3)[np.newaxis]
+            assert np.array_equal(got, want)
+
+    def test_filter_defect(self, stack):
+        u, rksq, half_over_h = stack.values, stack.grid.rksq, 0.5 / stack.delta_eta
+        want = [(u[j + 1] - u[j - 1]) * half_over_h + rksq * u[j] for j in range(1, stack.K - 1)]
+        psi = filter_defect(stack)
+        assert psi.K == len(want)
+        assert all(np.array_equal(got, w) for got, w in zip(psi.values, want))
+
+    def test_duhamel_integral(self, stack):
+        psi = filter_defect(stack)
+        grid, nodes, h = psi.grid, psi.eta_nodes.tolist(), psi.delta_eta
+        for target in (1, psi.K // 2, psi.K - 1):
+            total = np.zeros(psi.values[0].shape, dtype=complex)
+            for j in range(target + 1):
+                weight = 0.5 * h if j in (0, target) else h
+                damping = np.exp(-(nodes[target] - nodes[j]) * grid.rksq)
+                total += (weight * damping) * psi.values[j]
+            assert np.array_equal(duhamel_integral(psi, target).values, _irfft(grid, total))
+
+    @pytest.mark.parametrize("case", ["fluid", "source", "mixed"])
+    def test_jet_evaluate(self, case, rng):
+        expr = {
+            "fluid": lambda: fluid_core(2),
+            "source": lambda: derive_source(fluid_core(2)),
+            # constant, linear, quadratic, cubic and quartic monomials
+            "mixed": lambda: parse_core(
+                "2*u1*u1_x1 - 3*u2*u1_x2 + u1*u2*u2_x1 + 1/2*u1 + 3/2; "
+                "u1*u1 - u2_x2*u2 + 7 - u3_t; u3*u3_x1*u1*u2", n=2, N=3
+            ),
+        }[case]()
+        grid = make_grid(2, 16)
+        u = random_band_limited(grid, rng, ncomp=3)
+        u_t = random_band_limited(grid, rng, ncomp=3)
+        jets = jet_values(expr, u, u_t)
+        want = np.zeros((expr.num_outputs,) + grid.shape)
+        for a, part in enumerate(expr.terms):
+            quadratic = None
+            for m in part:
+                vals = [jets[f] for f in m.factors]
+                if len(vals) == 2:
+                    term = float(m.coeff) * (vals[0] * vals[1])
+                    quadratic = term if quadratic is None else quadratic + term
+                    continue
+                prod = vals[0] if vals else 1.0
+                for v in vals[1:]:
+                    prod = _dealias_values(grid, prod * v)
+                want[a] += float(m.coeff) * prod
+            if quadratic is not None:
+                want[a] += _dealias_values(grid, quadratic)
+        assert np.array_equal(jet_evaluate(expr, jets, u).values, want)

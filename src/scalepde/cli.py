@@ -308,10 +308,10 @@ def _fluid_generator(config: RunConfig):
 
 def _residual_stacks(
     core: JetExpr, u_gen: Field, ut_gen: Field, epsilon: float, windows, source=None
-) -> list[tuple[ScaleStack, Field | None]]:
+) -> list[tuple[ScaleStack, np.ndarray | None]]:
     """The scale stack of r = F(u, u_t) on each window of eta nodes of the
     filtered family through (u_gen, ut_gen) at epsilon and, given a source,
-    s at the window's centre, where r and s are read off one jet table.
+    the row s at its centre, where r and s are read off one jet table.
 
     Windows share the nodes they hold to the last bit: each generator is
     transformed forward once and r formed once per distinct node, where
@@ -330,12 +330,11 @@ def _residual_stacks(
         ut_slices = heat_propagate_many(ut_cut, deltas)
     r, s = {}, {}
     for eta, u, u_t in zip(etas, u_slices, ut_slices):
+        jets = jet_values(table if eta in centres else core, u, u_t)
+        r[eta] = jet_evaluate(core, jets, u)
         if eta in centres:
-            jets = jet_values(table, u, u_t)
-            r[eta], s[eta] = jet_evaluate(core, jets, u).values, jet_evaluate(source, jets, u)
-            del jets  # the largest table alive; it must not outlive its node
-        else:
-            r[eta] = exact_residual(core, u, u_t).values
+            s[eta] = jet_evaluate(source, jets, u)
+        del jets  # the largest table alive; it must not outlive its node
     grid = u_gen.grid
     return [(ScaleStack(grid, w, [r[eta] for eta in w]), s.get(w[len(w) // 2])) for w in windows]
 
@@ -361,7 +360,7 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     ]
     spacings, errors = [], []
     for r_stack, s_mid in _residual_stacks(core, u_gen, ut_gen, config.epsilon, windows, source):
-        errors.append(field_norms(residual_defect(r_stack, s_mid, 1))[1])
+        errors.append(float(_peak(residual_defect(r_stack, s_mid, 1))))
         spacings.append(r_stack.delta_eta)
     orders, rows = _convergence_table(config.nodes, spacings, errors)
     final_order = orders[-1]
@@ -433,7 +432,7 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     [(r_stack, _)] = _residual_stacks(burgers_core(), u_gen, ut_gen, config.epsilon, ladder)
     burgers_rows, burgers_worst = _closure_bound_rows(r_stack, "burgers")
     checks.append(_check("taylor_bound_burgers", burgers_worst, 1.10))
-    r_eps_max = float(np.max(np.abs(r_stack.values[0])))
+    r_eps_max = float(_peak(r_stack.values[0]))
 
     passed = all(c["passed"] for c in checks)
     report = {
@@ -463,7 +462,7 @@ def _deviation_errors(grid, ladders) -> tuple[list[float], float]:
     """
     etas = sorted(set().union(*ladders))
     spectra = dict(zip(etas, families.manufactured_scalar_2d_ladder(grid, etas)))
-    # the max norm of the deviation at each node, and its field where a ladder ends
+    # the max norm of the deviation at each node, and its row where a ladder ends
     norms, ends = {}, dict.fromkeys(ladder[-2] for ladder in ladders)
     errors, worst = [], 0.0
     for ladder in ladders:
@@ -473,13 +472,13 @@ def _deviation_errors(grid, ladders) -> tuple[list[float], float]:
         for node, eta in enumerate(ladder[1:-1], start=1):
             if eta not in norms:
                 dev = filter_deviation(stack, 1, node)
-                norms[eta] = field_norms(dev)[1]
+                norms[eta] = float(_peak(dev))
                 if eta in ends:
                     ends[eta] = dev
             bound = eta * sup_psi
             worst = max(worst, norms[eta] / bound if bound > 0 else 0.0)
         # the deviation at the last node is the direct one the quadrature targets
-        errors.append(field_norms(ends[ladder[-2]] - duhamel_integral(psi, psi.K - 1))[1])
+        errors.append(float(_peak(ends[ladder[-2]] - duhamel_integral(psi, psi.K - 1))))
         del psi  # not to be alive beside the next ladder's
     return errors, worst
 

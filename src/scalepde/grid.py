@@ -134,6 +134,13 @@ def make_grid(n: int, size: int) -> Grid:
     return Grid(n=n, size=size)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """The values, once checked to hold no NaN or infinity, as a Field's are."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteFieldError("field values must be finite")
+    return values
+
+
 def _as_field_values(grid: Grid, values) -> np.ndarray:
     arr = np.array(values, dtype=float, order="C")
     if arr.shape == grid.shape:
@@ -142,8 +149,7 @@ def _as_field_values(grid: Grid, values) -> np.ndarray:
         raise ValueError(
             f"values of shape {arr.shape} do not fit grid shape {grid.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteFieldError("field values must be finite")
+    _finite(arr)
     arr.flags.writeable = False
     return arr
 
@@ -204,13 +210,8 @@ class Field:
         self._check_compatible(other)
         return self.with_values(self.values - other.values)
 
-    def __neg__(self) -> "Field":
-        return self.with_values(-self.values)
-
-    def __mul__(self, scalar) -> "Field":
+    def __rmul__(self, scalar) -> "Field":
         return self.with_values(self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def _rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,8 +6,8 @@ samples one family on uniform eta nodes, one row per node on one grid:
 physical values (``ScaleStack``: centred differences and curvature in
 eta) or half spectra (``SpectralStack``).  The filter defect psi, the
 deviation from the filtered family through one node and the Duhamel
-reconstruction of that deviation take a ``SpectralStack``; psi is itself
-one, on the interior nodes of a ladder of at least 5.
+reconstruction of that deviation take a ``SpectralStack``: psi is one, on
+the interior nodes of a ladder of at least 5, and the others are rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, NonFiniteFieldError, _fft, _ifft, _irfft
+from .grid import Field, Grid, _fft, _finite, _ifft, _irfft
 
 
 def heat_propagate(f: Field, delta_eta: float) -> Field:
@@ -98,8 +98,8 @@ class ScaleStack(_Ladder):
 
     def __post_init__(self):
         super().__post_init__()
-        if not all(np.isfinite(row).all() for row in self.values):
-            raise NonFiniteFieldError("scale stack values must be finite")
+        for row in self.values:
+            _finite(row)
 
     @cached_property
     def peak_curvature(self) -> float:
@@ -111,13 +111,9 @@ class ScaleStack(_Ladder):
 
 class SpectralStack(_Ladder):
     """A uniform ladder kept as the half spectra (ncomp, *grid.rshape) of
-    its nodes alone.  Its fields are at t = 0."""
+    its nodes alone, unchecked: what is read off it is checked."""
 
     _LAYOUT = "rshape"
-
-    def field(self, j: int) -> Field:
-        """Node j's field, by one inverse transform."""
-        return Field(self.grid, _irfft(self.grid, self.values[j]), eta=float(self.eta_nodes[j]))
 
 
 def build_scale_stack(generator: Field, epsilon: float, eta0: float, K: int) -> ScaleStack:
@@ -166,25 +162,25 @@ def filter_defect(stack: SpectralStack) -> SpectralStack:
     return SpectralStack(stack.grid, stack.eta_nodes[1:-1], psi_hat)
 
 
-def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> Field:
+def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> np.ndarray:
     """u at a node minus the filtered family through the anchor node,
     u_node - exp((eta_node - eta_anchor) laplacian) u_anchor, on the
-    ladder's half spectra and transformed back once."""
+    ladder's half spectra and transformed back once, to a checked row."""
     if not 0 <= anchor <= node < stack.K:
         raise ValueError(f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}")
     grid, u_hat, nodes = stack.grid, stack.values, stack.eta_nodes
     damping = _damping(grid, float(nodes[node] - nodes[anchor]))
     dev_hat = u_hat[node] - damping * u_hat[anchor]
-    return Field(grid, _irfft(grid, dev_hat), eta=float(nodes[node]))
+    return _finite(_irfft(grid, dev_hat))
 
 
-def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
+def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> np.ndarray:
     """Trapezoid quadrature of propagated defects up to a target node.
 
     Approximates the deviation of the family psi measures from the
     matched filtered family anchored at psi's first node.  psi_stack is
     ``filter_defect``'s ladder: its weighted, damped spectra are summed
-    with its own spacing and transformed back once.
+    with its own spacing and transformed back once, to a checked row.
     """
     if not 1 <= target_node <= psi_stack.K - 1:
         raise ValueError(f"target node must lie in [1, {psi_stack.K - 1}], got {target_node}")
@@ -198,4 +194,4 @@ def duhamel_integral(psi_stack: SpectralStack, target_node: int) -> Field:
         _damping(grid, eta_target - float(nodes[j]), out=damping)
         damping *= weight
         total += np.multiply(damping, psi_hat[j], out=term)
-    return Field(grid, _irfft(grid, total), eta=eta_target)
+    return _finite(_irfft(grid, total))

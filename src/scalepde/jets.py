@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, _dealias_values, _irfft, _rfft
+from .grid import Field, _dealias_values, _finite, _irfft, _rfft
 
 
 class CoreSyntaxError(ValueError):
@@ -664,15 +664,14 @@ def jet_values(expr: JetExpr, u: Field, u_t: Field | None = None) -> dict[JetInd
     return values
 
 
-def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], u: Field) -> Field:
+def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], u: Field) -> np.ndarray:
     """Evaluate a jet polynomial on the jet values read off the slice u.
 
     Nonlinear terms are dealiased pseudo-spectrally: the quadratic
     monomials of each output are summed and the sum dealiased once, and
     a monomial of three or more factors is dealiased after each product
-    of two.  The grid, t and eta come from u, so a constant expression
-    evaluates to its constant; the Field returned is where the values
-    are checked.
+    of two.  The grid comes from u, so a constant expression evaluates to
+    its constant.  Returns the checked row (outputs, *grid.shape).
     """
     grid = u.grid
     out = np.zeros((expr.num_outputs,) + grid.shape)
@@ -699,4 +698,4 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], u: Field) -> F
             out[a] += np.multiply(float(m.coeff), prod, out=term)
         if has_quadratic:
             out[a] += _dealias_values(grid, quadratic)
-    return Field(grid, out, t=u.t, eta=u.eta)
+    return _finite(out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, _irfft, _rfft
+from .grid import Field, Grid, _finite, _irfft, _rfft
 from .heat import ScaleStack, eta_derivative
 from .jets import JetExpr, jet_evaluate, jet_linearize, jet_values
 
@@ -22,20 +22,20 @@ _CLOSURES = ("none", "helmholtz")
 
 
 def exact_residual(core: JetExpr, u: Field, u_t: Field | None = None) -> Field:
-    """r = F(u, u_t), the core's jet polynomial evaluated on the slice;
-    u_t is needed only when the core has a t entry."""
-    return jet_evaluate(core, jet_values(core, u, u_t), u)
+    """r = F(u, u_t), the core's jet polynomial on the slice, as a Field with
+    u's t and eta; u_t is needed only when the core has a t entry."""
+    return Field(u.grid, jet_evaluate(core, jet_values(core, u, u_t), u), t=u.t, eta=u.eta)
 
 
-def residual_defect(r_stack: ScaleStack, s: Field, node: int) -> Field:
-    """e = d(r)/d(eta) - laplacian(r) - s at an interior node, with s's
-    t and eta."""
+def residual_defect(r_stack: ScaleStack, s: np.ndarray, node: int) -> np.ndarray:
+    """e = d(r)/d(eta) - laplacian(r) - s at an interior node, of the row
+    s (ncomp, *grid.shape) and returned as the checked row."""
     dr, r, grid = eta_derivative(r_stack, node), r_stack.values[node], r_stack.grid
-    if s.grid != grid or s.ncomp != len(r):
-        raise ValueError("s and the residual stack differ in grid or component count")
+    if np.shape(s) != r.shape:
+        raise ValueError(f"s {np.shape(s)} and r {r.shape} differ in grid or component count")
     lap_r = _rfft(grid, r)
     lap_r *= -grid.rksq
-    return s.with_values(dr - _irfft(grid, lap_r) - s.values)
+    return _finite(dr - _irfft(grid, lap_r) - s)
 
 
 def _closure_multiplier(grid: Grid, eta: float) -> np.ndarray:

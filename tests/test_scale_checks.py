@@ -19,6 +19,7 @@ import pytest
 
 from scalepde import (
     Field,
+    NonFiniteFieldError,
     ScaleStack,
     SpectralStack,
     build_scale_stack,
@@ -28,12 +29,14 @@ from scalepde import (
     duhamel_integral,
     eta_derivative,
     filter_defect,
+    filter_deviation,
     fluid_core,
     jet_evaluate,
     jet_values,
     make_grid,
     parse_core,
     reference_burgers,
+    residual_defect,
 )
 from scalepde.cli import main
 from scalepde.evolve import BURGERS_REFINEMENT
@@ -183,17 +186,21 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "closure")
         capsys.readouterr()
         assert code == 0
-        # the stacks hold rows: no Field per manufactured node or per
-        # eta derivative, and none per jet
-        assert transform_counts["fields"] <= 115
+        # the stacks hold rows, and r is a row: no Field per manufactured
+        # node, per eta derivative, per jet or per r node.  What remains:
+        # 66 propagated u and u_t slices of the 33-node Burgers ladder, the
+        # cut of u_t, the two generators, and 13 of the closure solves
+        assert transform_counts["fields"] <= 82
 
     @pytest.mark.parametrize("case", ["residual_fluid", "residual_burgers"])
     def test_residual_check_fields(self, tmp_path, capsys, transform_counts, case):
         code, _ = _run(tmp_path, case)
         capsys.readouterr()
         assert code == 0
-        # e is formed on the rows and checked once, one Field per ladder
-        assert transform_counts["fields"] <= 29
+        # r, s and e are rows, no Field.  What remains: 14
+        # propagated u and u_t slices (7 distinct nodes), the cut of u_t,
+        # the two generators and r at epsilon
+        assert transform_counts["fields"] <= 18
 
     def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
         forward = []
@@ -216,10 +223,9 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "duhamel")
         capsys.readouterr()
         assert code == 0
-        # no field per node or per psi (sup |psi| is read off each inverse):
-        # one per distinct deviation (33), and per ladder one for the
-        # quadrature and one for its error
-        assert transform_counts["fields"] <= 39
+        # psi is a spectral ladder, and the deviations, the quadratures and
+        # their errors are rows: no Field at all
+        assert transform_counts["fields"] == 0
 
 
 class TestSharedNodes:
@@ -395,7 +401,7 @@ class TestExpressionForms:
                 weight = 0.5 * h if j in (0, target) else h
                 damping = np.exp(-(nodes[target] - nodes[j]) * grid.rksq)
                 total += (weight * damping) * psi.values[j]
-            assert np.array_equal(duhamel_integral(psi, target).values, _irfft(grid, total))
+            assert np.array_equal(duhamel_integral(psi, target), _irfft(grid, total))
 
     @pytest.mark.parametrize("case", ["fluid", "source", "mixed"])
     def test_jet_evaluate(self, case, rng):
@@ -427,4 +433,53 @@ class TestExpressionForms:
                 want[a] += float(m.coeff) * prod
             if quadratic is not None:
                 want[a] += _dealias_values(grid, quadratic)
-        assert np.array_equal(jet_evaluate(expr, jets, u).values, want)
+        assert np.array_equal(jet_evaluate(expr, jets, u), want)
+
+
+class TestRowsAreChecked:
+    """The check path passes rows, not Fields, between its steps; each row a
+    step returns is checked as a Field's values would be.  A SpectralStack
+    does not check its half spectra, so for the deviation and the
+    quadrature that check is the only guard."""
+
+    def test_jet_evaluate_refuses_a_nan_jet(self):
+        grid = make_grid(1, 16)
+        expr = parse_core("u1_t + u1*u1_x1", n=1, N=1)
+        u = Field(grid, np.sin(grid.coords()[0]))
+        jets = jet_values(expr, u, u)
+        (dx,) = [idx for idx in jets if "x1" in idx.derivs]
+        jets[dx] = jets[dx].copy()
+        jets[dx][5] = np.nan
+        with pytest.raises(NonFiniteFieldError, match="finite"):
+            jet_evaluate(expr, jets, u)
+
+    @pytest.fixture
+    def inf_stack(self):
+        grid = make_grid(2, 16)
+        etas = [0.05 + j * 0.01 for j in range(7)]
+        spectra = [row.copy() for row in manufactured_scalar_2d_ladder(grid, etas)]
+        for row in spectra:
+            row[0, 1, 2] = np.inf
+        return SpectralStack(grid, etas, spectra)
+
+    # inf times a complex value makes a NaN, which numpy warns of; it is
+    # the row check that refuses it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_filter_deviation_refuses_an_inf_spectrum(self, inf_stack):
+        for anchor, node in ((0, 0), (1, 4)):
+            with pytest.raises(NonFiniteFieldError, match="finite"):
+                filter_deviation(inf_stack, anchor, node)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_duhamel_integral_refuses_an_inf_spectrum(self, inf_stack):
+        for target in (1, inf_stack.K - 1):
+            with pytest.raises(NonFiniteFieldError, match="finite"):
+                duhamel_integral(inf_stack, target)
+
+    def test_residual_defect_refuses_a_nan_source(self):
+        grid = make_grid(1, 16)
+        stack = ScaleStack(grid, [0.05, 0.06, 0.07], [np.zeros((1,) + grid.shape)] * 3)
+        s = np.zeros((1,) + grid.shape)
+        s[0, 3] = np.nan
+        with pytest.raises(NonFiniteFieldError, match="finite"):
+            residual_defect(stack, s, 1)

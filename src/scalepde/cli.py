@@ -214,7 +214,7 @@ def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     checks = []
 
     # each the same to the last bit as its own heat_propagate(f, d)
-    f_a, f_ab, f_0 = heat_propagate_many(f, (a, a + b, 0.0))
+    f_a, f_ab, f_0 = (f.with_values(row) for row in heat_propagate_many(f, (a, a + b, 0.0)))
     comp = heat_propagate(f_a, b) - f_ab
     checks.append(_check("semigroup_composition", field_norms(comp)[1] / scale, 1e-12))
     ident = f_0 - f
@@ -323,19 +323,17 @@ def _residual_stacks(
     etas = list(dict.fromkeys(float(eta) for window in windows for eta in window))
     centres = () if source is None else {float(w[len(w) // 2]) for w in windows}
     deltas = [eta - epsilon for eta in etas]
-    u_slices = heat_propagate_many(u_gen.with_values(eta=epsilon), deltas)
+    u_slices = heat_propagate_many(u_gen, deltas)
     ut_slices = [None] * len(deltas)
     if ut_rows:
-        ut_cut = ut_gen.with_values(ut_gen.values[:ut_rows], eta=epsilon)
-        ut_slices = heat_propagate_many(ut_cut, deltas)
-    r, s = {}, {}
+        ut_slices = heat_propagate_many(ut_gen.with_values(ut_gen.values[:ut_rows]), deltas)
+    grid, r, s = u_gen.grid, {}, {}
     for eta, u, u_t in zip(etas, u_slices, ut_slices):
-        jets = jet_values(table if eta in centres else core, u, u_t)
-        r[eta] = jet_evaluate(core, jets, u)
+        jets = jet_values(table if eta in centres else core, grid, u, u_t)
+        r[eta] = jet_evaluate(core, jets, grid)
         if eta in centres:
-            s[eta] = jet_evaluate(source, jets, u)
+            s[eta] = jet_evaluate(source, jets, grid)
         del jets  # the largest table alive; it must not outlive its node
-    grid = u_gen.grid
     return [(ScaleStack(grid, w, [r[eta] for eta in w]), s.get(w[len(w) // 2])) for w in windows]
 
 

@@ -181,9 +181,6 @@ class Field:
     def ncomp(self) -> int:
         return self.values.shape[0]
 
-    def component(self, c: int) -> np.ndarray:
-        return self.values[c]
-
     def with_values(self, values=None, *, t=None, eta=None) -> "Field":
         """This field with new values, t or eta.  Without new values the
         read-only, already checked array is shared, not copied."""

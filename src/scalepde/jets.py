@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, _dealias_values, _finite, _irfft, _rfft
+from .grid import Grid, _dealias_values, _finite, _irfft, _rfft
 
 
 class CoreSyntaxError(ValueError):
@@ -616,15 +616,21 @@ def jet_frechet(core: JetExpr) -> FrechetTable:
     return FrechetTable(zero_order=zero, first_order=first)
 
 
-def jet_values(expr: JetExpr, u: Field, u_t: Field | None = None) -> dict[JetIndex, np.ndarray]:
-    """Each jet variable the expression needs, as values on the slice's grid.
+def jet_values(
+    expr: JetExpr, grid: Grid, u: np.ndarray, u_t: np.ndarray | None = None
+) -> dict[JetIndex, np.ndarray]:
+    """Each jet variable the expression needs, as values on the grid, read
+    off the slice's rows u and u_t (ncomp, *grid.shape).
 
-    Component alpha is u.component(alpha - 1), a read-only view; spatial
-    derivatives are spectral on the half spectrum, one real inverse
-    transform per jet of one real forward transform per differentiated
-    component, times ``grid.rderivatives``.  A single t-derivative reads
-    from u_t; higher time or any eta derivatives cannot be formed.
+    Component alpha is the view u[alpha - 1]; spatial derivatives are
+    spectral on the half spectrum, one real inverse transform per jet of
+    one real forward transform per differentiated component, times
+    ``grid.rderivatives``.  A single t-derivative reads from u_t; higher
+    time or any eta derivatives cannot be formed.
     """
+    for name, row in (("u", u), ("u_t", u_t)):
+        if row is not None and np.shape(row)[1:] != grid.shape:
+            raise ValueError(f"{name} of shape {np.shape(row)} does not fit grid shape {grid.shape}")
     values: dict[JetIndex, np.ndarray] = {}
     # jets of one field and component in a row, so one spectrum is live
     order = sorted(expr.jet_indices(), key=lambda i: (i.derivs.count("t"), i.sort_key()))
@@ -640,18 +646,15 @@ def jet_values(expr: JetExpr, u: Field, u_t: Field | None = None) -> dict[JetInd
             if u_t is None:
                 raise ValueError(f"evaluating {idx} requires u_t")
             base = u_t
-        if idx.component > base.ncomp:
-            raise ValueError(
-                f"jet variable {idx} exceeds field component count {base.ncomp}"
-            )
-        grid = base.grid
-        vals = base.component(idx.component - 1)
+        if idx.component > len(base):
+            raise ValueError(f"jet variable {idx} exceeds field component count {len(base)}")
+        vals = base[idx.component - 1]
         spatial = [int(d[1:]) - 1 for d in idx.derivs if d.startswith("x")]
         if spatial:
             if max(spatial) >= grid.n:
                 raise ValueError(
                     f"jet variable {idx} differentiates along x{max(spatial) + 1}, "
-                    f"but the field's grid is {grid.n}-dimensional"
+                    f"but the grid is {grid.n}-dimensional"
                 )
             if spectrum_of != (t_count, idx.component):
                 spectrum_of = (t_count, idx.component)
@@ -664,16 +667,15 @@ def jet_values(expr: JetExpr, u: Field, u_t: Field | None = None) -> dict[JetInd
     return values
 
 
-def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], u: Field) -> np.ndarray:
-    """Evaluate a jet polynomial on the jet values read off the slice u.
+def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], grid: Grid) -> np.ndarray:
+    """Evaluate a jet polynomial on the jet values read off a slice on grid.
 
     Nonlinear terms are dealiased pseudo-spectrally: the quadratic
     monomials of each output are summed and the sum dealiased once, and
     a monomial of three or more factors is dealiased after each product
-    of two.  The grid comes from u, so a constant expression evaluates to
-    its constant.  Returns the checked row (outputs, *grid.shape).
+    of two.  A constant expression evaluates to its constant on the grid.
+    Returns the checked row (outputs, *grid.shape).
     """
-    grid = u.grid
     out = np.zeros((expr.num_outputs,) + grid.shape)
     # the quadratic sum of one output and a scaled monomial, reused
     quadratic, term = np.empty((2,) + grid.shape)

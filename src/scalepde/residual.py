@@ -22,9 +22,10 @@ _CLOSURES = ("none", "helmholtz")
 
 
 def exact_residual(core: JetExpr, u: Field, u_t: Field | None = None) -> Field:
-    """r = F(u, u_t), the core's jet polynomial on the slice, as a Field with
-    u's t and eta; u_t is needed only when the core has a t entry."""
-    return Field(u.grid, jet_evaluate(core, jet_values(core, u, u_t), u), t=u.t, eta=u.eta)
+    """r = F(u, u_t), the core's jet polynomial on the slice's rows, as a
+    Field with u's t and eta; u_t is needed only when the core has a t entry."""
+    jets = jet_values(core, u.grid, u.values, None if u_t is None else u_t.values)
+    return Field(u.grid, jet_evaluate(core, jets, u.grid), t=u.t, eta=u.eta)
 
 
 def residual_defect(r_stack: ScaleStack, s: np.ndarray, node: int) -> np.ndarray:

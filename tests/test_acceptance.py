@@ -86,7 +86,7 @@ def _defect_at_mid(core, u_stack, ut_stack, r_stack):
     mid = u_stack.K // 2
     source = derive_source(core)
     u, u_t = (node_fields(stack)[mid] for stack in (u_stack, ut_stack))
-    s_mid = jet_evaluate(source, jet_values(source, u, u_t), u)
+    s_mid = jet_evaluate(source, jet_values(source, u.grid, u.values, u_t.values), u.grid)
     return residual_defect(r_stack, s_mid, mid)
 
 
@@ -196,8 +196,8 @@ class TestAcceptance:
             )
             mid = K // 2
             source = derive_source(core)
-            jets = jet_values(source, slices[mid].u, slices[mid].u_t)
-            s_mid = jet_evaluate(source, jets, slices[mid].u)
+            jets = jet_values(source, grid, slices[mid].u.values, slices[mid].u_t.values)
+            s_mid = jet_evaluate(source, jets, grid)
             measured = residual_defect(r_stack, s_mid, mid)
             predicted = frechet_contraction(
                 core, slices[mid].u, slices[mid].psi, slices[mid].u_t, slices[mid].psi_t
@@ -231,7 +231,7 @@ class TestAcceptance:
         x = grid1.coords()[0]
         sine = Field(grid1, np.sin(x))
         r_sine = solve_residual_closure(sine, 0.25)
-        mode_err = float(np.max(np.abs(r_sine.component(0) - np.sin(x) / (1 + 1 / 0.25))))
+        mode_err = float(np.max(np.abs(r_sine.values[0] - np.sin(x) / (1 + 1 / 0.25))))
         const = Field(grid1, np.full(grid1.shape, 0.7))
         r_const = solve_residual_closure(const, 0.3)
         const_err = float(np.max(np.abs(r_const.values - 0.7 * 0.3)))

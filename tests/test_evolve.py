@@ -790,15 +790,15 @@ class TestBurgersReference:
         coarse = make_grid(1, 64)
         (u, u_t), = reference_burgers(coarse, [0.0])
         x = coarse.coords()[0]
-        assert np.max(np.abs(u.component(0) - np.sin(x))) <= 1e-13
-        assert np.max(np.abs(u_t.component(0) + np.sin(x) * np.cos(x))) <= 1e-10
+        assert np.max(np.abs(u.values[0] - np.sin(x))) <= 1e-13
+        assert np.max(np.abs(u_t.values[0] + np.sin(x) * np.cos(x))) <= 1e-10
 
     def test_matches_characteristics_oracle(self):
         coarse = make_grid(1, 128)
         (u, _), = reference_burgers(coarse, [0.5])
         x = coarse.coords()[0]
         truth = burgers_characteristics(x, 0.5)
-        assert np.max(np.abs(u.component(0) - truth)) <= 1e-8
+        assert np.max(np.abs(u.values[0] - truth)) <= 1e-8
 
     def test_u_t_consistent_with_rhs(self):
         coarse = make_grid(1, 128)

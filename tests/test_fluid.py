@@ -54,9 +54,9 @@ class TestSigma:
         stress = sigma(v)
         c2 = np.cos(2 * x) * np.cos(2 * y)
         s2 = np.sin(2 * x) * np.sin(2 * y)
-        assert np.max(np.abs(stress.component(_ROW[0, 0]) - 0.5 * (1 + c2))) <= 1e-12
-        assert np.max(np.abs(stress.component(_ROW[1, 1]) - 0.5 * (1 + c2))) <= 1e-12
-        assert np.max(np.abs(stress.component(_ROW[0, 1]) - 0.5 * s2)) <= 1e-12
+        assert np.max(np.abs(stress.values[_ROW[0, 0]] - 0.5 * (1 + c2))) <= 1e-12
+        assert np.max(np.abs(stress.values[_ROW[1, 1]] - 0.5 * (1 + c2))) <= 1e-12
+        assert np.max(np.abs(stress.values[_ROW[0, 1]] - 0.5 * s2)) <= 1e-12
 
     def test_symmetry(self, grid2d, rng):
         # swapping the velocity components swaps the diagonal rows and
@@ -77,15 +77,15 @@ class TestSigma:
         scale = max(np.max(np.abs(oracle[(a, b)])) for a in range(2) for b in range(2))
         for a in range(2):
             for b in range(2):
-                err = np.max(np.abs(stress.component(_ROW[a, b]) - oracle[(a, b)]))
+                err = np.max(np.abs(stress.values[_ROW[a, b]] - oracle[(a, b)]))
                 assert err <= 1e-2 * scale
 
     def test_positive_semidefinite(self, grid2d, rng):
         # sigma = G G^T pointwise, so eigenvalues are nonnegative
         stress = sigma(random_solenoidal(grid2d, rng, kmax=5))
-        s11 = stress.component(_ROW[0, 0])
-        s22 = stress.component(_ROW[1, 1])
-        s12 = stress.component(_ROW[0, 1])
+        s11 = stress.values[_ROW[0, 0]]
+        s22 = stress.values[_ROW[1, 1]]
+        s12 = stress.values[_ROW[0, 1]]
         trace = s11 + s22
         det = s11 * s22 - s12 * s12
         min_eig = 0.5 * (trace - np.sqrt(np.maximum(trace * trace - 4 * det, 0.0)))
@@ -125,8 +125,8 @@ class TestAdvection:
         v = taylor_green(grid2d)
         x, y = grid2d.coords()
         a = advect(v, v)
-        assert np.max(np.abs(a.component(0) - 0.5 * np.sin(2 * x))) <= 1e-12
-        assert np.max(np.abs(a.component(1) - 0.5 * np.sin(2 * y))) <= 1e-12
+        assert np.max(np.abs(a.values[0] - 0.5 * np.sin(2 * x))) <= 1e-12
+        assert np.max(np.abs(a.values[1] - 0.5 * np.sin(2 * y))) <= 1e-12
 
     def test_advect_constant_field(self, grid2d, rng):
         v = random_solenoidal(grid2d, rng, kmax=4)

@@ -107,7 +107,7 @@ class TestSpectralDerivative:
     def test_sin_to_cos(self, grid1d):
         x = grid1d.coords()[0]
         d = spectral_derivative(Field(grid1d, np.sin(x)), 0)
-        assert np.max(np.abs(d.component(0) - np.cos(x))) <= 1e-12
+        assert np.max(np.abs(d.values[0] - np.cos(x))) <= 1e-12
 
     def test_against_fd_oracle(self, grid1d):
         x = grid1d.coords()[0]
@@ -116,12 +116,12 @@ class TestSpectralDerivative:
         oracle = fd_derivative(vals, 0, grid1d.spacing)
         # agreement limited only by the 4th-order FD truncation error,
         # h^4/30 * max|f^(5)| ~ 1.5e-5 here
-        assert np.max(np.abs(d.component(0) - oracle)) <= 5e-5
+        assert np.max(np.abs(d.values[0] - oracle)) <= 5e-5
 
     def test_second_order(self, grid1d):
         x = grid1d.coords()[0]
         d2 = spectral_derivative(spectral_derivative(Field(grid1d, np.sin(x)), 0), 0)
-        assert np.max(np.abs(d2.component(0) + np.sin(x))) <= 1e-12
+        assert np.max(np.abs(d2.values[0] + np.sin(x))) <= 1e-12
 
     def test_constant_derivative_zero(self, grid2d):
         f = Field(grid2d, np.full(grid2d.shape, 2.5))
@@ -152,7 +152,7 @@ class TestLaplacian:
     def test_sin_eigenfunction(self, grid1d):
         x = grid1d.coords()[0]
         lap = laplacian(Field(grid1d, np.sin(2 * x)))
-        assert np.max(np.abs(lap.component(0) + 4.0 * np.sin(2 * x))) <= 1e-11
+        assert np.max(np.abs(lap.values[0] + 4.0 * np.sin(2 * x))) <= 1e-11
 
     def test_matches_sum_of_second_derivatives(self, grid2d, rng):
         # first derivatives zero the Nyquist modes, so keep none
@@ -167,7 +167,7 @@ class TestDealias:
         x = g.coords()[0]
         f = Field(g, np.sin(x) + np.sin(31 * x))
         clean = dealiased(f)
-        assert np.max(np.abs(clean.component(0) - np.sin(x))) <= 1e-12
+        assert np.max(np.abs(clean.values[0] - np.sin(x))) <= 1e-12
 
     def test_idempotent(self, grid2d, rng):
         f = Field(grid2d, rng.standard_normal(grid2d.shape))
@@ -266,9 +266,9 @@ class TestVectorCalculus:
     def test_gradient_divergence(self, grid2d):
         x, y = grid2d.coords()
         p = Field(grid2d, np.sin(x) * np.cos(y))
-        grad = Field(grid2d, np.stack([spectral_derivative(p, a).component(0) for a in range(2)]))
-        assert np.max(np.abs(grad.component(0) - np.cos(x) * np.cos(y))) <= 1e-12
-        assert np.max(np.abs(grad.component(1) + np.sin(x) * np.sin(y))) <= 1e-12
+        grad = Field(grid2d, np.stack([spectral_derivative(p, a).values[0] for a in range(2)]))
+        assert np.max(np.abs(grad.values[0] - np.cos(x) * np.cos(y))) <= 1e-12
+        assert np.max(np.abs(grad.values[1] + np.sin(x) * np.sin(y))) <= 1e-12
         div = divergence(grad)
         lap = laplacian(p)
         assert np.allclose(div.values, lap.values, atol=1e-11)
@@ -284,4 +284,4 @@ class TestVectorCalculus:
         want = sum(deriv(values[a], a) for a in range(n))
         div = divergence(Field(grid, values, t=0.3, eta=0.1))
         assert div.values.shape == (1,) + grid.shape and (div.t, div.eta) == (0.3, 0.1)
-        assert np.max(np.abs(div.component(0) - want)) <= 1e-13
+        assert np.max(np.abs(div.values[0] - want)) <= 1e-13

@@ -43,7 +43,7 @@ class TestHeatPropagate:
     def test_single_mode_decay(self, grid1d):
         x = grid1d.coords()[0]
         out = heat_propagate(Field(grid1d, np.sin(x)), 0.25)
-        assert np.max(np.abs(out.component(0) - np.exp(-0.25) * np.sin(x))) <= 1e-12
+        assert np.max(np.abs(out.values[0] - np.exp(-0.25) * np.sin(x))) <= 1e-12
 
     def test_constant_unchanged(self, grid2d):
         f = Field(grid2d, np.full(grid2d.shape, 3.7))
@@ -92,7 +92,7 @@ class TestHeatPropagate:
         transform_counts.update(calls=0, complex=0, transforms=0)
         forbid_nd_transforms()
         for got, w in zip(heat_propagate_many(f, deltas), want):
-            np.testing.assert_array_equal(got.values, w)
+            np.testing.assert_array_equal(got, w)
         # one forward and one inverse per delta, each of both rows
         assert (transform_counts["calls"], transform_counts["complex"]) == (4, 4)
         assert transform_counts["transforms"] == 8
@@ -206,7 +206,7 @@ class TestFilterDefect:
         nodes = np.linspace(0.01, 0.05, 5)
         fields = [Field(grid1d, np.sin(x), eta=float(e)) for e in nodes]
         psi = stack_field(filter_defect(spectral_stack(fields)), 1)
-        assert np.max(np.abs(psi.component(0) - np.sin(x))) <= 1e-12
+        assert np.max(np.abs(psi.values[0] - np.sin(x))) <= 1e-12
 
     def test_manufactured_defect_matches_analytic(self, grid2d):
         nodes = np.linspace(0.04, 0.12, 33)

@@ -267,7 +267,7 @@ class TestTotalDerivative:
         expr = u(1, n=2, N=1) * u(1, "x2", n=2, N=1)
         f = random_band_limited(grid2d, rng, kmax=5)
         v_expr = jet_total_derivative(expr, "x1")
-        lhs = jet_evaluate(v_expr, jet_values(v_expr, f), f)
+        lhs = jet_evaluate(v_expr, jet_values(v_expr, grid2d, f.values), grid2d)
         rhs = spectral_derivative(exact_residual(expr, f), 0)
         assert np.max(np.abs(lhs - rhs.values)) <= 1e-8
 
@@ -389,34 +389,51 @@ class TestNumericEvaluation:
         x = grid1d.coords()[0]
         f = Field(grid1d, np.sin(x))
         s = derive_source(burgers_core())
-        out = jet_evaluate(s, jet_values(s, f), f)
+        out = jet_evaluate(s, jet_values(s, grid1d, f.values), grid1d)
         assert np.max(np.abs(out[0] - np.sin(2 * x))) <= 1e-10
 
     def test_fluid_source_vanishes_on_cellular_flow(self, grid2d):
         v = taylor_green(grid2d)
         p = taylor_green_pressure(grid2d)
-        state = Field(grid2d, np.stack([v.component(0), v.component(1), p.component(0)]))
+        state = np.stack([v.values[0], v.values[1], p.values[0]])
         s = derive_source(fluid_core(2))
-        out = jet_evaluate(s, jet_values(s, state), state)
+        out = jet_evaluate(s, jet_values(s, grid2d, state), grid2d)
         assert np.max(np.abs(out)) <= 1e-11
 
     def test_time_derivative_requires_u_t(self, grid1d):
         x = grid1d.coords()[0]
-        f = Field(grid1d, np.sin(x))
+        f = np.sin(x)[np.newaxis]
         core = burgers_core()
         with pytest.raises(ValueError, match="u_t"):
-            jet_values(core, f)
-        f_t = Field(grid1d, np.cos(x))
-        vals = jet_values(core, f, f_t)
-        out = jet_evaluate(core, vals, f)
+            jet_values(core, grid1d, f)
+        f_t = np.cos(x)[np.newaxis]
+        vals = jet_values(core, grid1d, f, f_t)
+        out = jet_evaluate(core, vals, grid1d)
         expected = np.cos(x) + np.sin(x) * np.cos(x)
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
 
     def test_eta_derivative_not_evaluable(self, grid1d):
         e = JetExpr.variable(1, 1, 1, ("eta",))
-        f = Field(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError, match="eta"):
-            jet_values(e, f)
+            jet_values(e, grid1d, np.zeros((1,) + grid1d.shape))
+
+    def test_row_off_the_grid_shape_names_both_shapes(self, grid2d, rng):
+        # the check a Field made of its values: the trailing shape is the grid's
+        core = parse_core("u1_t + u1*u1_x1", n=2, N=1)
+        fits = rng.standard_normal((1, 64, 64))
+        small = rng.standard_normal((1, 32, 32))
+        flat = rng.standard_normal((1, 64))
+        for u, u_t, bad, shape in (
+            (small, fits, "u", "(1, 32, 32)"),
+            (fits, small, "u_t", "(1, 32, 32)"),
+            (flat, fits, "u", "(1, 64)"),
+            (fits, flat, "u_t", "(1, 64)"),
+        ):
+            with pytest.raises(ValueError) as err:
+                jet_values(core, grid2d, u, u_t)
+            assert str(err.value) == f"{bad} of shape {shape} does not fit grid shape (64, 64)"
+        # rows that fit are read
+        assert len(jet_values(core, grid2d, fits, fits)) == 3
 
     def test_axis_beyond_the_grid_names_jet_and_dimension(self, grid1d):
         u = Field(grid1d, np.zeros((3,) + grid1d.shape))
@@ -426,18 +443,18 @@ class TestNumericEvaluation:
     def test_one_dimensional_makes_one_axis_calls(
         self, grid1d, rng, transform_counts, forbid_nd_transforms
     ):
-        u = Field(grid1d, rng.standard_normal(grid1d.shape))
+        u = rng.standard_normal((1,) + grid1d.shape)
         expr = parse_core("u1_x1 + u1*u1_x1x1", n=1, N=1)
         d = grid1d.rderivatives[0]
-        spectrum = np.fft.rfftn(u.values, axes=(-1,))
+        spectrum = np.fft.rfftn(u, axes=(-1,))
         want = {
-            JetIndex(1): u.values,
+            JetIndex(1): u,
             JetIndex(1, ("x1",)): np.fft.irfftn(spectrum * d, grid1d.shape, axes=(-1,)),
             JetIndex(1, ("x1", "x1")): np.fft.irfftn(spectrum * d * d, grid1d.shape, axes=(-1,)),
         }
         transform_counts.update(calls=0, complex=0, transforms=0)
         forbid_nd_transforms()
-        got = jet_values(expr, u)
+        got = jet_values(expr, grid1d, u)
         assert got.keys() == want.keys()
         for idx, w in want.items():
             np.testing.assert_array_equal(got[idx], w[0])
@@ -447,7 +464,7 @@ class TestNumericEvaluation:
 
     def test_two_dimensional_makes_real_calls_only(self, rng, transform_counts, monkeypatch):
         grid = make_grid(2, 32)
-        u = Field(grid, rng.standard_normal((2,) + grid.shape))
+        u = rng.standard_normal((2,) + grid.shape)
         expr = parse_core("u1*u1_x1 + u2*u1_x2 + u1_x1x2; u2_x2x2*u1 + u2", n=2, N=2)
         transform_counts.update(calls=0, complex=0, transforms=0)
         for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"):
@@ -456,7 +473,7 @@ class TestNumericEvaluation:
                 raise AssertionError(f"numpy.fft.{_name} called")
 
             monkeypatch.setattr(np.fft, name, refuse)
-        got = jet_values(expr, u)
+        got = jet_values(expr, grid, u)
         assert len(got) == 6
         # one rfftn of each of u1 and u2, one irfftn per differentiated
         # jet (u1_x1, u1_x2, u1_x1x2, u2_x2x2)
@@ -464,30 +481,31 @@ class TestNumericEvaluation:
         assert transform_counts["transforms"] == 6
 
     def test_constant_evaluates_to_its_constant(self, grid2d):
-        # the grid comes from the slice, not from a jet value, and the
-        # residual's t and eta too
+        # the grid is given, not read off a jet value, and the residual's
+        # t and eta come from the slice
         e = JetExpr(2, 1, ((JetMonomial(Fraction(5, 2)),),))
         f = Field(grid2d, np.zeros(grid2d.shape), t=0.3, eta=0.1)
-        assert jet_values(e, f) == {}
-        np.testing.assert_array_equal(jet_evaluate(e, {}, f), np.full((1,) + grid2d.shape, 2.5))
+        assert jet_values(e, grid2d, f.values) == {}
+        np.testing.assert_array_equal(
+            jet_evaluate(e, {}, grid2d), np.full((1,) + grid2d.shape, 2.5)
+        )
         r = exact_residual(e, f)
         assert (r.grid, r.t, r.eta) == (grid2d, 0.3, 0.1)
         np.testing.assert_array_equal(r.values, np.full((1,) + grid2d.shape, 2.5))
 
     def test_jet_values_are_arrays_on_the_slice_grid(self, grid2d, rng):
         f = Field(grid2d, rng.standard_normal((2,) + grid2d.shape))
-        got = jet_values(parse_core("u2 + u1_x2", n=2, N=2), f)
+        got = jet_values(parse_core("u2 + u1_x2", n=2, N=2), grid2d, f.values)
         for idx, vals in got.items():
             assert type(vals) is np.ndarray and vals.shape == grid2d.shape, idx
-        # a jet of no derivative is u's component itself, read-only
+        # a jet of no derivative is a view of u's row, read-only as a Field's are
         assert np.shares_memory(got[JetIndex(2)], f.values)
         assert not got[JetIndex(2)].flags.writeable
 
     def test_missing_jet_value(self, grid1d):
         e = u(1, "x1")
-        f = Field(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError, match="missing"):
-            jet_evaluate(e, {JetIndex(1): f.component(0)}, f)
+            jet_evaluate(e, {JetIndex(1): np.zeros(grid1d.shape)}, grid1d)
 
 
 class TestAgainstChainedTransforms:
@@ -511,7 +529,7 @@ class TestAgainstChainedTransforms:
         rng = np.random.default_rng(20 + n)
         u, u_t = (Field(grid, rng.standard_normal((n,) + grid.shape)) for _ in range(2))
         expr = parse_core(self.CORES[n], n=n, N=n)
-        return expr, u, u_t, jet_values(expr, u, u_t)
+        return expr, u, u_t, jet_values(expr, grid, u.values, u_t.values)
 
     @staticmethod
     def _spatial_order(idx):
@@ -525,7 +543,7 @@ class TestAgainstChainedTransforms:
         first = [idx for idx in values if self._spatial_order(idx) <= 1]
         assert any(self._spatial_order(idx) == 1 for idx in first)
         for idx in first:
-            want = (u_t if "t" in idx.derivs else u).component(idx.component - 1)
+            want = (u_t if "t" in idx.derivs else u).values[idx.component - 1]
             for d in idx.derivs:
                 if d.startswith("x"):
                     coeffs = np.fft.rfftn(want, axes=axes) * grid.rderivatives[int(d[1:]) - 1]
@@ -555,5 +573,5 @@ class TestAgainstChainedTransforms:
     def test_evaluate_matches_pairwise_dealiasing(self, case):
         expr, u, u_t, values = case
         want = pairwise_jet_evaluate(expr.terms, values)
-        got = jet_evaluate(expr, values, u)
+        got = jet_evaluate(expr, values, u.grid)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -43,7 +43,7 @@ class TestExactResidual:
         u_t = Field(grid1d, 0.2 * np.cos(x))
         r = exact_residual(burgers_core(), u, u_t)
         expected = 0.2 * np.cos(x) + 0.5 * np.sin(2 * x)
-        assert np.max(np.abs(r.component(0) - expected)) <= 1e-12
+        assert np.max(np.abs(r.values[0] - expected)) <= 1e-12
 
     def test_builds_one_field(self, grid2d, rng, transform_counts):
         # the jet table holds arrays; r is the one Field, where they are checked
@@ -112,7 +112,7 @@ class TestClosureSolve:
         s = Field(grid1d, np.sin(x))
         r = solve_residual_closure(s, 0.25)
         expected = np.sin(x) / (1.0 + 1.0 / 0.25)
-        assert np.max(np.abs(r.component(0) - expected)) <= 1e-12
+        assert np.max(np.abs(r.values[0] - expected)) <= 1e-12
         assert r.eta == pytest.approx(0.25)
 
     def test_constant_mode(self, grid2d):
@@ -181,7 +181,7 @@ class TestFrechetContraction:
         psi_t = Field(grid1d, 0.4 * np.sin(x))
         out = frechet_contraction(burgers_core(), u, psi, u_t, psi_t)
         expected = 0.4 * np.sin(x) + np.cos(x) * np.cos(x) + np.sin(x) * (-np.sin(x))
-        assert np.max(np.abs(out.component(0) - expected)) <= 1e-12
+        assert np.max(np.abs(out.values[0] - expected)) <= 1e-12
 
     def test_time_entry_requires_psi_t(self, grid1d):
         x = grid1d.coords()[0]
@@ -218,7 +218,7 @@ class TestFrechetContraction:
         mid = K // 2
         source = derive_source(core)
         s_mid = jet_evaluate(
-            source, jet_values(source, slices[mid].u, slices[mid].u_t), slices[mid].u
+            source, jet_values(source, grid, slices[mid].u.values, slices[mid].u_t.values), grid
         )
         measured = residual_defect(r_stack, s_mid, mid)
         predicted = frechet_contraction(

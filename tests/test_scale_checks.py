@@ -41,7 +41,7 @@ from scalepde import (
 from scalepde.cli import main
 from scalepde.evolve import BURGERS_REFINEMENT
 from scalepde.grid import _dealias_values, _irfft, _rfft
-from scalepde.heat import heat_propagate_many
+from scalepde.heat import heat_propagate, heat_propagate_many
 from scalepde.families import (
     filtered_taylor_green,
     manufactured_scalar_2d_ladder,
@@ -186,21 +186,20 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "closure")
         capsys.readouterr()
         assert code == 0
-        # the stacks hold rows, and r is a row: no Field per manufactured
-        # node, per eta derivative, per jet or per r node.  What remains:
-        # 66 propagated u and u_t slices of the 33-node Burgers ladder, the
-        # cut of u_t, the two generators, and 13 of the closure solves
-        assert transform_counts["fields"] <= 82
+        # the stacks hold rows, and r and the propagated u and u_t slices
+        # are rows: no Field per manufactured node, per eta derivative, per
+        # jet, per slice or per r node.  What remains: the two generators,
+        # the cut u_t, and 13 of the closure solves
+        assert transform_counts["fields"] <= 16
 
     @pytest.mark.parametrize("case", ["residual_fluid", "residual_burgers"])
     def test_residual_check_fields(self, tmp_path, capsys, transform_counts, case):
         code, _ = _run(tmp_path, case)
         capsys.readouterr()
         assert code == 0
-        # r, s and e are rows, no Field.  What remains: 14
-        # propagated u and u_t slices (7 distinct nodes), the cut of u_t,
-        # the two generators and r at epsilon
-        assert transform_counts["fields"] <= 18
+        # the propagated u and u_t slices, r, s and e are rows, no Field.
+        # What remains: the two generators, the cut u_t and r at epsilon
+        assert transform_counts["fields"] <= 4
 
     def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
         forward = []
@@ -308,7 +307,7 @@ class TestStackWindow:
 
     def test_propagate_many_makes_each_field_when_taken(self, generator, transform_counts):
         many = heat_propagate_many(generator, [0.01, 0.02])
-        # the forward transform at once, each inverse as its field is taken
+        # the forward transform at once, each inverse as its row is taken
         assert transform_counts["calls"] == 1
         next(many)
         assert transform_counts["calls"] == 2
@@ -318,10 +317,14 @@ class TestStackWindow:
 
     def test_propagate_many_matches_single(self, generator):
         many = heat_propagate_many(generator, [0.0, 0.01, 0.2])
-        for d, f in zip([0.0, 0.01, 0.2], many):
+        for d, row in zip([0.0, 0.01, 0.2], many):
             # one propagation on its own: transform, damp, transform back
             coeffs = np.fft.fftn(generator.values, axes=(1, 2))
             one = np.fft.ifftn(coeffs * np.exp(-d * generator.grid.ksq), axes=(1, 2)).real
+            assert type(row) is np.ndarray and row.flags.c_contiguous
+            np.testing.assert_array_equal(row, one)
+            # heat_propagate wraps the same row in a Field at the new scale
+            f = heat_propagate(generator, d)
             np.testing.assert_array_equal(f.values, one)
             assert f.eta == generator.eta + d
         with pytest.raises(ValueError, match="delta_eta"):
@@ -417,7 +420,7 @@ class TestExpressionForms:
         grid = make_grid(2, 16)
         u = random_band_limited(grid, rng, ncomp=3)
         u_t = random_band_limited(grid, rng, ncomp=3)
-        jets = jet_values(expr, u, u_t)
+        jets = jet_values(expr, grid, u.values, u_t.values)
         want = np.zeros((expr.num_outputs,) + grid.shape)
         for a, part in enumerate(expr.terms):
             quadratic = None
@@ -433,7 +436,7 @@ class TestExpressionForms:
                 want[a] += float(m.coeff) * prod
             if quadratic is not None:
                 want[a] += _dealias_values(grid, quadratic)
-        assert np.array_equal(jet_evaluate(expr, jets, u), want)
+        assert np.array_equal(jet_evaluate(expr, jets, grid), want)
 
 
 class TestRowsAreChecked:
@@ -445,13 +448,13 @@ class TestRowsAreChecked:
     def test_jet_evaluate_refuses_a_nan_jet(self):
         grid = make_grid(1, 16)
         expr = parse_core("u1_t + u1*u1_x1", n=1, N=1)
-        u = Field(grid, np.sin(grid.coords()[0]))
-        jets = jet_values(expr, u, u)
+        u = np.sin(grid.coords()[0])[np.newaxis]
+        jets = jet_values(expr, grid, u, u)
         (dx,) = [idx for idx in jets if "x1" in idx.derivs]
         jets[dx] = jets[dx].copy()
         jets[dx][5] = np.nan
         with pytest.raises(NonFiniteFieldError, match="finite"):
-            jet_evaluate(expr, jets, u)
+            jet_evaluate(expr, jets, grid)
 
     @pytest.fixture
     def inf_stack(self):

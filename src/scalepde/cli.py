@@ -51,7 +51,9 @@ from .heat import (
     filter_defect,
     filter_deviation,
     heat_propagate,
+    heat_propagate_batches,
     heat_propagate_many,
+    node_batches,
 )
 from .jets import (
     JetExpr,
@@ -313,27 +315,27 @@ def _residual_stacks(
     filtered family through (u_gen, ut_gen) at epsilon and, given a source,
     the row s at its centre, where r and s are read off one jet table.
 
-    Windows share the nodes they hold to the last bit: each generator is
-    transformed forward once and r formed once per distinct node, where
-    the slices are dropped once r is formed.  Of ut_gen only the rows up
-    to the last one a t jet reads are propagated, none if no jet has a t.
+    Windows share the nodes they hold to the last bit: each generator goes
+    forward once, and r is formed once per distinct node in ``node_batches``,
+    the centres, which alone tabulate the source's jets, apart.  Of ut_gen
+    only the rows up to the last a t jet reads are propagated, if any.
     """
     table = core if source is None else JetExpr(core.n, core.N, core.terms + source.terms)
     ut_rows = max((f.component for f in table.jet_indices() if "t" in f.derivs), default=0)
-    etas = list(dict.fromkeys(float(eta) for window in windows for eta in window))
-    centres = () if source is None else {float(w[len(w) // 2]) for w in windows}
-    deltas = [eta - epsilon for eta in etas]
-    u_slices = heat_propagate_many(u_gen, deltas)
-    ut_slices = [None] * len(deltas)
+    centres = {} if source is None else dict.fromkeys(float(w[len(w) // 2]) for w in windows)
+    rest = dict.fromkeys(float(eta) for w in windows for eta in w if float(eta) not in centres)
+    batches = node_batches(rest, u_gen.values.size) + node_batches(centres, u_gen.values.size)
+    deltas = [[eta - epsilon for eta in batch] for batch in batches]
+    ut_blocks = [None] * len(batches)
     if ut_rows:
-        ut_slices = heat_propagate_many(ut_gen.with_values(ut_gen.values[:ut_rows]), deltas)
+        ut_blocks = heat_propagate_batches(ut_gen.with_values(ut_gen.values[:ut_rows]), deltas)
     grid, r, s = u_gen.grid, {}, {}
-    for eta, u, u_t in zip(etas, u_slices, ut_slices):
-        jets = jet_values(table if eta in centres else core, grid, u, u_t)
-        r[eta] = jet_evaluate(core, jets, grid)
-        if eta in centres:
-            s[eta] = jet_evaluate(source, jets, grid)
-        del jets  # the largest table alive; it must not outlive its node
+    for batch, u, u_t in zip(batches, heat_propagate_batches(u_gen, deltas), ut_blocks):
+        jets = jet_values(table if batch[0] in centres else core, grid, u, u_t)
+        r.update(zip(batch, jet_evaluate(core, jets, grid)))
+        if batch[0] in centres:
+            s.update(zip(batch, jet_evaluate(source, jets, grid)))
+        del jets  # the largest table alive; it must not outlive its batch
     return [(ScaleStack(grid, w, [r[eta] for eta in w]), s.get(w[len(w) // 2])) for w in windows]
 
 

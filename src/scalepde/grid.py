@@ -67,7 +67,7 @@ class Grid:
         for name, value in (
             ("shape", shape),
             ("spacing", TWO_PI / self.size),
-            ("ksq", ksq),  # on the complex layout, for heat_propagate_many alone
+            ("ksq", ksq),  # on the complex layout, for heat_propagate_batches alone
             *self._half_spectrum(k1d, cutoff),
         ):
             object.__setattr__(self, name, value)
@@ -230,7 +230,7 @@ def _irfft(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.
 def _fft(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Complex forward transform over the trailing spatial axes, one-axis in
     1-D like ``_rfft``: the very call ``fftn`` would make, without its
-    wrapper.  ``heat_propagate_many`` alone takes it."""
+    wrapper.  ``heat_propagate_batches`` alone takes it."""
     if grid.n == 1:
         return np.fft.fft(values, axis=-1)
     return np.fft.fftn(values, axes=(-2, -1))

@@ -619,18 +619,22 @@ def jet_frechet(core: JetExpr) -> FrechetTable:
 def jet_values(
     expr: JetExpr, grid: Grid, u: np.ndarray, u_t: np.ndarray | None = None
 ) -> dict[JetIndex, np.ndarray]:
-    """Each jet variable the expression needs, as values on the grid, read
-    off the slice's rows u and u_t (ncomp, *grid.shape).
+    """Each jet variable the expression needs, as values on the grid, read off
+    the slice's rows u and u_t (ncomp, *grid.shape), or off K nodes' stacks
+    (K, ncomp, *grid.shape) as (K, *grid.shape), each node's as alone.
 
-    Component alpha is the view u[alpha - 1]; spatial derivatives are
-    spectral on the half spectrum, one real inverse transform per jet of
-    one real forward transform per differentiated component, times
+    Component alpha is a view, at alpha - 1 on u's component axis; spatial
+    derivatives are spectral on the half spectrum, one real inverse per jet
+    of one real forward transform per differentiated component, times
     ``grid.rderivatives``.  A single t-derivative reads from u_t; higher
     time or any eta derivatives cannot be formed.
     """
     for name, row in (("u", u), ("u_t", u_t)):
-        if row is not None and np.shape(row)[1:] != grid.shape:
+        if row is not None and np.shape(row)[-grid.n - 1 :][1:] != grid.shape:
             raise ValueError(f"{name} of shape {np.shape(row)} does not fit grid shape {grid.shape}")
+    if u_t is not None and np.shape(u_t)[: -grid.n - 1] != np.shape(u)[: -grid.n - 1]:
+        raise ValueError(f"u_t of shape {np.shape(u_t)} has other nodes than u, {np.shape(u)}")
+    u, u_t = (row if row is None else np.moveaxis(row, -grid.n - 1, 0) for row in (u, u_t))
     values: dict[JetIndex, np.ndarray] = {}
     # jets of one field and component in a row, so one spectrum is live
     order = sorted(expr.jet_indices(), key=lambda i: (i.derivs.count("t"), i.sort_key()))
@@ -668,17 +672,20 @@ def jet_values(
 
 
 def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], grid: Grid) -> np.ndarray:
-    """Evaluate a jet polynomial on the jet values read off a slice on grid.
+    """Evaluate a jet polynomial on the jet values read off a slice on grid
+    to the checked row (outputs, *grid.shape); values (K, *grid.shape) of K
+    nodes give (K, outputs, *grid.shape), each node's row as alone.
 
     Nonlinear terms are dealiased pseudo-spectrally: the quadratic
     monomials of each output are summed and the sum dealiased once, and
     a monomial of three or more factors is dealiased after each product
     of two.  A constant expression evaluates to its constant on the grid.
-    Returns the checked row (outputs, *grid.shape).
     """
-    out = np.zeros((expr.num_outputs,) + grid.shape)
+    nodes = next(iter(jets.values())).shape[: -grid.n] if jets else ()
+    out = np.zeros(nodes + (expr.num_outputs,) + grid.shape)
+    outputs = np.moveaxis(out, -grid.n - 1, 0)  # a view: outputs[a] is output a
     # the quadratic sum of one output and a scaled monomial, reused
-    quadratic, term = np.empty((2,) + grid.shape)
+    quadratic, term = np.empty((2,) + nodes + grid.shape)
     for a, part in enumerate(expr.terms):
         has_quadratic = False
         for m in part:
@@ -697,7 +704,7 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], grid: Grid) ->
             prod = vals[0] if vals else 1.0
             for v in vals[1:]:
                 prod = _dealias_values(grid, prod * v)
-            out[a] += np.multiply(float(m.coeff), prod, out=term)
+            outputs[a] += np.multiply(float(m.coeff), prod, out=term)
         if has_quadratic:
-            out[a] += _dealias_values(grid, quadratic)
+            outputs[a] += _dealias_values(grid, quadratic)
     return _finite(out)

@@ -87,11 +87,12 @@ def frechet_contraction(
         if name in needed and given is None:
             raise ValueError(f"the linearized core has a t entry; {name} is required")
 
-    def stacked(first: Field | None, second: Field | None) -> Field:
+    def stacked(first: Field | None, second: Field | None) -> np.ndarray:
         # a t entry the core does not read stands in as zeros
         parts = [np.zeros((N,) + grid.shape) if f is None else f.values[:N] for f in (first, second)]
         if any(len(part) < N for part in parts):
             raise ValueError(f"the core needs {N} components in u and psi and their t entries")
-        return Field(grid, np.concatenate(parts), t=u.t, eta=u.eta)
+        return np.concatenate(parts)
 
-    return exact_residual(lin, stacked(u, psi), stacked(u_t, psi_t) if needed else None)
+    jets = jet_values(lin, grid, stacked(u, psi), stacked(u_t, psi_t) if needed else None)
+    return Field(grid, jet_evaluate(lin, jets, grid), t=u.t, eta=u.eta)

@@ -37,6 +37,14 @@ def _batch_size(a, axes) -> int:
     return math.prod(size for axis, size in enumerate(shape) if axis not in done)
 
 
+def _one_axis_fields(shape, n=None) -> int:
+    """How many fields a one-axis call along the last axis transforms: 2-D
+    fields if axis -2 is of the transform's length n (the input's last
+    axis unless given), else 1-D rows."""
+    n = shape[-1] if n is None else n
+    return math.prod(shape[:-2] if len(shape) > 1 and shape[-2] == n else shape[:-1])
+
+
 @pytest.fixture
 def forbid_nd_transforms(monkeypatch):
     """A call that makes numpy.fft's n-D entry points raise from then on,
@@ -59,11 +67,12 @@ def transform_counts(monkeypatch):
     do (one per transformed field) and Field constructions.
 
     A one-axis call (``fft``, ``ifft``, ``rfft``, ``irfft``) along the last
-    axis of a stack (rows, *grid.shape) counts one transform per row, and
-    on a single 1-D row one: the 1-D transforms of ``grid``, and the row
-    pass of a band transform (``grid._band_rfft``/``_band_irfft``).  In
-    2-D a band transform's complex pass along axis -2 counts as a call
-    only."""
+    axis counts one transform per field it transforms: per 1-D row of a
+    stack of 1-D fields (the transforms of ``grid`` in 1-D, whatever their
+    leading node and component axes), and per 2-D field in the row pass of
+    a band transform (``grid._band_rfft``/``_band_irfft``), told apart by
+    its axis -2 of the transform's length.  In 2-D a band transform's
+    complex pass along axis -2 counts as a call only."""
     counts = {"calls": 0, "complex": 0, "transforms": 0, "fields": 0}
     for name in _FFT_ENTRY_POINTS:
 
@@ -73,7 +82,7 @@ def transform_counts(monkeypatch):
                 counts["complex"] += "rfft" not in _name
                 one_axis = _name in ("fft", "ifft", "rfft", "irfft")
                 counts["transforms"] += (
-                    (np.shape(a)[0] if np.ndim(a) > 1 else 1)
+                    _one_axis_fields(np.shape(a), kwargs.get("n"))
                     if one_axis
                     else _batch_size(a, kwargs.get("axes"))
                 )

@@ -32,12 +32,14 @@ from scalepde import (
     ScaleStack,
     SpectralStack,
     build_scale_stack,
+    closure_error_bound,
     derive_source,
     duhamel_integral,
     exact_residual,
     field_norms,
     filter_defect,
     filter_deviation,
+    heat_propagate,
     residual_defect,
 )
 from scalepde.families import manufactured_scalar_2d_ladder
@@ -525,6 +527,22 @@ def per_ladder_residual_errors(core: JetExpr, u_gen: Field, ut_gen: Field,
         e = residual_defect(ScaleStack(u_gen.grid, stacks[0].eta_nodes[window], r), s, 1)
         errors.append(float(np.max(np.abs(e))))
     return errors
+
+
+def per_node_closure_rows(core: JetExpr, u_gen: Field, ut_gen: Field,
+                          epsilon: float, eta0: float, K: int) -> list[tuple]:
+    """closure-check's rows (eta, lhs, rhs, ratio) of the Taylor bound on the
+    r stack of K nodes in [epsilon, eta0], each node's r formed on its own:
+    its own ``heat_propagate`` of u and of u_t, then ``exact_residual``."""
+    nodes = np.linspace(epsilon, eta0, K)
+    r = [exact_residual(core, heat_propagate(u_gen, eta - epsilon),
+                        heat_propagate(ut_gen, eta - epsilon)).values for eta in nodes]
+    stack = ScaleStack(u_gen.grid, nodes, r)
+    rows = []
+    for node in range(1, K - 1):
+        lhs, rhs = closure_error_bound(stack, node)
+        rows.append((float(nodes[node]), lhs, rhs, lhs / rhs if rhs > 0 else float("inf")))
+    return rows
 
 
 def per_ladder_deviation_errors(grid: Grid, epsilon: float, eta0: float,

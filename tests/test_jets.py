@@ -423,17 +423,56 @@ class TestNumericEvaluation:
         fits = rng.standard_normal((1, 64, 64))
         small = rng.standard_normal((1, 32, 32))
         flat = rng.standard_normal((1, 64))
+        stacked_small = rng.standard_normal((2, 1, 32, 32))
         for u, u_t, bad, shape in (
             (small, fits, "u", "(1, 32, 32)"),
             (fits, small, "u_t", "(1, 32, 32)"),
             (flat, fits, "u", "(1, 64)"),
             (fits, flat, "u_t", "(1, 64)"),
+            (stacked_small, fits, "u", "(2, 1, 32, 32)"),
         ):
             with pytest.raises(ValueError) as err:
                 jet_values(core, grid2d, u, u_t)
             assert str(err.value) == f"{bad} of shape {shape} does not fit grid shape (64, 64)"
-        # rows that fit are read
+        # rows that fit are read, and stacks of them node by node
         assert len(jet_values(core, grid2d, fits, fits)) == 3
+        stacked = rng.standard_normal((5, 1, 64, 64))
+        assert {v.shape for v in jet_values(core, grid2d, stacked, stacked).values()} == {
+            (5, 64, 64)
+        }
+        # u_t stacks the nodes u stacks
+        for u_t in (fits, stacked[:4]):
+            with pytest.raises(ValueError) as err:
+                jet_values(core, grid2d, stacked, u_t)
+            assert str(err.value) == (
+                f"u_t of shape {u_t.shape} has other nodes than u, (5, 1, 64, 64)"
+            )
+        # the component count is read on the component axis, not the node axis
+        with pytest.raises(ValueError, match="u2 exceeds field component count 1$"):
+            jet_values(parse_core("u2", n=2, N=2), grid2d, stacked)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("with_t", [False, True], ids=["no-u_t", "u_t"])
+    def test_node_stack_matches_single_nodes(self, rng, n, with_t):
+        grid = make_grid(n, 64 if n == 1 else 16)
+        texts = {
+            1: "u1*u1_x1 + u2_x1x1; 2*u1*u2*u2_x1 + u2 + 3",
+            2: "u1*u1_x1 + u2*u1_x2 + u1_x1x2; u1*u2*u2_x2 + 3; u1_x1 + u2_x2",
+        }
+        text = texts[n] + ("; u1_t + u2*u2_t" if with_t else "")
+        expr = parse_core(text, n=n, N=2)
+        K = 4
+        u = rng.standard_normal((K, 2) + grid.shape)
+        u_t = rng.standard_normal((K, 2) + grid.shape) if with_t else None
+        jets = jet_values(expr, grid, u, u_t)
+        out = jet_evaluate(expr, jets, grid)
+        assert out.shape == (K, expr.num_outputs) + grid.shape
+        for k in range(K):
+            one = jet_values(expr, grid, u[k], None if u_t is None else u_t[k])
+            assert one.keys() == jets.keys()
+            for idx, vals in one.items():
+                np.testing.assert_array_equal(jets[idx][k], vals)
+            np.testing.assert_array_equal(out[k], jet_evaluate(expr, one, grid))
 
     def test_axis_beyond_the_grid_names_jet_and_dimension(self, grid1d):
         u = Field(grid1d, np.zeros((3,) + grid1d.shape))

@@ -12,6 +12,7 @@ sit at rounding level are compared absolutely.
 import importlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,7 @@ from oracles import (
     manufactured_scalar_2d,
     per_ladder_deviation_errors,
     per_ladder_residual_errors,
+    per_node_closure_rows,
     restricted_burgers_pair,
 )
 
@@ -163,16 +165,19 @@ class TestWorkBudget:
         assert transform_counts["transforms"] == 172
 
     @pytest.mark.parametrize(
-        "case, complex_calls, real_calls", [("residual_fluid", 16, 120), ("duhamel", 0, 96)]
+        "case, complex_calls, real_calls", [("residual_fluid", 10, 81), ("duhamel", 0, 96)]
     )
     def test_calls_by_kind(
         self, tmp_path, capsys, transform_counts, case, complex_calls, real_calls
     ):
         # residual_fluid: complex for the heat propagation of the generators
-        # alone, one forward each and one inverse per distinct node (7: the
-        # three windows share their centre); real for one forward transform
-        # per differentiated component and one inverse per jet, and for one
-        # dealiasing per output, the source's read once at the shared centre.
+        # alone, one forward each and one inverse per batch of distinct
+        # nodes: at 32^2 the 6 outer nodes make 3 batches of 2 (3 x 32^2
+        # values each) and the centre the windows share one of its own.
+        # Real for each batch's jet table and evaluation, 13 calls each and
+        # 42 at the centre: one forward transform per differentiated
+        # component and one inverse per jet, and one dealiasing per output,
+        # the source's read at the centre alone (120 with a call per node).
         # duhamel: real only, one forward call for the family's three modes,
         # of which every node's spectrum is formed, and one inverse per psi
         # (sum of K = 59), per distinct deviation (33) and per quadrature (3)
@@ -181,6 +186,19 @@ class TestWorkBudget:
         assert code == 0
         assert transform_counts["complex"] == complex_calls
         assert transform_counts["calls"] - transform_counts["complex"] == real_calls
+
+    @pytest.mark.parametrize("case, calls", [("closure", 1334), ("residual_burgers", 359)])
+    def test_one_dimensional_ladders_are_batched(
+        self, tmp_path, capsys, transform_counts, case, calls
+    ):
+        # the 1-D Burgers ladders (closure-check's 33 nodes at 128 points,
+        # residual-check's 6 outer nodes at 32) are each one batch: two complex
+        # inverses, u_x's real pair and the dealiasing pair, 6 calls where one
+        # call per node made 6 per node (1526 and 389 calls)
+        code, _ = _run(tmp_path, case)
+        capsys.readouterr()
+        assert code == 0
+        assert transform_counts["calls"] == calls
 
     def test_closure_check_fields(self, tmp_path, capsys, transform_counts):
         code, _ = _run(tmp_path, "closure")
@@ -252,6 +270,21 @@ class TestSharedNodes:
             expr, gens = burgers_core(), reference_burgers(grid, [0.5])[0]
         assert report["max_e"] == per_ladder_residual_errors(expr, *gens, 0.05, 0.15, nodes)
 
+    @pytest.mark.parametrize("n, size", [(1, 64), (2, 128)], ids=["n1-grid64", "n2-grid128"])
+    def test_closure_check(self, tmp_path, capsys, n, size):
+        # the 33 Burgers nodes are propagated, tabulated and evaluated as one
+        # batch (33 x 64 or 33 x 128 values); each row of the table equals r
+        # formed on its node alone, to the last bit
+        out = tmp_path / "run"
+        code = main(["closure-check", "--out", str(out), "--set", "grid_size=32",
+                     "--set", f"n={n}"])
+        capsys.readouterr()
+        assert code == 0
+        lines = (out / "closure_bound.csv").read_text().splitlines()[2:]
+        got = [tuple(map(float, ln.split(",")[1:])) for ln in lines if ln.startswith("burgers,")]
+        gens = reference_burgers(make_grid(1, size), [0.5])[0]
+        assert got == per_node_closure_rows(burgers_core(), *gens, 0.05, 0.15, 33)
+
     @pytest.mark.parametrize("nodes", [[5, 7, 9], [6, 11]], ids=["5-7-9", "6-11"])
     def test_duhamel_check(self, tmp_path, capsys, nodes):
         out = tmp_path / "run"
@@ -307,7 +340,8 @@ class TestStackWindow:
 
     def test_propagate_many_makes_each_field_when_taken(self, generator, transform_counts):
         many = heat_propagate_many(generator, [0.01, 0.02])
-        # the forward transform at once, each inverse as its row is taken
+        # the forward transform at once, each batch's inverse as its first row
+        # is taken: the two rows of 2 x 16^2 values are one batch
         assert transform_counts["calls"] == 1
         next(many)
         assert transform_counts["calls"] == 2
@@ -315,12 +349,30 @@ class TestStackWindow:
             heat_propagate_many(generator, [0.01, -0.1])
         assert transform_counts["calls"] == 2
 
-    def test_propagate_many_matches_single(self, generator):
-        many = heat_propagate_many(generator, [0.0, 0.01, 0.2])
-        for d, row in zip([0.0, 0.01, 0.2], many):
+    def test_propagate_many_block_is_held_by_its_rows_alone(self):
+        generator = random_band_limited(make_grid(1, 128), np.random.default_rng(5), ncomp=2)
+        many = heat_propagate_many(generator, np.linspace(0.0, 0.2, 40))
+        # 32 rows of 2 x 128 values are the first block, views of it
+        rows = [next(many) for _ in range(32)]
+        assert all(row.base is rows[0].base for row in rows)
+        block = weakref.ref(rows[0].base)
+        del rows
+        assert block() is None
+
+    @pytest.mark.parametrize("one_dimensional", [False, True], ids=["2-D", "1-D-two-batches"])
+    def test_propagate_many_matches_single(self, generator, one_dimensional):
+        deltas = [0.0, 0.01, 0.2]
+        if one_dimensional:
+            # 2 x 128 values a row, 32 rows to a batch: 40 deltas make two
+            generator = random_band_limited(make_grid(1, 128), np.random.default_rng(5), ncomp=2)
+            deltas = list(np.linspace(0.0, 0.2, 40))
+        axes = tuple(range(1, generator.grid.n + 1))
+        rows = list(heat_propagate_many(generator, deltas))
+        assert len(rows) == len(deltas)
+        for d, row in zip(deltas, rows):
             # one propagation on its own: transform, damp, transform back
-            coeffs = np.fft.fftn(generator.values, axes=(1, 2))
-            one = np.fft.ifftn(coeffs * np.exp(-d * generator.grid.ksq), axes=(1, 2)).real
+            coeffs = np.fft.fftn(generator.values, axes=axes)
+            one = np.fft.ifftn(coeffs * np.exp(-d * generator.grid.ksq), axes=axes).real
             assert type(row) is np.ndarray and row.flags.c_contiguous
             np.testing.assert_array_equal(row, one)
             # heat_propagate wraps the same row in a Field at the new scale

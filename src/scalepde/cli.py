@@ -38,6 +38,7 @@ from .grid import (
     _irfft,
     _peak,
     _rfft,
+    _value_norms,
     divergence,
     field_norms,
     laplacian,
@@ -52,7 +53,6 @@ from .heat import (
     filter_deviation,
     heat_propagate,
     heat_propagate_batches,
-    heat_propagate_many,
     node_batches,
 )
 from .jets import (
@@ -64,7 +64,7 @@ from .jets import (
     jet_values,
     parse_core,
 )
-from .residual import closure_error_bound, exact_residual, residual_defect, solve_residual_closure
+from .residual import closure_error_bound, residual_defect, solve_residual_closure
 
 # config key -> RunConfig field; a dotted key lives in the object its prefix names
 _FIELD_OF = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(RunConfig)}
@@ -216,7 +216,8 @@ def cmd_filter_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     checks = []
 
     # each the same to the last bit as its own heat_propagate(f, d)
-    f_a, f_ab, f_0 = (f.with_values(row) for row in heat_propagate_many(f, (a, a + b, 0.0)))
+    blocks = heat_propagate_batches(grid, f.values, node_batches((a, a + b, 0.0), f.values.size))
+    f_a, f_ab, f_0 = (f.with_values(row) for block in blocks for row in block)
     comp = heat_propagate(f_a, b) - f_ab
     checks.append(_check("semigroup_composition", field_norms(comp)[1] / scale, 1e-12))
     ident = f_0 - f
@@ -299,39 +300,35 @@ def _convergence_table(nodes, spacings, errors) -> tuple[list[float], list[tuple
 
 
 def _burgers_generator(grid_size: int):
+    """The grid and the rows (u, u_t) of the Burgers reference at t = 0.5."""
     grid = make_grid(1, grid_size)
-    return reference_burgers(grid, [0.5])[0]
-
-
-def _fluid_generator(config: RunConfig):
-    grid = make_grid(2, config.grid_size)
-    return families.filtered_taylor_green(grid, t=0.0, eta=0.0)
+    return (grid, *reference_burgers(grid, [0.5])[0])
 
 
 def _residual_stacks(
-    core: JetExpr, u_gen: Field, ut_gen: Field, epsilon: float, windows, source=None
+    core: JetExpr, grid, u: np.ndarray, u_t: np.ndarray, epsilon: float, windows, source=None
 ) -> list[tuple[ScaleStack, np.ndarray | None]]:
     """The scale stack of r = F(u, u_t) on each window of eta nodes of the
-    filtered family through (u_gen, ut_gen) at epsilon and, given a source,
-    the row s at its centre, where r and s are read off one jet table.
+    filtered family through the rows (u, u_t) at epsilon and, given a
+    source, the row s at its centre, where r and s are read off one jet table.
 
     Windows share the nodes they hold to the last bit: each generator goes
     forward once, and r is formed once per distinct node in ``node_batches``,
-    the centres, which alone tabulate the source's jets, apart.  Of ut_gen
+    the centres, which alone tabulate the source's jets, apart.  Of u_t
     only the rows up to the last a t jet reads are propagated, if any.
     """
     table = core if source is None else JetExpr(core.n, core.N, core.terms + source.terms)
     ut_rows = max((f.component for f in table.jet_indices() if "t" in f.derivs), default=0)
     centres = {} if source is None else dict.fromkeys(float(w[len(w) // 2]) for w in windows)
     rest = dict.fromkeys(float(eta) for w in windows for eta in w if float(eta) not in centres)
-    batches = node_batches(rest, u_gen.values.size) + node_batches(centres, u_gen.values.size)
+    batches = node_batches(rest, u.size) + node_batches(centres, u.size)
     deltas = [[eta - epsilon for eta in batch] for batch in batches]
     ut_blocks = [None] * len(batches)
     if ut_rows:
-        ut_blocks = heat_propagate_batches(ut_gen.with_values(ut_gen.values[:ut_rows]), deltas)
-    grid, r, s = u_gen.grid, {}, {}
-    for batch, u, u_t in zip(batches, heat_propagate_batches(u_gen, deltas), ut_blocks):
-        jets = jet_values(table if batch[0] in centres else core, grid, u, u_t)
+        ut_blocks = heat_propagate_batches(grid, u_t[:ut_rows], deltas)
+    r, s = {}, {}
+    for batch, u_k, ut_k in zip(batches, heat_propagate_batches(grid, u, deltas), ut_blocks):
+        jets = jet_values(table if batch[0] in centres else core, grid, u_k, ut_k)
         r.update(zip(batch, jet_evaluate(core, jets, grid)))
         if batch[0] in centres:
             s.update(zip(batch, jet_evaluate(source, jets, grid)))
@@ -345,21 +342,21 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
         raise ConfigError("the residual check runs the fluid core with n = 2")
     core = core_by_name(config.core, config.n)
     if config.core == "burgers":
-        u_gen, ut_gen = _burgers_generator(config.grid_size)
+        grid, u, u_t = _burgers_generator(config.grid_size)
     else:
-        u_gen, ut_gen = _fluid_generator(config)
+        grid = make_grid(2, config.grid_size)
+        u, u_t = (f.values for f in families.filtered_taylor_green(grid, t=0.0, eta=0.0))
     source = derive_source(core)
 
     # r at epsilon, the first node of every ladder
-    u_eps, ut_eps = (g.with_values(eta=config.epsilon) for g in (u_gen, ut_gen))
-    r_eps_norms = field_norms(exact_residual(core, u_eps, ut_eps))
+    r_eps_norms = _value_norms(grid, jet_evaluate(core, jet_values(core, grid, u, u_t), grid))
     # the defect of the K-node ladder reads r on its nodes mid-1..mid+1,
     # mid = K // 2, and s on mid alone; nested ladders share their centre
     windows = [
         np.linspace(config.epsilon, config.eta0, K)[K // 2 - 1 : K // 2 + 2] for K in config.nodes
     ]
     spacings, errors = [], []
-    for r_stack, s_mid in _residual_stacks(core, u_gen, ut_gen, config.epsilon, windows, source):
+    for r_stack, s_mid in _residual_stacks(core, grid, u, u_t, config.epsilon, windows, source):
         errors.append(float(_peak(residual_defect(r_stack, s_mid, 1))))
         spacings.append(r_stack.delta_eta)
     orders, rows = _convergence_table(config.nodes, spacings, errors)
@@ -384,14 +381,13 @@ def cmd_residual_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
 
 
 def _closure_bound_rows(r_stack: ScaleStack, case: str):
-    rows = []
-    worst = 0.0
-    for node in range(1, r_stack.K - 1):
-        lhs, rhs = closure_error_bound(r_stack, node)
-        ratio = lhs / rhs if rhs > 0 else float("inf")
-        worst = max(worst, ratio)
-        rows.append((case, float(r_stack.eta_nodes[node]), lhs, rhs, ratio))
-    return rows, worst
+    """The CSV rows (case, eta, lhs, rhs, lhs / rhs) as Python floats, and the worst ratio."""
+    lhs, rhs = closure_error_bound(r_stack)
+    rows = [
+        (case, eta, left, right, left / right if right > 0 else float("inf"))
+        for eta, left, right in zip(r_stack.eta_nodes[1:-1].tolist(), lhs.tolist(), rhs.tolist())
+    ]
+    return rows, max(0.0, *(row[-1] for row in rows))
 
 
 def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
@@ -427,9 +423,9 @@ def cmd_closure_check(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     checks.append(_check("taylor_bound_manufactured", manu_worst, 1.10))
 
     # same bound on exact residuals of the filtered reference problem
-    u_gen, ut_gen = _burgers_generator(max(64, config.grid_size if config.n == 1 else 128))
+    generator = _burgers_generator(max(64, config.grid_size if config.n == 1 else 128))
     ladder = [np.linspace(config.epsilon, config.eta0, K)]
-    [(r_stack, _)] = _residual_stacks(burgers_core(), u_gen, ut_gen, config.epsilon, ladder)
+    [(r_stack, _)] = _residual_stacks(burgers_core(), *generator, config.epsilon, ladder)
     burgers_rows, burgers_worst = _closure_bound_rows(r_stack, "burgers")
     checks.append(_check("taylor_bound_burgers", burgers_worst, 1.10))
     r_eps_max = float(_peak(r_stack.values[0]))
@@ -570,13 +566,13 @@ def cmd_burgers_reference(spec: ExperimentSpec) -> tuple[int, dict, dict]:
     times = [j * config.t_end / 4.0 for j in range(4)] + [config.t_end]
     rows = []
     for t, (u, u_t) in zip(times, reference_burgers(grid, times)):
-        l2, vmax = field_norms(u)
-        rows.append((t, l2, vmax, field_norms(u_t)[1]))
+        l2, vmax = _value_norms(grid, u)
+        rows.append((t, l2, vmax, float(_peak(u_t))))
     # (u, u_t) is the loop's last, the final slice
     artifacts = {
         "reference_norms.csv": (("t", "l2", "max", "max_ut"), rows),
-        "u_final.ckpt": (u, {"kind": "burgers_u"}),
-        "u_t_final.ckpt": (u_t, {"kind": "burgers_u_t"}),
+        "u_final.ckpt": (Field(grid, u, t=times[-1]), {"kind": "burgers_u"}),
+        "u_t_final.ckpt": (Field(grid, u_t, t=times[-1]), {"kind": "burgers_u_t"}),
     }
     fine_size = BURGERS_REFINEMENT * grid.size
     report = {

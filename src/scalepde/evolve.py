@@ -26,6 +26,7 @@ from .grid import (
     NonFiniteFieldError,
     _band_irfft,
     _band_rfft,
+    _finite,
     _irfft,
     _peak,
     _rfft,
@@ -764,20 +765,19 @@ def _burgers_slope(grid: Grid, stage: np.ndarray):
     return slope
 
 
-def reference_burgers(coarse: Grid, times: list[float]) -> list[tuple[Field, Field]]:
-    """Inviscid Burgers from u0 = sin x, as (u, u_t) on the coarse grid at
-    each of ``times``, a non-decreasing list in [0, 1): strictly before
-    shock formation at t = 1.
+def reference_burgers(coarse: Grid, times: list[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Inviscid Burgers from u0 = sin x, as rows (u, u_t) (1, *coarse.shape)
+    at each of ``times``, non-decreasing in [0, 1): before the shock at 1.
 
     RK4 steps of a quarter of the fine spacing on a grid BURGERS_REFINEMENT
     times finer; a repeated time takes no step.  Each pair restricts the
     fine half spectrum û and its slope -(u^2/2)_x, the exact time
     derivative of the restricted trajectory: their first coarse.size // 2
-    + 1 modes, cut to the coarse 2/3 band, by one coarse inverse.  A state
-    that is not finite at an asked time raises SimulationDiverged naming
-    that time, before its pair is formed.  Refused (ValueError) when the
-    final spectrum's top third of the 2/3 band exceeds 1e-6 of its
-    largest mode.
+    + 1 modes, cut to the coarse 2/3 band, by one coarse inverse, a block
+    checked finite once, of which the pair are views.  A state that is not
+    finite at an asked time raises SimulationDiverged naming that time,
+    before its pair is formed.  Refused (ValueError) when the final
+    spectrum's top third of the 2/3 band exceeds 1e-6 of its largest mode.
     """
     if coarse.n != 1:
         raise ValueError("the reference problem is one dimensional")
@@ -809,8 +809,8 @@ def reference_burgers(coarse: Grid, times: list[float]) -> list[tuple[Field, Fie
         np.copyto(stage, u_hat)
         coeffs = np.concatenate([u_hat[:, :keep], slope()[:, :keep]])
         coeffs *= scale
-        u, u_t = _irfft(coarse, coeffs)
-        slices.append((Field(coarse, u, t=t), Field(coarse, u_t, t=t)))
+        block = _finite(_irfft(coarse, coeffs))
+        slices.append((block[:1], block[1:]))
     # the top third of the band, 2b // 3 <= k < b, against the largest mode
     mags, b = np.abs(u_hat[0]), fine.band
     share = float(np.max(mags[2 * b // 3 : b]) / np.max(mags))

@@ -616,6 +616,10 @@ def jet_frechet(core: JetExpr) -> FrechetTable:
     return FrechetTable(zero_order=zero, first_order=first)
 
 
+class _JetTable(dict):
+    """``jet_values``' table; ``nodes``, its rows' node axes, serves a constant: it reads no jet."""
+
+
 def jet_values(
     expr: JetExpr, grid: Grid, u: np.ndarray, u_t: np.ndarray | None = None
 ) -> dict[JetIndex, np.ndarray]:
@@ -634,8 +638,9 @@ def jet_values(
             raise ValueError(f"{name} of shape {np.shape(row)} does not fit grid shape {grid.shape}")
     if u_t is not None and np.shape(u_t)[: -grid.n - 1] != np.shape(u)[: -grid.n - 1]:
         raise ValueError(f"u_t of shape {np.shape(u_t)} has other nodes than u, {np.shape(u)}")
+    values = _JetTable()
+    values.nodes = np.shape(u)[: -grid.n - 1]
     u, u_t = (row if row is None else np.moveaxis(row, -grid.n - 1, 0) for row in (u, u_t))
-    values: dict[JetIndex, np.ndarray] = {}
     # jets of one field and component in a row, so one spectrum is live
     order = sorted(expr.jet_indices(), key=lambda i: (i.derivs.count("t"), i.sort_key()))
     spectrum_of, spectrum = None, None
@@ -679,9 +684,10 @@ def jet_evaluate(expr: JetExpr, jets: dict[JetIndex, np.ndarray], grid: Grid) ->
     Nonlinear terms are dealiased pseudo-spectrally: the quadratic
     monomials of each output are summed and the sum dealiased once, and
     a monomial of three or more factors is dealiased after each product
-    of two.  A constant expression evaluates to its constant on the grid.
+    of two.  A constant expression evaluates to its constant on the grid,
+    on the node axes of the rows its table was read off.
     """
-    nodes = next(iter(jets.values())).shape[: -grid.n] if jets else ()
+    nodes = next(iter(jets.values())).shape[: -grid.n] if jets else getattr(jets, "nodes", ())
     out = np.zeros(nodes + (expr.num_outputs,) + grid.shape)
     outputs = np.moveaxis(out, -grid.n - 1, 0)  # a view: outputs[a] is output a
     # the quadratic sum of one output and a scaled monomial, reused

@@ -537,12 +537,11 @@ def per_node_closure_rows(core: JetExpr, u_gen: Field, ut_gen: Field,
     nodes = np.linspace(epsilon, eta0, K)
     r = [exact_residual(core, heat_propagate(u_gen, eta - epsilon),
                         heat_propagate(ut_gen, eta - epsilon)).values for eta in nodes]
-    stack = ScaleStack(u_gen.grid, nodes, r)
-    rows = []
-    for node in range(1, K - 1):
-        lhs, rhs = closure_error_bound(stack, node)
-        rows.append((float(nodes[node]), lhs, rhs, lhs / rhs if rhs > 0 else float("inf")))
-    return rows
+    lhs, rhs = closure_error_bound(ScaleStack(u_gen.grid, nodes, r))
+    return [
+        (eta, left, right, left / right if right > 0 else float("inf"))
+        for eta, left, right in zip(nodes[1:-1].tolist(), lhs.tolist(), rhs.tolist())
+    ]
 
 
 def per_ladder_deviation_errors(grid: Grid, epsilon: float, eta0: float,

@@ -452,14 +452,18 @@ class TestNumericEvaluation:
             jet_values(parse_core("u2", n=2, N=2), grid2d, stacked)
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("with_t", [False, True], ids=["no-u_t", "u_t"])
-    def test_node_stack_matches_single_nodes(self, rng, n, with_t):
+    @pytest.mark.parametrize("kind", ["no-u_t", "u_t", "constant"])
+    def test_node_stack_matches_single_nodes(self, rng, n, kind):
         grid = make_grid(n, 64 if n == 1 else 16)
         texts = {
             1: "u1*u1_x1 + u2_x1x1; 2*u1*u2*u2_x1 + u2 + 3",
             2: "u1*u1_x1 + u2*u1_x2 + u1_x1x2; u1*u2*u2_x2 + 3; u1_x1 + u2_x2",
         }
+        with_t = kind == "u_t"
         text = texts[n] + ("; u1_t + u2*u2_t" if with_t else "")
+        if kind == "constant":
+            # no jet to read the node axes off: a constant on K nodes is K rows
+            text = "3; -1/2"
         expr = parse_core(text, n=n, N=2)
         K = 4
         u = rng.standard_normal((K, 2) + grid.shape)

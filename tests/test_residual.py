@@ -9,6 +9,7 @@ from scalepde import (
     burgers_core,
     closure_error_bound,
     derive_source,
+    eta_derivative,
     exact_residual,
     field_norms,
     fluid_core,
@@ -150,9 +151,10 @@ class TestClosureErrorBound:
         x = grid1d.coords()[0]
         nodes = np.linspace(0.05, 0.15, 9)
         stack = _field_stack(grid1d, nodes, lambda e: e * np.sin(x))
-        lhs, rhs = closure_error_bound(stack, 4)
-        assert lhs <= 1e-12
-        assert rhs <= 1e-10
+        lhs, rhs = closure_error_bound(stack)
+        assert lhs.shape == rhs.shape == (7,)
+        assert np.max(lhs) <= 1e-12
+        assert np.max(rhs) <= 1e-10
 
     def test_manufactured_bound_holds_interior(self, grid1d):
         x = grid1d.coords()[0]
@@ -160,15 +162,22 @@ class TestClosureErrorBound:
         stack = _field_stack(
             grid1d, nodes, lambda e: e * np.exp(-2.0 * e) * np.sin(x)
         )
-        for node in range(1, 32):
-            lhs, rhs = closure_error_bound(stack, node)
-            assert lhs <= rhs * 1.10
+        lhs, rhs = closure_error_bound(stack)
+        assert lhs.shape == rhs.shape == (31,)
+        assert np.all(lhs <= rhs * 1.10)
 
-    def test_boundary_rejected(self, grid1d):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_node_as_alone(self, rng, n):
+        # the stacked pass forms each interior node's bound with the
+        # operations of that node alone, to the last bit
+        grid = make_grid(n, 64 if n == 1 else 16)
         nodes = np.linspace(0.05, 0.15, 9)
-        stack = _field_stack(grid1d, nodes, lambda e: np.zeros(grid1d.shape))
-        with pytest.raises(ValueError, match="stencil"):
-            closure_error_bound(stack, 0)
+        stack = ScaleStack(grid, nodes, list(rng.standard_normal((9, 2) + grid.shape)))
+        lhs, rhs = closure_error_bound(stack)
+        for j, eta in enumerate(nodes[1:-1].tolist(), start=1):
+            miss = eta_derivative(stack, j) - stack.values[j] / eta
+            assert lhs[j - 1] == np.max(np.abs(miss))
+            assert rhs[j - 1] == 0.5 * eta * stack.peak_curvature
 
 
 class TestFrechetContraction:

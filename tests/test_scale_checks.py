@@ -42,7 +42,7 @@ from scalepde import (
 from scalepde.cli import main
 from scalepde.evolve import BURGERS_REFINEMENT
 from scalepde.grid import _dealias_values, _irfft, _rfft
-from scalepde.heat import heat_propagate, heat_propagate_many
+from scalepde.heat import heat_propagate, heat_propagate_batches, node_batches
 from scalepde.families import (
     filtered_taylor_green,
     manufactured_scalar_2d_ladder,
@@ -204,20 +204,29 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "closure")
         capsys.readouterr()
         assert code == 0
-        # the stacks hold rows, and r and the propagated u and u_t slices
-        # are rows: no Field per manufactured node, per eta derivative, per
-        # jet, per slice or per r node.  What remains: the two generators,
-        # the cut u_t, and 13 of the closure solves
-        assert transform_counts["fields"] <= 16
+        # the stacks hold rows, and the Burgers generators, r and the
+        # propagated u and u_t slices are rows: no Field per manufactured
+        # node, per eta derivative, per jet, per slice, per r node or per
+        # generator.  What remains: 13 of the closure solves
+        assert transform_counts["fields"] <= 13
 
-    @pytest.mark.parametrize("case", ["residual_fluid", "residual_burgers"])
-    def test_residual_check_fields(self, tmp_path, capsys, transform_counts, case):
+    @pytest.mark.parametrize("case, fields", [("residual_fluid", 2), ("residual_burgers", 0)])
+    def test_residual_check_fields(self, tmp_path, capsys, transform_counts, case, fields):
         code, _ = _run(tmp_path, case)
         capsys.readouterr()
         assert code == 0
-        # the propagated u and u_t slices, r, s and e are rows, no Field.
-        # What remains: the two generators, the cut u_t and r at epsilon
-        assert transform_counts["fields"] <= 4
+        # the generators, the propagated u and u_t slices, r (at epsilon
+        # too), s and e are rows, no Field.  What remains: the Taylor-Green
+        # family's two Fields, which the fluid check reads the rows of
+        assert transform_counts["fields"] <= fields
+
+    def test_burgers_reference_fields(self, tmp_path, capsys, transform_counts):
+        code = main(["burgers-reference", "--out", str(tmp_path / "ref"), "--set", "n=1"])
+        capsys.readouterr()
+        assert code == 0
+        # the norms are read off the reference's rows: the two checkpoints
+        # written are the only Fields
+        assert transform_counts["fields"] == 2
 
     def test_duhamel_check_transforms_no_psi(self, tmp_path, capsys, transform_counts, monkeypatch):
         forward = []
@@ -267,7 +276,8 @@ class TestSharedNodes:
         if core == "fluid":
             expr, gens = fluid_core(2), filtered_taylor_green(grid, t=0.0, eta=0.0)
         else:
-            expr, gens = burgers_core(), reference_burgers(grid, [0.5])[0]
+            expr = burgers_core()
+            gens = [Field(grid, g) for g in reference_burgers(grid, [0.5])[0]]
         assert report["max_e"] == per_ladder_residual_errors(expr, *gens, 0.05, 0.15, nodes)
 
     @pytest.mark.parametrize("n, size", [(1, 64), (2, 128)], ids=["n1-grid64", "n2-grid128"])
@@ -282,7 +292,8 @@ class TestSharedNodes:
         assert code == 0
         lines = (out / "closure_bound.csv").read_text().splitlines()[2:]
         got = [tuple(map(float, ln.split(",")[1:])) for ln in lines if ln.startswith("burgers,")]
-        gens = reference_burgers(make_grid(1, size), [0.5])[0]
+        grid = make_grid(1, size)
+        gens = [Field(grid, g) for g in reference_burgers(grid, [0.5])[0]]
         assert got == per_node_closure_rows(burgers_core(), *gens, 0.05, 0.15, 33)
 
     @pytest.mark.parametrize("nodes", [[5, 7, 9], [6, 11]], ids=["5-7-9", "6-11"])
@@ -338,36 +349,51 @@ class TestStackWindow:
         with pytest.raises(ValueError, match="one row per node"):
             SpectralStack(grid, nodes, [generator.values] * 3)
 
-    def test_propagate_many_makes_each_field_when_taken(self, generator, transform_counts):
-        many = heat_propagate_many(generator, [0.01, 0.02])
-        # the forward transform at once, each batch's inverse as its first row
-        # is taken: the two rows of 2 x 16^2 values are one batch
+    def test_propagate_batches_makes_each_block_when_taken(self, generator, transform_counts):
+        grid, values = generator.grid, generator.values
+        batches = node_batches([0.01, 0.02], values.size)
+        # the two rows of 2 x 16^2 values are one batch
+        assert batches == [[0.01, 0.02]]
+        blocks = heat_propagate_batches(grid, values, batches)
+        # the forward transform at once, each batch's inverse as it is taken
         assert transform_counts["calls"] == 1
-        next(many)
+        assert next(blocks).shape == (2,) + values.shape
         assert transform_counts["calls"] == 2
+        # refused before any transform: a negative delta, rows off the grid
         with pytest.raises(ValueError, match="delta_eta"):
-            heat_propagate_many(generator, [0.01, -0.1])
+            heat_propagate_batches(grid, values, [[0.01], [-0.1]])
+        with pytest.raises(ValueError, match=r"rows of shape \(2, 8, 8\) do not fit"):
+            heat_propagate_batches(grid, values[:, :8, :8], batches)
+        with pytest.raises(ValueError, match="do not fit"):
+            heat_propagate_batches(grid, values[0], batches)
         assert transform_counts["calls"] == 2
 
-    def test_propagate_many_block_is_held_by_its_rows_alone(self):
+    def test_propagate_batches_block_is_held_by_its_rows_alone(self):
         generator = random_band_limited(make_grid(1, 128), np.random.default_rng(5), ncomp=2)
-        many = heat_propagate_many(generator, np.linspace(0.0, 0.2, 40))
-        # 32 rows of 2 x 128 values are the first block, views of it
-        rows = [next(many) for _ in range(32)]
-        assert all(row.base is rows[0].base for row in rows)
+        deltas = np.linspace(0.0, 0.2, 40)
+        blocks = heat_propagate_batches(
+            generator.grid, generator.values, node_batches(deltas, generator.values.size)
+        )
+        # 32 rows of 2 x 128 values are the first block; the rows are views
+        # of it, and the generator keeps no reference to a block it gave
+        rows = list(next(blocks))
+        assert len(rows) == 32 and all(row.base is rows[0].base for row in rows)
         block = weakref.ref(rows[0].base)
         del rows
         assert block() is None
 
     @pytest.mark.parametrize("one_dimensional", [False, True], ids=["2-D", "1-D-two-batches"])
-    def test_propagate_many_matches_single(self, generator, one_dimensional):
+    def test_propagate_batches_matches_single(self, generator, one_dimensional):
         deltas = [0.0, 0.01, 0.2]
         if one_dimensional:
             # 2 x 128 values a row, 32 rows to a batch: 40 deltas make two
             generator = random_band_limited(make_grid(1, 128), np.random.default_rng(5), ncomp=2)
             deltas = list(np.linspace(0.0, 0.2, 40))
         axes = tuple(range(1, generator.grid.n + 1))
-        rows = list(heat_propagate_many(generator, deltas))
+        grid, values = generator.grid, generator.values
+        blocks = list(heat_propagate_batches(grid, values, node_batches(deltas, values.size)))
+        assert len(blocks) == (2 if one_dimensional else 1)
+        rows = [row for block in blocks for row in block]
         assert len(rows) == len(deltas)
         for d, row in zip(deltas, rows):
             # one propagation on its own: transform, damp, transform back
@@ -380,7 +406,7 @@ class TestStackWindow:
             np.testing.assert_array_equal(f.values, one)
             assert f.eta == generator.eta + d
         with pytest.raises(ValueError, match="delta_eta"):
-            heat_propagate_many(generator, [-0.1])
+            heat_propagate_batches(grid, values, [[-0.1]])
 
     def test_peak_curvature_matches_node_loop(self, generator):
         stack = build_scale_stack(generator, 0.05, 0.15, 9)
@@ -390,8 +416,8 @@ class TestStackWindow:
             for lo, mid, hi in zip(stack.values, stack.values[1:], stack.values[2:])
         )
         assert stack.peak_curvature == loop
-        lhs, rhs = closure_error_bound(stack, 3)
-        assert rhs == 0.5 * float(stack.eta_nodes[3]) * loop
+        _, rhs = closure_error_bound(stack)
+        assert rhs.tolist() == [0.5 * eta * loop for eta in stack.eta_nodes[1:-1].tolist()]
 
 
 def test_scalar_ladder_matches_single_slices():
@@ -414,8 +440,8 @@ def test_burgers_reference_matches_physical_rk4():
     solution = burgers_physical_rk4(fine.size, 0.3, 0.25 * fine.spacing)
     pair = reference_burgers(coarse, [0.3])[0]
     for got, want in zip(pair, restricted_burgers_pair(solution, coarse.size)):
-        assert np.max(np.abs(got.values[0] - want)) <= 1e-12
-        assert isinstance(got, Field) and (got.grid, got.t) == (coarse, 0.3)
+        assert np.max(np.abs(got[0] - want)) <= 1e-12
+        assert type(got) is np.ndarray and got.shape == (1,) + coarse.shape
 
 
 class TestExpressionForms:

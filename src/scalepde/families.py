@@ -15,7 +15,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .fluid import _leray_hat
-from .grid import Field, Grid, _band_irfft, _peak, _rfft
+from .grid import Field, Grid, _band_irfft, _finite, _peak, _rfft
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> Field:
@@ -127,8 +127,9 @@ def manufactured_scalar_2d_ladder(grid: Grid, etas) -> Iterator[np.ndarray]:
     return spectra()
 
 
-def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[Field, Field]:
-    """Heat-filtered cellular family (u, u_t) with g(t) = 1 + t / 2.
+def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Heat-filtered cellular family: the rows (u, u_t), each
+    (3, *grid.shape), with g(t) = 1 + t / 2, checked finite once.
 
     u stacks (v, p) with v = g e^{-2 eta} (sin x cos y, -cos x sin y)
     and the matching quadratic pressure; u_t is its exact time
@@ -143,8 +144,8 @@ def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[Field, Fiel
     damp4 = math.exp(-4.0 * eta)
     v1, v2 = np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)
     pshape = 0.25 * (np.cos(2 * x) + np.cos(2 * y))
-    u = np.stack([g * damp * v1, g * damp * v2, g**2 * damp4 * pshape])
-    u_t = np.stack(
-        [dg * damp * v1, dg * damp * v2, 2.0 * g * dg * damp4 * pshape]
-    )
-    return Field(grid, u, t=t, eta=eta), Field(grid, u_t, t=t, eta=eta)
+    rows = _finite(np.stack([
+        g * damp * v1, g * damp * v2, g**2 * damp4 * pshape,
+        dg * damp * v1, dg * damp * v2, 2.0 * g * dg * damp4 * pshape,
+    ]))
+    return rows[:3], rows[3:]

@@ -8,7 +8,6 @@ space with a leading component axis.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -154,18 +153,13 @@ def _as_field_values(grid: Grid, values) -> np.ndarray:
     return arr
 
 
-def _check_eta(eta):
-    if not eta >= 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    return eta
-
-
 @dataclass(frozen=True)
 class Field:
-    """Physical-space field with shape (components, *grid.shape).
+    """Physical-space field with shape (components, *grid.shape): a checked
+    record of read-only finite values, with no arithmetic of its own.
 
     Single-component input of shape ``grid.shape`` is promoted to one
-    component.  ``t`` is slice time and ``eta`` the filter scale.
+    component.  ``t`` is slice time and ``eta`` >= 0 the filter scale.
     """
 
     grid: Grid
@@ -175,40 +169,22 @@ class Field:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_field_values(self.grid, self.values))
-        _check_eta(self.eta)
+        if not self.eta >= 0.0:
+            raise ValueError(f"eta must be >= 0, got {self.eta}")
 
     @property
     def ncomp(self) -> int:
         return self.values.shape[0]
 
     def with_values(self, values=None, *, t=None, eta=None) -> "Field":
-        """This field with new values, t or eta.  Without new values the
-        read-only, already checked array is shared, not copied."""
-        t = self.t if t is None else t
-        eta = self.eta if eta is None else eta
-        if values is not None:
-            return Field(self.grid, values, t=t, eta=eta)
-        shared = copy.copy(self)
-        object.__setattr__(shared, "t", t)
-        object.__setattr__(shared, "eta", _check_eta(eta))
-        return shared
-
-    def _check_compatible(self, other: "Field"):
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-        if self.ncomp != other.ncomp:
-            raise ValueError("fields have different component counts")
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return self.with_values(self.values - other.values)
-
-    def __rmul__(self, scalar) -> "Field":
-        return self.with_values(self.values * float(scalar))
+        """A new checked Field with new values, t or eta; each defaults to
+        this field's own."""
+        return Field(
+            self.grid,
+            self.values if values is None else values,
+            t=self.t if t is None else t,
+            eta=self.eta if eta is None else eta,
+        )
 
 
 def _rfft(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

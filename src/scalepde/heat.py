@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,13 +111,6 @@ class ScaleStack(_Ladder):
         super().__post_init__()
         for row in self.values:
             _finite(row)
-
-    @cached_property
-    def peak_curvature(self) -> float:
-        """max |d2f/d(eta)2| over the interior nodes, by centered differences."""
-        vals = np.stack(self.values)
-        d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / self.delta_eta**2
-        return float(np.max(np.abs(d2)))
 
 
 class SpectralStack(_Ladder):

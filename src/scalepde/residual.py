@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, _finite, _irfft, _rfft
+from .grid import Field, Grid, _finite, _irfft, _peak, _rfft
 from .heat import ScaleStack, eta_derivative
 from .jets import JetExpr, jet_evaluate, jet_linearize, jet_values
 
@@ -56,15 +56,16 @@ def solve_residual_closure(s: Field, eta: float) -> Field:
 
 def closure_error_bound(r_stack: ScaleStack) -> tuple[np.ndarray, np.ndarray]:
     """Taylor bound behind the closure, as arrays (lhs, rhs) over the
-    interior nodes from one pass: lhs = max |d(r)/d(eta) - r/eta| at a node,
-    by ``eta_derivative``'s centred difference, and rhs = (eta/2) times the
-    stack's ``peak_curvature``, max |d2(r)/d(eta)2| over interior nodes.
+    interior nodes from one stacked pass: lhs = max |d(r)/d(eta) - r/eta|
+    at a node, by ``eta_derivative``'s centred difference, and rhs = (eta/2)
+    times max |d2(r)/d(eta)2| over all interior nodes, by centred differences.
     """
     r, eta = np.stack(r_stack.values), r_stack.eta_nodes[1:-1]
     miss = (r[2:] - r[:-2]) / (2.0 * r_stack.delta_eta)
     miss -= r[1:-1] / eta.reshape((-1,) + (1,) * (r.ndim - 1))
     lhs = np.max(np.abs(miss), axis=tuple(range(1, r.ndim)))
-    return lhs, 0.5 * eta * r_stack.peak_curvature
+    curvature = (r[2:] - 2.0 * r[1:-1] + r[:-2]) / r_stack.delta_eta**2
+    return lhs, 0.5 * eta * float(_peak(curvature))
 
 
 def frechet_contraction(

@@ -189,10 +189,10 @@ class TestAgainstComplexOracles:
 
 def _assert_gradient(g, tol):
     """g is curl-free with zero mean, so it is a gradient on the torus."""
-    curl = spectral_derivative(g.with_values(g.values[1:]), 0) - spectral_derivative(
+    curl = spectral_derivative(g.with_values(g.values[1:]), 0).values - spectral_derivative(
         g.with_values(g.values[:1]), 1
-    )
-    assert field_norms(curl)[1] <= tol
+    ).values
+    assert np.max(np.abs(curl)) <= tol
     assert np.max(np.abs(g.values.mean(axis=(1, 2)))) <= tol
 
 
@@ -208,13 +208,13 @@ class TestLeray:
         g = _gradient(phi)
         sol = leray_project(g)
         assert field_norms(sol)[1] <= 1e-12
-        _assert_gradient(g - sol, 1e-12)
+        _assert_gradient(g.with_values(g.values - sol.values), 1e-12)
 
     def test_reconstruction_and_idempotence(self, grid2d, rng):
         w = random_band_limited(grid2d, rng, ncomp=2, kmax=6)
         sol = leray_project(w)
         assert field_norms(divergence(sol))[1] <= 1e-10
-        _assert_gradient(w - sol, 1e-10)
+        _assert_gradient(w.with_values(w.values - sol.values), 1e-10)
         again = leray_project(sol)
         assert np.max(np.abs(again.values - sol.values)) <= 1e-12
 

@@ -1,7 +1,5 @@
 """Grid, field and spectral-operator behavior."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -79,28 +77,16 @@ class TestFieldValidation:
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
-    def test_with_values_shares_checked_values(self, rng):
-        grid = make_grid(2, 256)
-        f = Field(grid, rng.standard_normal((2,) + grid.shape))
-        tracemalloc.start()
-        try:
-            g = f.with_values(t=0.5, eta=0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.shares_memory(f.values, g.values)
-        assert peak < 0.1 * f.values.nbytes
-        assert (g.t, g.eta, f.t, f.eta) == (0.5, 0.05, 0.0, 0.0)
+    def test_with_values_builds_a_checked_field(self, grid1d):
+        f = Field(grid1d, np.sin(grid1d.coords()[0]), t=0.5, eta=0.1)
+        g = f.with_values(eta=0.05)
+        assert g is not f and np.array_equal(g.values, f.values)
+        assert (g.t, g.eta, f.t, f.eta) == (0.5, 0.05, 0.5, 0.1)
+        assert not g.values.flags.writeable
         with pytest.raises(ValueError, match="eta"):
             f.with_values(eta=-0.1)
-
-    def test_arithmetic(self, grid1d):
-        x = grid1d.coords()[0]
-        f = Field(grid1d, np.sin(x), t=0.5, eta=0.1)
-        g = Field(grid1d, np.cos(x), t=0.5, eta=0.1)
-        total = f + 2.0 * g - g
-        assert np.allclose(total.values, np.sin(x) + np.cos(x), atol=1e-15)
-        assert total.t == 0.5 and total.eta == 0.1
+        with pytest.raises(NonFiniteFieldError):
+            f.with_values(np.full(grid1d.shape, np.inf))
 
 
 class TestSpectralDerivative:
@@ -132,10 +118,10 @@ class TestSpectralDerivative:
         a = rng.standard_normal(grid2d.shape)
         b = rng.standard_normal(grid2d.shape)
         left = spectral_derivative(Field(grid2d, 2.0 * a - 3.0 * b), 0)
-        right = 2.0 * spectral_derivative(Field(grid2d, a), 0) - 3.0 * spectral_derivative(
+        right = 2.0 * spectral_derivative(Field(grid2d, a), 0).values - 3.0 * spectral_derivative(
             Field(grid2d, b), 0
-        )
-        assert np.allclose(left.values, right.values, atol=1e-10)
+        ).values
+        assert np.allclose(left.values, right, atol=1e-10)
 
     def test_mixed_partials_commute(self, grid2d, rng):
         f = Field(grid2d, rng.standard_normal(grid2d.shape))
@@ -158,7 +144,7 @@ class TestLaplacian:
         # first derivatives zero the Nyquist modes, so keep none
         f = dealiased(Field(grid2d, rng.standard_normal(grid2d.shape)))
         dxx, dyy = (spectral_derivative(spectral_derivative(f, a), a) for a in (0, 1))
-        assert np.allclose(laplacian(f).values, (dxx + dyy).values, atol=1e-9)
+        assert np.allclose(laplacian(f).values, dxx.values + dyy.values, atol=1e-9)
 
 
 class TestDealias:

@@ -174,10 +174,15 @@ class TestClosureErrorBound:
         nodes = np.linspace(0.05, 0.15, 9)
         stack = ScaleStack(grid, nodes, list(rng.standard_normal((9, 2) + grid.shape)))
         lhs, rhs = closure_error_bound(stack)
+        h = stack.delta_eta
+        curvature = max(
+            float(np.max(np.abs((hi - 2.0 * mid + lo) / h**2)))
+            for lo, mid, hi in zip(stack.values, stack.values[1:], stack.values[2:])
+        )
         for j, eta in enumerate(nodes[1:-1].tolist(), start=1):
             miss = eta_derivative(stack, j) - stack.values[j] / eta
             assert lhs[j - 1] == np.max(np.abs(miss))
-            assert rhs[j - 1] == 0.5 * eta * stack.peak_curvature
+            assert rhs[j - 1] == 0.5 * eta * curvature
 
 
 class TestFrechetContraction:

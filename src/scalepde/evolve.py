@@ -816,8 +816,9 @@ def reference_burgers(coarse: Grid, times: list[float]) -> list[tuple[np.ndarray
     share = float(np.max(mags[2 * b // 3 : b]) / np.max(mags))
     if share > 1e-6:
         raise ValueError(
-            f"the Burgers reference does not resolve t_end={t} on {fine.size} fine points: "
-            f"the top third of its band holds {share:.2g} of the largest mode, above 1e-06"
+            f"the Burgers reference on grid_size={coarse.size} ({fine.size} fine points) does "
+            f"not resolve t={t}: the top third of its band holds {share:.2g} of the largest "
+            f"mode, above 1e-06"
         )
     return slices
 

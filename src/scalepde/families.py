@@ -71,14 +71,14 @@ def _random_values(
 
 
 def random_band_limited(
-    grid: Grid, rng: np.random.Generator, ncomp: int = 1,
-    kmax: int = 4, amplitude: float = 1.0,
+    grid: Grid, rng: np.random.Generator, ncomp: int = 1, kmax: int = 4
 ) -> Field:
-    """Smooth random field with modes confined to |k_axis| <= kmax."""
+    """Smooth random field with modes confined to |k_axis| <= kmax, peak 1."""
     vals = _random_values(grid, rng, ncomp, kmax, solenoidal=False)
     peak = _peak(vals)
     if peak > 0.0:
-        vals *= amplitude / peak
+        # times 1 / peak, not divided by it: the two round differently
+        vals *= 1.0 / peak
     return Field(grid, vals)
 
 
@@ -127,25 +127,18 @@ def manufactured_scalar_2d_ladder(grid: Grid, etas) -> Iterator[np.ndarray]:
     return spectra()
 
 
-def filtered_taylor_green(grid: Grid, t: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Heat-filtered cellular family: the rows (u, u_t), each
-    (3, *grid.shape), with g(t) = 1 + t / 2, checked finite once.
+def filtered_taylor_green(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Heat-filtered cellular family at t = 0 and eta = 0: the rows
+    (u, u_t), each (3, *grid.shape), checked finite once.
 
-    u stacks (v, p) with v = g e^{-2 eta} (sin x cos y, -cos x sin y)
-    and the matching quadratic pressure; u_t is its exact time
-    derivative.  Both satisfy the heat flow in eta exactly.
+    u stacks v = (sin x cos y, -cos x sin y) and its pressure
+    (cos 2x + cos 2y) / 4; the family grows as g(t) = 1 + t / 2 in v and
+    g^2 in the pressure, so u_t is (v / 2, pressure).
     """
     if grid.n != 2:
         raise ValueError("needs a two dimensional grid")
     x, y = grid.coords()
-    dg = 0.5
-    g = 1.0 + dg * t
-    damp = math.exp(-2.0 * eta)
-    damp4 = math.exp(-4.0 * eta)
     v1, v2 = np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)
-    pshape = 0.25 * (np.cos(2 * x) + np.cos(2 * y))
-    rows = _finite(np.stack([
-        g * damp * v1, g * damp * v2, g**2 * damp4 * pshape,
-        dg * damp * v1, dg * damp * v2, 2.0 * g * dg * damp4 * pshape,
-    ]))
+    pressure = 0.25 * (np.cos(2 * x) + np.cos(2 * y))
+    rows = _finite(np.stack([v1, v2, pressure, 0.5 * v1, 0.5 * v2, pressure]))
     return rows[:3], rows[3:]

@@ -176,13 +176,13 @@ class Field:
     def ncomp(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, values=None, *, t=None, eta=None) -> "Field":
-        """A new checked Field with new values, t or eta; each defaults to
-        this field's own."""
+    def with_values(self, values=None, *, eta=None) -> "Field":
+        """A new checked Field at this field's t, with new values or eta;
+        each defaults to this field's own."""
         return Field(
             self.grid,
             self.values if values is None else values,
-            t=self.t if t is None else t,
+            t=self.t,
             eta=self.eta if eta is None else eta,
         )
 

@@ -167,15 +167,16 @@ def filter_defect(stack: SpectralStack) -> SpectralStack:
     return SpectralStack(stack.grid, stack.eta_nodes[1:-1], psi_hat)
 
 
-def filter_deviation(stack: SpectralStack, anchor: int, node: int) -> np.ndarray:
-    """u at a node minus the filtered family through the anchor node,
-    u_node - exp((eta_node - eta_anchor) laplacian) u_anchor, on the
-    ladder's half spectra and transformed back once, to a checked row."""
-    if not 0 <= anchor <= node < stack.K:
-        raise ValueError(f"need 0 <= anchor <= node < {stack.K}, got anchor={anchor}, node={node}")
+def filter_deviation(stack: SpectralStack, node: int) -> np.ndarray:
+    """u at a node minus the filtered family through node 1, where
+    ``filter_defect``'s psi ladder starts and ``duhamel_integral``
+    reconstructs from: u_node - exp((eta_node - eta_1) laplacian) u_1, on
+    the ladder's half spectra and transformed back once, to a checked row."""
+    if not 1 <= node < stack.K:
+        raise ValueError(f"node must lie in [1, {stack.K}), got {node}")
     grid, u_hat, nodes = stack.grid, stack.values, stack.eta_nodes
-    damping = _damping(grid, float(nodes[node] - nodes[anchor]))
-    dev_hat = u_hat[node] - damping * u_hat[anchor]
+    damping = _damping(grid, float(nodes[node] - nodes[1]))
+    dev_hat = u_hat[node] - damping * u_hat[1]
     return _finite(_irfft(grid, dev_hat))
 
 

@@ -34,9 +34,13 @@ class CoreSyntaxError(ValueError):
     """Raised for malformed core-function text, with line/column info."""
 
 
-def _shown(text: str, width: int = 24) -> str:
+# the characters of a piece of core text an error message quotes
+_SHOWN_WIDTH = 24
+
+
+def _shown(text: str) -> str:
     """repr of a piece of core text, cut short for an error message."""
-    return repr(text) if len(text) <= width else repr(text[:width]) + "..."
+    return repr(text) if len(text) <= _SHOWN_WIDTH else repr(text[:_SHOWN_WIDTH]) + "..."
 
 
 def _coord_rank(label: str) -> tuple[int, int]:
@@ -472,39 +476,26 @@ class _Parser:
         return result if sign == 1 else _scaled(result, -1)
 
 
-def parse_core(text: str, n: int | None = None, N: int | None = None) -> JetExpr:
+def parse_core(text: str, n: int | None = None) -> JetExpr:
     """Parse core-function text into a JetExpr.
 
-    Components are separated by ';'.  When n or N is omitted it is
-    inferred from the variables that actually appear (at least 1).
-    Core functions may not carry eta derivatives: one raises
-    CoreSyntaxError naming the variable.
+    Components are separated by ';'.  The component count N is the
+    largest that appears, and when n is omitted it is inferred likewise
+    (at least 1 each); a variable on an axis beyond n raises
+    CoreSyntaxError naming it.  Core functions may not carry eta
+    derivatives: one raises CoreSyntaxError naming the variable.
     """
     parser = _Parser(_tokenize(text))
     comps = parser.parse_components()
-    seen_n = 0
-    seen_N = 0
-    for idx, tok in parser.indices:
-        seen_N = max(seen_N, idx.component)
-        for d in idx.derivs:
-            if d.startswith("x"):
-                seen_n = max(seen_n, int(d[1:]))
-    if n is None:
-        n = max(seen_n, 1)
-    if N is None:
-        N = max(seen_N, 1)
-    for idx, tok in parser.indices:
-        if idx.component > N:
+    axes = [(int(d[1:]), tok) for idx, tok in parser.indices for d in idx.derivs if d[0] == "x"]
+    n = max([1] + [axis for axis, _tok in axes]) if n is None else n
+    for axis, tok in axes:
+        if axis > min(n, 2):
             raise CoreSyntaxError(
-                f"line {tok.line}, column {tok.col}: {_shown(tok.text)} exceeds "
-                f"component count N={N}"
+                f"line {tok.line}, column {tok.col}: {_shown(tok.text)} uses "
+                f"spatial axis beyond n={min(n, 2)}"
             )
-        for d in idx.derivs:
-            if d.startswith("x") and int(d[1:]) > min(n, 2):
-                raise CoreSyntaxError(
-                    f"line {tok.line}, column {tok.col}: {_shown(tok.text)} uses "
-                    f"spatial axis beyond n={min(n, 2)}"
-                )
+    N = max([1] + [idx.component for idx, _tok in parser.indices])
     return JetExpr(n, N, tuple(comps))
 
 

@@ -266,6 +266,22 @@ class TestDeriveSource:
         assert code == 0
         assert "s = 0" in out
 
+    def test_core_text_is_read_in_the_configs_n(self, capsys):
+        # n = 2 by default: a core that names x1 alone still varies in x2
+        code = main(["derive-source", "--set", "core_text=u1_t + u1*u1_x1"])
+        assert code == 0
+        assert "s = -2*u1_x1*u1_x1x1 - 2*u1_x2*u1_x1x2\n" in capsys.readouterr().out
+        code = main(["derive-source", "--set", "n=1", "--set", "core_text=u1_t + u1*u1_x1"])
+        assert code == 0
+        assert "s = -2*u1_x1*u1_x1x1\n" in capsys.readouterr().out
+
+    def test_core_text_past_the_configs_n_exits_2_naming_position(self, capsys):
+        code = main(["derive-source", "--set", "n=1", "--set", "core_text=u1_t + u1*u1_x2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1, column 11: 'u1_x2' uses spatial axis beyond n=1\n"
+        )
+
     def test_syntax_error_exit_code(self, capsys):
         code = main(["derive-source", "--set", "core_text=u1_zz"])
         assert code == 2
@@ -691,8 +707,19 @@ class TestBurgersReferenceCommand:
                      "--set", "grid_size=64", "--set", "t_end=0.999"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "t_end=0.999" in err and "256 fine points" in err and "0.013" in err
+        assert "t=0.999" in err and "256 fine points" in err and "0.013" in err
+        assert "grid_size=64" in err
         assert not (out / "report.json").exists()
+
+    def test_unresolved_residual_check_names_grid_size(self, capsys):
+        # residual-check's Burgers generator is at t = 0.5, which is no t_end
+        # the user set: the grid is what to change
+        code = main(["residual-check", "--set", "n=1", "--set", "core=burgers",
+                     "--set", "grid_size=16"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "grid_size=16 (64 fine points)" in err and "t=0.5" in err
+        assert "t_end" not in err
 
     def test_non_finite_reference_exits_3(self, tmp_path, capsys, overflowing_rk4):
         # diverged, not the exit 2 of a non-finite Field made of the state

@@ -885,13 +885,15 @@ class TestBurgersReference:
 
     def test_unresolved_end_rejected(self):
         # past t = 0.75 on 256 fine points the spectrum fills the band
-        with pytest.raises(ValueError, match=r"t_end=0.999 on 256 fine points.* 0.013 "):
+        unresolved = r"grid_size=64 \(256 fine points\) does not resolve t=0.999: .* 0.013 "
+        with pytest.raises(ValueError, match=unresolved):
             reference_burgers(make_grid(1, 64), [0.5, 0.999])
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, grid2d, rng):
-        f = random_solenoidal(grid2d, rng, kmax=5).with_values(t=0.3, eta=0.07)
+        f = random_solenoidal(grid2d, rng, kmax=5)
+        f = Field(grid2d, f.values, t=0.3, eta=0.07)
         path = tmp_path / "state.ckpt"
         write_checkpoint(path, f, extra={"label": "final"})
         g, header = read_checkpoint(path)

@@ -19,6 +19,7 @@ from scalepde.families import (
     taylor_green,
 )
 from oracles import (
+    filtered_taylor_green_at,
     full_grid_random,
     manufactured_burgers,
     manufactured_fluid,
@@ -52,12 +53,12 @@ class TestBasicFields:
         assert {tuple(ij) for ij in live} <= {(1, 2), (63, 62)}
 
     def test_band_limited_spectrum(self, grid2d, rng):
-        f = random_band_limited(grid2d, rng, kmax=3, amplitude=1.2)
+        f = random_band_limited(grid2d, rng, kmax=3)
         coeffs = np.fft.fftn(f.values[0])
         k = np.abs(np.fft.fftfreq(grid2d.size, 1.0 / grid2d.size))
         for outside in (k[:, np.newaxis] > 3, k[np.newaxis, :] > 3):
             assert np.max(np.abs(np.broadcast_to(outside, coeffs.shape) * coeffs)) <= 1e-10
-        assert np.max(np.abs(f.values)) == pytest.approx(1.2)
+        assert np.max(np.abs(f.values)) == pytest.approx(1.0)
 
     def test_random_solenoidal_properties(self, grid2d, rng):
         v = random_solenoidal(grid2d, rng, kmax=5, amplitude=0.9)
@@ -90,8 +91,8 @@ class TestDrawsOnTheirColumns:
     @pytest.mark.parametrize("n, size, kmax", CASES)
     def test_band_limited(self, n, size, kmax):
         grid = make_grid(n, size)
-        got = random_band_limited(grid, np.random.default_rng(size), 2, kmax, amplitude=1.3)
-        want = full_grid_random(grid, np.random.default_rng(size), 2, kmax, 1.3, solenoidal=False)
+        got = random_band_limited(grid, np.random.default_rng(size), 2, kmax)
+        want = full_grid_random(grid, np.random.default_rng(size), 2, kmax, 1.0, solenoidal=False)
         assert np.array_equal(got.values, want)
 
     @pytest.mark.parametrize("n, size, kmax", [case for case in CASES if case[0] == 2])
@@ -171,24 +172,32 @@ class TestManufacturedScalar2d:
 
 
 class TestFilteredTaylorGreen:
+    @pytest.mark.parametrize("size", [4, 16, 128])
+    def test_rows_are_the_twin_at_zero(self, size):
+        # the rows written out at t = 0 and eta = 0 are the closed form's
+        # there, to the last bit
+        grid = make_grid(2, size)
+        for got, want in zip(filtered_taylor_green(grid), filtered_taylor_green_at(grid, 0.0, 0.0)):
+            assert np.array_equal(got, want)
+
     def test_heat_flow_exact(self, grid2d):
         # filtered family: advancing eta by the propagator reproduces the
         # family at the larger scale exactly
-        u0, _ = filtered_taylor_green(grid2d, t=0.3, eta=0.02)
-        u1, _ = filtered_taylor_green(grid2d, t=0.3, eta=0.09)
+        u0, _ = filtered_taylor_green_at(grid2d, t=0.3, eta=0.02)
+        u1, _ = filtered_taylor_green_at(grid2d, t=0.3, eta=0.09)
         moved = heat_propagate(Field(grid2d, u0), 0.07)
         assert np.max(np.abs(moved.values - u1)) <= 1e-12
 
     def test_u_t_exact(self, grid2d):
         d = 1e-3
-        up, _ = filtered_taylor_green(grid2d, t=0.3 + d, eta=0.05)
-        um, _ = filtered_taylor_green(grid2d, t=0.3 - d, eta=0.05)
+        up, _ = filtered_taylor_green_at(grid2d, t=0.3 + d, eta=0.05)
+        um, _ = filtered_taylor_green_at(grid2d, t=0.3 - d, eta=0.05)
         fd = (up - um) / (2.0 * d)
-        _, u_t = filtered_taylor_green(grid2d, t=0.3, eta=0.05)
+        _, u_t = filtered_taylor_green_at(grid2d, t=0.3, eta=0.05)
         assert np.max(np.abs(fd - u_t)) <= 1e-10
 
     def test_components(self, grid2d):
-        u, u_t = filtered_taylor_green(grid2d, t=0.0, eta=0.05)
+        u, u_t = filtered_taylor_green(grid2d)
         assert u.shape == u_t.shape == (3,) + grid2d.shape
         v = Field(grid2d, u[:2])
         assert field_norms(divergence(v))[1] <= 1e-12

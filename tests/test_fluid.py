@@ -164,7 +164,8 @@ class TestAgainstComplexOracles:
 
     @_VELOCITIES
     def test_fluid_source(self, rng, n, size, kmax):
-        v = _velocity(n, size, rng, kmax).with_values(t=0.3, eta=0.02)
+        v = _velocity(n, size, rng, kmax)
+        v = Field(v.grid, v.values, t=0.3, eta=0.02)
         if n == 2:
             s = fluid_source(v)
             _assert_close(s.values[:n], complex_source(v.values))
@@ -181,7 +182,8 @@ class TestAgainstComplexOracles:
     @pytest.mark.parametrize("m", [1, 2])
     def test_advect(self, rng, n, size, kmax, m):
         v = _velocity(n, size, rng, kmax)
-        w = random_band_limited(v.grid, rng, ncomp=m, kmax=kmax).with_values(t=0.3, eta=0.02)
+        w = random_band_limited(v.grid, rng, ncomp=m, kmax=kmax)
+        w = Field(w.grid, w.values, t=0.3, eta=0.02)
         got = advect(v, w)
         assert (got.t, got.eta) == (0.3, 0.02)
         _assert_close(got.values, complex_advect(v.values, w.values))

@@ -162,7 +162,7 @@ class TestParse:
         assert e == u(1)
 
     def test_component_separator(self):
-        e = parse_core("u1_t; u2_t; 0", n=2, N=3)
+        e = parse_core("u1_t; u2_t; 0", n=2)
         assert e.num_outputs == 3
         assert JetExpr(2, 3, (e.terms[2],)) == JetExpr.zero(2, 3)
 
@@ -189,9 +189,9 @@ class TestParse:
         with pytest.raises(CoreSyntaxError, match="line 2, column 6"):
             parse_core("u1_t +\n u1* ?")
 
-    def test_component_beyond_declared(self):
-        with pytest.raises(CoreSyntaxError, match="N=1"):
-            parse_core("u2_x1", N=1)
+    def test_component_count_is_the_largest_used(self):
+        # n may be given; N is always read off the text
+        assert parse_core("u2_x1", n=2).N == 2
 
     def test_axis_beyond_declared(self):
         with pytest.raises(CoreSyntaxError, match="n=1"):
@@ -228,9 +228,10 @@ class TestParse:
             e = random_expr(rng, n, N)
             if any("eta" in idx.derivs for idx in e.jet_indices()):
                 with pytest.raises(CoreSyntaxError, match="eta derivatives are not allowed"):
-                    parse_core(format_expr(e), n=n, N=N)
+                    parse_core(format_expr(e), n=n)
                 continue
-            again = parse_core(format_expr(e), n=n, N=N)
+            # N is the largest component used, at most the drawn N
+            again = JetExpr(n, N, parse_core(format_expr(e), n=n).terms)
             assert again == e, format_expr(e)
 
 
@@ -277,12 +278,12 @@ class TestSourceMap:
         assert jet_L(u(1, n=2, N=1)) == u(1, "x1", "x1", n=2, N=1) + u(1, "x2", "x2", n=2, N=1)
 
     def test_W_matches_L_on_linear(self):
-        core = parse_core("u1_t + 3*u1_x1", n=1, N=1)
+        core = parse_core("u1_t + 3*u1_x1", n=1)
         assert jet_W(core) == jet_L(core)
 
     def test_linear_core_has_zero_source(self):
         assert derive_source(parse_core("u1_t + 3*u1_x1")) == JetExpr.zero(1, 1)
-        assert derive_source(parse_core("u1_t; u2_t", n=2, N=2)) == JetExpr.zero(2, 2, 2)
+        assert derive_source(parse_core("u1_t; u2_t", n=2)) == JetExpr.zero(2, 2, 2)
 
     def test_burgers_source(self):
         s = derive_source(burgers_core())
@@ -299,13 +300,13 @@ class TestSourceMap:
             derive_source(u(1, "x1", "x1") + u(1, "t"))
 
     def test_fluid_source_matches_expected_polynomial(self):
-        expected = parse_core(
+        # the pressure, u3, appears in no term of the source
+        expected = JetExpr(2, 3, parse_core(
             "-2*u1_x1*u1_x1x1 - 2*u2_x1*u1_x1x2 - 2*u1_x2*u1_x1x2 - 2*u2_x2*u1_x2x2;"
             "-2*u1_x1*u2_x1x1 - 2*u2_x1*u2_x1x2 - 2*u1_x2*u2_x1x2 - 2*u2_x2*u2_x2x2;"
             "0",
             n=2,
-            N=3,
-        )
+        ).terms)
         assert derive_source(fluid_core(2)) == expected
 
 
@@ -419,7 +420,7 @@ class TestNumericEvaluation:
 
     def test_row_off_the_grid_shape_names_both_shapes(self, grid2d, rng):
         # the check a Field made of its values: the trailing shape is the grid's
-        core = parse_core("u1_t + u1*u1_x1", n=2, N=1)
+        core = parse_core("u1_t + u1*u1_x1", n=2)
         fits = rng.standard_normal((1, 64, 64))
         small = rng.standard_normal((1, 32, 32))
         flat = rng.standard_normal((1, 64))
@@ -449,7 +450,7 @@ class TestNumericEvaluation:
             )
         # the component count is read on the component axis, not the node axis
         with pytest.raises(ValueError, match="u2 exceeds field component count 1$"):
-            jet_values(parse_core("u2", n=2, N=2), grid2d, stacked)
+            jet_values(parse_core("u2", n=2), grid2d, stacked)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("kind", ["no-u_t", "u_t", "constant"])
@@ -464,7 +465,7 @@ class TestNumericEvaluation:
         if kind == "constant":
             # no jet to read the node axes off: a constant on K nodes is K rows
             text = "3; -1/2"
-        expr = parse_core(text, n=n, N=2)
+        expr = JetExpr(n, 2, parse_core(text, n=n).terms)
         K = 4
         u = rng.standard_normal((K, 2) + grid.shape)
         u_t = rng.standard_normal((K, 2) + grid.shape) if with_t else None
@@ -487,7 +488,7 @@ class TestNumericEvaluation:
         self, grid1d, rng, transform_counts, forbid_nd_transforms
     ):
         u = rng.standard_normal((1,) + grid1d.shape)
-        expr = parse_core("u1_x1 + u1*u1_x1x1", n=1, N=1)
+        expr = parse_core("u1_x1 + u1*u1_x1x1", n=1)
         d = grid1d.rderivatives[0]
         spectrum = np.fft.rfftn(u, axes=(-1,))
         want = {
@@ -508,7 +509,7 @@ class TestNumericEvaluation:
     def test_two_dimensional_makes_real_calls_only(self, rng, transform_counts, monkeypatch):
         grid = make_grid(2, 32)
         u = rng.standard_normal((2,) + grid.shape)
-        expr = parse_core("u1*u1_x1 + u2*u1_x2 + u1_x1x2; u2_x2x2*u1 + u2", n=2, N=2)
+        expr = parse_core("u1*u1_x1 + u2*u1_x2 + u1_x1x2; u2_x2x2*u1 + u2", n=2)
         transform_counts.update(calls=0, complex=0, transforms=0)
         for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"):
 
@@ -538,7 +539,7 @@ class TestNumericEvaluation:
 
     def test_jet_values_are_arrays_on_the_slice_grid(self, grid2d, rng):
         f = Field(grid2d, rng.standard_normal((2,) + grid2d.shape))
-        got = jet_values(parse_core("u2 + u1_x2", n=2, N=2), grid2d, f.values)
+        got = jet_values(parse_core("u2 + u1_x2", n=2), grid2d, f.values)
         for idx, vals in got.items():
             assert type(vals) is np.ndarray and vals.shape == grid2d.shape, idx
         # a jet of no derivative is a view of u's row, read-only as a Field's are
@@ -571,7 +572,7 @@ class TestAgainstChainedTransforms:
         grid = make_grid(n, 64 if n == 1 else 32)
         rng = np.random.default_rng(20 + n)
         u, u_t = (Field(grid, rng.standard_normal((n,) + grid.shape)) for _ in range(2))
-        expr = parse_core(self.CORES[n], n=n, N=n)
+        expr = parse_core(self.CORES[n], n=n)
         return expr, u, u_t, jet_values(expr, grid, u.values, u_t.values)
 
     @staticmethod

@@ -212,9 +212,10 @@ class TestWorkBudget:
         code, _ = _run(tmp_path, "filter")
         capsys.readouterr()
         assert code == 0
-        # f, f propagated to a and that propagated by b, the two derivatives
-        # and the propagated derivative, v, v propagated and its divergence
-        assert transform_counts["fields"] <= 9
+        # f, its derivative and that propagated, v, v propagated and its
+        # divergence; f propagated, its derivative and the mode amplitudes
+        # are rows
+        assert transform_counts["fields"] == 6
 
     def test_closure_check_fields(self, tmp_path, capsys, transform_counts):
         code, _ = _run(tmp_path, "closure")
@@ -286,7 +287,7 @@ class TestSharedNodes:
         report = json.loads((out / "report.json").read_text())
         grid = make_grid(n, size)
         if core == "fluid":
-            expr, rows = fluid_core(2), filtered_taylor_green(grid, t=0.0, eta=0.0)
+            expr, rows = fluid_core(2), filtered_taylor_green(grid)
         else:
             expr, rows = burgers_core(), reference_burgers(grid, [0.5])[0]
         gens = [Field(grid, g) for g in rows]
@@ -503,7 +504,7 @@ class TestExpressionForms:
             # constant, linear, quadratic, cubic and quartic monomials
             "mixed": lambda: parse_core(
                 "2*u1*u1_x1 - 3*u2*u1_x2 + u1*u2*u2_x1 + 1/2*u1 + 3/2; "
-                "u1*u1 - u2_x2*u2 + 7 - u3_t; u3*u3_x1*u1*u2", n=2, N=3
+                "u1*u1 - u2_x2*u2 + 7 - u3_t; u3*u3_x1*u1*u2", n=2
             ),
         }[case]()
         grid = make_grid(2, 16)
@@ -536,7 +537,7 @@ class TestRowsAreChecked:
 
     def test_jet_evaluate_refuses_a_nan_jet(self):
         grid = make_grid(1, 16)
-        expr = parse_core("u1_t + u1*u1_x1", n=1, N=1)
+        expr = parse_core("u1_t + u1*u1_x1", n=1)
         u = np.sin(grid.coords()[0])[np.newaxis]
         jets = jet_values(expr, grid, u, u)
         (dx,) = [idx for idx in jets if "x1" in idx.derivs]
@@ -558,9 +559,9 @@ class TestRowsAreChecked:
     # the row check that refuses it
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_filter_deviation_refuses_an_inf_spectrum(self, inf_stack):
-        for anchor, node in ((0, 0), (1, 4)):
+        for node in (1, 4):
             with pytest.raises(NonFiniteFieldError, match="finite"):
-                filter_deviation(inf_stack, anchor, node)
+                filter_deviation(inf_stack, node)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_duhamel_integral_refuses_an_inf_spectrum(self, inf_stack):

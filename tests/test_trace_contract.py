@@ -4,7 +4,8 @@ perfbench/layertrace.py wraps each ``layer.function`` of its
 FUNCTION_METRICS table; deleting or renaming one of them breaks the
 traced benchmark, so it fails here first.  Apart from them and the
 Frechet contraction (acceptance criterion 4), no public function, class,
-method or property of the package is kept for callers outside it alone.
+method or property of the package is kept for callers outside it alone,
+and no parameter of the package's own calls has one value in use.
 """
 
 import ast
@@ -143,3 +144,201 @@ def test_public_api_has_a_package_caller():
     uncalled = {name for name, seen in called.items() if not seen}
     traced = {fn for _metric, _unit, _kind, fn in _function_metrics()}
     assert sorted(uncalled - traced - TESTED_ONLY) == []
+
+
+def _dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in _named(decorator) for decorator in node.decorator_list)
+
+
+def _init_field(node: ast.AnnAssign) -> bool:
+    """Whether a class-body annotation is a dataclass field ``__init__`` takes."""
+    init_false = isinstance(node.value, ast.Call) and any(
+        kw.arg == "init" and getattr(kw.value, "value", True) is False for kw in node.value.keywords
+    )
+    return not init_false and "ClassVar" not in _named(node.annotation)
+
+
+def _parameters(node: ast.FunctionDef, method: bool) -> tuple[list, list, set]:
+    """(positional, keyword-only, with a default) names of a def, without
+    the self or cls a method is called through."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaults = set(positional[len(positional) - len(args.defaults) :])
+    defaults |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    if method and not any("staticmethod" in _named(d) for d in node.decorator_list):
+        positional = positional[1:]
+    return positional, [a.arg for a in args.kwonlyargs], defaults
+
+
+def _signatures(sources) -> list[tuple[str, str, bool, tuple]]:
+    """(qualified name, called name, a method's, parameters) of each function,
+    method and nested function of the sources, and of each class's
+    constructor.  A method is called as an attribute, anything else either
+    way.  Dunder methods are left out: Python calls them, and a class's
+    constructor stands for its ``__init__``."""
+    found = []
+    for layer, source in sources:
+        tree = ast.parse(source)
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+        def constructor(cls):
+            """An ``__init__``'s parameters, or a dataclass's fields after its
+            bases', or else a base's constructor; None for none."""
+            init = [m for m in cls.body if isinstance(m, ast.FunctionDef) and m.name == "__init__"]
+            if init:
+                return _parameters(init[0], method=True)
+            bases = [classes[b.id] for b in cls.bases if getattr(b, "id", None) in classes]
+            inherited = [sig for base in bases if (sig := constructor(base)) is not None]
+            if not _dataclass(cls):
+                return inherited[0] if inherited else None
+            own = [m for m in cls.body if isinstance(m, ast.AnnAssign) and _init_field(m)]
+            positional = [f for sig in inherited for f in sig[0]] + [m.target.id for m in own]
+            defaults = {m.target.id for m in own if m.value is not None}
+            return positional, [], defaults.union(*(sig[2] for sig in inherited))
+
+        def visit(node, prefix, in_class):
+            for child in ast.iter_child_nodes(node):
+                name = f"{prefix}.{getattr(child, 'name', '')}"
+                if isinstance(child, ast.ClassDef):
+                    if (signature := constructor(child)) is not None:
+                        found.append((name, child.name, False, signature))
+                    visit(child, name, True)
+                elif isinstance(child, ast.FunctionDef) and not (
+                    in_class and child.name.startswith("__") and child.name.endswith("__")
+                ):
+                    found.append((name, child.name, in_class, _parameters(child, in_class)))
+                    visit(child, name, False)
+                else:
+                    visit(child, prefix, False)
+
+        visit(tree, layer, False)
+    return found
+
+
+_MISSING, _CARRIED = "missing", "carried"  # not passed; passed by * or **
+
+
+def _arguments(call: ast.Call, positional: list, keyword: list) -> dict:
+    """Each parameter a call passes: its argument, or _CARRIED for one a
+    * or ** argument may pass."""
+    passed = {}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed.update(dict.fromkeys(positional[i:], _CARRIED))
+            break
+        if i < len(positional):
+            passed[positional[i]] = arg
+    for kw in call.keywords:
+        if kw.arg is None:
+            for name in positional + keyword:
+                passed.setdefault(name, _CARRIED)
+        else:
+            passed[kw.arg] = kw.value
+    return passed
+
+
+def _literal(node) -> str | None:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def _one_value_parameters(sources, exempt) -> dict[str, list[str]]:
+    """The parameters of each function, method or constructor that the
+    sources call, outside ``exempt``, that have one value in use there:
+    (a) one with a default that no call passes, by keyword, by position or
+    through * or **; (b) one every call passes as the same literal."""
+    calls = [
+        node
+        for _layer, source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+    flagged = {}
+    for qualified, name, method, (positional, keyword, defaults) in _signatures(sources):
+        mine = [
+            call
+            for call in calls
+            if getattr(call.func, "attr", None) == name
+            or (not method and getattr(call.func, "id", None) == name)
+        ]
+        if not mine or qualified in exempt:
+            continue
+        passed = [_arguments(call, positional, keyword) for call in mine]
+        for param in positional + keyword:
+            given = [p.get(param, _MISSING) for p in passed]
+            literals = {_literal(arg) if isinstance(arg, ast.AST) else None for arg in given}
+            unused_default = param in defaults and all(arg is _MISSING for arg in given)
+            if unused_default or (len(literals) == 1 and None not in literals):
+                flagged.setdefault(qualified, []).append(param)
+    return flagged
+
+
+def test_parameter_scan_sees_both_rules_and_each_exemption():
+    toy = """
+@dataclass(frozen=True)
+class Rec:
+    a: int
+    b: int = 0
+    c: int = field(init=False)
+
+
+class Box:
+    def __init__(self, size, fill=0.0):
+        self.size = size
+
+    def put(self, item, at=None):
+        return self.size
+
+
+def ruled(x, node, width=24, *, scale=1.0):
+    return x
+
+
+def varied(x, k=1, m=2, j=3):
+    return x
+
+
+def idle(x, unused=3):
+    return x
+
+
+def traced(x, axis=0):
+    return x
+
+
+def main(argv=None):
+    return argv
+
+
+def user(args, opts):
+    ruled(1, 1), ruled(2, 1)
+    varied(1), varied(2, k=3), varied(3, *args), varied(4, **opts)
+    traced(1), traced(2), main()
+    box = Box(1)
+    box.put(1), box.put(2, at=3)
+    return Rec(1), Rec(2), Box(size=2)
+"""
+    flagged = _one_value_parameters([("toy", toy)], exempt={"toy.traced", "toy.main"})
+    # (a) a default no call passes: width, scale, fill and Rec.b; (b) a
+    # parameter every call passes as one literal: node.  Passed by keyword
+    # (k, at), by position (x, item) or through * (m) or ** (j) is used.
+    # A field __init__ does not take (c) is none of the constructor's.
+    assert flagged == {
+        "toy.ruled": ["node", "width", "scale"],
+        "toy.Box": ["fill"],
+        "toy.Rec": ["b"],
+    }
+    # the exemptions: what nothing calls (idle), and what is named
+    unexempt = _one_value_parameters([("toy", toy)], exempt=set())
+    assert unexempt == dict(flagged, **{"toy.traced": ["axis"], "toy.main": ["argv"]})
+
+
+@pytest.mark.skipif(not LAYERTRACE.is_file(), reason="no benchmark in this checkout")
+def test_no_parameter_has_one_value_in_use():
+    # the traced functions keep their parameters until the benchmark is
+    # re-baselined, and the benchmark drives main with argv
+    exempt = {fn for _metric, _unit, _kind, fn in _function_metrics()} | {"cli.main"}
+    assert _one_value_parameters(_package_sources(), exempt) == {}

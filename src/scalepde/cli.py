@@ -157,8 +157,10 @@ def parse_config(text: str, overrides: list[str] | None = None) -> tuple[RunConf
             values["eta"] = float(raw["beta"]) * float(raw["delta"]) ** 2
         except OverflowError:
             values["eta"] = math.inf
-        if not 0.0 < values["eta"] <= 1.0:
-            raise ConfigError(f"eta = beta * delta^2 must lie in (0, 1], got {values['eta']}")
+        if not sys.float_info.min <= values["eta"] <= 1.0:
+            raise ConfigError(
+                f"eta = beta * delta^2 must lie in [{sys.float_info.min}, 1], got {values['eta']}"
+            )
     if "core_text" in raw:
         _require("core_text", raw["core_text"], str)
     return RunConfig(**values), raw

@@ -89,7 +89,8 @@ class _Stages:
     and diagnostics record of the states that carry it.  A 1-D grid is
     refused (ValueError): a solenoidal field there is a constant, so a
     1-D run could only evolve v = 0.  So are an unknown closure and the
-    helmholtz closure at eta = 0, whose multiplier needs 1/eta.
+    helmholtz closure at an eta below ``sys.float_info.min``, whose
+    multiplier needs a finite 1/eta.
 
     Transport is -P div T for symmetric tensors T: v v and v psi + psi v.
     P removes div(T^{11} I), a gradient, so only T - T^{11} I is
@@ -119,8 +120,11 @@ class _Stages:
             raise ValueError(f"slice evolution needs n = 2, got n={grid.n}")
         if closure not in _CLOSURES:
             raise ValueError(f"unknown closure {closure!r}")
-        if closure == "helmholtz" and not eta > 0.0:
-            raise ValueError("the helmholtz closure needs eta > 0")
+        if closure == "helmholtz" and not eta >= sys.float_info.min:
+            raise ValueError(
+                f"the helmholtz closure needs eta > 0, not below {sys.float_info.min}, where "
+                f"1/eta overflows; got {eta}"
+            )
         n, helmholtz = grid.n, closure == "helmholtz"
         m = self.m = n * (1 + psi)
         self.key = (grid, psi, closure, eta)
@@ -485,8 +489,8 @@ class RunConfig:
             raise ConfigError(f"core must be 'fluid' or 'burgers', got {self.core!r}")
         if self.core == "burgers" and self.n != 1:
             raise ConfigError(f"core='burgers' needs n = 1, got n={self.n}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError(f"eta must lie in (0, 1], got {self.eta}")
+        if not sys.float_info.min <= self.eta <= 1.0:
+            raise ConfigError(f"eta must lie in [{sys.float_info.min}, 1], got {self.eta}")
         if self.dt is not None and not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0.0:

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .grid import Field, _irfft, _rfft, divergence, field_norms
-from .jets import JetExpr, JetIndex, JetMonomial, derive_source, spatial_labels
+from .jets import JetExpr, JetIndex, JetMonomial, derive_source, parse_core, spatial_labels
 from .residual import exact_residual
 
 DIVERGENCE_WARN_TOL = 1e-8
@@ -103,12 +103,17 @@ def leray_project(w: Field) -> Field:
     return w.with_values(_irfft(grid, _leray_hat(grid.rleray, _rfft(grid, w.values))))
 
 
+# the built-in cores, as core text
+_BURGERS_CORE = "u1_t + u1*u1_x1"
+_FLUID_CORES = {
+    1: "u1_t + u2_x1 + u1*u1_x1; u1_x1",
+    2: "u1_t + u3_x1 + u1*u1_x1 + u2*u1_x2; u2_t + u3_x2 + u1*u2_x1 + u2*u2_x2; u1_x1 + u2_x2",
+}
+
+
 def burgers_core() -> JetExpr:
     """Inviscid Burgers core u_t + u u_x on one component."""
-    x1 = JetExpr.variable(1, 1, 1, ("x1",))
-    ut = JetExpr.variable(1, 1, 1, ("t",))
-    u = JetExpr.variable(1, 1, 1)
-    return ut + u * x1
+    return parse_core(_BURGERS_CORE)
 
 
 def fluid_core(n: int) -> JetExpr:
@@ -116,24 +121,9 @@ def fluid_core(n: int) -> JetExpr:
 
     Component N = n + 1 is the pressure; output N is div v.
     """
-    if n not in (1, 2):
+    if n not in _FLUID_CORES:
         raise ValueError(f"spatial dimension must be 1 or 2, got {n}")
-    N = n + 1
-    comps = []
-    for a in range(1, n + 1):
-        expr = JetExpr.variable(n, N, a, ("t",)) + JetExpr.variable(
-            n, N, N, (f"x{a}",)
-        )
-        for b in range(1, n + 1):
-            expr = expr + JetExpr.variable(n, N, b) * JetExpr.variable(
-                n, N, a, (f"x{b}",)
-            )
-        comps.append(expr)
-    cont = JetExpr.zero(n, N)
-    for a, label in enumerate(spatial_labels(n), start=1):
-        cont = cont + JetExpr.variable(n, N, a, (label,))
-    comps.append(cont)
-    return JetExpr.vector(comps)
+    return parse_core(_FLUID_CORES[n], n)
 
 
 def core_by_name(name: str, n: int) -> JetExpr:

@@ -18,7 +18,6 @@ source s = (W - L)F.
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 import re
 import sys
@@ -43,25 +42,21 @@ def _shown(text: str) -> str:
     return repr(text) if len(text) <= _SHOWN_WIDTH else repr(text[:_SHOWN_WIDTH]) + "..."
 
 
+# every coordinate label: x<k> with k >= 1 and no leading zero, t or eta
+_COORD_RE = re.compile(r"x([1-9][0-9]*)|t|eta")
+
+
 def _coord_rank(label: str) -> tuple[int, int]:
-    if label == "t":
-        return (1, 0)
-    if label == "eta":
-        return (2, 0)
-    return (0, int(label[1:]))
-
-
-def _coord_reach(label: str) -> float:
-    """The least spatial dimension a coordinate label is valid in: 0 for t
-    and eta, k for x<k> with k >= 1, infinite for any other label."""
-    if label in ("t", "eta"):
-        return 0
-    m = re.fullmatch(r"x([0-9]+)", label)
-    return int(m.group(1)) if m and int(m.group(1)) >= 1 else math.inf
-
-
-def _valid_coord(label: str, n: int) -> bool:
-    return _coord_reach(label) <= n
+    """A label's place in a suffix: (0, k) for x<k>, then (1, 0) for t and
+    (2, 0) for eta.  Its second entry is the label's reach, the least
+    spatial dimension it is valid in.  A label outside the grammar raises
+    ValueError naming it."""
+    m = _COORD_RE.fullmatch(label)
+    if m is None:
+        raise ValueError(f"{label!r} is not a coordinate label (x<k> with k >= 1, t or eta)")
+    if m.group(1):
+        return (0, int(m.group(1)))
+    return (1, 0) if label == "t" else (2, 0)
 
 
 def spatial_labels(n: int) -> tuple[str, ...]:
@@ -76,16 +71,16 @@ class JetIndex:
     derivs: tuple[str, ...] = ()
     # made once, from the two fields above, and left out of eq and hash
     _key: tuple = field(init=False, repr=False, compare=False)
-    _reach: float = field(init=False, repr=False, compare=False)
+    _reach: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.component < 1:
             raise ValueError("components are numbered from 1")
-        ordered = tuple(sorted(self.derivs, key=_coord_rank))
-        object.__setattr__(self, "derivs", ordered)
-        ranks = tuple(_coord_rank(d) for d in ordered)
-        object.__setattr__(self, "_key", (self.component, len(ordered), ranks))
-        object.__setattr__(self, "_reach", max(map(_coord_reach, ordered), default=0))
+        ranked = sorted((_coord_rank(d), d) for d in self.derivs)
+        ranks = tuple(rank for rank, _ in ranked)
+        object.__setattr__(self, "derivs", tuple(d for _, d in ranked))
+        object.__setattr__(self, "_key", (self.component, len(ranks), ranks))
+        object.__setattr__(self, "_reach", max((k for _, k in ranks), default=0))
 
     @property
     def order(self) -> int:
@@ -102,7 +97,7 @@ class JetIndex:
             component=component,
             derivs=self.derivs[:pos] + (label,) + self.derivs[pos:],
             _key=(component, order + 1, ranks[:pos] + (rank,) + ranks[pos:]),
-            _reach=max(self._reach, _coord_reach(label)),
+            _reach=max(self._reach, rank[1]),
         )
         return derived
 
@@ -168,7 +163,8 @@ class JetExpr:
 
     ``terms`` holds one canonically sorted monomial tuple per output
     component.  Equality of two JetExpr values is therefore equality of
-    the underlying polynomials.
+    the underlying polynomials.  A core is made by ``parse_core``; ``+``,
+    ``-`` and ``zero`` serve the operators built on V_i.
     """
 
     n: int
@@ -191,7 +187,7 @@ class JetExpr:
                             f"jet variable {f} exceeds component count N={self.N}"
                         )
                     if f._reach > self.n:
-                        d = next(d for d in f.derivs if not _valid_coord(d, self.n))
+                        d = next(d for d, (_, k) in zip(f.derivs, f._key[2]) if k > self.n)
                         raise ValueError(
                             f"jet variable {f} uses coordinate {d} outside n={self.n}"
                         )
@@ -200,24 +196,6 @@ class JetExpr:
     @classmethod
     def zero(cls, n: int, N: int, outputs: int = 1) -> "JetExpr":
         return cls(n, N, ((),) * outputs)
-
-    @classmethod
-    def variable(cls, n: int, N: int, component: int, derivs=()) -> "JetExpr":
-        idx = JetIndex(component, tuple(derivs))
-        return cls(n, N, ((JetMonomial(1, (idx,)),),))
-
-    @classmethod
-    def vector(cls, components) -> "JetExpr":
-        parts = list(components)
-        n, N = parts[0].n, parts[0].N
-        terms = []
-        for p in parts:
-            if (p.n, p.N) != (n, N):
-                raise ValueError("component expressions disagree on (n, N)")
-            if p.num_outputs != 1:
-                raise ValueError("vector() expects single-output expressions")
-            terms.append(p.terms[0])
-        return cls(n, N, tuple(terms))
 
     @property
     def num_outputs(self) -> int:
@@ -246,21 +224,6 @@ class JetExpr:
 
     def __sub__(self, other: "JetExpr") -> "JetExpr":
         return self._binary(other, -1)
-
-    def __neg__(self) -> "JetExpr":
-        return self * Fraction(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, JetExpr):
-            if (self.n, self.N) != (other.n, other.N):
-                raise ValueError("expressions live in different jet spaces")
-            if self.num_outputs != 1 or other.num_outputs != 1:
-                raise ValueError("products are defined for scalar expressions")
-            return JetExpr(self.n, self.N, (_times(self.terms[0], other.terms[0]),))
-        c = Fraction(other)
-        return JetExpr(self.n, self.N, tuple(_scaled(part, c) for part in self.terms))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -338,30 +301,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _split_suffix(suffix: str, tok: _Token) -> tuple[str, ...]:
-    labels = []
-    pos = 0
-    while pos < len(suffix):
-        if suffix.startswith("eta", pos):
-            labels.append("eta")
-            pos += 3
-        elif suffix[pos] == "t":
-            labels.append("t")
-            pos += 1
-        elif suffix[pos] == "x":
-            m = re.match(r"x([0-9]+)", suffix[pos:])
-            if not m:
-                raise CoreSyntaxError(
-                    f"line {tok.line}, column {tok.col}: bad derivative "
-                    f"suffix {_shown(suffix)} in {_shown(tok.text)}"
-                )
-            labels.append(m.group())
-            pos += len(m.group())
-        else:
-            raise CoreSyntaxError(
-                f"line {tok.line}, column {tok.col}: bad derivative "
-                f"suffix {_shown(suffix)} in {_shown(tok.text)}"
-            )
-    return tuple(labels)
+    """The coordinate labels a suffix strings together, read by ``_COORD_RE``."""
+    labels = tuple(m.group() for m in _COORD_RE.finditer(suffix))
+    if "".join(labels) != suffix:
+        raise CoreSyntaxError(
+            f"line {tok.line}, column {tok.col}: bad derivative "
+            f"suffix {_shown(suffix)} in {_shown(tok.text)}"
+        )
+    return labels
 
 
 def _parse_jet_ident(tok: _Token) -> JetIndex:
@@ -487,10 +434,9 @@ def parse_core(text: str, n: int | None = None) -> JetExpr:
     """
     parser = _Parser(_tokenize(text))
     comps = parser.parse_components()
-    axes = [(int(d[1:]), tok) for idx, tok in parser.indices for d in idx.derivs if d[0] == "x"]
-    n = max([1] + [axis for axis, _tok in axes]) if n is None else n
-    for axis, tok in axes:
-        if axis > min(n, 2):
+    n = max([1] + [idx._reach for idx, _tok in parser.indices]) if n is None else n
+    for idx, tok in parser.indices:
+        if idx._reach > min(n, 2):
             raise CoreSyntaxError(
                 f"line {tok.line}, column {tok.col}: {_shown(tok.text)} uses "
                 f"spatial axis beyond n={min(n, 2)}"
@@ -514,7 +460,7 @@ def _product_rule(expr: JetExpr, derive) -> JetExpr:
 
 def jet_total_derivative(expr: JetExpr, coord: str) -> JetExpr:
     """Total derivative V_coord, acting by the product rule."""
-    if not _valid_coord(coord, expr.n):
+    if _coord_rank(coord)[1] > expr.n:
         raise ValueError(f"coordinate {coord!r} is not valid for n={expr.n}")
     return _product_rule(expr, lambda f: (f.with_deriv(coord),))
 
@@ -649,7 +595,7 @@ def jet_values(
         if idx.component > len(base):
             raise ValueError(f"jet variable {idx} exceeds field component count {len(base)}")
         vals = base[idx.component - 1]
-        spatial = [int(d[1:]) - 1 for d in idx.derivs if d.startswith("x")]
+        spatial = [k - 1 for kind, k in idx.sort_key()[2] if kind == 0]
         if spatial:
             if max(spatial) >= grid.n:
                 raise ValueError(

@@ -11,6 +11,8 @@ laplacian(r) - r/eta + s = 0, solved exactly per mode.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .grid import Field, Grid, _finite, _irfft, _peak, _rfft
@@ -47,8 +49,8 @@ def _closure_multiplier(grid: Grid, eta: float) -> np.ndarray:
 
 def solve_residual_closure(s: Field, eta: float) -> Field:
     """Solve laplacian(r) - r/eta + s = 0 exactly per Fourier mode."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not eta >= sys.float_info.min:  # below, 1/eta overflows and r is 0
+        raise ValueError(f"eta must be at least {sys.float_info.min}, got {eta}")
     grid = s.grid
     vals = _irfft(grid, _rfft(grid, s.values) * _closure_multiplier(grid, eta))
     return s.with_values(vals, eta=eta)

@@ -8,7 +8,9 @@ right-hand sides, the filter stress, source and advection, the
 hand-written core residuals, jet values, jet polynomials and the Duhamel
 sum are rebuilt from plain numpy complex transforms, one round trip per
 operator; a ladder's half spectra come from one ``numpy.fft.rfftn`` per
-node and go back by one ``numpy.fft.irfftn``.  The Frechet table of a core comes from formal partials,
+node and go back by one ``numpy.fft.irfftn``.  The built-in cores are
+tables of jet variables, written out with no parsing and no arithmetic.
+The Frechet table of a core comes from formal partials,
 counting how often each jet variable occurs in a monomial, not from
 the product rule.  The manufactured families are
 closed-form fields whose time derivatives and filter defects are written
@@ -240,6 +242,27 @@ def formal_frechet(core: JetExpr) -> FrechetTable:
             else:
                 zero[(alpha, var.component)] = partial
     return FrechetTable(zero_order=zero, first_order=first)
+
+
+def burgers_core_twin() -> JetExpr:
+    """The Burgers core u_t + u u_x, as a table of jet variables."""
+    u, u_x, u_t = JetIndex(1), JetIndex(1, ("x1",)), JetIndex(1, ("t",))
+    return JetExpr(1, 1, ((JetMonomial(1, (u_t,)), JetMonomial(1, (u, u_x))),))
+
+
+def fluid_core_twin(n: int) -> JetExpr:
+    """The fluid core, as a table of jet variables: output a is
+    u^a_t + p_{x_a} + sum_b u^b u^a_{x_b} with the pressure p = u^{n+1},
+    and output n + 1 is sum_a u^a_{x_a}."""
+    p = n + 1
+    x = [None] + [f"x{a}" for a in range(1, n + 1)]
+    momentum = tuple(
+        (JetMonomial(1, (JetIndex(a, ("t",)),)), JetMonomial(1, (JetIndex(p, (x[a],)),)))
+        + tuple(JetMonomial(1, (JetIndex(b), JetIndex(a, (x[b],)))) for b in range(1, n + 1))
+        for a in range(1, n + 1)
+    )
+    continuity = tuple(JetMonomial(1, (JetIndex(a, (x[a],)),)) for a in range(1, n + 1))
+    return JetExpr(n, p, momentum + (continuity,))
 
 
 def per_node_duhamel(psi: np.ndarray, etas, target: int) -> np.ndarray:

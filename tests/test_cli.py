@@ -185,6 +185,22 @@ class TestParseConfig:
     def test_bad_value_exits_2_naming_key(self, capsys, override, key):
         _assert_exits_2_naming(capsys, "evolve", override, key)
 
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [
+            ("evolve", "eta=1e-310", "eta must lie in [2.2250738585072014e-308, 1]"),
+            ("closure-check", "eta=1e-320", "eta must lie in [2.2250738585072014e-308, 1]"),
+            ("closure-check", "beta=1e-300 delta=1e-10", "eta = beta * delta^2 must lie in"),
+        ],
+    )
+    def test_subnormal_eta_exits_2_naming_the_key(self, capsys, command, override, key):
+        # below sys.float_info.min, 1/eta overflows: a helmholtz run froze and
+        # closure-check's back-substitution read NaN
+        _assert_exits_2_naming(capsys, command, override, key)
+
+    def test_least_normal_eta_is_allowed(self):
+        assert parse_config("", [f"eta={sys.float_info.min!r}"])[0].eta == sys.float_info.min
+
     @pytest.mark.parametrize("override, key", SPEC_ROWS)
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bad_spec_exits_2_on_every_command(self, capsys, command, override, key):

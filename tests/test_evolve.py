@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -83,6 +84,21 @@ class TestRhs:
         v = taylor_green(grid2d)  # eta defaults to 0
         with pytest.raises(ValueError, match="the helmholtz closure needs eta > 0"):
             self.ENTRIES[entry](v, "helmholtz")
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_helmholtz_refuses_subnormal_eta(self, grid2d, entry):
+        # 1/eta overflows there, the closure multiplier is 0 and v would never move
+        v = taylor_green(grid2d).with_values(eta=1e-310)
+        with pytest.raises(ValueError, match=r"needs eta > 0, not below 2\.22\d*e-308.*got 1e-310"):
+            self.ENTRIES[entry](v, "helmholtz")
+
+    def test_helmholtz_at_the_least_normal_eta_steps_as_none(self, grid2d, rng):
+        v = random_solenoidal(grid2d, rng, kmax=4).with_values(eta=sys.float_info.min)
+        none, helmholtz = (
+            step_rk4(EvolutionState(0.0, v), 0.01, closure).v.values for closure in ("none", "helmholtz")
+        )
+        assert np.max(np.abs(helmholtz - v.values)) > 1e-3
+        np.testing.assert_allclose(helmholtz, none, rtol=0.0, atol=1e-14)
 
     def test_psi_transport_at_rest_is_forcing(self, grid2d, rng):
         v = Field(grid2d, np.zeros((2,) + grid2d.shape))

@@ -21,12 +21,14 @@ from scalepde import (
 from scalepde.families import random_band_limited, random_solenoidal, taylor_green
 from scalepde.fluid import _tensor_pairs
 from oracles import (
+    burgers_core_twin,
     burgers_residual,
     complex_advect,
     complex_sigma,
     complex_source,
     fd_fluid_source,
     fd_sigma,
+    fluid_core_twin,
     fluid_residual,
     taylor_green_pressure,
 )
@@ -256,6 +258,18 @@ class TestCoreFunctions:
         assert (core.n, core.N) == (1, 1)
         # canonical monomial order sorts the quadratic term first
         assert str(core) == "u1*u1_x1 + u1_t"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fluid_core_equals_its_twin(self, n):
+        # the parsed core text against the table written out in the oracles
+        assert fluid_core(n) == fluid_core_twin(n)
+
+    def test_fluid_core_refuses_other_dimensions(self):
+        with pytest.raises(ValueError, match="spatial dimension must be 1 or 2, got 3"):
+            fluid_core(3)
+
+    def test_burgers_core_equals_its_twin(self):
+        assert burgers_core() == burgers_core_twin()
 
     def test_fluid_symbolic_component_count(self):
         core = fluid_core(2)

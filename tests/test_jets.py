@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,13 +32,20 @@ from scalepde.families import random_band_limited, taylor_green
 from scalepde.fluid import burgers_core, fluid_core
 from scalepde.jets import spatial_labels
 from scalepde.residual import exact_residual
-from oracles import chained_jet_values, formal_frechet, pairwise_jet_evaluate, taylor_green_pressure
+from oracles import (
+    burgers_core_twin,
+    chained_jet_values,
+    formal_frechet,
+    pairwise_jet_evaluate,
+    taylor_green_pressure,
+)
 
 
-def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2) -> JetExpr:
-    """Random canonical expression of up to second order, eta included:
-    up to 4 monomials per output and 3 factors per monomial."""
-    coords = list(spatial_labels(n)) + ["t", "eta"]
+def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2, eta: bool = True) -> JetExpr:
+    """Random canonical expression of up to second order, eta included
+    unless ``eta`` is false: up to 4 monomials per output and 3 factors
+    per monomial."""
+    coords = list(spatial_labels(n)) + ["t"] + ["eta"] * eta
     outputs = []
     for _ in range(rng.randint(1, max_outputs)):
         monos = []
@@ -54,7 +62,12 @@ def random_expr(rng: random.Random, n: int, N: int, max_outputs: int = 2) -> Jet
 
 
 def u(component, *derivs, n=1, N=1):
-    return JetExpr.variable(n, N, component, derivs)
+    return JetExpr(n, N, ((JetMonomial(1, (JetIndex(component, derivs),)),),))
+
+
+def product(n, N, *factors):
+    """The product of single-output expressions, read back from core text."""
+    return JetExpr(n, N, parse_core("*".join(f"({f})" for f in factors), n=n).terms)
 
 
 def assert_table_matches_formal_partials(core: JetExpr):
@@ -93,6 +106,12 @@ class TestJetIndex:
          (("t",), "x3"), (("x1", "x2"), "x0")],
     )
     def test_with_deriv_equals_a_fresh_index(self, derivs, label):
+        if label == "x0":  # outside the label grammar: both refuse it
+            with pytest.raises(ValueError, match="'x0' is not a coordinate label"):
+                JetIndex(2, derivs).with_deriv(label)
+            with pytest.raises(ValueError, match="'x0' is not a coordinate label"):
+                JetIndex(2, derivs + (label,))
+            return
         derived = JetIndex(2, derivs).with_deriv(label)
         fresh = JetIndex(2, derivs + (label,))
         assert derived == fresh and hash(derived) == hash(fresh)
@@ -100,8 +119,13 @@ class TestJetIndex:
         assert derived.sort_key() == fresh.sort_key()
         assert derived._reach == fresh._reach
 
-    @pytest.mark.parametrize("label", ["x3", "x0", "x-1", "x 1"])
+    @pytest.mark.parametrize("label", ["x3", "x0", "x-1", "x 1", "x01", "x", "T", "etat", ""])
     def test_coordinate_outside_n_names_it(self, label):
+        # labels are x<k> with k >= 1 and no leading zero, t or eta; no index holds another
+        if label != "x3":
+            with pytest.raises(ValueError, match=re.escape(f"{label!r} is not a coordinate label")):
+                JetIndex(1, ("x1", label))
+            return
         bad = JetIndex(1, ("x1", label))
         with pytest.raises(ValueError, match=f"uses coordinate {label} outside n=2"):
             JetExpr(2, 1, ((JetMonomial(1, (bad,)),),))
@@ -109,28 +133,14 @@ class TestJetIndex:
 
 class TestJetExpr:
     def test_structural_equality_is_mathematical(self):
-        a = u(1) * u(1, "x1") + u(1, "t")
-        b = u(1, "t") + u(1, "x1") * u(1)
+        a = parse_core("u1*u1_x1 + u1_t")
+        b = parse_core("u1_t + u1_x1*u1")
         assert a == b
+        assert a == u(1, "t") + parse_core("u1_x1*u1")
 
     def test_cancellation_gives_zero(self):
-        a = u(1) * u(1, "x1")
+        a = parse_core("u1*u1_x1")
         assert (a - a) == JetExpr.zero(1, 1)
-
-    def test_scalar_multiplication(self):
-        e = Fraction(3, 2) * (u(1) + u(1))
-        assert format_expr(e) == "3*u1"
-
-    def test_vector_and_component(self):
-        e = JetExpr.vector([u(1, n=2, N=2), u(2, "x1", n=2, N=2)])
-        assert e.num_outputs == 2
-        assert JetExpr(2, 2, (e.terms[1],)) == u(2, "x1", n=2, N=2)
-
-    def test_single_output_product(self):
-        e = u(1) * u(1, "x1")
-        assert format_expr(e) == "u1*u1_x1"
-        with pytest.raises(ValueError, match="scalar"):
-            JetExpr.vector([u(1), u(1)]) * u(1)
 
     def test_canonicalizes_given_monomials(self):
         # a JetMonomial keeps what it is given; JetExpr converts, sorts, merges, drops zeros
@@ -153,9 +163,15 @@ class TestJetExpr:
 
 class TestParse:
     def test_burgers_core(self):
-        e = parse_core("u1_t + u1*u1_x1")
-        assert e == burgers_core()
+        e = burgers_core()
+        assert e == burgers_core_twin()
         assert e.n == 1 and e.N == 1
+
+    @pytest.mark.parametrize("text, col", [("u1*u1_x01", 4), ("u1_x0", 1), ("u1_t + u1_xt", 8)])
+    def test_suffix_outside_the_label_grammar_names_position(self, text, col):
+        # x<k> has no leading zero, so u1_x01 is no other name for u1_x1
+        with pytest.raises(CoreSyntaxError, match=f"line 1, column {col}: bad derivative suffix"):
+            parse_core(text)
 
     def test_rational_coefficients(self):
         e = parse_core("3/2*u1 - 1/2*u1")
@@ -167,7 +183,7 @@ class TestParse:
         assert JetExpr(2, 3, (e.terms[2],)) == JetExpr.zero(2, 3)
 
     def test_parentheses_and_unary_minus(self):
-        assert parse_core("-(u1 - u1_x1)*2") == 2 * u(1, "x1") - 2 * u(1)
+        assert parse_core("-(u1 - u1_x1)*2") == parse_core("2*u1_x1 - 2*u1")
 
     def test_inference(self):
         e = parse_core("u2_x1x2*u1")
@@ -178,7 +194,7 @@ class TestParse:
             parse_core("u1_eta")
 
     def test_eta_allowed_for_general_jets(self):
-        e = JetExpr.variable(1, 1, 1, ("eta",))
+        e = u(1, "eta")
         assert format_expr(e) == "u1_eta"
 
     def test_unknown_identifier(self):
@@ -215,10 +231,10 @@ class TestParse:
 
     def test_sign_runs_and_long_sums_parse(self):
         # a run of signs is as valid after '*' as at the start of a term
-        assert parse_core("u1*" + "-" * 2000 + "u1") == u(1) * u(1)
-        assert parse_core("u1*" + "-" * 2001 + "u1") == -(u(1) * u(1))
+        assert parse_core("u1*" + "-" * 2000 + "u1") == parse_core("u1*u1")
+        assert parse_core("u1*" + "-" * 2001 + "u1") == parse_core("-u1*u1")
         assert parse_core("(" * 100 + "u1" + ")" * 100) == u(1)
-        assert parse_core(" + ".join(["u1"] * 20000)) == 20000 * u(1)
+        assert parse_core(" + ".join(["u1"] * 20000)) == parse_core("20000*u1")
 
     def test_round_trip_random(self):
         rng = random.Random(2024)
@@ -237,17 +253,18 @@ class TestParse:
 
 class TestTotalDerivative:
     def test_product_rule(self):
-        e = jet_total_derivative(u(1) * u(1, "x1"), "x1")
-        assert e == u(1, "x1") * u(1, "x1") + u(1) * u(1, "x1", "x1")
+        e = jet_total_derivative(parse_core("u1*u1_x1"), "x1")
+        assert e == parse_core("u1_x1*u1_x1 + u1*u1_x1x1")
 
     def test_leibniz_general(self):
         rng = random.Random(7)
         for _ in range(20):
-            f = random_expr(rng, 2, 2, max_outputs=1)
-            g = random_expr(rng, 2, 2, max_outputs=1)
-            lhs = jet_total_derivative(f * g, "x2")
-            rhs = jet_total_derivative(f, "x2") * g + f * jet_total_derivative(g, "x2")
-            assert lhs == rhs
+            # no eta, so the product can be read from core text
+            f = random_expr(rng, 2, 2, max_outputs=1, eta=False)
+            g = random_expr(rng, 2, 2, max_outputs=1, eta=False)
+            f_x2, g_x2 = (jet_total_derivative(e, "x2") for e in (f, g))
+            lhs = jet_total_derivative(product(2, 2, f, g), "x2")
+            assert lhs == product(2, 2, f_x2, g) + product(2, 2, f, g_x2)
 
     def test_derivatives_commute(self):
         rng = random.Random(8)
@@ -265,7 +282,7 @@ class TestTotalDerivative:
     def test_numeric_chain_rule(self, grid2d, rng):
         # V_x1 of a polynomial evaluated on a slice equals the spectral
         # x1-derivative of its evaluation, for band-limited data
-        expr = u(1, n=2, N=1) * u(1, "x2", n=2, N=1)
+        expr = parse_core("u1*u1_x2")
         f = random_band_limited(grid2d, rng, kmax=5)
         v_expr = jet_total_derivative(expr, "x1")
         lhs = jet_evaluate(v_expr, jet_values(v_expr, grid2d, f.values), grid2d)
@@ -275,7 +292,7 @@ class TestTotalDerivative:
 
 class TestSourceMap:
     def test_L_on_variable(self):
-        assert jet_L(u(1, n=2, N=1)) == u(1, "x1", "x1", n=2, N=1) + u(1, "x2", "x2", n=2, N=1)
+        assert jet_L(u(1, n=2, N=1)) == parse_core("u1_x1x1 + u1_x2x2")
 
     def test_W_matches_L_on_linear(self):
         core = parse_core("u1_t + 3*u1_x1", n=1)
@@ -292,12 +309,12 @@ class TestSourceMap:
 
     def test_quadratic_core_source_counts_cross_terms(self):
         # W(u*u) = 2 u*u_xx while L(u*u) = 2 u*u_xx + 2 u_x*u_x
-        s = derive_source(u(1) * u(1) + u(1, "t"))
-        assert s == Fraction(-2) * (u(1, "x1") * u(1, "x1"))
+        s = derive_source(parse_core("u1*u1 + u1_t"))
+        assert s == parse_core("-2*u1_x1*u1_x1")
 
     def test_second_order_core_rejected(self):
         with pytest.raises(ValueError, match="first order"):
-            derive_source(u(1, "x1", "x1") + u(1, "t"))
+            derive_source(parse_core("u1_x1x1 + u1_t"))
 
     def test_fluid_source_matches_expected_polynomial(self):
         # the pressure, u3, appears in no term of the source
@@ -320,8 +337,8 @@ class TestFrechet:
         assert set(table.first_order) == {(1, 1, "x1"), (1, 1, "t")}
 
     def test_power_rule(self):
-        table = jet_frechet(u(1) * u(1) * u(1))
-        assert table.zero_order[(1, 1)] == 3 * (u(1) * u(1))
+        table = jet_frechet(parse_core("u1*u1*u1"))
+        assert table.zero_order[(1, 1)] == parse_core("3*u1*u1")
 
     def test_second_order_rejected(self):
         with pytest.raises(ValueError, match="first order"):
@@ -350,7 +367,7 @@ class TestFrechet:
             fluid_core(1),
             fluid_core(2),
             parse_core("u1*u1*u2_x2 + 3*u2_t*u1; u1_x1*u2_x1 - u2"),
-            u(1) * u(1) * u(1),
+            parse_core("u1*u1*u1"),
             parse_core("u1*u1_x1 + u2_x1*u1 - u1_x1*u1 + u1_t; u2*u2 - u2*u2 + u1_x2"),
         ],
         ids=["burgers", "fluid_1d", "fluid_2d", "cubic", "power", "cancelling"],
@@ -376,12 +393,12 @@ class TestFrechet:
         # sum over the table of (partial of F^alpha) * (psi^beta jet), psi^beta = u^{N + beta}
         n, N = core.n, core.N
         table = formal_frechet(core)
-        rows = [JetExpr.zero(n, 2 * N)] * core.num_outputs
+        rows = [["0"] for _ in range(core.num_outputs)]
         for key, partial in (*table.zero_order.items(), *table.first_order.items()):
             alpha, beta, derivs = key[0], key[1], key[2:]
-            psi_jet = JetExpr.variable(n, 2 * N, N + beta, derivs)
-            rows[alpha - 1] = rows[alpha - 1] + JetExpr(n, 2 * N, partial.terms) * psi_jet
-        assert jet_linearize(core) == JetExpr.vector(rows)
+            rows[alpha - 1].append(f"({partial})*{JetIndex(N + beta, derivs)}")
+        text = "; ".join(" + ".join(row) for row in rows)
+        assert jet_linearize(core) == JetExpr(n, 2 * N, parse_core(text, n=n).terms)
 
 
 class TestNumericEvaluation:
@@ -414,7 +431,7 @@ class TestNumericEvaluation:
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
 
     def test_eta_derivative_not_evaluable(self, grid1d):
-        e = JetExpr.variable(1, 1, 1, ("eta",))
+        e = u(1, "eta")
         with pytest.raises(ValueError, match="eta"):
             jet_values(e, grid1d, np.zeros((1,) + grid1d.shape))
 

@@ -139,10 +139,12 @@ class TestClosureSolve:
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] <= 0.025
 
-    def test_eta_validated(self, grid1d):
+    @pytest.mark.parametrize("eta", [0.0, 1e-310])
+    def test_eta_validated(self, grid1d, eta):
+        # a subnormal eta overflows 1/eta, and r came out 0, not eta s
         s = Field(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError, match="eta"):
-            solve_residual_closure(s, 0.0)
+            solve_residual_closure(s, eta)
 
 
 class TestClosureErrorBound:

@@ -5,7 +5,8 @@ FUNCTION_METRICS table; deleting or renaming one of them breaks the
 traced benchmark, so it fails here first.  Apart from them and the
 Frechet contraction (acceptance criterion 4), no public function, class,
 method or property of the package is kept for callers outside it alone,
-and no parameter of the package's own calls has one value in use.
+no parameter of the package's own calls has one value in use, and no
+module imports a name it never reads.
 """
 
 import ast
@@ -342,3 +343,50 @@ def test_no_parameter_has_one_value_in_use():
     # re-baselined, and the benchmark drives main with argv
     exempt = {fn for _metric, _unit, _kind, fn in _function_metrics()} | {"cli.main"}
     assert _one_value_parameters(_package_sources(), exempt) == {}
+
+
+def _unused_imports(sources) -> dict[str, list[str]]:
+    """The names each module imports and never reads, ``__future__``'s aside."""
+    unused = {}
+    for layer, source in sources:
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        if names := [name for name in imported if name not in read]:
+            unused[layer] = names
+    return unused
+
+
+def test_unused_import_scan_sees_reads_and_idle_names():
+    toy = """
+from __future__ import annotations
+
+import math
+import os
+import os.path
+import numpy as np
+from fractions import Fraction, gcd as _gcd
+from .grid import Grid
+
+
+def area(r: Grid) -> float:
+    def inner():
+        return Fraction(1)
+    os = 3
+    return math.pi * np.square(r) + inner()
+"""
+    # read as a name, an attribute's base or an annotation is read; a name
+    # only bound again (os) or not named at all is not
+    assert _unused_imports([("toy", toy)]) == {"toy": ["os", "os", "_gcd"]}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__ imports to re-export; __main__ runs the package and reads its imports
+    sources = _package_sources() + [("__main__", (PACKAGE / "__main__.py").read_text())]
+    assert _unused_imports(sources) == {}
